@@ -6,7 +6,7 @@ global model of a credal network from local ones, and answers membership
 and bound queries with verifiable certificates.
 """
 
-from .cone import AssessmentCone, CoherenceReport, MembershipCertificate, SignReport
+from .cone import AssessmentCone, CoherenceReport, SignReport
 from .core import (
     Configuration,
     Gamble,
@@ -21,30 +21,27 @@ from .core import (
 )
 from .dag import Dag, DagError, DagReport
 from .lp import (
-    ConicResult,
     LinearSystem,
     LpError,
     LpOutcome,
     LpStatus,
+    Membership,
     Relation,
-    VanishingResult,
+    Vanishing,
     conic_membership,
     contains_zero,
 )
 from .net import (
-    ConditionedModel,
     CredalNet,
     GeneratorCapError,
     GeneratorInfo,
     IncoherentLocalModel,
     IrrelevanceCheck,
-    JointMembership,
     JointModel,
     NetworkError,
     VerificationReport,
     Violation,
     ZeroGambleError,
-    ZeroReport,
     sample_credal_net,
     sample_gamble,
 )
@@ -60,9 +57,7 @@ __all__ = [
     "AssessmentCone",
     "AuditReport",
     "CoherenceReport",
-    "ConditionedModel",
     "Configuration",
-    "ConicResult",
     "CredalNet",
     "Dag",
     "DagError",
@@ -72,13 +67,12 @@ __all__ = [
     "GeneratorInfo",
     "IncoherentLocalModel",
     "IrrelevanceCheck",
-    "JointMembership",
     "JointModel",
     "LinearSystem",
     "LpError",
     "LpOutcome",
     "LpStatus",
-    "MembershipCertificate",
+    "Membership",
     "NetworkError",
     "PreciseNet",
     "Rational",
@@ -87,13 +81,12 @@ __all__ = [
     "Sign",
     "SignReport",
     "Space",
-    "VanishingResult",
+    "Vanishing",
     "VariableSpace",
     "VerificationReport",
     "Violation",
     "WitnessMismatchError",
     "ZeroGambleError",
-    "ZeroReport",
     "as_rational",
     "conic_membership",
     "contains_zero",

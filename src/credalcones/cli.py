@@ -12,7 +12,7 @@ Exit codes are a stable contract:
   2  semantic input error: cycle, missing or duplicate parent
      configuration, incoherent local model, generator cap exceeded
   3  parse error: unreadable file, bad JSON, floats, wrong shapes,
-     unknown references
+     unknown references, bad command-line arguments
 """
 
 from __future__ import annotations
@@ -332,6 +332,13 @@ def _node_query_fields(net: CredalNet, query: Any, where: str):
     return node, parent, irrelevant, given, Gamble(node_space, row)
 
 
+def _query_count(query: dict, key: str, default: int, where: str) -> int:
+    value = query.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ParseError(f"{where}: {key} must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def run_query(net: CredalNet, joint: JointModel, query: Any, seed: int, where: str) -> dict:
     kind = _require(query, "kind", str, where)
     if kind == "coherence":
@@ -340,24 +347,18 @@ def run_query(net: CredalNet, joint: JointModel, query: Any, seed: int, where: s
         if rep.combination is not None:
             result["vanishing_combination"] = _pairs_json(rep.combination)
         return {"kind": kind, "result": result}
-    if kind == "member":
+    if kind in ("member", "condition-member"):
         f = parse_joint_gamble(net, _require(query, "gamble", dict, where), where)
-        if f.is_zero:
-            raise SemanticError(
-                f"{where}: the zero gamble has no desirability status",
-                {"reason": "zero-gamble"},
-            )
-        return {"kind": kind, "result": _membership_json(joint.member_with_certificate(f))}
-    if kind == "condition-member":
-        f = parse_joint_gamble(net, _require(query, "gamble", dict, where), where)
-        given_map = _string_map(query.get("given", {}), f"{where}: given")
-        unknown = [n for n in given_map if n not in net.variables]
-        if unknown:
-            raise ParseError(f"{where}: given mentions unknown nodes {unknown}")
-        space = Space(net.variables[n] for n in sorted(given_map))
-        observed = _configuration(net, given_map, space, f"{where}: given")
+        observed = None
+        if kind == "condition-member":
+            given_map = _string_map(query.get("given", {}), f"{where}: given")
+            unknown = [n for n in given_map if n not in net.variables]
+            if unknown:
+                raise ParseError(f"{where}: given mentions unknown nodes {unknown}")
+            space = Space(net.variables[n] for n in sorted(given_map))
+            observed = _configuration(net, given_map, space, f"{where}: given")
         try:
-            res = joint.condition(observed).member_with_certificate(f)
+            res = joint.member_with_certificate(f, given=observed)
         except ZeroGambleError as err:
             raise SemanticError(f"{where}: {err}", {"reason": "zero-gamble"}) from err
         except NetworkError as err:
@@ -387,8 +388,8 @@ def run_query(net: CredalNet, joint: JointModel, query: Any, seed: int, where: s
     if kind == "verify-all":
         report = joint.verify_requirements(
             random.Random(seed),
-            gambles_per_slot=int(query.get("gambles_per_slot", 10)),
-            subset_cap=int(query.get("subset_cap", 8)),
+            gambles_per_slot=_query_count(query, "gambles_per_slot", 10, where),
+            subset_cap=_query_count(query, "subset_cap", 8, where),
         )
         return {"kind": kind, "result": _verification_json(report)}
     raise ParseError(f"{where}: unknown query kind {kind!r}")
@@ -533,8 +534,26 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_PASS
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are parse errors: exit 3, not argparse's own exit 2."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
+def _count(text: str) -> int:
+    """A sweep size or budget given on the command line."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="credalcones",
         description="Exact inference for credal networks under epistemic irrelevance.",
     )
@@ -567,25 +586,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--gambles-per-slot",
-        type=int,
+        type=_count,
         default=10,
         help="sampled gambles per (node, parent configuration)",
     )
     p.add_argument(
         "--subset-cap",
-        type=int,
+        type=_count,
         default=8,
         help="sampled subsets of non-parent-non-descendants when exhaustive is too big",
     )
     p.add_argument(
         "--audit-samples",
-        type=int,
+        type=_count,
         default=50,
         help="random conic combinations scored by the positivity audit",
     )
     p.add_argument(
         "--budget",
-        type=int,
+        type=_count,
         default=None,
         help="maximum number of irrelevance checks (deterministic budget)",
     )
@@ -600,8 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -29,8 +29,10 @@ from .lp import (
     LinearSystem,
     LpError,
     LpStatus,
+    Membership,
     conic_membership,
     contains_zero,
+    lower_prevision as _lp_lower_prevision,
 )
 
 
@@ -52,13 +54,6 @@ class CoherenceReport:
 
     def __bool__(self) -> bool:
         return self.coherent
-
-
-@dataclass(frozen=True)
-class MembershipCertificate:
-    member: bool
-    witness: Optional[tuple[Fraction, ...]] = None
-    separator: Optional[tuple[Fraction, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -127,8 +122,11 @@ class AssessmentCone:
         vanish = contains_zero([g.table for g in self.generators])
         if not vanish.exists:
             raise LpError("incoherence without a vanishing combination")
+        certificate = [Fraction(0)] * len(self.generators)
+        for k, c in vanish.combination:
+            certificate[k] = c
         return CoherenceReport(
-            coherent=False, margin=margin, witness=tuple(y), certificate=vanish.combination
+            coherent=False, margin=margin, witness=tuple(y), certificate=tuple(certificate)
         )
 
     def _verify_witness(self, y: Sequence[Fraction], margin: Fraction) -> None:
@@ -143,7 +141,7 @@ class AssessmentCone:
     def member(self, f: Gamble) -> bool:
         return self.member_with_certificate(f).member
 
-    def member_with_certificate(self, f: Gamble) -> MembershipCertificate:
+    def member_with_certificate(self, f: Gamble) -> Membership:
         """Is f in the strictly positive span of the generators?
 
         The zero gamble is never a member: the span requires at least one
@@ -154,11 +152,8 @@ class AssessmentCone:
         """
         f = f.extend(self.space)
         if f.is_zero:
-            return MembershipCertificate(member=False)
-        res = conic_membership(f.table, [g.table for g in self.generators])
-        return MembershipCertificate(
-            member=res.member, witness=res.witness, separator=res.separator
-        )
+            return Membership(member=False, route="zero-convention")
+        return conic_membership(f.table, [g.table for g in self.generators])
 
     def sign_diagnostics(self, rng: Optional[Random] = None, samples: int = 20) -> SignReport:
         """Sweep nonpositive gambles and insist none is a member.
@@ -191,25 +186,8 @@ class AssessmentCone:
         the zero gamble or another boundary point); callers get the exact
         bound, not a membership claim.
         """
-        f = f.extend(self.space)
-        size = self.space.size
-        n = len(self.generators)
-        # variables: lambda_1..lambda_n >= 0, m free; rows: R lambda + m*1 = f
-        lp = LinearSystem(n + 1)
-        lp.maximize([0] * n + [1])
-        for i in range(size):
-            row = [g.table[i] for g in self.generators] + [1]
-            lp.add_constraint(row, "==", f.table[i])
-        for k in range(n):
-            row = [0] * (n + 1)
-            row[k] = 1
-            lp.add_constraint(row, ">=", 0)
-        out = lp.solve()
-        if out.status is LpStatus.UNBOUNDED:
-            raise LpError("unbounded lower prevision: the cone is incoherent")
-        if out.status is not LpStatus.OPTIMAL:
-            raise LpError("lower prevision LP is infeasible, which cannot happen")
-        return out.objective
+        table = f.extend(self.space).table
+        return _lp_lower_prevision(table, [g.table for g in self.generators])
 
     def upper_prevision(self, f: Gamble) -> Fraction:
         return -self.lower_prevision(-f.extend(self.space))

@@ -39,11 +39,6 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"not a rational: {value!r} (floats are not accepted)")
 
 
-def format_rational(value: Fraction) -> str:
-    """Canonical string form: "p/q" in lowest terms, or "n" for integers."""
-    return str(value)
-
-
 @dataclass(frozen=True)
 class VariableSpace:
     """A named variable together with its ordered, finite set of values."""
@@ -394,19 +389,3 @@ def indicator(config: Configuration, target: Space) -> Gamble:
         digits = target.value_indices_at(i)
         table.append(one if all(digits[p] == w for p, w in zip(positions, wanted)) else nil)
     return Gamble(target, tuple(table))
-
-
-def add(f: Gamble, g: Gamble) -> Gamble:
-    return f + g
-
-
-def negate(f: Gamble) -> Gamble:
-    return -f
-
-
-def scale(lam: RationalLike, f: Gamble) -> Gamble:
-    return f.scale(lam)
-
-
-def compare_sign(f: Gamble) -> Sign:
-    return f.sign()

@@ -1,17 +1,19 @@
 """Exact rational linear programming.
 
 A dense two-phase primal simplex working entirely in exact rational
-arithmetic, plus the two conic primitives the rest of the package is built
-on: membership of a vector in the nonnegative span of finitely many
-generators (with a witness or a separating functional), and detection of a
-vanishing nonnegative combination.
+arithmetic, plus the three conic primitives the rest of the package is
+built on: membership of a vector in the nonnegative span of finitely many
+generators (with a witness or a separating functional), detection of a
+vanishing nonnegative combination, and the lower prevision of a vector
+(the largest constant it exceeds within the closed cone).
 
-Every certificate returned by this module is re-checked by exact
-substitution before it leaves; an unverifiable certificate is a solver bug
-and raises, never a wrong answer.
+Every answer returned by this module is re-checked by exact substitution
+before it leaves; an unverifiable certificate is a solver bug and raises,
+never a wrong answer.
 
-The pivot kernel runs on gmpy2.mpq when available (same exact semantics as
-Fraction, several times faster); the public interface speaks Fraction only.
+The pivot kernel runs on gmpy2.mpq when the optional gmpy2 extra is
+installed (same exact semantics as Fraction, several times faster) and on
+Fraction otherwise; the public interface speaks Fraction only.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .core import RationalLike, as_rational
 
 try:
     from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # pragma: no cover - gmpy2 is an optional extra
     _Q = Fraction
 
 _ZERO = _Q(0)
@@ -51,6 +53,10 @@ class LpStatus(Enum):
 
 def _to_frac(v) -> Fraction:
     return Fraction(int(v.numerator), int(v.denominator))
+
+
+def _q(v: Fraction):
+    return _Q(v.numerator, v.denominator)
 
 
 def _primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -255,8 +261,7 @@ class Relation(Enum):
 class LpOutcome:
     """Result of LinearSystem.solve, everything exact.
 
-    `dual` and `farkas` are reported over the constraint rows as entered,
-    and only when presolve consumed no rows (otherwise None).
+    `dual` and `farkas` are reported over the constraint rows as entered.
     """
 
     status: LpStatus
@@ -268,9 +273,12 @@ class LpOutcome:
 
 
 class LinearSystem:
-    """A rational LP in inequality form.  Variables are free by default;
-    lower bounds arrive as ordinary singleton constraint rows and are
-    recognized during presolve, so `x >= 0` costs no extra simplex row.
+    """A rational LP in inequality form over free variables.
+
+    The standard form splits every variable into a nonnegative pair
+    x = x+ - x- (columns 2j and 2j + 1) and gives every inequality row a
+    slack or surplus column, in row order; bounds such as `x >= 0` are
+    ordinary rows.
     """
 
     def __init__(self, num_vars: int):
@@ -305,174 +313,78 @@ class LinearSystem:
 
     def solve(self) -> LpOutcome:
         n = self.num_vars
-        lower: list[Optional[Fraction]] = [None] * n
-        fixed: list[Optional[Fraction]] = [None] * n
-        consumed: set[int] = set()
-
-        for idx, (coeffs, rel, rhs) in enumerate(self._rows):
-            nz = [j for j, c in enumerate(coeffs) if c != 0]
-            if len(nz) != 1:
-                continue
-            j = nz[0]
-            a = coeffs[j]
-            if rel is Relation.EQ:
-                if fixed[j] is None:
-                    fixed[j] = rhs / a
-                    consumed.add(idx)
-            elif (rel is Relation.GE and a > 0) or (rel is Relation.LE and a < 0):
-                bound = rhs / a
-                if lower[j] is None or bound > lower[j]:
-                    lower[j] = bound
-                consumed.add(idx)
-            # upper-bound singletons stay as ordinary rows
-
-        for j in range(n):
-            if fixed[j] is not None and lower[j] is not None and fixed[j] < lower[j]:
-                return LpOutcome(status=LpStatus.INFEASIBLE)
-
-        # map original variables to standard (nonnegative) columns
-        shift: list[Fraction] = [Fraction(0)] * n
-        col_of: list[Optional[int]] = [None] * n
-        neg_col_of: list[Optional[int]] = [None] * n
-        ncols = 0
-        for j in range(n):
-            if fixed[j] is not None:
-                shift[j] = fixed[j]
-                continue
-            if lower[j] is not None:
-                shift[j] = lower[j]
-                col_of[j] = ncols
-                ncols += 1
-            else:
-                col_of[j] = ncols
-                neg_col_of[j] = ncols + 1
-                ncols += 2
-
+        width = 2 * n + sum(1 for _, rel, _ in self._rows if rel is not Relation.EQ)
         std_rows: list[list] = []
         std_rhs: list = []
-        kept: list[int] = []  # original index of each standard row
-        for idx, (coeffs, rel, rhs) in enumerate(self._rows):
-            if idx in consumed:
-                continue
-            rhs_adj = rhs - sum(c * shift[j] for j, c in enumerate(coeffs) if c != 0)
-            row = [_ZERO] * ncols
-            blank = True
+        s = 2 * n
+        for coeffs, rel, rhs in self._rows:
+            row = [_ZERO] * width
             for j, c in enumerate(coeffs):
-                if c == 0 or col_of[j] is None:
-                    continue
-                blank = False
-                q = _Q(c.numerator, c.denominator)
-                row[col_of[j]] += q
-                if neg_col_of[j] is not None:
-                    row[neg_col_of[j]] -= q
-            if blank:
-                ok = (
-                    rhs_adj == 0
-                    if rel is Relation.EQ
-                    else rhs_adj <= 0 if rel is Relation.GE else rhs_adj >= 0
-                )
-                if not ok:
-                    return LpOutcome(status=LpStatus.INFEASIBLE)
-                continue  # tautology after substitution
+                if c != 0:
+                    row[2 * j] = _q(c)
+                    row[2 * j + 1] = -row[2 * j]
+            if rel is not Relation.EQ:
+                row[s] = _ONE if rel is Relation.LE else -_ONE
+                s += 1
             std_rows.append(row)
-            std_rhs.append(_Q(rhs_adj.numerator, rhs_adj.denominator))
-            kept.append(idx)
-
-        # slack/surplus columns
-        nslack = sum(1 for i in kept if self._rows[i][1] is not Relation.EQ)
-        width = ncols + nslack
-        s = ncols
-        for r, i in enumerate(kept):
-            std_rows[r].extend([_ZERO] * (width - len(std_rows[r])))
-            rel = self._rows[i][1]
-            if rel is Relation.LE:
-                std_rows[r][s] = _ONE
-                s += 1
-            elif rel is Relation.GE:
-                std_rows[r][s] = -_ONE
-                s += 1
+            std_rhs.append(_q(rhs))
 
         cost_std = [_ZERO] * width
-        for j in range(n):
-            if col_of[j] is None:
-                continue
-            c = self._cost[j] * self._sense
-            if c == 0:
-                continue
-            q = _Q(c.numerator, c.denominator)
-            cost_std[col_of[j]] += q
-            if neg_col_of[j] is not None:
-                cost_std[neg_col_of[j]] -= q
+        for j, c in enumerate(self._cost):
+            if c != 0:
+                cost_std[2 * j] = _q(c * self._sense)
+                cost_std[2 * j + 1] = -cost_std[2 * j]
 
         status, x_std, y_std, ray_std = _solve_standard(std_rows, std_rhs, cost_std)
 
-        if status is LpStatus.INFEASIBLE:
-            farkas = None
-            if not consumed:
-                full = [Fraction(0)] * len(self._rows)
-                for r, i in enumerate(kept):
-                    full[i] = _to_frac(y_std[r])
-                farkas = tuple(full)
-            return LpOutcome(status=status, farkas=farkas)
-
         def restore(vec) -> tuple[Fraction, ...]:
-            out = []
-            for j in range(n):
-                v = shift[j]
-                if col_of[j] is not None:
-                    v = v + _to_frac(vec[col_of[j]])
-                if neg_col_of[j] is not None:
-                    v = v - _to_frac(vec[neg_col_of[j]])
-                out.append(v)
-            return tuple(out)
+            return tuple(_to_frac(vec[2 * j]) - _to_frac(vec[2 * j + 1]) for j in range(n))
 
+        if status is LpStatus.INFEASIBLE:
+            return LpOutcome(status=status, farkas=tuple(_to_frac(v) for v in y_std))
         if status is LpStatus.UNBOUNDED:
-            ray = []
-            for j in range(n):
-                v = Fraction(0)
-                if col_of[j] is not None:
-                    v = v + _to_frac(ray_std[col_of[j]])
-                if neg_col_of[j] is not None:
-                    v = v - _to_frac(ray_std[neg_col_of[j]])
-                ray.append(v)
-            return LpOutcome(status=status, ray=tuple(ray))
-
+            return LpOutcome(status=status, ray=restore(ray_std))
         solution = restore(x_std)
         objective = sum((c * v for c, v in zip(self._cost, solution)), Fraction(0))
-        dual = None
-        if not consumed:
-            full = [Fraction(0)] * len(self._rows)
-            for r, i in enumerate(kept):
-                full[i] = _to_frac(y_std[r]) * self._sense
-            dual = tuple(full)
-        return LpOutcome(
-            status=status, objective=objective, solution=solution, dual=dual
-        )
+        dual = tuple(_to_frac(v) * self._sense for v in y_std)
+        return LpOutcome(status=status, objective=objective, solution=solution, dual=dual)
 
 
 # -- conic primitives ---------------------------------------------------------
 
+EXACT_LP = "exact-lp"
+
+Pairs = tuple[tuple[int, Fraction], ...]
+
 
 @dataclass(frozen=True)
-class ConicResult:
-    """Membership of a target in the nonnegative span of the generators.
+class Membership:
+    """Membership of a target in the cone spanned by a generator list.
 
-    Exactly one of `witness` (coefficients, one per generator, with
-    sum(l_k g_k) == target and l >= 0) and `separator` (a vector y with
-    y.g >= 0 for every generator and y.target < 0) is set.
+    `route` names what decided it.  A member may carry `witness`: sorted
+    (generator index, coefficient) pairs, every coefficient positive, whose
+    combination is the target.  A non-member may carry `separator`: a
+    vector y with y.g >= 0 for every generator and y.target < 0.
     """
 
     member: bool
-    witness: Optional[tuple[Fraction, ...]] = None
+    route: str
+    witness: Optional[Pairs] = None
     separator: Optional[tuple[Fraction, ...]] = None
 
 
 @dataclass(frozen=True)
-class VanishingResult:
-    """Existence of a nonzero nonnegative combination summing to zero."""
+class Vanishing:
+    """Existence of a nonzero nonnegative combination of the generators
+    summing to zero; `combination` is in the pair form of a witness."""
 
     exists: bool
-    combination: Optional[tuple[Fraction, ...]] = None
+    route: str
+    combination: Optional[Pairs] = None
+
+
+def _pairs(dense) -> Pairs:
+    return tuple((k, c) for k, c in enumerate(dense) if c != 0)
 
 
 def _check_dims(generators, target_len: Optional[int]) -> int:
@@ -487,30 +399,36 @@ def _check_dims(generators, target_len: Optional[int]) -> int:
     return dim
 
 
-def verify_witness(generators, target, witness) -> bool:
-    """Exact re-substitution: witness >= 0 and sum(w_k g_k) == target."""
-    if len(witness) != len(generators) or any(w < 0 for w in witness):
-        return False
-    dim = len(target)
-    total = [Fraction(0)] * dim
-    for w, g in zip(witness, generators):
-        if w:
-            for i in range(dim):
-                total[i] += w * g[i]
-    return all(total[i] == target[i] for i in range(dim))
+def verify_witness(generators, target, witness: Pairs) -> bool:
+    """Exact re-substitution: coefficients >= 0 and sum(c g_k) == target."""
+    total = [Fraction(0)] * len(target)
+    for k, c in witness:
+        if c < 0 or not 0 <= k < len(generators):
+            return False
+        for i, v in enumerate(generators[k]):
+            total[i] += c * v
+    return all(a == b for a, b in zip(total, target))
+
+
+def _dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def verify_separator(generators, target, separator) -> bool:
     """Exact check: separator.g >= 0 for all generators, separator.target < 0."""
-    dot = lambda u, v: sum((a * b for a, b in zip(u, v)), Fraction(0))
-    if any(dot(separator, g) < 0 for g in generators):
+    if any(_dot(separator, g) < 0 for g in generators):
         return False
-    return dot(separator, target) < 0
+    return _dot(separator, target) < 0
+
+
+def _coordinate_rows(gens, dim: int) -> list[list]:
+    """Row i holds coordinate i of every generator: one column each."""
+    return [[_q(g[i]) for g in gens] for i in range(dim)]
 
 
 def conic_membership(
     target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
-) -> ConicResult:
+) -> Membership:
     """Decide target in { sum l_k g_k : l >= 0 }, with certificate.
 
     The zero target is rejected: whether the cone is pointed is a
@@ -526,43 +444,71 @@ def conic_membership(
         sep = _primitive([-v for v in tgt])
         if not verify_separator([], tgt, sep):
             raise LpError("separator failed verification")
-        return ConicResult(member=False, separator=sep)
+        return Membership(member=False, route=EXACT_LP, separator=sep)
 
-    rows = [[_Q(g[i].numerator, g[i].denominator) for g in gens] for i in range(dim)]
-    rhs = [_Q(v.numerator, v.denominator) for v in tgt]
-    cost = [_ZERO] * len(gens)
-    status, x, y, _ = _solve_standard(rows, rhs, cost)
+    rows = _coordinate_rows(gens, dim)
+    status, x, y, _ = _solve_standard(rows, [_q(v) for v in tgt], [_ZERO] * len(gens))
     if status is LpStatus.OPTIMAL:
-        witness = tuple(_to_frac(v) for v in x)
+        witness = _pairs(_to_frac(v) for v in x)
         if not verify_witness(gens, tgt, witness):
             raise LpError("witness failed verification")
-        return ConicResult(member=True, witness=witness)
+        return Membership(member=True, route=EXACT_LP, witness=witness)
     if status is LpStatus.INFEASIBLE:
         separator = _primitive([-_to_frac(v) for v in y])
         if not verify_separator(gens, tgt, separator):
             raise LpError("separator failed verification")
-        return ConicResult(member=False, separator=separator)
+        return Membership(member=False, route=EXACT_LP, separator=separator)
     raise LpError("conic membership cannot be unbounded")  # pragma: no cover
 
 
-def contains_zero(generators: Sequence[Sequence[Fraction]]) -> VanishingResult:
+def contains_zero(generators: Sequence[Sequence[Fraction]]) -> Vanishing:
     """Is there l >= 0, l != 0, with sum l_k g_k = 0?
 
     Normalized as sum(l) = 1, which loses no generality for a cone.
     """
     if not generators:
-        return VanishingResult(exists=False)
+        return Vanishing(exists=False, route=EXACT_LP)
     dim = _check_dims(generators, None)
     gens = [[as_rational(v) for v in g] for g in generators]
-    rows = [[_Q(g[i].numerator, g[i].denominator) for g in gens] for i in range(dim)]
-    rows.append([_ONE] * len(gens))
+    rows = _coordinate_rows(gens, dim) + [[_ONE] * len(gens)]
     rhs = [_ZERO] * dim + [_ONE]
-    cost = [_ZERO] * len(gens)
-    status, x, _, _ = _solve_standard(rows, rhs, cost)
+    status, x, _, _ = _solve_standard(rows, rhs, [_ZERO] * len(gens))
     if status is LpStatus.INFEASIBLE:
-        return VanishingResult(exists=False)
-    combo = tuple(_to_frac(v) for v in x)
-    zero = [Fraction(0)] * dim
-    if sum(combo) != 1 or not verify_witness(gens, zero, combo):
+        return Vanishing(exists=False, route=EXACT_LP)
+    combo = _pairs(_to_frac(v) for v in x)
+    if sum(c for _, c in combo) != 1 or not verify_witness(gens, [Fraction(0)] * dim, combo):
         raise LpError("vanishing combination failed verification")
-    return VanishingResult(exists=True, combination=combo)
+    return Vanishing(exists=True, route=EXACT_LP, combination=combo)
+
+
+def lower_prevision(
+    target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
+) -> Fraction:
+    """sup { m : target - m in the closed cone of the generators }.
+
+    One LP in standard form: columns are the generators, then m+ and m-
+    (m = m+ - m- is free), rows sum(l_k g_k) + m = target, minimizing -m.
+    The optimum is re-verified both ways before it is returned: the primal
+    coefficients reproduce target - m with l >= 0, and the negated row
+    duals are a mass function p, nonnegative on every generator and summing
+    to 1, with p.target = m, so no larger m is feasible.
+    """
+    dim = _check_dims(generators, len(target))
+    tgt = [as_rational(v) for v in target]
+    gens = [[as_rational(v) for v in g] for g in generators]
+    n = len(gens)
+    rows = [row + [_ONE, -_ONE] for row in _coordinate_rows(gens, dim)]
+    cost = [_ZERO] * n + [-_ONE, _ONE]
+    status, x, y, _ = _solve_standard(rows, [_q(v) for v in tgt], cost)
+    if status is LpStatus.UNBOUNDED:
+        raise LpError("unbounded lower prevision: the cone is incoherent")
+    if status is not LpStatus.OPTIMAL:
+        raise LpError("lower prevision LP is infeasible: no constant shift reaches the cone")
+    m = _to_frac(x[n]) - _to_frac(x[n + 1])
+    coeffs = _pairs(_to_frac(v) for v in x[:n])
+    if not verify_witness(gens, [v - m for v in tgt], coeffs):
+        raise LpError("lower prevision failed primal verification")
+    mass = [-_to_frac(v) for v in y]
+    if sum(mass) != 1 or _dot(mass, tgt) != m or any(_dot(mass, g) < 0 for g in gens):
+        raise LpError("lower prevision failed dual verification")
+    return m

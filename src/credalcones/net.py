@@ -34,19 +34,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import combinations, islice
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .cone import AssessmentCone, CoherenceReport, MembershipCertificate
+from .cone import AssessmentCone, CoherenceReport
 from .core import Configuration, Gamble, Space, VariableSpace, indicator
 from .dag import Dag
 from .lp import (
-    LinearSystem,
-    LpError,
-    LpStatus,
+    EXACT_LP,
+    Membership,
+    Pairs,
+    Vanishing,
+    _dot,
     _primitive,
     conic_membership,
     contains_zero as _lp_contains_zero,
+    lower_prevision as _lp_lower_prevision,
 )
 
 DEFAULT_GENERATOR_CAP = 100_000
@@ -79,10 +82,6 @@ class IncoherentLocalModel(NetworkError):
         self.report = report
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
 @dataclass(frozen=True)
 class GeneratorInfo:
     """One joint generator and where it came from."""
@@ -96,21 +95,6 @@ class GeneratorInfo:
     flipped: bool
     table: tuple[Fraction, ...]
     support: tuple[tuple[int, Fraction], ...]
-
-
-@dataclass(frozen=True)
-class JointMembership:
-    member: bool
-    route: str
-    witness: Optional[tuple[tuple[int, Fraction], ...]] = None
-    separator: Optional[tuple[Fraction, ...]] = None
-
-
-@dataclass(frozen=True)
-class ZeroReport:
-    exists: bool
-    route: str
-    combination: Optional[tuple[tuple[int, Fraction], ...]] = None
 
 
 @dataclass(frozen=True)
@@ -361,7 +345,7 @@ class JointModel:
         self._separators: list[tuple[Fraction, ...]] = []
         if self.canonical_witness is not None:
             self._separators.append(self.canonical_witness)
-        self._local_memo: dict[tuple[str, int, tuple], MembershipCertificate] = {}
+        self._local_memo: dict[tuple[str, int, tuple], Membership] = {}
         self._product_sep_memo: dict[tuple[str, int, tuple], Optional[tuple]] = {}
         self._dedup: Optional[tuple[list[tuple[Fraction, ...]], list[int]]] = None
 
@@ -421,47 +405,67 @@ class JointModel:
 
     # -- query routes ------------------------------------------------------
 
-    def joint_member(self, f: Gamble) -> bool:
-        """Is the nonzero gamble f desirable under the joint model?
+    def member_with_certificate(
+        self, f: Gamble, given: Optional[Configuration] = None
+    ) -> Membership:
+        """Is f desirable once `given` is observed (nothing, by default)?
 
-        Unlike the certificate-level plumbing below, this public query
-        refuses the zero gamble outright."""
-        f = f.extend(self.space)
+        The question is membership of indicator(given) * f in the joint
+        cone, answered with a verified certificate.  f must not mention an
+        observed node, and the zero gamble, which has no desirability
+        status, is refused.  When f concerns a single node, its parents are
+        all observed and every other observed node is a non-parent-non-
+        descendant, the structured route with its lifted local certificates
+        applies; anything else goes through the quick routes, then one
+        exact LP.
+        """
+        observed = given.nodes if given is not None else ()
+        unknown = [n for n in observed if n not in self.net.variables]
+        if unknown:
+            raise NetworkError(f"observed nodes {unknown} are not in the network")
+        overlap = set(f.space.nodes) & set(observed)
+        if overlap:
+            raise NetworkError(
+                f"gamble scope overlaps observed nodes {sorted(overlap)}"
+            )
         if f.is_zero:
             raise ZeroGambleError("the zero gamble has no desirability status")
-        return self.member_with_certificate(f).member
-
-    def member(self, f: Gamble) -> bool:
-        return self.member_with_certificate(f).member
-
-    def member_with_certificate(self, f: Gamble) -> JointMembership:
-        """Membership of f in the joint cone, with a verified certificate.
-
-        The zero gamble is reported a non-member by the same convention as
-        the local cones."""
-        f = f.extend(self.space)
-        if f.is_zero:
-            return JointMembership(member=False, route="zero-convention")
-        quick = self._quick_routes(f.table)
+        net = self.net
+        if len(f.space.nodes) == 1 and f.space.nodes[0] in net.variables:
+            s = f.space.nodes[0]
+            parents = set(net.dag.parents(s))
+            rest = tuple(sorted(set(observed) - parents))
+            if parents <= set(observed) and set(rest) <= set(
+                net.dag.non_parent_non_descendants(s)
+            ):
+                p_cfg = net.parent_space(s).configuration(
+                    {n: given.value_of(n) for n in parents}
+                )
+                irrelevant = Space(net.variables[n] for n in rest).configuration(
+                    {n: given.value_of(n) for n in rest}
+                )
+                return self.structured_member(s, p_cfg, rest, irrelevant, f)
+        target = f.extend(self.space)
+        if observed:
+            target = indicator(given, self.space) * target
+        quick = self._quick_routes(target.table)
         if quick is not None:
             return quick
-        return self._lp_membership(f.table)
+        return self._lp_membership(target.table)
 
-    def _quick_routes(self, table: Sequence[Fraction]) -> Optional[JointMembership]:
+    def _quick_routes(self, table: Sequence[Fraction]) -> Optional[Membership]:
         if all(v >= 0 for v in table):
             witness: dict[int, Fraction] = {}
             for j, v in enumerate(table):
                 if v:
                     witness[self._atom_gen_at[j]] = v
             if self._witness_matches(witness, table):
-                return JointMembership(
+                return Membership(
                     member=True, route="positive-span", witness=self._pairs(witness)
                 )
         for y in self._separators:
             if _dot(y, table) < 0:
-                return JointMembership(
-                    member=False, route="cached-separator", separator=y
-                )
+                return Membership(member=False, route="cached-separator", separator=y)
         return None
 
     def _dedup_columns(self) -> tuple[list[tuple[Fraction, ...]], list[int]]:
@@ -477,25 +481,21 @@ class JointModel:
             self._dedup = (columns, owners)
         return self._dedup
 
-    def _lp_membership(self, table: Sequence[Fraction]) -> JointMembership:
+    def _lp_membership(self, table: Sequence[Fraction]) -> Membership:
         columns, owners = self._dedup_columns()
         res = conic_membership(table, columns)
         if res.member:
-            witness = {
-                owners[k]: c for k, c in enumerate(res.witness) if c != 0
-            }
+            witness = {owners[k]: c for k, c in res.witness}
             if not self._witness_matches(witness, table):
                 raise NetworkError("LP witness failed joint verification")
-            return JointMembership(
-                member=True, route="exact-lp", witness=self._pairs(witness)
-            )
+            return Membership(member=True, route=EXACT_LP, witness=self._pairs(witness))
         y = res.separator
         if not self._separates_all_generators(y) or _dot(y, table) >= 0:
             raise NetworkError("LP separator failed joint verification")
         self._cache_separator(y)
-        return JointMembership(member=False, route="exact-lp", separator=y)
+        return res
 
-    def contains_zero(self) -> ZeroReport:
+    def contains_zero(self) -> Vanishing:
         """Does any nonzero nonnegative combination of generators vanish?
 
         The canonical product witness settles this without an LP whenever
@@ -504,21 +504,19 @@ class JointModel:
         if self.canonical_witness is not None:
             # every generator has strictly positive score, so a vanishing
             # combination would need all-zero coefficients
-            return ZeroReport(exists=False, route="canonical-witness")
+            return Vanishing(exists=False, route="canonical-witness")
         columns, owners = self._dedup_columns()
         res = _lp_contains_zero(columns)
         if not res.exists:
-            return ZeroReport(exists=False, route="exact-lp")
-        combo = {owners[k]: c for k, c in enumerate(res.combination) if c != 0}
+            return res
+        combo = {owners[k]: c for k, c in res.combination}
         if not self._witness_matches(combo, [Fraction(0)] * self.space.size):
             raise NetworkError("vanishing combination failed verification")
-        return ZeroReport(exists=True, route="exact-lp", combination=self._pairs(combo))
+        return Vanishing(exists=True, route=EXACT_LP, combination=self._pairs(combo))
 
     # -- structured queries --------------------------------------------------
 
-    def _local_membership(
-        self, node: str, parent_index: int, f: Gamble
-    ) -> MembershipCertificate:
+    def _local_membership(self, node: str, parent_index: int, f: Gamble) -> Membership:
         key = (node, parent_index, f.table)
         if key not in self._local_memo:
             cone = self.net.local_cone(node, parent_index)
@@ -532,10 +530,11 @@ class JointModel:
         irrelevant: Sequence[str],
         given: Configuration,
         f: Gamble,
-    ) -> JointMembership:
+    ) -> Membership:
         """Membership of indicator(parent_config, given) * f in the joint
-        cone, where f is a gamble on `node` and `irrelevant` is a subset of
-        its non-parent-non-descendants with observed configuration `given`.
+        cone, where f is a nonzero gamble on `node` and `irrelevant` is a
+        subset of its non-parent-non-descendants with observed configuration
+        `given`.
 
         Certificates are assembled from the local cone when possible (a
         local witness replicates over the unobserved non-parent-non-
@@ -557,11 +556,11 @@ class JointModel:
         if parent_config.space != p_space:
             raise NetworkError("parent configuration on the wrong space")
         f = f.extend(net.node_space(node))
+        if f.is_zero:
+            raise ZeroGambleError("the zero gamble has no desirability status")
 
         observed = parent_config.combine(given)
         target = indicator(observed, self.space) * f.extend(self.space)
-        if target.is_zero:
-            return JointMembership(member=False, route="zero-convention")
 
         quick = self._quick_routes(target.table)
         if quick is not None:
@@ -573,16 +572,14 @@ class JointModel:
             assembled = self._assemble_local_witness(
                 node, p_idx, irrelevant, given, cert.witness
             )
-            if assembled is not None and self._witness_matches(assembled, target.table):
-                return JointMembership(
+            if self._witness_matches(assembled, target.table):
+                return Membership(
                     member=True, route="local-assembly", witness=self._pairs(assembled)
                 )
         else:
             y = self._product_separator(node, p_idx, f, cert.separator)
             if y is not None and _dot(y, target.table) < 0:
-                return JointMembership(
-                    member=False, route="product-separator", separator=y
-                )
+                return Membership(member=False, route="product-separator", separator=y)
         return self._lp_membership(target.table)
 
     def _assemble_local_witness(
@@ -591,8 +588,8 @@ class JointModel:
         parent_index: int,
         irrelevant: tuple[str, ...],
         given: Configuration,
-        local_witness: Sequence[Fraction],
-    ) -> Optional[dict[int, Fraction]]:
+        local_witness: Pairs,
+    ) -> dict[int, Fraction]:
         """Replicate a local cone witness over every configuration of the
         unobserved non-parent-non-descendants."""
         net = self.net
@@ -605,10 +602,9 @@ class JointModel:
             if nnd_cfg.space != nnd_space:
                 nnd_cfg = nnd_space.configuration(nnd_cfg.as_dict())
             nnd_idx = nnd_space.index_of(nnd_cfg)
-            for k, coeff in enumerate(local_witness):
-                if coeff:
-                    idx = self._slot[(node, parent_index, nnd_idx, k)]
-                    witness[idx] = witness.get(idx, Fraction(0)) + coeff
+            for k, coeff in local_witness:
+                idx = self._slot[(node, parent_index, nnd_idx, k)]
+                witness[idx] = witness.get(idx, Fraction(0)) + coeff
         return witness
 
     def _product_separator(
@@ -655,54 +651,6 @@ class JointModel:
         self._product_sep_memo[key] = result
         return result
 
-    def marginal_member(self, observed: Configuration, f: Gamble) -> bool:
-        """Is f desirable once `observed` is seen?
-
-        f lives on nodes disjoint from the observed ones; the query is
-        membership of indicator(observed) * f in the joint cone.  When f
-        concerns a single node and the observation covers its parents plus
-        only non-parent-non-descendants, the structured route with its
-        lifted local certificates applies; anything else goes through the
-        generic verified routes.
-        """
-        overlap = set(f.space.nodes) & set(observed.nodes)
-        if overlap:
-            raise NetworkError(
-                f"gamble scope overlaps observed nodes {sorted(overlap)}"
-            )
-        if f.is_zero:
-            raise ZeroGambleError("the zero gamble has no desirability status")
-        net = self.net
-        nodes = f.space.nodes
-        if len(nodes) == 1:
-            s = nodes[0]
-            parents = set(net.dag.parents(s))
-            obs = set(observed.nodes)
-            rest = tuple(sorted(obs - parents))
-            if parents <= obs and set(rest) <= set(
-                net.dag.non_parent_non_descendants(s)
-            ):
-                p_cfg = net.parent_space(s).configuration(
-                    {n: observed.value_of(n) for n in parents}
-                )
-                given = Space(net.variables[n] for n in rest).configuration(
-                    {n: observed.value_of(n) for n in rest}
-                )
-                return self.structured_member(s, p_cfg, rest, given, f).member
-        target = indicator(observed, self.space) * f.extend(self.space)
-        return self.member_with_certificate(target).member
-
-    def condition(self, observed: Configuration) -> "ConditionedModel":
-        """The joint model updated on an observed configuration.
-
-        Gambles on the remaining nodes are judged after multiplying by the
-        observation's indicator; observing the empty configuration changes
-        nothing."""
-        unknown = [n for n in observed.nodes if n not in self.net.variables]
-        if unknown:
-            raise NetworkError(f"observed nodes {unknown} are not in the network")
-        return ConditionedModel(self, observed)
-
     # -- requirement checks ----------------------------------------------------
 
     def check_irrelevance(
@@ -732,22 +680,8 @@ class JointModel:
 
     def lower_prevision(self, f: Gamble) -> Fraction:
         """Largest m with f - m in the closure of the joint cone."""
-        f = f.extend(self.space)
         columns, _ = self._dedup_columns()
-        n = len(columns)
-        size = self.space.size
-        lp = LinearSystem(n + 1)
-        lp.maximize([0] * n + [1])
-        for i in range(size):
-            lp.add_constraint([col[i] for col in columns] + [1], "==", f.table[i])
-        for k in range(n):
-            row = [0] * (n + 1)
-            row[k] = 1
-            lp.add_constraint(row, ">=", 0)
-        out = lp.solve()
-        if out.status is not LpStatus.OPTIMAL:
-            raise LpError(f"joint lower prevision LP ended {out.status.value}")
-        return out.objective
+        return _lp_lower_prevision(f.extend(self.space).table, columns)
 
     def upper_prevision(self, f: Gamble) -> Fraction:
         return -self.lower_prevision(-f.extend(self.space))
@@ -761,9 +695,32 @@ class JointModel:
                 out.extend(combinations(nnd, size))
             return out
         chosen = {(), nnd}
-        while len(chosen) < cap:
+        while len(chosen) < min(cap, 2 ** len(nnd)):
             chosen.add(tuple(n for n in nnd if rng.random() < 0.5))
         return sorted(chosen, key=lambda t: (len(t), t))
+
+    def _irrelevance_slots(
+        self, rng: random.Random, gambles_per_slot: int, subset_cap: int
+    ) -> Iterator[tuple[str, Configuration, tuple[str, ...], Configuration, Gamble]]:
+        """Every irrelevance check of the sweep, in sweep order; subsets and
+        gambles are drawn from rng only when the sweep reaches them."""
+        net = self.net
+        for s in net.dag.nodes:
+            nnd = net.dag.non_parent_non_descendants(s)
+            subsets = self._subsets_for_sweep(nnd, rng, subset_cap)
+            p_space = net.parent_space(s)
+            node_space = net.node_space(s)
+            for p_idx in range(p_space.size):
+                p_cfg = p_space.config_at(p_idx)
+                local_gens = net.local_cone(s, p_idx).generators
+                gambles = list(local_gens) + [-g for g in local_gens]
+                for _ in range(gambles_per_slot):
+                    gambles.append(sample_gamble(rng, node_space))
+                for f in gambles:
+                    for irrelevant in subsets:
+                        i_space = Space(net.variables[n] for n in irrelevant)
+                        for given in i_space.configurations():
+                            yield s, p_cfg, irrelevant, given, f
 
     def verify_requirements(
         self,
@@ -783,11 +740,10 @@ class JointModel:
         Violations name the exact slot.
 
         max_checks caps the number of irrelevance checks (a deterministic
-        budget); an interrupted sweep is reported as budget_exhausted."""
+        budget); a sweep with checks left beyond it is reported as
+        budget_exhausted."""
         rng = rng if rng is not None else random.Random(0)
-        net = self.net
         violations: list[Violation] = []
-        exhausted = False
 
         zero = self.contains_zero()
         if zero.exists:
@@ -840,51 +796,26 @@ class JointModel:
                     )
                 )
 
+        slots = self._irrelevance_slots(rng, gambles_per_slot, subset_cap)
         checked = 0
-        for s in net.dag.nodes:
-            nnd = net.dag.non_parent_non_descendants(s)
-            subsets = self._subsets_for_sweep(nnd, rng, subset_cap)
-            p_space = net.parent_space(s)
-            node_space = net.node_space(s)
-            n_values = node_space.size
-            for p_idx in range(p_space.size):
-                p_cfg = p_space.config_at(p_idx)
-                local_gens = net.local_cone(s, p_idx).generators
-                gambles = list(local_gens) + [-g for g in local_gens]
-                for _ in range(gambles_per_slot):
-                    gambles.append(sample_gamble(rng, node_space))
-                for f in gambles:
-                    for irrelevant in subsets:
-                        i_space = Space(net.variables[n] for n in irrelevant)
-                        for given in i_space.configurations():
-                            if max_checks is not None and checked >= max_checks:
-                                exhausted = True
-                                break
-                            check = self.check_irrelevance(
-                                s, p_cfg, irrelevant, given, f
-                            )
-                            checked += 1
-                            if not check.agree:
-                                violations.append(
-                                    Violation(
-                                        kind="irrelevance-mismatch",
-                                        node=s,
-                                        parent_values=p_cfg.values,
-                                        irrelevant=irrelevant,
-                                        given_values=given.values,
-                                        gamble=f.table,
-                                        local_member=check.local_member,
-                                        joint_member=check.joint_member,
-                                    )
-                                )
-                        if exhausted:
-                            break
-                    if exhausted:
-                        break
-                if exhausted:
-                    break
-            if exhausted:
-                break
+        for s, p_cfg, irrelevant, given, f in islice(slots, max_checks):
+            check = self.check_irrelevance(s, p_cfg, irrelevant, given, f)
+            checked += 1
+            if not check.agree:
+                violations.append(
+                    Violation(
+                        kind="irrelevance-mismatch",
+                        node=s,
+                        parent_values=p_cfg.values,
+                        irrelevant=irrelevant,
+                        given_values=given.values,
+                        gamble=f.table,
+                        local_member=check.local_member,
+                        joint_member=check.joint_member,
+                    )
+                )
+        # the budget ran out only if a check beyond it existed
+        exhausted = max_checks is not None and next(slots, None) is not None
         return VerificationReport(
             zero_free=not zero.exists,
             atoms_checked=atoms_checked,
@@ -893,40 +824,6 @@ class JointModel:
             violations=tuple(violations),
             budget_exhausted=exhausted,
         )
-
-
-class ConditionedModel:
-    """Membership queries against a joint model after an observation.
-
-    A gamble on the unobserved nodes is desirable here exactly when its
-    product with the observation's indicator is desirable jointly."""
-
-    def __init__(self, joint: JointModel, observed: Configuration):
-        self.joint = joint
-        self.observed = observed
-        seen = set(observed.nodes)
-        self.space = Space(
-            joint.net.variables[n] for n in joint.space.nodes if n not in seen
-        )
-
-    def __repr__(self) -> str:
-        return f"ConditionedModel(observed={self.observed!r})"
-
-    def member(self, f: Gamble) -> bool:
-        return self.member_with_certificate(f).member
-
-    def member_with_certificate(self, f: Gamble) -> JointMembership:
-        overlap = set(f.space.nodes) & set(self.observed.nodes)
-        if overlap:
-            raise NetworkError(
-                f"gamble scope overlaps observed nodes {sorted(overlap)}"
-            )
-        f = f.extend(self.space)
-        if f.is_zero:
-            raise ZeroGambleError("the zero gamble has no desirability status")
-        joint = self.joint
-        target = indicator(self.observed, joint.space) * f.extend(joint.space)
-        return joint.member_with_certificate(target)
 
 
 # -- samplers -------------------------------------------------------------

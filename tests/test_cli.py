@@ -10,6 +10,8 @@ input error (with a JSON certificate on stdout), 3 parse error.
 import json
 import random
 
+import pytest
+
 from credalcones.cli import load_network, main, serialize_network
 from credalcones.net import sample_credal_net
 
@@ -115,8 +117,9 @@ def test_query_kinds_round_trip(tmp_path, capsys):
     # answering "no" is still exit 0; only machinery failures change the code
     assert answers[2]["result"]["member"] is False
     # the local assessment conditioned on its parent configuration (plus an
-    # irrelevant observation) is desirable...
+    # irrelevant observation) is desirable, certified from the local cone...
     assert answers[3]["result"]["member"] is True
+    assert answers[3]["result"]["route"] == "local-assembly"
     # ...but conditioned on the non-parent alone it is not
     assert answers[4]["result"]["member"] is False
     assert answers[5]["result"]["value"] == "0"
@@ -299,6 +302,46 @@ def test_semantic_errors_exit_2_with_certificates(tmp_path, capsys):
         },
     )
     assert run(capsys, "query", net, not_nnd)[0] == 2
+
+
+def assert_parse_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_all_count_that_is_not_a_number_exits_3(tmp_path, capsys):
+    net = write(tmp_path, "net.json", CHAIN)
+    query = write(tmp_path, "q.json", {"kind": "verify-all", "gambles_per_slot": "lots"})
+    assert_parse_error(capsys, "query", net, query)
+
+
+@pytest.mark.parametrize("key", ["gambles_per_slot", "subset_cap"])
+def test_verify_all_negative_count_exits_3(tmp_path, capsys, key):
+    net = write(tmp_path, "net.json", CHAIN)
+    query = write(tmp_path, "q.json", {"kind": "verify-all", key: -1})
+    assert_parse_error(capsys, "query", net, query)
+
+
+@pytest.mark.parametrize("key", ["gambles_per_slot", "subset_cap"])
+def test_verify_all_boolean_count_exits_3(tmp_path, capsys, key):
+    net = write(tmp_path, "net.json", CHAIN)
+    query = write(tmp_path, "q.json", {"kind": "verify-all", key: True})
+    assert_parse_error(capsys, "query", net, query)
+
+
+@pytest.mark.parametrize(
+    "flag", ["--gambles-per-slot", "--subset-cap", "--audit-samples", "--budget"]
+)
+def test_negative_verify_option_exits_3(tmp_path, capsys, flag):
+    net = write(tmp_path, "net.json", CHAIN)
+    assert_parse_error(capsys, "verify", net, flag, "-1")
+
+
+def test_usage_error_exits_3(tmp_path, capsys):
+    net = write(tmp_path, "net.json", CHAIN)
+    assert_parse_error(capsys, "verify", net, "--seed", "x")
 
 
 def test_zero_gambles_and_scope_overlaps_are_semantic_errors(tmp_path, capsys):

@@ -48,7 +48,7 @@ def test_contradictory_assessment_is_incoherent():
     assert report.certificate is not None
     combo = report.certificate
     tables = [g.table for g in cone.generators]
-    assert verify_witness(tables, (F(0),) * sp.size, combo)
+    assert verify_witness(tables, (F(0),) * sp.size, tuple(enumerate(combo)))
     assert any(c > 0 for c in combo)
 
 

@@ -15,7 +15,6 @@ from credalcones.core import (
     VariableSpace,
     as_rational,
     cylindrical_extend,
-    format_rational,
     indicator,
 )
 
@@ -136,7 +135,7 @@ def test_floats_are_rejected():
 
 def test_rational_string_round_trip():
     for text in ["3/4", "-7/2", "0", "12"]:
-        assert format_rational(as_rational(text)) == text
+        assert str(as_rational(text)) == text
 
 
 def test_evaluation_through_a_larger_configuration():

@@ -6,13 +6,14 @@ from itertools import combinations
 
 import pytest
 
+from credalcones import lp
 from credalcones.lp import (
-    ConicResult,
     LinearSystem,
     LpError,
     LpStatus,
     conic_membership,
     contains_zero,
+    lower_prevision,
     verify_separator,
     verify_witness,
 )
@@ -105,14 +106,16 @@ def test_degenerate_problem_terminates():
     assert out.objective == F(-1, 20)
 
 
-def test_fixed_variable_presolve():
-    lp = LinearSystem(2).minimize([1, 1])
-    lp.add_constraint([2, 0], "==", 3)  # x = 3/2
-    lp.add_constraint([0, 1], ">=", 5)
-    out = lp.solve()
+def test_fixed_variable_row_gives_a_dual():
+    # singleton rows are ordinary rows: duals exist for every row as entered
+    system = LinearSystem(2).minimize([1, 1])
+    system.add_constraint([2, 0], "==", 3)  # x = 3/2
+    system.add_constraint([0, 1], ">=", 5)
+    out = system.solve()
     assert out.solution == (F(3, 2), F(5))
     assert out.objective == F(13, 2)
-    assert out.dual is None  # presolve consumed rows
+    assert out.dual == (F(1, 2), F(1))
+    assert dot(out.dual, (3, 5)) == out.objective
 
 
 def test_conflicting_singleton_rows_are_infeasible():
@@ -128,8 +131,8 @@ def test_conflicting_singleton_rows_are_infeasible():
 def test_membership_inside_2d_cone():
     gens = [(F(1), F(0)), (F(1), F(1))]
     res = conic_membership((F(3), F(1)), gens)
-    assert res.member
-    assert res.witness == (F(2), F(1))
+    assert res.member and res.route == "exact-lp"
+    assert res.witness == ((0, F(2)), (1, F(1)))
 
 
 def test_membership_outside_2d_cone():
@@ -155,9 +158,8 @@ def test_empty_generator_list():
 
 def test_contains_zero_detects_opposite_rays():
     res = contains_zero([(F(1), F(-1)), (F(-1), F(1))])
-    assert res.exists
-    assert sum(res.combination) == 1
-    assert dot(res.combination, (1, -1)) == 0  # componentwise via verify below
+    assert res.exists and res.route == "exact-lp"
+    assert res.combination == ((0, F(1, 2)), (1, F(1, 2)))
     assert verify_witness([(F(1), F(-1)), (F(-1), F(1))], (F(0), F(0)), res.combination)
 
 
@@ -169,6 +171,37 @@ def test_contains_zero_negative_for_pointed_cone():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         conic_membership((F(1), F(0)), [(F(1), F(0)), (F(1),)])
+
+
+def test_lower_prevision_is_the_largest_constant_shift():
+    atoms = [(F(1), F(0)), (F(0), F(1))]
+    assert lower_prevision((F(2), F(3)), atoms) == 2
+    assert lower_prevision((F(1), F(-1)), atoms + [(F(1), F(-1))]) == 0
+    # a cone holding -1 lets every constant through
+    with pytest.raises(LpError, match="unbounded"):
+        lower_prevision((F(1), F(0)), atoms + [(F(-1), F(-1))])
+
+
+def test_lower_prevision_rejects_a_wrong_optimum(monkeypatch):
+    atoms = [(F(1), F(0)), (F(0), F(1))]
+    target = (F(2), F(3))  # lower prevision 2
+    solve = lp._solve_standard
+
+    def answer(x_values):
+        def fake(rows, rhs, cost):
+            status, _, y, ray = solve(rows, rhs, cost)
+            return status, [lp._Q(v) for v in x_values], y, ray
+
+        return fake
+
+    # feasible but not optimal: m = 1 with f - 1 = (1, 2); the duals expose it
+    monkeypatch.setattr(lp, "_solve_standard", answer([1, 2, 1, 0]))
+    with pytest.raises(LpError, match="dual"):
+        lower_prevision(target, atoms)
+    # too large: m = 3 with no coefficients does not reproduce f - 3
+    monkeypatch.setattr(lp, "_solve_standard", answer([0, 0, 3, 0]))
+    with pytest.raises(LpError, match="primal"):
+        lower_prevision(target, atoms)
 
 
 # -- brute-force cross-check --------------------------------------------------

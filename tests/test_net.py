@@ -49,7 +49,7 @@ def test_single_node_generators_mirror_local_cone():
     for info, g in zip(joint.generators, local.generators):
         assert info.table == g.table
     f = Gamble(net.joint_space, (3, -1))
-    assert joint.member(f) == local.member(f)
+    assert joint.member_with_certificate(f).member == local.member(f)
 
 
 def test_chain_generator_count_and_order():
@@ -125,7 +125,6 @@ def test_positive_gambles_are_members_and_nonpositive_are_not():
         assert res.member and res.route == "positive-span"
     res = joint.member_with_certificate(Gamble.constant(net.joint_space, -1))
     assert not res.member and res.route == "cached-separator"
-    assert not joint.member(Gamble.zero(net.joint_space))
 
 
 def test_structured_member_routes_and_certificates():
@@ -200,21 +199,33 @@ def test_structured_member_agrees_with_raw_lp():
 def test_joint_member_is_strict_about_zero():
     net = chain_net(assess_a=True)
     joint = net.build_joint()
+    a0 = net.node_space("a").config_at(0)
     with pytest.raises(ZeroGambleError):
-        joint.joint_member(Gamble.zero(net.joint_space))
-    assert joint.joint_member(Gamble.constant(net.joint_space, 1))
-    # the certificate-level plumbing keeps the lenient convention
-    assert not joint.member(Gamble.zero(net.joint_space))
+        joint.member_with_certificate(Gamble.zero(net.joint_space))
+    with pytest.raises(ZeroGambleError):
+        joint.member_with_certificate(Gamble.zero(net.node_space("b")), given=a0)
+    with pytest.raises(ZeroGambleError):
+        joint.structured_member(
+            "b", a0, (), net.nnd_space("b").config_at(0), Gamble.zero(net.node_space("b"))
+        )
+    assert joint.member_with_certificate(Gamble.constant(net.joint_space, 1)).member
 
 
-def test_condition_on_empty_configuration_is_identity():
+def test_condition_on_empty_configuration_is_identity(monkeypatch):
     net = chain_net(assess_a=True)
     joint = net.build_joint()
-    view = joint.condition(Space([]).configuration({}))
+    empty = Space([]).configuration({})
     rng = random.Random(14)
-    for _ in range(6):
-        f = sample_gamble(rng, net.joint_space)
-        assert view.member(f) == joint.joint_member(f)
+    gambles = [sample_gamble(rng, net.joint_space) for _ in range(6)]
+    expected = [joint.member_with_certificate(f).member for f in gambles]
+
+    # observing nothing multiplies by no indicator at all
+    def no_indicator(*args):
+        raise AssertionError("indicator built for an empty observation")
+
+    monkeypatch.setattr("credalcones.net.indicator", no_indicator)
+    for f, member in zip(gambles, expected):
+        assert joint.member_with_certificate(f, given=empty).member == member
 
 
 def test_condition_answers_follow_the_local_model():
@@ -223,20 +234,23 @@ def test_condition_answers_follow_the_local_model():
     sp_c = net.node_space("c")
     f = Gamble(sp_c, (2, -1))
     b_space = Space([binary("b")])
-    view0 = joint.condition(b_space.configuration({"b": "b0"}))
-    view1 = joint.condition(b_space.configuration({"b": "b1"}))
-    assert view0.member(f)  # assessed under b0
-    assert not view1.member(f)
-    assert view1.member(Gamble(sp_c, (-1, 2)))
+    b0 = b_space.configuration({"b": "b0"})
+    b1 = b_space.configuration({"b": "b1"})
+    assert joint.member_with_certificate(f, given=b0).member  # assessed under b0
+    assert not joint.member_with_certificate(f, given=b1).member
+    assert joint.member_with_certificate(Gamble(sp_c, (-1, 2)), given=b1).member
     with pytest.raises(ZeroGambleError):
-        view0.member(Gamble.zero(sp_c))
+        joint.member_with_certificate(Gamble.zero(sp_c), given=b0)
     with pytest.raises(NetworkError):
-        view0.member(Gamble(b_space, (1, 1)))  # scope overlaps the observation
+        # scope overlaps the observation
+        joint.member_with_certificate(Gamble(b_space, (1, 1)), given=b0)
     with pytest.raises(NetworkError):
-        joint.condition(Space([binary("z")]).configuration({"z": "z0"}))
+        joint.member_with_certificate(
+            f, given=Space([binary("z")]).configuration({"z": "z0"})
+        )
 
 
-def test_marginal_member_dispatch_and_errors():
+def test_membership_given_an_observation_dispatch_and_errors():
     net = abc_chain()
     joint = net.build_joint()
     sp_c = net.node_space("c")
@@ -254,26 +268,30 @@ def test_marginal_member_dispatch_and_errors():
             Space([binary("a")]).configuration({"a": a_val}),
             f,
         )
-        assert joint.marginal_member(observed, f) == structured.member
-        assert structured.member
+        assert joint.member_with_certificate(f, given=observed) == structured
+        assert structured.member and structured.route == "local-assembly"
     # observing only the non-parent leaves the parent free: generic route,
     # and the mixed gamble is out of reach there
     only_a = Space([binary("a")]).configuration({"a": "a0"})
-    assert not joint.marginal_member(only_a, f)
+    assert not joint.member_with_certificate(f, given=only_a).member
     target = indicator(only_a, net.joint_space) * f.extend(net.joint_space)
     assert not conic_membership(target.table, columns).member
     # gambles on several nodes take the generic route too
     bc = sample_gamble(random.Random(9), Space([binary("b"), binary("c")]))
     wide = indicator(only_a, net.joint_space) * bc.extend(net.joint_space)
     assert (
-        joint.marginal_member(only_a, bc)
+        joint.member_with_certificate(bc, given=only_a).member
         == conic_membership(wide.table, columns).member
     )
     # scope overlap and zero gambles are refused
     with pytest.raises(NetworkError):
-        joint.marginal_member(only_a, Gamble(Space([binary("a")]), (1, 0)))
+        joint.member_with_certificate(Gamble(Space([binary("a")]), (1, 0)), given=only_a)
     with pytest.raises(ZeroGambleError):
-        joint.marginal_member(only_a, Gamble.zero(sp_c))
+        joint.member_with_certificate(Gamble.zero(sp_c), given=only_a)
+    # a gamble on a root with nothing observed is structured as well
+    root = chain_net(assess_a=True).build_joint()
+    res = root.member_with_certificate(Gamble(Space([binary("a")]), (1, -1)))
+    assert res.member and res.route == "local-assembly"
 
 
 def test_verify_requirements_clean_network():
@@ -293,6 +311,31 @@ def test_verify_requirements_is_deterministic():
     r1 = net.build_joint().verify_requirements(random.Random(11), gambles_per_slot=4)
     r2 = net.build_joint().verify_requirements(random.Random(11), gambles_per_slot=4)
     assert r1 == r2
+
+
+def test_verify_requirements_budget_boundary():
+    net = chain_net(assess_a=True)
+    full = net.build_joint().verify_requirements(random.Random(3), gambles_per_slot=2)
+    n = full.irrelevance_checked
+    exact = net.build_joint().verify_requirements(
+        random.Random(3), gambles_per_slot=2, max_checks=n
+    )
+    assert exact == full and not exact.budget_exhausted
+    short = net.build_joint().verify_requirements(
+        random.Random(3), gambles_per_slot=2, max_checks=n - 1
+    )
+    assert short.budget_exhausted and short.irrelevance_checked == n - 1
+
+
+def test_subset_cap_beyond_all_subsets_terminates():
+    # every node of five unconnected ones has four non-parent-non-
+    # descendants: 16 subsets, fewer than the cap asks for
+    names = "abcde"
+    net = CredalNet(Dag(names), [binary(n) for n in names])
+    report = net.build_joint().verify_requirements(
+        random.Random(1), gambles_per_slot=0, subset_cap=100, max_checks=1
+    )
+    assert report.irrelevance_checked == 1 and report.budget_exhausted
 
 
 def test_mutated_joint_is_detected():
