@@ -26,6 +26,7 @@ from .lp import (
     LpOutcome,
     LpStatus,
     Membership,
+    PivotLimitError,
     Relation,
     Vanishing,
     conic_membership,
@@ -74,6 +75,7 @@ __all__ = [
     "LpStatus",
     "Membership",
     "NetworkError",
+    "PivotLimitError",
     "PreciseNet",
     "Rational",
     "Relation",

@@ -8,9 +8,11 @@ same seed always produce byte-identical output.
 Exit codes are a stable contract:
   0  pass (a query answering "false" is still a pass)
   1  verification failure: the verify sweep or the positivity audit found
-     concrete counterexamples
+     concrete counterexamples, or a solver certificate failed its exact
+     re-verification (one "error:" line on stderr)
   2  semantic input error: cycle, missing or duplicate parent
-     configuration, incoherent local model, generator cap exceeded
+     configuration, incoherent local model, generator cap exceeded, LP
+     pivot limit exceeded
   3  parse error: unreadable file, bad JSON, floats, wrong shapes,
      unknown references, bad command-line arguments
 """
@@ -33,6 +35,7 @@ from .core import (
     as_rational,
 )
 from .dag import Dag, DagError
+from .lp import LpError, PivotLimitError
 from .net import (
     CredalNet,
     GeneratorCapError,
@@ -640,6 +643,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report.setdefault("reason", str(err))
         _emit(report)
         return EXIT_SEMANTIC
+    except PivotLimitError:
+        _emit({"command": args.command, "valid": False, "reason": "pivot-limit"})
+        return EXIT_SEMANTIC
+    except LpError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

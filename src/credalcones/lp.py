@@ -1,19 +1,23 @@
 """Exact rational linear programming.
 
-A dense two-phase primal simplex working entirely in exact rational
-arithmetic, plus the three conic primitives the rest of the package is
-built on: membership of a vector in the nonnegative span of finitely many
-generators (with a witness or a separating functional), detection of a
-vanishing nonnegative combination, and the lower prevision of a vector
-(the largest constant it exceeds within the closed cone).
+A dense two-phase primal simplex in exact arithmetic, plus the three
+conic primitives the rest of the package is built on: membership of a
+vector in the nonnegative span of finitely many generators (with a
+witness or a separating functional), detection of a vanishing
+nonnegative combination, and the lower prevision of a vector (the
+largest constant it exceeds within the closed cone).
 
 Every answer returned by this module is re-checked by exact substitution
 before it leaves; an unverifiable certificate is a solver bug and raises,
 never a wrong answer.
 
-The pivot kernel runs on gmpy2.mpq when the optional gmpy2 extra is
-installed (same exact semantics as Fraction, several times faster) and on
-Fraction otherwise; the public interface speaks Fraction only.
+The pivot kernel works on Python ints: every tableau row is a list of
+integers over one positive row denominator, divided by their gcd after
+each update.  Every cell equals the cell of the rational tableau, so the
+pivots, bases and certificates are exactly those of the rational simplex
+(see _Tableau).  The kernel takes any exact rationals (Fraction, int) and
+returns its values as _Q: gmpy2.mpq when the optional gmpy2 extra is
+installed, Fraction otherwise.  The public interface speaks Fraction only.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .core import RationalLike, as_rational
@@ -45,6 +49,10 @@ class LpError(RuntimeError):
     """Internal solver failure (certificate did not verify, pivot overrun)."""
 
 
+class PivotLimitError(LpError):
+    """The simplex took more than _MAX_PIVOTS pivots."""
+
+
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
@@ -55,30 +63,46 @@ def _to_frac(v) -> Fraction:
     return Fraction(int(v.numerator), int(v.denominator))
 
 
-def _q(v: Fraction):
-    return _Q(v.numerator, v.denominator)
+def _over_lcm(values) -> tuple[list[int], int]:
+    """Rationals as integers over their least common denominator:
+    values[j] == ints[j] / den."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Scale a nonzero rational vector to coprime integers, preserving sign."""
-    dens = 1
-    for v in vec:
-        dens = dens * v.denominator // gcd(dens, v.denominator)
-    ints = [int(v * dens) for v in vec]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
+    """Scale a rational vector to coprime integers, preserving sign; the
+    zero vector stays zero."""
+    ints, _ = _over_lcm(vec)
+    g = gcd(*ints)
     if g == 0:
         return tuple(Fraction(0) for _ in vec)
     return tuple(Fraction(n // g) for n in ints)
 
 
 class _Tableau:
-    """Simplex on min c.x s.t. A x = b, x >= 0, everything in mpq.
+    """Simplex on min c.x s.t. A x = b, x >= 0, in exact integer arithmetic.
+
+    Row i of the tableau is a list of Python ints `rows[i]` over one positive
+    row denominator `dens[i]`: its cell j is rows[i][j] / dens[i].  The
+    reduced-cost row is stored the same way (`obj` over `obj_den`).  A pivot
+    on (r, c) makes the pivot row's denominator its (positive) pivot entry
+    p and updates every row i with f = rows[i][c] != 0 as
+    rows[i] <- p rows[i] - f rows[r], dens[i] <- dens[i] p; every updated
+    row is divided by the gcd of its entries and denominator.  Rows with a
+    zero in the pivot column are left alone.
+
+    Every cell therefore equals the cell of the rational tableau, so the
+    pivots are the rational simplex's: Dantzig pricing compares integers
+    over one denominator, the ratio rows[i][-1] / rows[i][c] is compared by
+    cross-multiplication (the row denominator cancels), ties go to the
+    lowest basic column, and the stall counter cross-multiplies objective
+    values.  No row of the LP itself is ever rescaled, which would change
+    the phase-1 objective and the pricing.
 
     Artificial columns are kept through phase 2 (banned from entering) so
     that they hold the basis inverse; duals and Farkas vectors are read off
-    them directly.
+    their reduced costs.
     """
 
     def __init__(self, rows, rhs, cost):
@@ -86,108 +110,102 @@ class _Tableau:
         self.n = n = len(cost)
         self.cost = cost
         self.flip = []
-        self.tab = []
+        self.rows = []
+        self.dens = []
         for i in range(m):
-            r = list(rows[i])
-            b = rhs[i]
-            if b < 0:
-                r = [-v for v in r]
-                b = -b
-                self.flip.append(True)
-            else:
-                self.flip.append(False)
-            r.extend([_ZERO] * m)
-            r[n + i] = _ONE
-            r.append(b)
-            self.tab.append(r)
-        self.width = n + m + 1
+            ints, den = _over_lcm([*rows[i], rhs[i]])
+            flip = ints[-1] < 0
+            if flip:
+                ints = [-v for v in ints]
+            self.flip.append(flip)
+            row = ints[:n] + [0] * m + ints[n:]
+            row[n + i] = den
+            self.rows.append(row)
+            self.dens.append(den)
         self.basis = [n + i for i in range(m)]
-        self.obj: list = []
+        self.obj: list[int] = []
+        self.obj_den = 1
         self.pivots = 0
 
     def _pivot(self, pr: int, pc: int) -> None:
-        tab = self.tab
-        prow = tab[pr]
-        piv = prow[pc]
-        if piv != 1:
-            inv = _ONE / piv
-            prow = [v * inv for v in prow]
-            tab[pr] = prow
+        rows, dens = self.rows, self.dens
+        prow = rows[pr]
+        if prow[pc] < 0:
+            prow = [-v for v in prow]
+        prow, p = _reduced(prow, prow[pc])
+        rows[pr], dens[pr] = prow, p
         for i in range(self.m):
-            if i == pr:
-                continue
-            f = tab[i][pc]
-            if f:
-                row = tab[i]
-                tab[i] = [a - f * b for a, b in zip(row, prow)]
+            f = rows[i][pc]
+            if f and i != pr:
+                new = [p * a - f * b for a, b in zip(rows[i], prow)]
+                rows[i], dens[i] = _reduced(new, dens[i] * p)
         f = self.obj[pc]
         if f:
-            self.obj = [a - f * b for a, b in zip(self.obj, prow)]
+            new = [p * a - f * b for a, b in zip(self.obj, prow)]
+            self.obj, self.obj_den = _reduced(new, self.obj_den * p)
         self.basis[pr] = pc
         self.pivots += 1
         if self.pivots > _MAX_PIVOTS:
-            raise LpError("pivot limit exceeded")
+            raise PivotLimitError(f"pivot limit of {_MAX_PIVOTS} exceeded")
 
     def _set_objective(self, coeffs) -> None:
-        # reduced-cost row for the current basis; last cell is -(value)
-        obj = list(coeffs) + [_ZERO] * (self.width - len(coeffs))
-        for i in range(self.m):
-            cb = coeffs[self.basis[i]] if self.basis[i] < len(coeffs) else _ZERO
+        """The reduced-cost row c - sum_i c[basis[i]] row_i for the current
+        basis; its last cell is -(objective value)."""
+        nums, cden = _over_lcm(coeffs)
+        width = self.n + self.m + 1
+        obj, den = nums + [0] * (width - len(nums)), cden
+        for b, row, d in zip(self.basis, self.rows, self.dens):
+            cb = nums[b] if b < len(nums) else 0
             if cb:
-                row = self.tab[i]
-                obj = [a - cb * b for a, b in zip(obj, row)]
-        self.obj = obj
+                # obj / den - (cb / cden) (row / d), over their lcm
+                common = lcm(den, cden * d)
+                s, t = common // den, cb * (common // (cden * d))
+                obj = [s * a - t * v for a, v in zip(obj, row)]
+                den = common
+        self.obj, self.obj_den = _reduced(obj, den)
 
     def _run(self, ncols: int) -> Optional[int]:
         """Pivot to optimality over columns [0, ncols); None, or an entering
         column proving unboundedness."""
         bland = False
         stall = 0
-        last = self.obj[-1]
-        tab, basis = self.tab, self.basis
+        last, last_den = self.obj[-1], self.obj_den
+        rows, basis = self.rows, self.basis
+        columns = range(ncols)
         while True:
             obj = self.obj
-            pc = -1
             if bland:
-                for j in range(ncols):
-                    if obj[j] < 0:
-                        pc = j
-                        break
+                pc = next((j for j in columns if obj[j] < 0), -1)
             else:
-                best = _ZERO
-                for j in range(ncols):
-                    v = obj[j]
-                    if v < best:
-                        best = v
-                        pc = j
+                pc = min(columns, key=obj.__getitem__, default=-1)
+                if pc >= 0 and obj[pc] >= 0:
+                    pc = -1
             if pc < 0:
                 return None
             pr = -1
-            best_ratio = None
-            for i in range(self.m):
-                a = tab[i][pc]
+            for i, row in enumerate(rows):
+                a = row[pc]
                 if a > 0:
-                    ratio = tab[i][-1] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[pr])
-                    ):
-                        best_ratio = ratio
-                        pr = i
+                    if pr < 0:
+                        pr, num, den = i, row[-1], a
+                        continue
+                    # ratio row[-1] / a against the best ratio num / den
+                    lhs, rhs = row[-1] * den, num * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[pr]):
+                        pr, num, den = i, row[-1], a
             if pr < 0:
                 return pc
             self._pivot(pr, pc)
-            if self.obj[-1] == last:
+            if self.obj[-1] * last_den == last * self.obj_den:
                 stall += 1
                 if stall >= _STALL_LIMIT:
                     bland = True
             else:
                 stall = 0
-                last = self.obj[-1]
+                last, last_den = self.obj[-1], self.obj_den
 
     def solve(self):
-        """Returns (status, x, y, ray).
+        """Returns (status, x, y, ray), entries in the boundary number type.
 
         OPTIMAL: x primal solution, y row duals.
         INFEASIBLE: y is a Farkas vector (y.A <= 0 componentwise, y.b > 0).
@@ -195,45 +213,50 @@ class _Tableau:
         Duals refer to the rows as given (sign flips are undone).
         """
         m, n = self.m, self.n
-        phase1 = [_ZERO] * n + [_ONE] * m
-        self._set_objective(phase1)
-        pc = self._run(n + m)
-        if pc is not None:
+        rows, dens, basis = self.rows, self.dens, self.basis
+        self._set_objective([0] * n + [1] * m)
+        if self._run(n + m) is not None:
             raise LpError("phase 1 cannot be unbounded")
-        if -self.obj[-1] > 0:
-            y = [_ONE - self.obj[n + i] for i in range(m)]
-            y = [-v if f else v for v, f in zip(y, self.flip)]
-            return LpStatus.INFEASIBLE, None, y, None
+        if self.obj[-1] < 0:
+            # y_i = 1 - (reduced cost of artificial i)
+            d = self.obj_den
+            y = [_Q(d - self.obj[n + i], d) for i in range(m)]
+            return LpStatus.INFEASIBLE, None, self._unflip(y), None
         # drive lingering artificials out of the (degenerate) basis
         for i in range(m):
-            if self.basis[i] >= n:
-                for j in range(n):
-                    if self.tab[i][j] != 0:
-                        self._pivot(i, j)
-                        break
+            if basis[i] >= n:
+                j = next((j for j in range(n) if rows[i][j]), None)
+                if j is not None:
+                    self._pivot(i, j)
                 # else: the row is redundant; its artificial stays basic at 0
-        self._set_objective(list(self.cost))
+        self._set_objective(self.cost)
         pc = self._run(n)
         if pc is not None:
             ray = [_ZERO] * n
             ray[pc] = _ONE
             for i in range(m):
-                if self.basis[i] < n:
-                    ray[self.basis[i]] = -self.tab[i][pc]
+                if basis[i] < n:
+                    ray[basis[i]] = _Q(-rows[i][pc], dens[i])
             return LpStatus.UNBOUNDED, None, None, ray
         x = [_ZERO] * n
         for i in range(m):
-            if self.basis[i] < n:
-                x[self.basis[i]] = self.tab[i][-1]
-        y = []
-        for i in range(m):
-            s = _ZERO
-            for k in range(m):
-                bk = self.basis[k]
-                if bk < n and self.cost[bk]:
-                    s += self.cost[bk] * self.tab[k][n + i]
-            y.append(-s if self.flip[i] else s)
-        return LpStatus.OPTIMAL, x, y, None
+            if basis[i] < n:
+                x[basis[i]] = _Q(rows[i][-1], dens[i])
+        # artificials cost 0 in phase 2: y_i = -(reduced cost of artificial i)
+        d = self.obj_den
+        y = [_Q(-self.obj[n + i], d) for i in range(m)]
+        return LpStatus.OPTIMAL, x, self._unflip(y), None
+
+    def _unflip(self, y: list) -> list:
+        return [-v if f else v for v, f in zip(y, self.flip)]
+
+
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    """Divide a row and its positive denominator by their gcd."""
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
 
 
 def _solve_standard(rows, rhs, cost):
@@ -318,21 +341,21 @@ class LinearSystem:
         std_rhs: list = []
         s = 2 * n
         for coeffs, rel, rhs in self._rows:
-            row = [_ZERO] * width
+            row: list = [0] * width
             for j, c in enumerate(coeffs):
                 if c != 0:
-                    row[2 * j] = _q(c)
-                    row[2 * j + 1] = -row[2 * j]
+                    row[2 * j] = c
+                    row[2 * j + 1] = -c
             if rel is not Relation.EQ:
-                row[s] = _ONE if rel is Relation.LE else -_ONE
+                row[s] = 1 if rel is Relation.LE else -1
                 s += 1
             std_rows.append(row)
-            std_rhs.append(_q(rhs))
+            std_rhs.append(rhs)
 
-        cost_std = [_ZERO] * width
+        cost_std: list = [0] * width
         for j, c in enumerate(self._cost):
             if c != 0:
-                cost_std[2 * j] = _q(c * self._sense)
+                cost_std[2 * j] = c * self._sense
                 cost_std[2 * j + 1] = -cost_std[2 * j]
 
         status, x_std, y_std, ray_std = _solve_standard(std_rows, std_rhs, cost_std)
@@ -423,7 +446,7 @@ def verify_separator(generators, target, separator) -> bool:
 
 def _coordinate_rows(gens, dim: int) -> list[list]:
     """Row i holds coordinate i of every generator: one column each."""
-    return [[_q(g[i]) for g in gens] for i in range(dim)]
+    return [[g[i] for g in gens] for i in range(dim)]
 
 
 def conic_membership(
@@ -447,7 +470,7 @@ def conic_membership(
         return Membership(member=False, route=EXACT_LP, separator=sep)
 
     rows = _coordinate_rows(gens, dim)
-    status, x, y, _ = _solve_standard(rows, [_q(v) for v in tgt], [_ZERO] * len(gens))
+    status, x, y, _ = _solve_standard(rows, tgt, [0] * len(gens))
     if status is LpStatus.OPTIMAL:
         witness = _pairs(_to_frac(v) for v in x)
         if not verify_witness(gens, tgt, witness):
@@ -470,9 +493,9 @@ def contains_zero(generators: Sequence[Sequence[Fraction]]) -> Vanishing:
         return Vanishing(exists=False, route=EXACT_LP)
     dim = _check_dims(generators, None)
     gens = [[as_rational(v) for v in g] for g in generators]
-    rows = _coordinate_rows(gens, dim) + [[_ONE] * len(gens)]
-    rhs = [_ZERO] * dim + [_ONE]
-    status, x, _, _ = _solve_standard(rows, rhs, [_ZERO] * len(gens))
+    rows = _coordinate_rows(gens, dim) + [[1] * len(gens)]
+    rhs = [0] * dim + [1]
+    status, x, _, _ = _solve_standard(rows, rhs, [0] * len(gens))
     if status is LpStatus.INFEASIBLE:
         return Vanishing(exists=False, route=EXACT_LP)
     combo = _pairs(_to_frac(v) for v in x)
@@ -497,9 +520,9 @@ def lower_prevision(
     tgt = [as_rational(v) for v in target]
     gens = [[as_rational(v) for v in g] for g in generators]
     n = len(gens)
-    rows = [row + [_ONE, -_ONE] for row in _coordinate_rows(gens, dim)]
-    cost = [_ZERO] * n + [-_ONE, _ONE]
-    status, x, y, _ = _solve_standard(rows, [_q(v) for v in tgt], cost)
+    rows = [row + [1, -1] for row in _coordinate_rows(gens, dim)]
+    cost = [0] * n + [-1, 1]
+    status, x, y, _ = _solve_standard(rows, tgt, cost)
     if status is LpStatus.UNBOUNDED:
         raise LpError("unbounded lower prevision: the cone is incoherent")
     if status is not LpStatus.OPTIMAL:

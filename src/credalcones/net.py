@@ -42,6 +42,7 @@ from .core import Configuration, Gamble, Space, VariableSpace, indicator
 from .dag import Dag
 from .lp import (
     EXACT_LP,
+    LpError,
     Membership,
     Pairs,
     Vanishing,
@@ -487,11 +488,11 @@ class JointModel:
         if res.member:
             witness = {owners[k]: c for k, c in res.witness}
             if not self._witness_matches(witness, table):
-                raise NetworkError("LP witness failed joint verification")
+                raise LpError("LP witness failed joint verification")
             return Membership(member=True, route=EXACT_LP, witness=self._pairs(witness))
         y = res.separator
         if not self._separates_all_generators(y) or _dot(y, table) >= 0:
-            raise NetworkError("LP separator failed joint verification")
+            raise LpError("LP separator failed joint verification")
         self._cache_separator(y)
         return res
 
@@ -511,7 +512,7 @@ class JointModel:
             return res
         combo = {owners[k]: c for k, c in res.combination}
         if not self._witness_matches(combo, [Fraction(0)] * self.space.size):
-            raise NetworkError("vanishing combination failed verification")
+            raise LpError("vanishing combination failed joint verification")
         return Vanishing(exists=True, route=EXACT_LP, combination=self._pairs(combo))
 
     # -- structured queries --------------------------------------------------

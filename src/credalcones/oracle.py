@@ -18,10 +18,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import Configuration, Gamble, Space
+from .lp import _primitive
 from .net import CredalNet, JointModel
 
 FM_MAX_DIM = 8
@@ -175,19 +175,6 @@ def positivity_audit(
 # -- Fourier-Motzkin membership oracle -----------------------------------------
 
 
-def _primitive_row(row: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    dens = 1
-    for v in row:
-        dens = dens * v.denominator // gcd(dens, v.denominator)
-    ints = [int(v * dens) for v in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return tuple(Fraction(0) for _ in row)
-    return tuple(Fraction(x // g) for x in ints)
-
-
 def fm_membership(
     target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
 ) -> bool:
@@ -262,7 +249,7 @@ def fm_membership(
                 if r[n] > 0:
                     return None  # 0 >= positive: contradiction
                 continue
-            kept.add(_primitive_row(tuple(r[k] for k in free) + (r[n],)))
+            kept.add(_primitive(tuple(r[k] for k in free) + (r[n],)))
         return kept
 
     rows = sift(inequalities)
@@ -308,7 +295,7 @@ def fm_membership(
                     if combined[width] > 0:
                         return False
                     continue
-                norm = _primitive_row(combined)
+                norm = _primitive(combined)
                 known = keep.get(norm)
                 if known is None or len(history) < len(known):
                     keep[norm] = history

@@ -9,10 +9,13 @@ input error (with a JSON certificate on stdout), 3 parse error.
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
+from credalcones import lp, net as net_module
 from credalcones.cli import load_network, main, serialize_network
+from credalcones.lp import Membership
 from credalcones.net import sample_credal_net
 
 CHAIN = {
@@ -416,3 +419,37 @@ def test_budget_exhaustion_reports_but_passes(tmp_path, capsys):
     assert report["sweep"]["budget_exhausted"] is True
     assert report["sweep"]["irrelevance_checked"] == 3
     assert report["sweep"]["violations"] == []
+
+
+def test_solver_fault_exits_1_not_as_bad_input(tmp_path, capsys, monkeypatch):
+    # a witness that does not reproduce the target fails joint verification:
+    # that is the solver's fault, not the input's, so no exit 2 and no JSON
+    calls = []
+
+    def bad_witness(target, generators):
+        calls.append(len(generators))
+        return Membership(member=True, route="exact-lp", witness=((0, Fraction(1)),))
+
+    monkeypatch.setattr(net_module, "conic_membership", bad_witness)
+    net = write(tmp_path, "net.json", CHAIN)
+    query = write(
+        tmp_path,
+        "q.json",
+        {"kind": "member", "gamble": {"scope": ["b", "c"], "table": ["2", "-1", "-1", "2"]}},
+    )
+    code, out, err = run(capsys, "query", net, query)
+    assert calls, "the query must reach the exact LP"
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "joint verification" in err
+
+
+def test_pivot_limit_exits_2_with_a_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 0)
+    net = write(tmp_path, "net.json", CHAIN)
+    query = write(tmp_path, "q.json", {"kind": "coherence"})
+    code, out, err = run(capsys, "query", net, query)
+    assert code == 2
+    assert json.loads(out) == {"command": "query", "valid": False, "reason": "pivot-limit"}
+    assert err == ""

@@ -1,8 +1,10 @@
 """Exact simplex and conic certificates, cross-checked against brute force."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -61,11 +63,13 @@ def test_equality_and_infeasibility():
     assert out.farkas is not None
     # the multipliers really do combine the rows into 0 >= positive
     y = out.farkas
-    lhs = [y[0] * 1 + y[1] * 1, y[0] * 1 + y[1] * 1]
-    assert lhs == [F(0), F(0)] or True  # structural part checked below
-    combined_rhs = y[0] * 1 + y[1] * 2
-    assert combined_rhs > 0
-    assert y[1] >= 0  # >= row gets a nonnegative multiplier
+    # the split columns x+ and x- of each variable: y.(1, 1) <= 0 and
+    # y.(-1, -1) <= 0, so the structural part vanishes
+    assert y[0] + y[1] == 0
+    # the surplus column (0, -1) of the >= row needs -y[1] <= 0; with
+    # y.b = y[0] + 2 y[1] > 0 below, the multiplier is strictly positive
+    assert y[1] > 0
+    assert y[0] * 1 + y[1] * 2 > 0
 
 
 def test_unbounded_ray_is_verified():
@@ -307,3 +311,87 @@ def test_solver_is_deterministic():
     for _ in range(3):
         again = conic_membership(target, gens)
         assert again == first
+
+
+# -- pinned pivot sequence ----------------------------------------------------
+
+# Status, pivot count, final basis and every returned value of the kernel on
+# fixed LPs, recorded from the rational (Fraction) tableau the integer kernel
+# replaced.  The integer kernel must take exactly the same pivots.
+PINNED = Path(__file__).with_name("pinned_pivots.json")
+PINNED_RANDOM_SEED = 30_011_968
+
+
+def random_standard_lp(rng):
+    """A small standard-form LP with entries p/q, |p| <= 3, 1 <= q <= 3."""
+
+    def value():
+        return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+    m, n = rng.randint(1, 5), rng.randint(1, 7)
+    rows = [[value() for _ in range(n)] for _ in range(m)]
+    rhs = [value() for _ in range(m)]
+    cost = [value() if rng.random() < 0.7 else F(0) for _ in range(n)]
+    return rows, rhs, cost
+
+
+def pinned_random_lps():
+    rng = random.Random(PINNED_RANDOM_SEED)
+    return [random_standard_lp(rng) for _ in range(200)]
+
+
+def parse_matrix(rows):
+    return [[F(v) for v in row.split()] for row in rows]
+
+
+def kernel_record(rows, rhs, cost):
+    tableau = lp._Tableau(rows, rhs, cost)
+    status, x, y, ray = tableau.solve()
+
+    def text(vec):
+        return None if vec is None else [str(lp._to_frac(v)) for v in vec]
+
+    return {
+        "status": status.value,
+        "pivots": tableau.pivots,
+        "basis": list(tableau.basis),
+        "x": text(x),
+        "y": text(y),
+        "ray": text(ray),
+    }
+
+
+RECORD_KEYS = ("status", "pivots", "basis", "x", "y", "ray")
+
+
+def test_kernel_reproduces_the_pinned_pivots_on_named_lps():
+    # beale: the standard form LinearSystem builds for Beale's example;
+    # bland-switch: a degenerate vanishing-combination LP on which the
+    # stall counter switches to Bland's rule; redundant-equality: the
+    # drive-out pivots on a negative entry and an artificial stays basic;
+    # mixed-denominators: rows over different denominators, one flipped;
+    # chain-*: the 64-row joint member LPs of a 6-node binary chain
+    pinned = json.loads(PINNED.read_text(encoding="utf-8"))
+    assert [case["name"] for case in pinned["named"]] == [
+        "beale",
+        "bland-switch",
+        "redundant-equality",
+        "mixed-denominators",
+        "chain-member",
+        "chain-non-member",
+    ]
+    for case in pinned["named"]:
+        rows = parse_matrix(case["rows"])
+        got = kernel_record(rows, [F(v) for v in case["rhs"]], [F(v) for v in case["cost"]])
+        assert got == {k: case[k] for k in RECORD_KEYS}, case["name"]
+
+
+def test_kernel_reproduces_the_pinned_pivots_on_random_lps():
+    pinned = json.loads(PINNED.read_text(encoding="utf-8"))["random"]
+    assert pinned["seed"] == PINNED_RANDOM_SEED
+    lps = pinned_random_lps()
+    assert len(pinned["records"]) == len(lps)
+    for k, (lp_k, expected) in enumerate(zip(lps, pinned["records"])):
+        assert kernel_record(*lp_k) == expected, k
+    statuses = {r["status"] for r in pinned["records"]}
+    assert statuses == {"optimal", "infeasible", "unbounded"}
