@@ -10,13 +10,11 @@ from .cone import AssessmentCone, CoherenceReport, SignReport
 from .core import (
     Configuration,
     Gamble,
-    Rational,
     ScopeError,
     Sign,
     Space,
     VariableSpace,
     as_rational,
-    cylindrical_extend,
     indicator,
 )
 from .dag import Dag, DagError, DagReport
@@ -77,7 +75,6 @@ __all__ = [
     "NetworkError",
     "PivotLimitError",
     "PreciseNet",
-    "Rational",
     "Relation",
     "ScopeError",
     "Sign",
@@ -92,7 +89,6 @@ __all__ = [
     "as_rational",
     "conic_membership",
     "contains_zero",
-    "cylindrical_extend",
     "fm_membership",
     "indicator",
     "positivity_audit",

@@ -37,6 +37,7 @@ from .core import (
 from .dag import Dag, DagError
 from .lp import LpError, PivotLimitError
 from .net import (
+    DEFAULT_GENERATOR_CAP,
     CredalNet,
     GeneratorCapError,
     IncoherentLocalModel,
@@ -79,6 +80,10 @@ def _load_json(path: str) -> Any:
         raise ParseError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ParseError(f"{path} is not valid JSON: {err}") from err
+    except (ValueError, RecursionError) as err:
+        # bytes that are not UTF-8, an integer over the int-string digit
+        # limit, nesting deeper than the interpreter's recursion limit
+        raise ParseError(f"cannot parse {path}: {err}") from err
 
 
 def _rational(value: Any, where: str) -> Fraction:
@@ -545,7 +550,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """A sweep size or budget given on the command line."""
+    """A cap, sweep size or budget given on the command line."""
     try:
         value = int(text)
     except ValueError:
@@ -572,9 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for verify-all queries")
     p.add_argument(
         "--cap",
-        type=int,
-        default=100_000,
-        help="maximum number of joint generators (default 100000)",
+        type=_count,
+        default=DEFAULT_GENERATOR_CAP,
+        help=f"maximum number of joint generators (default {DEFAULT_GENERATOR_CAP})",
     )
     p.set_defaults(func=cmd_query)
 
@@ -583,9 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for sampled gambles")
     p.add_argument(
         "--cap",
-        type=int,
-        default=100_000,
-        help="maximum number of joint generators (default 100000)",
+        type=_count,
+        default=DEFAULT_GENERATOR_CAP,
+        help=f"maximum number of joint generators (default {DEFAULT_GENERATOR_CAP})",
     )
     p.add_argument(
         "--gambles-per-slot",

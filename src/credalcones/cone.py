@@ -13,8 +13,9 @@ and this generator order is fixed, so reports are reproducible.
 Coherence is decided by a strictly positive expectation functional: the
 natural extension is coherent exactly when some probability mass function
 with all-positive mass gives every generator strictly positive expectation.
-The decision is a single exact LP maximizing the worst margin; a failure is
-certified by a vanishing nonnegative combination of the generators.
+The decision is a single exact LP maximizing the worst margin.  A failure
+is certified by a vanishing nonnegative combination of the generators,
+read off the same LP's optimal row duals.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .lp import (
     LpStatus,
     Membership,
     conic_membership,
-    contains_zero,
     lower_prevision as _lp_lower_prevision,
+    verify_witness,
 )
 
 
@@ -119,14 +120,20 @@ class AssessmentCone:
         if margin > 0:
             self._verify_witness(y, margin)
             return CoherenceReport(coherent=True, margin=margin, witness=tuple(y))
-        vanish = contains_zero([g.table for g in self.generators])
-        if not vanish.exists:
+        # The optimal row duals satisfy, with a_k = -dual[size+1+k] and
+        # b_x = -dual[1+x] (all >= 0, summing to 1),
+        #     sum_k a_k g_k + sum_x (b_x - margin) atom_x == 0;
+        # as margin <= 0, these weights are a vanishing combination.
+        dual = out.dual
+        certificate = tuple(-v for v in dual[size + 1:]) + tuple(
+            -v - margin for v in dual[1:size + 1]
+        )
+        if not any(certificate) or not verify_witness(
+            [g.table for g in self.generators], [Fraction(0)] * size, tuple(enumerate(certificate))
+        ):
             raise LpError("incoherence without a vanishing combination")
-        certificate = [Fraction(0)] * len(self.generators)
-        for k, c in vanish.combination:
-            certificate[k] = c
         return CoherenceReport(
-            coherent=False, margin=margin, witness=tuple(y), certificate=tuple(certificate)
+            coherent=False, margin=margin, witness=tuple(y), certificate=certificate
         )
 
     def _verify_witness(self, y: Sequence[Fraction], margin: Fraction) -> None:

@@ -14,7 +14,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 
@@ -106,9 +105,6 @@ class Space:
         except KeyError:
             raise ScopeError(f"node {node!r} is not in scope {self._nodes}") from None
 
-    def __contains__(self, node: str) -> bool:
-        return node in self._by_node
-
     def __len__(self) -> int:
         return len(self._variables)
 
@@ -130,10 +126,6 @@ class Space:
 
     def restrict(self, nodes: Iterable[str]) -> "Space":
         return Space(self.variable(n) for n in set(nodes))
-
-    def drop(self, nodes: Iterable[str]) -> "Space":
-        dropped = set(nodes)
-        return Space(v for v in self._variables if v.node not in dropped)
 
     def union(self, other: "Space") -> "Space":
         merged = dict(self._by_node)
@@ -353,9 +345,6 @@ class Gamble:
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.table)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, x in enumerate(self.table) if x != 0)
-
     def as_scalar(self) -> Fraction:
         """The value of an empty-scope gamble (identified with a rational)."""
         if len(self.space) != 0:
@@ -364,11 +353,6 @@ class Gamble:
 
     def __repr__(self) -> str:
         return f"Gamble({self.space!r}, ({', '.join(map(str, self.table))}))"
-
-
-def cylindrical_extend(f: Gamble, target: Space) -> Gamble:
-    """Extend a gamble to a containing scope without changing its payoff."""
-    return f.extend(target)
 
 
 def indicator(config: Configuration, target: Space) -> Gamble:

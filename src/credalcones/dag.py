@@ -108,9 +108,6 @@ class Dag:
             self._report = self._build_report()
         return self._report
 
-    def is_acyclic(self) -> bool:
-        return self.validate().acyclic
-
     def topological_order(self) -> tuple[str, ...]:
         report = self.validate()
         if not report.acyclic:

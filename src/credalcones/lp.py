@@ -1,7 +1,9 @@
 """Exact rational linear programming.
 
-A dense two-phase primal simplex in exact arithmetic, plus the three
-conic primitives the rest of the package is built on: membership of a
+A dense two-phase primal simplex in exact arithmetic; LinearSystem, an
+inequality-form front end whose optimum comes with its row duals (the
+coherence LP of cone reads an incoherence certificate off them); and the
+three conic primitives the rest of the package is built on: membership of a
 vector in the nonnegative span of finitely many generators (with a
 witness or a separating functional), detection of a vanishing
 nonnegative combination, and the lower prevision of a vector (the
@@ -16,8 +18,7 @@ integers over one positive row denominator, divided by their gcd after
 each update.  Every cell equals the cell of the rational tableau, so the
 pivots, bases and certificates are exactly those of the rational simplex
 (see _Tableau).  The kernel takes any exact rationals (Fraction, int) and
-returns its values as _Q: gmpy2.mpq when the optional gmpy2 extra is
-installed, Fraction otherwise.  The public interface speaks Fraction only.
+returns Fractions.
 """
 
 from __future__ import annotations
@@ -30,13 +31,9 @@ from typing import Optional, Sequence
 
 from .core import RationalLike, as_rational
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is an optional extra
-    _Q = Fraction
-
-_ZERO = _Q(0)
-_ONE = _Q(1)
+# the number type of kernel results, reported as the arithmetic backend by
+# perfbench/run.py
+_Q = Fraction
 
 # After this many consecutive pivots without objective progress the solver
 # abandons the steepest-descent rule for Bland's rule, which cannot cycle.
@@ -57,10 +54,6 @@ class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-
-
-def _to_frac(v) -> Fraction:
-    return Fraction(int(v.numerator), int(v.denominator))
 
 
 def _over_lcm(values) -> tuple[list[int], int]:
@@ -205,7 +198,7 @@ class _Tableau:
                 last, last_den = self.obj[-1], self.obj_den
 
     def solve(self):
-        """Returns (status, x, y, ray), entries in the boundary number type.
+        """Returns (status, x, y, ray), entries Fractions.
 
         OPTIMAL: x primal solution, y row duals.
         INFEASIBLE: y is a Farkas vector (y.A <= 0 componentwise, y.b > 0).
@@ -220,7 +213,7 @@ class _Tableau:
         if self.obj[-1] < 0:
             # y_i = 1 - (reduced cost of artificial i)
             d = self.obj_den
-            y = [_Q(d - self.obj[n + i], d) for i in range(m)]
+            y = [Fraction(d - self.obj[n + i], d) for i in range(m)]
             return LpStatus.INFEASIBLE, None, self._unflip(y), None
         # drive lingering artificials out of the (degenerate) basis
         for i in range(m):
@@ -232,19 +225,19 @@ class _Tableau:
         self._set_objective(self.cost)
         pc = self._run(n)
         if pc is not None:
-            ray = [_ZERO] * n
-            ray[pc] = _ONE
+            ray = [Fraction(0)] * n
+            ray[pc] = Fraction(1)
             for i in range(m):
                 if basis[i] < n:
-                    ray[basis[i]] = _Q(-rows[i][pc], dens[i])
+                    ray[basis[i]] = Fraction(-rows[i][pc], dens[i])
             return LpStatus.UNBOUNDED, None, None, ray
-        x = [_ZERO] * n
+        x = [Fraction(0)] * n
         for i in range(m):
             if basis[i] < n:
-                x[basis[i]] = _Q(rows[i][-1], dens[i])
+                x[basis[i]] = Fraction(rows[i][-1], dens[i])
         # artificials cost 0 in phase 2: y_i = -(reduced cost of artificial i)
         d = self.obj_den
-        y = [_Q(-self.obj[n + i], d) for i in range(m)]
+        y = [Fraction(-self.obj[n + i], d) for i in range(m)]
         return LpStatus.OPTIMAL, x, self._unflip(y), None
 
     def _unflip(self, y: list) -> list:
@@ -361,15 +354,15 @@ class LinearSystem:
         status, x_std, y_std, ray_std = _solve_standard(std_rows, std_rhs, cost_std)
 
         def restore(vec) -> tuple[Fraction, ...]:
-            return tuple(_to_frac(vec[2 * j]) - _to_frac(vec[2 * j + 1]) for j in range(n))
+            return tuple(vec[2 * j] - vec[2 * j + 1] for j in range(n))
 
         if status is LpStatus.INFEASIBLE:
-            return LpOutcome(status=status, farkas=tuple(_to_frac(v) for v in y_std))
+            return LpOutcome(status=status, farkas=tuple(y_std))
         if status is LpStatus.UNBOUNDED:
             return LpOutcome(status=status, ray=restore(ray_std))
         solution = restore(x_std)
         objective = sum((c * v for c, v in zip(self._cost, solution)), Fraction(0))
-        dual = tuple(_to_frac(v) * self._sense for v in y_std)
+        dual = tuple(v * self._sense for v in y_std)
         return LpOutcome(status=status, objective=objective, solution=solution, dual=dual)
 
 
@@ -406,8 +399,9 @@ class Vanishing:
     combination: Optional[Pairs] = None
 
 
-def _pairs(dense) -> Pairs:
-    return tuple((k, c) for k, c in enumerate(dense) if c != 0)
+def _pairs(items) -> Pairs:
+    """(index, coefficient) items, sorted by index, without the zeros."""
+    return tuple(sorted((k, c) for k, c in items if c != 0))
 
 
 def _check_dims(generators, target_len: Optional[int]) -> int:
@@ -472,12 +466,12 @@ def conic_membership(
     rows = _coordinate_rows(gens, dim)
     status, x, y, _ = _solve_standard(rows, tgt, [0] * len(gens))
     if status is LpStatus.OPTIMAL:
-        witness = _pairs(_to_frac(v) for v in x)
+        witness = _pairs(enumerate(x))
         if not verify_witness(gens, tgt, witness):
             raise LpError("witness failed verification")
         return Membership(member=True, route=EXACT_LP, witness=witness)
     if status is LpStatus.INFEASIBLE:
-        separator = _primitive([-_to_frac(v) for v in y])
+        separator = _primitive([-v for v in y])
         if not verify_separator(gens, tgt, separator):
             raise LpError("separator failed verification")
         return Membership(member=False, route=EXACT_LP, separator=separator)
@@ -498,7 +492,7 @@ def contains_zero(generators: Sequence[Sequence[Fraction]]) -> Vanishing:
     status, x, _, _ = _solve_standard(rows, rhs, [0] * len(gens))
     if status is LpStatus.INFEASIBLE:
         return Vanishing(exists=False, route=EXACT_LP)
-    combo = _pairs(_to_frac(v) for v in x)
+    combo = _pairs(enumerate(x))
     if sum(c for _, c in combo) != 1 or not verify_witness(gens, [Fraction(0)] * dim, combo):
         raise LpError("vanishing combination failed verification")
     return Vanishing(exists=True, route=EXACT_LP, combination=combo)
@@ -527,11 +521,11 @@ def lower_prevision(
         raise LpError("unbounded lower prevision: the cone is incoherent")
     if status is not LpStatus.OPTIMAL:
         raise LpError("lower prevision LP is infeasible: no constant shift reaches the cone")
-    m = _to_frac(x[n]) - _to_frac(x[n + 1])
-    coeffs = _pairs(_to_frac(v) for v in x[:n])
+    m = x[n] - x[n + 1]
+    coeffs = _pairs(enumerate(x[:n]))
     if not verify_witness(gens, [v - m for v in tgt], coeffs):
         raise LpError("lower prevision failed primal verification")
-    mass = [-_to_frac(v) for v in y]
+    mass = [-v for v in y]
     if sum(mass) != 1 or _dot(mass, tgt) != m or any(_dot(mass, g) < 0 for g in gens):
         raise LpError("lower prevision failed dual verification")
     return m

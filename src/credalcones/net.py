@@ -47,6 +47,7 @@ from .lp import (
     Pairs,
     Vanishing,
     _dot,
+    _pairs,
     _primitive,
     conic_membership,
     contains_zero as _lp_contains_zero,
@@ -54,6 +55,10 @@ from .lp import (
 )
 
 DEFAULT_GENERATOR_CAP = 100_000
+
+_EDGE_PROBABILITY = 0.5
+_GAMBLE_MAGNITUDE = 3
+_GAMBLE_DENOMINATOR = 2
 
 _SEPARATOR_CACHE_LIMIT = 32
 
@@ -85,7 +90,9 @@ class IncoherentLocalModel(NetworkError):
 
 @dataclass(frozen=True)
 class GeneratorInfo:
-    """One joint generator and where it came from."""
+    """One joint generator, as `support` (its nonzero entries as (joint
+    configuration index, value) pairs, in index order), and where it came
+    from."""
 
     index: int
     node: str
@@ -94,7 +101,6 @@ class GeneratorInfo:
     local_index: int
     is_atom: bool
     flipped: bool
-    table: tuple[Fraction, ...]
     support: tuple[tuple[int, Fraction], ...]
 
 
@@ -321,9 +327,6 @@ class JointModel:
                     cells = agree[(p_idx, nnd_idx)]
                     for k, g in enumerate(local_gens):
                         flip = mutate_flip == (s, p_idx, k)
-                        table = [Fraction(0)] * size
-                        for j, v in cells:
-                            table[j] = -g.table[v] if flip else g.table[v]
                         info = GeneratorInfo(
                             index=len(self.generators),
                             node=s,
@@ -332,9 +335,10 @@ class JointModel:
                             local_index=k,
                             is_atom=k >= n_assessed,
                             flipped=flip,
-                            table=tuple(table),
                             support=tuple(
-                                (j, table[j]) for j, _ in cells if table[j] != 0
+                                (j, -g.table[v] if flip else g.table[v])
+                                for j, v in cells
+                                if g.table[v] != 0
                             ),
                         )
                         self.generators.append(info)
@@ -350,7 +354,30 @@ class JointModel:
         self._product_sep_memo: dict[tuple[str, int, tuple], Optional[tuple]] = {}
         self._dedup: Optional[tuple[list[tuple[Fraction, ...]], list[int]]] = None
 
-    # -- canonical product witness ---------------------------------------
+    # -- product mass functions --------------------------------------------
+
+    def _product_mass(
+        self, node: Optional[str] = None, parent_index: int = -1, kernel: Sequence[Fraction] = ()
+    ) -> list[Fraction]:
+        """The joint mass function of the network of local coherence
+        witnesses, with the witness of slot (node, parent_index), if one is
+        named, replaced by `kernel`."""
+        net = self.net
+        node_pos = {n: k for k, n in enumerate(self.space.nodes)}
+        y = []
+        for j in range(self.space.size):
+            mass = Fraction(1)
+            for s in net.dag.nodes:
+                p_idx = self._parent_idx_at[s][j]
+                digit = self._digits[j][node_pos[s]]
+                if s == node and p_idx == parent_index:
+                    mass *= kernel[digit]
+                else:
+                    mass *= net.local_witness(s, p_idx)[digit]
+                if not mass:
+                    break
+            y.append(mass)
+        return y
 
     def _build_canonical_witness(self) -> Optional[tuple[Fraction, ...]]:
         """The product mass function of the local coherence witnesses.
@@ -359,16 +386,7 @@ class JointModel:
         generator strictly positive, which certifies at once that no
         nonnegative combination of the generators vanishes.
         """
-        net = self.net
-        size = self.space.size
-        node_pos = {n: k for k, n in enumerate(self.space.nodes)}
-        y = []
-        for j in range(size):
-            mass = Fraction(1)
-            for s in net.dag.nodes:
-                w = net.local_witness(s, self._parent_idx_at[s][j])
-                mass *= w[self._digits[j][node_pos[s]]]
-            y.append(mass)
+        y = self._product_mass()
         for info in self.generators:
             if sum(y[j] * v for j, v in info.support) <= 0:
                 return None
@@ -399,10 +417,6 @@ class JointModel:
             if len(self._separators) > _SEPARATOR_CACHE_LIMIT:
                 # keep the canonical witness in front, evict the oldest rest
                 del self._separators[1]
-
-    @staticmethod
-    def _pairs(witness: dict[int, Fraction]) -> tuple[tuple[int, Fraction], ...]:
-        return tuple(sorted((i, c) for i, c in witness.items() if c != 0))
 
     # -- query routes ------------------------------------------------------
 
@@ -462,7 +476,7 @@ class JointModel:
                     witness[self._atom_gen_at[j]] = v
             if self._witness_matches(witness, table):
                 return Membership(
-                    member=True, route="positive-span", witness=self._pairs(witness)
+                    member=True, route="positive-span", witness=_pairs(witness.items())
                 )
         for y in self._separators:
             if _dot(y, table) < 0:
@@ -470,14 +484,19 @@ class JointModel:
         return None
 
     def _dedup_columns(self) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+        """The distinct generators as dense LP columns, in order of first
+        occurrence, and the index of the generator each column stands for."""
         if self._dedup is None:
-            first: dict[tuple[Fraction, ...], int] = {}
+            seen: set[tuple[tuple[int, Fraction], ...]] = set()
             columns: list[tuple[Fraction, ...]] = []
             owners: list[int] = []
             for info in self.generators:
-                if info.table not in first:
-                    first[info.table] = info.index
-                    columns.append(info.table)
+                if info.support not in seen:
+                    seen.add(info.support)
+                    column = [Fraction(0)] * self.space.size
+                    for j, v in info.support:
+                        column[j] = v
+                    columns.append(tuple(column))
                     owners.append(info.index)
             self._dedup = (columns, owners)
         return self._dedup
@@ -489,7 +508,7 @@ class JointModel:
             witness = {owners[k]: c for k, c in res.witness}
             if not self._witness_matches(witness, table):
                 raise LpError("LP witness failed joint verification")
-            return Membership(member=True, route=EXACT_LP, witness=self._pairs(witness))
+            return Membership(member=True, route=EXACT_LP, witness=_pairs(witness.items()))
         y = res.separator
         if not self._separates_all_generators(y) or _dot(y, table) >= 0:
             raise LpError("LP separator failed joint verification")
@@ -513,7 +532,7 @@ class JointModel:
         combo = {owners[k]: c for k, c in res.combination}
         if not self._witness_matches(combo, [Fraction(0)] * self.space.size):
             raise LpError("vanishing combination failed joint verification")
-        return Vanishing(exists=True, route=EXACT_LP, combination=self._pairs(combo))
+        return Vanishing(exists=True, route=EXACT_LP, combination=_pairs(combo.items()))
 
     # -- structured queries --------------------------------------------------
 
@@ -560,8 +579,8 @@ class JointModel:
         if f.is_zero:
             raise ZeroGambleError("the zero gamble has no desirability status")
 
-        observed = parent_config.combine(given)
-        target = indicator(observed, self.space) * f.extend(self.space)
+        observed = indicator(parent_config.combine(given), self.space)
+        target = observed * f.extend(self.space)
 
         quick = self._quick_routes(target.table)
         if quick is not None:
@@ -571,11 +590,11 @@ class JointModel:
         cert = self._local_membership(node, p_idx, f)
         if cert.member:
             assembled = self._assemble_local_witness(
-                node, p_idx, irrelevant, given, cert.witness
+                node, p_idx, observed.table, cert.witness
             )
             if self._witness_matches(assembled, target.table):
                 return Membership(
-                    member=True, route="local-assembly", witness=self._pairs(assembled)
+                    member=True, route="local-assembly", witness=_pairs(assembled.items())
                 )
         else:
             y = self._product_separator(node, p_idx, f, cert.separator)
@@ -587,25 +606,17 @@ class JointModel:
         self,
         node: str,
         parent_index: int,
-        irrelevant: tuple[str, ...],
-        given: Configuration,
+        observed: Sequence[Fraction],
         local_witness: Pairs,
     ) -> dict[int, Fraction]:
-        """Replicate a local cone witness over every configuration of the
-        unobserved non-parent-non-descendants."""
-        net = self.net
-        nnd_space = net.nnd_space(node)
-        free_nodes = [n for n in nnd_space.nodes if n not in irrelevant]
-        free_space = Space(net.variables[n] for n in free_nodes)
+        """Replicate a local cone witness over every non-parent-non-
+        descendant configuration compatible with the observation, whose
+        indicator on the joint space is `observed`."""
+        nnd_at = self._nnd_idx_at[node]
         witness: dict[int, Fraction] = {}
-        for free_cfg in free_space.configurations():
-            nnd_cfg = given.combine(free_cfg) if free_nodes else given
-            if nnd_cfg.space != nnd_space:
-                nnd_cfg = nnd_space.configuration(nnd_cfg.as_dict())
-            nnd_idx = nnd_space.index_of(nnd_cfg)
+        for nnd_idx in {nnd_at[j] for j, v in enumerate(observed) if v}:
             for k, coeff in local_witness:
-                idx = self._slot[(node, parent_index, nnd_idx, k)]
-                witness[idx] = witness.get(idx, Fraction(0)) + coeff
+                witness[self._slot[(node, parent_index, nnd_idx, k)]] = coeff
         return witness
 
     def _product_separator(
@@ -622,7 +633,6 @@ class JointModel:
         key = (node, parent_index, f.table)
         if key in self._product_sep_memo:
             return self._product_sep_memo[key]
-        net = self.net
         total = sum(local_separator)
         if total <= 0 or any(v < 0 for v in local_separator):
             # a local separator is nonnegative (atoms are generators); a
@@ -630,21 +640,9 @@ class JointModel:
             self._product_sep_memo[key] = None
             return None
         kernel = tuple(v / total for v in local_separator)
-        node_pos = {n: k for k, n in enumerate(self.space.nodes)}
-        y = []
-        for j in range(self.space.size):
-            mass = Fraction(1)
-            for s in net.dag.nodes:
-                p_idx = self._parent_idx_at[s][j]
-                digit = self._digits[j][node_pos[s]]
-                if s == node and p_idx == parent_index:
-                    mass *= kernel[digit]
-                else:
-                    mass *= net.local_witness(s, p_idx)[digit]
-                if not mass:
-                    break
-            y.append(mass)
-        result: Optional[tuple[Fraction, ...]] = _primitive(y)
+        result: Optional[tuple[Fraction, ...]] = _primitive(
+            self._product_mass(node, parent_index, kernel)
+        )
         if not self._separates_all_generators(result):
             result = None
         else:
@@ -830,13 +828,14 @@ class JointModel:
 # -- samplers -------------------------------------------------------------
 
 
-def sample_gamble(
-    rng: random.Random, space: Space, magnitude: int = 3, max_denominator: int = 2
-) -> Gamble:
+def sample_gamble(rng: random.Random, space: Space) -> Gamble:
     """A random nonzero gamble with small rational entries."""
     while True:
         table = tuple(
-            Fraction(rng.randint(-magnitude, magnitude), rng.randint(1, max_denominator))
+            Fraction(
+                rng.randint(-_GAMBLE_MAGNITUDE, _GAMBLE_MAGNITUDE),
+                rng.randint(1, _GAMBLE_DENOMINATOR),
+            )
             for _ in range(space.size)
         )
         if any(v != 0 for v in table):
@@ -848,7 +847,6 @@ def sample_credal_net(
     max_nodes: int = 4,
     max_values: int = 3,
     max_assessments: int = 2,
-    edge_probability: float = 0.5,
 ) -> CredalNet:
     """A random network with coherent local models.
 
@@ -868,7 +866,7 @@ def sample_credal_net(
     edges = []
     for i, u in enumerate(names):
         for v in names[i + 1:]:
-            if rng.random() < edge_probability:
+            if rng.random() < _EDGE_PROBABILITY:
                 edges.append((u, v) if rank[u] < rank[v] else (v, u))
     dag = Dag(names, edges)
 

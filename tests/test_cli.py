@@ -9,6 +9,7 @@ input error (with a JSON certificate on stdout), 3 parse error.
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -335,11 +336,31 @@ def test_verify_all_boolean_count_exits_3(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize(
-    "flag", ["--gambles-per-slot", "--subset-cap", "--audit-samples", "--budget"]
+    "flag", ["--gambles-per-slot", "--subset-cap", "--audit-samples", "--budget", "--cap"]
 )
 def test_negative_verify_option_exits_3(tmp_path, capsys, flag):
     net = write(tmp_path, "net.json", CHAIN)
     assert_parse_error(capsys, "verify", net, flag, "-1")
+
+
+def test_file_that_is_not_utf8_exits_3(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"variables": [{"id": "\xe9", "values": ["0", "1"]}]}')
+    assert_parse_error(capsys, "validate", str(path))
+
+
+def test_json_nested_past_the_recursion_limit_exits_3(tmp_path, capsys):
+    assert_parse_error(capsys, "validate", write(tmp_path, "deep.json", "[" * 100_000))
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="integer literals have no digit limit",
+)
+def test_integer_over_the_digit_limit_exits_3(tmp_path, capsys):
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    path = write(tmp_path, "huge.json", '{"variables": [], "edges": [], "local_models": ' + digits + "}")
+    assert_parse_error(capsys, "validate", path)
 
 
 def test_usage_error_exits_3(tmp_path, capsys):

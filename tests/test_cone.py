@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from credalcones import lp
 from credalcones.cone import AssessmentCone
 from credalcones.core import Gamble, Space, VariableSpace
 from credalcones.lp import contains_zero, verify_witness
@@ -144,6 +145,31 @@ def test_coherence_equals_no_vanishing_combination():
         assert coherent == (not vanishes)
         seen[coherent] += 1
     assert seen[True] > 10 and seen[False] > 10
+
+
+def test_incoherence_certificate_comes_from_the_coherence_lp(monkeypatch):
+    calls = []
+    solve = lp._solve_standard
+
+    def counting(rows, rhs, cost):
+        calls.append(len(rows))
+        return solve(rows, rhs, cost)
+
+    monkeypatch.setattr(lp, "_solve_standard", counting)
+    rng = random.Random(812)
+    incoherent = 0
+    while incoherent < 20:
+        cone = random_cone(rng)
+        calls.clear()
+        report = cone.is_coherent()
+        assert len(calls) == 1
+        if report.coherent:
+            continue
+        incoherent += 1
+        combo = report.certificate
+        assert all(c >= 0 for c in combo) and any(combo)
+        tables = [g.table for g in cone.generators]
+        assert verify_witness(tables, (F(0),) * cone.space.size, tuple(enumerate(combo)))
 
 
 def test_sign_diagnostics_clean_on_coherent_cone():

@@ -14,7 +14,6 @@ from credalcones.core import (
     Space,
     VariableSpace,
     as_rational,
-    cylindrical_extend,
     indicator,
 )
 
@@ -229,7 +228,7 @@ def test_indicator_extension_commutes(data):
     sub = big.restrict(sub_nodes)
     config = data.draw(st.sampled_from([c for c in sub.configurations()]))
     direct = indicator(config, big)
-    lifted = cylindrical_extend(indicator(config, sub), big)
+    lifted = indicator(config, sub).extend(big)
     assert direct == lifted
     # and it marks exactly the agreeing configurations
     for c in big.configurations():

@@ -349,7 +349,7 @@ def kernel_record(rows, rhs, cost):
     status, x, y, ray = tableau.solve()
 
     def text(vec):
-        return None if vec is None else [str(lp._to_frac(v)) for v in vec]
+        return None if vec is None else [str(v) for v in vec]
 
     return {
         "status": status.value,

@@ -22,6 +22,17 @@ from credalcones.net import (
 F = Fraction
 
 
+def generator_tables(joint):
+    """Each joint generator as a dense table over the joint space."""
+    tables = []
+    for info in joint.generators:
+        table = [F(0)] * joint.space.size
+        for j, v in info.support:
+            table[j] = v
+        tables.append(tuple(table))
+    return tables
+
+
 def binary(name):
     return VariableSpace(name, (f"{name}0", f"{name}1"))
 
@@ -46,8 +57,8 @@ def test_single_node_generators_mirror_local_cone():
     joint = net.build_joint()
     assert len(joint.generators) == 3  # one assessment + two atoms
     local = net.local_cone("a", 0)
-    for info, g in zip(joint.generators, local.generators):
-        assert info.table == g.table
+    for table, g in zip(generator_tables(joint), local.generators):
+        assert table == g.table
     f = Gamble(net.joint_space, (3, -1))
     assert joint.member_with_certificate(f).member == local.member(f)
 
@@ -67,7 +78,7 @@ def test_chain_generator_count_and_order():
     expected = indicator(a_space.configuration({"a": "a0"}), sp) * indicator(
         sp.restrict(["b"]).configuration({"b": "b0"}), sp
     )
-    assert joint.generators[2].table == expected.table
+    assert generator_tables(joint)[2] == expected.table
 
     richer = chain_net(assess_a=True)
     assert richer.generator_count() == 7  # the assessment adds one product
@@ -111,7 +122,34 @@ def test_canonical_witness_certifies_zero_freeness():
         assert not report.exists
         assert report.route == "canonical-witness"
         # independent route: the LP primitive over the raw columns
-        assert not lp_contains_zero([g.table for g in joint.generators]).exists
+        assert not lp_contains_zero(generator_tables(joint)).exists
+
+
+def test_joint_lp_columns_are_the_distinct_generators_in_first_occurrence_order(monkeypatch):
+    seen = []
+
+    def spy(target, columns):
+        seen.append(list(columns))
+        return conic_membership(target, columns)
+
+    monkeypatch.setattr("credalcones.net.conic_membership", spy)
+    # two unconnected nodes: both contribute every full-configuration atom
+    a, b = binary("a"), binary("b")
+    twin = CredalNet(Dag(["a", "b"]), [a, b])
+    rng = random.Random(41)
+    for net in [twin] + [sample_credal_net(rng, max_nodes=3) for _ in range(6)]:
+        joint = net.build_joint()
+        tables = generator_tables(joint)
+        distinct = list(dict.fromkeys(tables))
+        columns, owners = joint._dedup_columns()
+        assert columns == distinct
+        assert owners == [tables.index(t) for t in distinct]
+    joint = twin.build_joint()
+    assert len(joint.generators) == 8 and len(joint._dedup_columns()[0]) == 4
+    # scored 0 by the canonical witness and not positive: only the LP decides
+    res = joint.member_with_certificate(Gamble(twin.joint_space, (1, -1, 0, 0)))
+    assert res.route == "exact-lp" and not res.member
+    assert seen == [list(dict.fromkeys(generator_tables(joint)))]
 
 
 def test_positive_gambles_are_members_and_nonpositive_are_not():
@@ -179,7 +217,7 @@ def test_structured_member_agrees_with_raw_lp():
     for _ in range(5):
         net = sample_credal_net(rng, max_nodes=3, max_values=2)
         joint = net.build_joint()
-        columns = [g.table for g in joint.generators]
+        columns = generator_tables(joint)
         for s in net.dag.nodes:
             p_space = net.parent_space(s)
             nnd = net.dag.non_parent_non_descendants(s)
@@ -255,7 +293,7 @@ def test_membership_given_an_observation_dispatch_and_errors():
     joint = net.build_joint()
     sp_c = net.node_space("c")
     f = Gamble(sp_c, (2, -1))
-    columns = [g.table for g in joint.generators]
+    columns = generator_tables(joint)
     ab_space = Space([binary("a"), binary("b")])
     # parent (b) plus a non-parent-non-descendant (a) observed: the
     # structured certificate route must be reproduced exactly
@@ -389,4 +427,4 @@ def test_sampler_reproducibility():
     k2 = {k: tuple(g.table for g in v) for k, v in n2.assessments.items()}
     assert k1 == k2
     j1, j2 = n1.build_joint(), n2.build_joint()
-    assert [g.table for g in j1.generators] == [g.table for g in j2.generators]
+    assert generator_tables(j1) == generator_tables(j2)

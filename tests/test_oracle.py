@@ -106,7 +106,10 @@ def test_witness_network_matches_canonical_witness():
         assert joint.canonical_witness == masses
         # and every generator really has strictly positive expectation
         for info in joint.generators:
-            assert precise.expectation(Gamble(net.joint_space, info.table)) > 0
+            table = [F(0)] * net.joint_space.size
+            for j, v in info.support:
+                table[j] = v
+            assert precise.expectation(Gamble(net.joint_space, table)) > 0
 
 
 def test_positivity_audit_scores_witness_networks_positive():
