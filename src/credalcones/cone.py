@@ -25,7 +25,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Optional, Sequence
 
-from .core import Gamble, RationalLike, Space, as_rational, indicator
+from .core import Gamble, Space, indicator
 from .lp import (
     LinearSystem,
     LpError,

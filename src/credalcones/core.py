@@ -5,6 +5,9 @@ types defined here: a ``Space`` describing a finite product domain over a
 set of named variables, and a ``Gamble`` mapping each configuration of a
 space to an exact rational payoff.  All scalars are ``fractions.Fraction``;
 no floating point enters anywhere.
+
+``Space.index_map`` is the one place where the index layout is decoded:
+extensions, indicators and the joint model project configurations with it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -72,6 +75,8 @@ class Space:
 
     The empty space is legal and has exactly one (empty) configuration, so
     gambles on it are single rationals.
+
+    ``index_map`` is the one place where this layout is decoded.
     """
 
     __slots__ = ("_variables", "_nodes", "_by_node", "_strides", "size", "_hash")
@@ -137,19 +142,25 @@ class Space:
                 raise ScopeError(f"conflicting definitions for node {v.node!r}")
         return Space(merged.values())
 
-    def value_indices_at(self, index: int) -> tuple[int, ...]:
-        """Decode a table index into one value index per node."""
-        if not 0 <= index < self.size:
-            raise IndexError(index)
-        out = []
-        for var, stride in zip(self._variables, self._strides):
-            digit, index = divmod(index, stride)
-            out.append(digit)
-        return tuple(out)
+    def index_map(self, sub: "Space") -> list[int]:
+        """By configuration index here, the index of its restriction to `sub`."""
+        if not self.contains_space(sub):
+            raise ScopeError(f"scope {self} does not contain {sub}")
+        stride_of = dict(zip(sub._nodes, sub._strides))
+        out = [0]
+        for var in self._variables:
+            stride = stride_of.get(var.node, 0)
+            out = [k + d * stride for k in out for d in range(len(var))]
+        return out
 
     def config_at(self, index: int) -> "Configuration":
-        digits = self.value_indices_at(index)
-        return Configuration(self, tuple(v.values[d] for v, d in zip(self._variables, digits)))
+        if not 0 <= index < self.size:
+            raise IndexError(index)
+        values = []
+        for var, stride in zip(self._variables, self._strides):
+            digit, index = divmod(index, stride)
+            values.append(var.values[digit])
+        return Configuration(self, tuple(values))
 
     def index_of(self, config: "Configuration") -> int:
         if config.space != self:
@@ -282,19 +293,7 @@ class Gamble:
         """Cylindrical extension: the same payoff, read on a larger scope."""
         if target == self.space:
             return self
-        if not target.contains_space(self.space):
-            raise ScopeError(
-                f"cannot extend gamble on {self.space} to non-containing scope {target}"
-            )
-        positions = [target.nodes.index(n) for n in self.space.nodes]
-        table = []
-        for i in range(target.size):
-            digits = target.value_indices_at(i)
-            src = 0
-            for pos, stride in zip(positions, self.space._strides):
-                src += digits[pos] * stride
-            table.append(self.table[src])
-        return Gamble(target, tuple(table))
+        return Gamble(target, tuple(self.table[k] for k in target.index_map(self.space)))
 
     def _pair(self, other: "Gamble") -> tuple["Gamble", "Gamble"]:
         if self.space == other.space:
@@ -361,15 +360,8 @@ def indicator(config: Configuration, target: Space) -> Gamble:
     The indicator of the empty configuration is the constant 1: conditioning
     on nothing changes nothing.
     """
-    if not target.contains_space(config.space):
-        raise ScopeError("indicator scope does not contain the configuration's scope")
     one, nil = Fraction(1), Fraction(0)
-    positions = [target.nodes.index(n) for n in config.space.nodes]
-    wanted = tuple(
-        var.index_of(value) for var, value in zip(config.space.variables, config.values)
+    wanted = config.space.index_of(config)
+    return Gamble(
+        target, tuple(one if k == wanted else nil for k in target.index_map(config.space))
     )
-    table = []
-    for i in range(target.size):
-        digits = target.value_indices_at(i)
-        table.append(one if all(digits[p] == w for p, w in zip(positions, wanted)) else nil)
-    return Gamble(target, tuple(table))

@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .cone import AssessmentCone, CoherenceReport
@@ -270,8 +270,6 @@ class JointModel:
         self.net = net
         self.space = net.joint_space
         size = self.space.size
-        self._digits = [self.space.value_indices_at(j) for j in range(size)]
-        node_pos = {n: k for k, n in enumerate(self.space.nodes)}
 
         if mutate_flip is not None:
             m_node, m_pidx, m_lidx = mutate_flip
@@ -286,22 +284,11 @@ class JointModel:
                 raise NetworkError("mutation generator index out of range")
         self.mutate_flip = mutate_flip
 
-        # parent/nnd configuration index of every joint configuration
-        self._parent_idx_at: dict[str, list[int]] = {}
-        self._nnd_idx_at: dict[str, list[int]] = {}
-        for s in net.dag.nodes:
-            for spc, store in (
-                (net.parent_space(s), self._parent_idx_at),
-                (net.nnd_space(s), self._nnd_idx_at),
-            ):
-                pos_stride = [
-                    (node_pos[v.node], stride)
-                    for v, stride in zip(spc.variables, spc._strides)
-                ]
-                store[s] = [
-                    sum(self._digits[j][p] * st for p, st in pos_stride)
-                    for j in range(size)
-                ]
+        # value/parent/nnd configuration index of every joint configuration
+        nodes = net.dag.nodes
+        self._value_at = {s: self.space.index_map(net.node_space(s)) for s in nodes}
+        self._parent_idx_at = {s: self.space.index_map(net.parent_space(s)) for s in nodes}
+        self._nnd_idx_at = {s: self.space.index_map(net.nnd_space(s)) for s in nodes}
 
         leaves = net.dag.leaves()
         self._leaf = leaves[0]
@@ -312,14 +299,12 @@ class JointModel:
         for s in net.dag.nodes:
             p_at = self._parent_idx_at[s]
             n_at = self._nnd_idx_at[s]
-            s_pos = node_pos[s]
+            v_at = self._value_at[s]
             n_parent = net.parent_space(s).size
             n_nnd = net.nnd_space(s).size
             agree: dict[tuple[int, int], list[tuple[int, int]]] = {}
             for j in range(size):
-                agree.setdefault((p_at[j], n_at[j]), []).append(
-                    (j, self._digits[j][s_pos])
-                )
+                agree.setdefault((p_at[j], n_at[j]), []).append((j, v_at[j]))
             for p_idx in range(n_parent):
                 n_assessed = len(net.assessments[(s, p_idx)])
                 local_gens = net.local_cone(s, p_idx).generators
@@ -363,13 +348,12 @@ class JointModel:
         witnesses, with the witness of slot (node, parent_index), if one is
         named, replaced by `kernel`."""
         net = self.net
-        node_pos = {n: k for k, n in enumerate(self.space.nodes)}
         y = []
         for j in range(self.space.size):
             mass = Fraction(1)
             for s in net.dag.nodes:
                 p_idx = self._parent_idx_at[s][j]
-                digit = self._digits[j][node_pos[s]]
+                digit = self._value_at[s][j]
                 if s == node and p_idx == parent_index:
                     mass *= kernel[digit]
                 else:
@@ -712,14 +696,27 @@ class JointModel:
             for p_idx in range(p_space.size):
                 p_cfg = p_space.config_at(p_idx)
                 local_gens = net.local_cone(s, p_idx).generators
-                gambles = list(local_gens) + [-g for g in local_gens]
-                for _ in range(gambles_per_slot):
-                    gambles.append(sample_gamble(rng, node_space))
-                for f in gambles:
+                draws = (sample_gamble(rng, node_space) for _ in range(gambles_per_slot))
+                for f in chain(local_gens, [-g for g in local_gens], draws):
                     for irrelevant in subsets:
                         i_space = Space(net.variables[n] for n in irrelevant)
                         for given in i_space.configurations():
                             yield s, p_cfg, irrelevant, given, f
+
+    def _negatives(self, rng: random.Random, draws: int) -> Iterator[tuple[Fraction, ...]]:
+        """Negated atoms, then `draws` random nonpositive tables, each drawn when reached."""
+        for j in range(self.space.size):
+            table = [Fraction(0)] * self.space.size
+            table[j] = Fraction(-1)
+            yield tuple(table)
+        for _ in range(draws):
+            table = [Fraction(0)] * self.space.size
+            while all(v == 0 for v in table):
+                table = [
+                    Fraction(-rng.randint(0, 2), rng.randint(1, 2))
+                    for _ in range(self.space.size)
+                ]
+            yield tuple(table)
 
     def verify_requirements(
         self,
@@ -770,20 +767,7 @@ class JointModel:
                 )
 
         negatives_checked = 0
-        negatives = []
-        for j in range(self.space.size):
-            table = [Fraction(0)] * self.space.size
-            table[j] = Fraction(-1)
-            negatives.append(tuple(table))
-        for _ in range(gambles_per_slot):
-            table = [Fraction(0)] * self.space.size
-            while all(v == 0 for v in table):
-                table = [
-                    Fraction(-rng.randint(0, 2), rng.randint(1, 2))
-                    for _ in range(self.space.size)
-                ]
-            negatives.append(tuple(table))
-        for table in negatives:
+        for table in self._negatives(rng, gambles_per_slot):
             res = self.member_with_certificate(Gamble(self.space, table))
             negatives_checked += 1
             if res.member:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import Configuration, Gamble, Space
+from .core import Configuration, Gamble
 from .lp import _primitive
 from .net import CredalNet, JointModel
 

@@ -59,9 +59,14 @@ def test_cylindrical_extension_replicates_over_new_nodes():
 def test_extension_to_non_containing_scope_fails():
     sp_a = Space([VariableSpace("a", ("a0", "a1"))])
     sp_b = Space([VariableSpace("b", ("b0", "b1"))])
+    sp_a3 = Space([VariableSpace("a", ("a0", "a1", "a2"))])
     f = Gamble(sp_a, (1, -1))
     with pytest.raises(ScopeError):
         f.extend(sp_b)
+    with pytest.raises(ScopeError):
+        f.extend(sp_a3)
+    with pytest.raises(ScopeError):
+        indicator(sp_a.configuration({"a": "a0"}), sp_b)
 
 
 def test_indicator_of_partial_configuration():
@@ -194,8 +199,10 @@ def test_extension_preserves_evaluation(pair):
     small, big = pair
     f = Gamble(small, tuple(Fraction(i - 2) for i in range(small.size)))
     g = f.extend(big)
+    index_map = big.index_map(small)
     for config in big.configurations():
         assert g(config) == f(config)
+        assert index_map[big.index_of(config)] == small.index_of(config.restrict(small.nodes))
 
 
 @given(nested_space_pair(), st.data())

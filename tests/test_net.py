@@ -376,6 +376,24 @@ def test_subset_cap_beyond_all_subsets_terminates():
     assert report.irrelevance_checked == 1 and report.budget_exhausted
 
 
+def test_budget_bounds_the_sweep_draws(monkeypatch):
+    # the first check of two unconnected binary nodes uses a local
+    # generator, so no random gamble of the slot is drawn before it
+    net = CredalNet(Dag("ab"), [binary("a"), binary("b")])
+    draws = []
+
+    def counted(rng, space):
+        draws.append(space)
+        return sample_gamble(rng, space)
+
+    monkeypatch.setattr("credalcones.net.sample_gamble", counted)
+    report = net.build_joint().verify_requirements(
+        random.Random(1), gambles_per_slot=5000, max_checks=1
+    )
+    assert report.irrelevance_checked == 1 and report.budget_exhausted
+    assert draws == []
+
+
 def test_mutated_joint_is_detected():
     net = chain_net(assess_a=True)
     # flip the products of a's assessed gamble (node a, parent cfg 0, local 0)
