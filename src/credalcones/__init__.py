@@ -27,6 +27,7 @@ from .lp import (
     PivotLimitError,
     Relation,
     Vanishing,
+    WorkCapError,
     conic_membership,
     contains_zero,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "VerificationReport",
     "Violation",
     "WitnessMismatchError",
+    "WorkCapError",
     "ZeroGambleError",
     "as_rational",
     "conic_membership",

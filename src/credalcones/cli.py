@@ -35,7 +35,7 @@ from .core import (
     as_rational,
 )
 from .dag import Dag, DagError
-from .lp import LpError, PivotLimitError
+from .lp import LpError, PivotLimitError, WorkCapError
 from .net import (
     DEFAULT_GENERATOR_CAP,
     CredalNet,
@@ -650,6 +650,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_SEMANTIC
     except PivotLimitError:
         _emit({"command": args.command, "valid": False, "reason": "pivot-limit"})
+        return EXIT_SEMANTIC
+    except WorkCapError as err:
+        report = {
+            "command": args.command,
+            "valid": False,
+            "reason": "work-cap",
+            "cells": err.cells,
+            "cap": err.cap,
+        }
+        _emit(report)
         return EXIT_SEMANTIC
     except LpError as err:
         print(f"error: {err}", file=sys.stderr)

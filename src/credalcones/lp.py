@@ -11,7 +11,11 @@ largest constant it exceeds within the closed cone).
 
 Every answer returned by this module is re-checked by exact substitution
 before it leaves; an unverifiable certificate is a solver bug and raises,
-never a wrong answer.
+never a wrong answer.  The checks run in exact integer arithmetic over the
+nonzero entries only (_int_vector): a sign test scales each vector by the
+lcm of its denominators, which is positive and so keeps the sign, and an
+equality is cross-multiplied by the denominators.  They decide exactly what
+the rational substitution decides.
 
 The pivot kernel works on Python ints: every tableau row is a list of
 integers over one positive row denominator, divided by their gcd after
@@ -41,6 +45,12 @@ _STALL_LIMIT = 40
 
 _MAX_PIVOTS = 2_000_000
 
+# The largest tableau an LP may ask for, in cells: rows x (columns + rows +
+# 1), the constraint matrix with one artificial column per row and the
+# right-hand side.  A cell is a Python int of 30 bytes or more, so this
+# bounds a tableau near 1 GB; the 7-node ternary chain (1.4e7 cells) fits.
+_MAX_CELLS = 20_000_000
+
 
 class LpError(RuntimeError):
     """Internal solver failure (certificate did not verify, pivot overrun)."""
@@ -48,6 +58,23 @@ class LpError(RuntimeError):
 
 class PivotLimitError(LpError):
     """The simplex took more than _MAX_PIVOTS pivots."""
+
+
+class WorkCapError(LpError):
+    """An LP's tableau would have more than _MAX_CELLS cells."""
+
+    def __init__(self, cells: int, cap: int):
+        super().__init__(f"LP tableau would have {cells} cells, cap is {cap}")
+        self.cells = cells
+        self.cap = cap
+
+
+def _check_work(rows: int, columns: int) -> None:
+    """Refuse an LP of this many rows and columns before anything of its
+    size is allocated."""
+    cells = rows * (columns + rows + 1)
+    if cells > _MAX_CELLS:
+        raise WorkCapError(cells, _MAX_CELLS)
 
 
 class LpStatus(Enum):
@@ -416,26 +443,53 @@ def _check_dims(generators, target_len: Optional[int]) -> int:
     return dim
 
 
+IntVector = tuple[tuple[tuple[int, int], ...], int]
+
+
+def _int_vector(items) -> IntVector:
+    """(index, rational) items, zeros dropped, as (index, integer) pairs over
+    their least common denominator den > 0: each value is n / den."""
+    items = [(j, v) for j, v in items if v]
+    den = lcm(*[v.denominator for _, v in items])
+    return tuple((j, v.numerator * (den // v.denominator)) for j, v in items), den
+
+
+def _score(y: Sequence[int], vec: IntVector) -> int:
+    """y . vec times vec's (positive) denominator, over vec's nonzero
+    entries; y is a list of integers."""
+    return sum(y[j] * n for j, n in vec[0])
+
+
+def _combines(columns: Sequence[IntVector], pairs, target: IntVector) -> bool:
+    """Every coefficient c_k >= 0 and sum(c_k columns[k]) == target, with
+    both sides cross-multiplied to integers over one common denominator."""
+    if any(c < 0 or not 0 <= k < len(columns) for k, c in pairs):
+        return False
+    entries, den = target
+    common = lcm(den, *[c.denominator * columns[k][1] for k, c in pairs])
+    scale = common // den
+    total = {j: -n * scale for j, n in entries}
+    for k, c in pairs:
+        col, col_den = columns[k]
+        s = c.numerator * (common // (c.denominator * col_den))
+        if s:
+            for j, n in col:
+                total[j] = total.get(j, 0) + s * n
+    return not any(total.values())
+
+
 def verify_witness(generators, target, witness: Pairs) -> bool:
     """Exact re-substitution: coefficients >= 0 and sum(c g_k) == target."""
-    total = [Fraction(0)] * len(target)
-    for k, c in witness:
-        if c < 0 or not 0 <= k < len(generators):
-            return False
-        for i, v in enumerate(generators[k]):
-            total[i] += c * v
-    return all(a == b for a, b in zip(total, target))
-
-
-def _dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    columns = [_int_vector(enumerate(g)) for g in generators]
+    return _combines(columns, witness, _int_vector(enumerate(target)))
 
 
 def verify_separator(generators, target, separator) -> bool:
     """Exact check: separator.g >= 0 for all generators, separator.target < 0."""
-    if any(_dot(separator, g) < 0 for g in generators):
+    y, _ = _over_lcm(separator)
+    if any(_score(y, _int_vector(enumerate(g))) < 0 for g in generators):
         return False
-    return _dot(separator, target) < 0
+    return _score(y, _int_vector(enumerate(target))) < 0
 
 
 def _coordinate_rows(gens, dim: int) -> list[list]:
@@ -493,7 +547,8 @@ def contains_zero(generators: Sequence[Sequence[Fraction]]) -> Vanishing:
     if status is LpStatus.INFEASIBLE:
         return Vanishing(exists=False, route=EXACT_LP)
     combo = _pairs(enumerate(x))
-    if sum(c for _, c in combo) != 1 or not verify_witness(gens, [Fraction(0)] * dim, combo):
+    weights, den = _over_lcm([c for _, c in combo])
+    if sum(weights) != den or not verify_witness(gens, [0] * dim, combo):
         raise LpError("vanishing combination failed verification")
     return Vanishing(exists=True, route=EXACT_LP, combination=combo)
 
@@ -522,10 +577,17 @@ def lower_prevision(
     if status is not LpStatus.OPTIMAL:
         raise LpError("lower prevision LP is infeasible: no constant shift reaches the cone")
     m = x[n] - x[n + 1]
-    coeffs = _pairs(enumerate(x[:n]))
-    if not verify_witness(gens, [v - m for v in tgt], coeffs):
+    columns = [_int_vector(enumerate(g)) for g in gens]
+    shifted = _int_vector((j, v - m) for j, v in enumerate(tgt))
+    if not _combines(columns, _pairs(enumerate(x[:n])), shifted):
         raise LpError("lower prevision failed primal verification")
-    mass = [-v for v in y]
-    if sum(mass) != 1 or _dot(mass, tgt) != m or any(_dot(mass, g) < 0 for g in gens):
+    # p = mass / den; p . target == m, cross-multiplied
+    mass, den = _over_lcm([-v for v in y])
+    f = _int_vector(enumerate(tgt))
+    if (
+        sum(mass) != den
+        or _score(mass, f) * m.denominator != m.numerator * den * f[1]
+        or any(_score(mass, g) < 0 for g in columns)
+    ):
         raise LpError("lower prevision failed dual verification")
     return m

@@ -12,7 +12,8 @@ non-parent-non-descendant configurations lexicographic, then the local
 generator list (assessments first, atoms last).
 
 Queries against the joint cone are answered by certificates that are always
-re-verified against the actual generator list by exact substitution:
+re-verified against the actual generator list by exact substitution, in
+integers over the nonzero entries (see lp):
 
   * nonnegative nonzero targets are combined from full-configuration atom
     generators contributed by a leaf node;
@@ -42,13 +43,18 @@ from .core import Configuration, Gamble, Space, VariableSpace, indicator
 from .dag import Dag
 from .lp import (
     EXACT_LP,
+    IntVector,
     LpError,
     Membership,
     Pairs,
     Vanishing,
-    _dot,
+    _check_work,
+    _combines,
+    _int_vector,
+    _over_lcm,
     _pairs,
     _primitive,
+    _score,
     conic_membership,
     contains_zero as _lp_contains_zero,
     lower_prevision as _lp_lower_prevision,
@@ -332,12 +338,14 @@ class JointModel:
                             self._atom_gen_at[info.support[0][0]] = info.index
 
         self.canonical_witness = self._build_canonical_witness()
-        self._separators: list[tuple[Fraction, ...]] = []
+        # cached separators, each with its integer form (_over_lcm)
+        self._separators: list[tuple[tuple[Fraction, ...], list[int]]] = []
         if self.canonical_witness is not None:
-            self._separators.append(self.canonical_witness)
+            w = self.canonical_witness
+            self._cache_separator(w, _over_lcm(w)[0])
         self._local_memo: dict[tuple[str, int, tuple], Membership] = {}
         self._product_sep_memo: dict[tuple[str, int, tuple], Optional[tuple]] = {}
-        self._dedup: Optional[tuple[list[tuple[Fraction, ...]], list[int]]] = None
+        self._dedup: Optional[tuple[list[IntVector], list[int]]] = None
 
     # -- product mass functions --------------------------------------------
 
@@ -371,36 +379,54 @@ class JointModel:
         nonnegative combination of the generators vanishes.
         """
         y = self._product_mass()
+        ints, _ = _over_lcm(y)
         for info in self.generators:
-            if sum(y[j] * v for j, v in info.support) <= 0:
+            if _score(ints, _int_vector(info.support)) <= 0:
                 return None
         return tuple(y)
 
     # -- verified certificate helpers -------------------------------------
 
+    def _int_columns(self) -> tuple[list[IntVector], list[int]]:
+        """Every generator's support in integer form (_int_vector), one
+        shared object per distinct support, and the generator each distinct
+        support first occurs at; built on first use."""
+        if self._dedup is None:
+            first: dict[IntVector, IntVector] = {}
+            columns: list[IntVector] = []
+            owners: list[int] = []
+            for info in self.generators:
+                column = _int_vector(info.support)
+                shared = first.setdefault(column, column)
+                if shared is column:
+                    owners.append(info.index)
+                columns.append(shared)
+            self._dedup = (columns, owners)
+        return self._dedup
+
     def _witness_matches(
         self, witness: dict[int, Fraction], target: Sequence[Fraction]
     ) -> bool:
-        total = [Fraction(0)] * self.space.size
-        for idx, coeff in witness.items():
-            if coeff < 0:
-                return False
-            if coeff:
-                for j, v in self.generators[idx].support:
-                    total[j] += coeff * v
-        return all(a == b for a, b in zip(total, target))
+        columns, _ = self._int_columns()
+        return _combines(columns, witness.items(), _int_vector(enumerate(target)))
 
-    def _separates_all_generators(self, y: Sequence[Fraction]) -> bool:
-        return all(
-            sum(y[j] * v for j, v in info.support) >= 0 for info in self.generators
-        )
+    def _separates_all_generators(self, y: Sequence[int]) -> bool:
+        """y (integers) scores every generator nonnegative."""
+        columns, _ = self._int_columns()
+        return all(_score(y, g) >= 0 for g in columns)
 
-    def _cache_separator(self, y: tuple[Fraction, ...]) -> None:
-        if y not in self._separators:
-            self._separators.append(y)
-            if len(self._separators) > _SEPARATOR_CACHE_LIMIT:
-                # keep the canonical witness in front, evict the oldest rest
-                del self._separators[1]
+    def _cache_separator(self, y: tuple[Fraction, ...], ints: list[int]) -> tuple:
+        """Cache a verified separator y, whose integer form is `ints`;
+        returns its cache entry (y, ints)."""
+        for entry in self._separators:
+            if entry[0] == y:
+                return entry
+        entry = (y, ints)
+        self._separators.append(entry)
+        if len(self._separators) > _SEPARATOR_CACHE_LIMIT:
+            # keep the canonical witness in front, evict the oldest rest
+            del self._separators[1]
+        return entry
 
     # -- query routes ------------------------------------------------------
 
@@ -462,28 +488,27 @@ class JointModel:
                 return Membership(
                     member=True, route="positive-span", witness=_pairs(witness.items())
                 )
-        for y in self._separators:
-            if _dot(y, table) < 0:
+        target = _int_vector(enumerate(table))
+        for y, ints in self._separators:
+            if _score(ints, target) < 0:
                 return Membership(member=False, route="cached-separator", separator=y)
         return None
 
     def _dedup_columns(self) -> tuple[list[tuple[Fraction, ...]], list[int]]:
         """The distinct generators as dense LP columns, in order of first
-        occurrence, and the index of the generator each column stands for."""
-        if self._dedup is None:
-            seen: set[tuple[tuple[int, Fraction], ...]] = set()
-            columns: list[tuple[Fraction, ...]] = []
-            owners: list[int] = []
-            for info in self.generators:
-                if info.support not in seen:
-                    seen.add(info.support)
-                    column = [Fraction(0)] * self.space.size
-                    for j, v in info.support:
-                        column[j] = v
-                    columns.append(tuple(column))
-                    owners.append(info.index)
-            self._dedup = (columns, owners)
-        return self._dedup
+        occurrence, and the index of the generator each column stands for.
+        The LP is sized from the sparse supports first, and refused with
+        WorkCapError before any dense column is built."""
+        _, owners = self._int_columns()
+        _check_work(self.space.size, len(owners))
+        return [self._table(k) for k in owners], owners
+
+    def _table(self, index: int) -> tuple[Fraction, ...]:
+        """Generator `index` as a dense table over the joint space."""
+        table = [Fraction(0)] * self.space.size
+        for j, v in self.generators[index].support:
+            table[j] = v
+        return tuple(table)
 
     def _lp_membership(self, table: Sequence[Fraction]) -> Membership:
         columns, owners = self._dedup_columns()
@@ -493,10 +518,11 @@ class JointModel:
             if not self._witness_matches(witness, table):
                 raise LpError("LP witness failed joint verification")
             return Membership(member=True, route=EXACT_LP, witness=_pairs(witness.items()))
-        y = res.separator
-        if not self._separates_all_generators(y) or _dot(y, table) >= 0:
+        y, _ = _over_lcm(res.separator)
+        target = _int_vector(enumerate(table))
+        if not self._separates_all_generators(y) or _score(y, target) >= 0:
             raise LpError("LP separator failed joint verification")
-        self._cache_separator(y)
+        self._cache_separator(res.separator, y)
         return res
 
     def contains_zero(self) -> Vanishing:
@@ -514,7 +540,7 @@ class JointModel:
         if not res.exists:
             return res
         combo = {owners[k]: c for k, c in res.combination}
-        if not self._witness_matches(combo, [Fraction(0)] * self.space.size):
+        if not self._witness_matches(combo, ()):
             raise LpError("vanishing combination failed joint verification")
         return Vanishing(exists=True, route=EXACT_LP, combination=_pairs(combo.items()))
 
@@ -581,9 +607,9 @@ class JointModel:
                     member=True, route="local-assembly", witness=_pairs(assembled.items())
                 )
         else:
-            y = self._product_separator(node, p_idx, f, cert.separator)
-            if y is not None and _dot(y, target.table) < 0:
-                return Membership(member=False, route="product-separator", separator=y)
+            sep = self._product_separator(node, p_idx, f, cert.separator)
+            if sep is not None and _score(sep[1], _int_vector(enumerate(target.table))) < 0:
+                return Membership(member=False, route="product-separator", separator=sep[0])
         return self._lp_membership(target.table)
 
     def _assemble_local_witness(
@@ -609,11 +635,12 @@ class JointModel:
         parent_index: int,
         f: Gamble,
         local_separator: Sequence[Fraction],
-    ) -> Optional[tuple[Fraction, ...]]:
+    ) -> Optional[tuple]:
         """A mass function scoring every generator nonnegative and the
         structured target negative: the network of local witnesses with the
         node's kernel at this parent slot replaced by the (normalized)
-        local separating functional."""
+        local separating functional; as its separator cache entry (y,
+        integer form), or None."""
         key = (node, parent_index, f.table)
         if key in self._product_sep_memo:
             return self._product_sep_memo[key]
@@ -624,13 +651,9 @@ class JointModel:
             self._product_sep_memo[key] = None
             return None
         kernel = tuple(v / total for v in local_separator)
-        result: Optional[tuple[Fraction, ...]] = _primitive(
-            self._product_mass(node, parent_index, kernel)
-        )
-        if not self._separates_all_generators(result):
-            result = None
-        else:
-            self._cache_separator(result)
+        y = _primitive(self._product_mass(node, parent_index, kernel))
+        ints, _ = _over_lcm(y)
+        result = self._cache_separator(y, ints) if self._separates_all_generators(ints) else None
         self._product_sep_memo[key] = result
         return result
 

@@ -466,6 +466,33 @@ def test_solver_fault_exits_1_not_as_bad_input(tmp_path, capsys, monkeypatch):
     assert "joint verification" in err
 
 
+@pytest.mark.parametrize("kind", ["member", "lower-prevision"])
+def test_work_cap_exits_2_before_any_dense_column(tmp_path, capsys, monkeypatch, kind):
+    def dense_column(self, index):
+        raise AssertionError("a dense LP column was built")
+
+    monkeypatch.setattr(net_module.JointModel, "_table", dense_column)
+    monkeypatch.setattr(lp, "_MAX_CELLS", 8 * 9)  # 8 rows: room for no column
+    net = write(tmp_path, "net.json", CHAIN)
+    query = write(
+        tmp_path,
+        "q.json",
+        {"kind": kind, "gamble": {"scope": ["b", "c"], "table": ["2", "-1", "-1", "2"]}},
+    )
+    code, out, err = run(capsys, "query", net, query)
+    assert code == 2
+    report = json.loads(out)
+    distinct = len(load_network(net).build_joint()._int_columns()[1])
+    assert report == {
+        "command": "query",
+        "valid": False,
+        "reason": "work-cap",
+        "cells": 8 * (distinct + 8 + 1),
+        "cap": 72,
+    }
+    assert err == ""
+
+
 def test_pivot_limit_exits_2_with_a_report(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(lp, "_MAX_PIVOTS", 0)
     net = write(tmp_path, "net.json", CHAIN)

@@ -395,3 +395,81 @@ def test_kernel_reproduces_the_pinned_pivots_on_random_lps():
         assert kernel_record(*lp_k) == expected, k
     statuses = {r["status"] for r in pinned["records"]}
     assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+# -- integer certificate checks -----------------------------------------------
+
+EPS = F(1, 10**12)
+
+
+def sign(v):
+    return (v > 0) - (v < 0)
+
+
+def test_integer_sign_of_a_dot_product_is_the_rational_sign():
+    rng = random.Random(2026)
+    dens = [1, 2, 3, 7, 12, 10**6, 10**12, 10**12 + 39]
+
+    def vector(n):
+        return [F(rng.randint(-9, 9), rng.choice(dens)) for _ in range(n)]
+
+    margins = 0
+    for trial in range(600):
+        n = rng.randint(1, 9)
+        y, g = vector(n), vector(n)
+        nonzero = [j for j, v in enumerate(y) if v]
+        if nonzero and trial % 2:
+            # move one entry of g so that y.g lands exactly on -eps, 0 or +eps
+            j = rng.choice(nonzero)
+            g[j] += (rng.choice([-EPS, F(0), EPS]) - dot(y, g)) / y[j]
+            margins += 1
+        ints, _ = lp._over_lcm(y)
+        assert sign(lp._score(ints, lp._int_vector(enumerate(g)))) == sign(dot(y, g))
+    assert margins > 250
+
+
+def test_separator_scoring_one_generator_at_minus_eps_is_rejected():
+    target = (F(-1), F(-1))
+    y = (F(1), F(1))
+    gens = [(F(1), F(0)), (F(0), F(1)), (F(1, 2), F(-1, 2))]
+    assert verify_separator(gens, target, y)  # the third scores exactly 0
+    gens[2] = (F(1, 2), F(-1, 2) - EPS)  # and now exactly -1/10^12
+    assert dot(y, gens[2]) == -EPS
+    assert not verify_separator(gens, target, y)
+
+
+def test_witness_missing_the_target_by_eps_is_rejected():
+    gens = [(F(1), F(0)), (F(0), F(1))]
+    assert verify_witness(gens, (F(2), F(3)), ((0, F(2)), (1, F(3))))
+    assert not verify_witness(gens, (F(2), F(3)), ((0, F(2)), (1, F(3) - EPS)))
+    assert not verify_witness(gens, (F(2), F(3)), ((0, F(2)), (1, F(3)), (1, EPS)))
+    assert not verify_witness(gens, (F(2), F(3) + EPS), ((0, F(2)), (1, F(3))))
+
+
+def test_lower_prevision_rejects_a_dual_that_misses_by_one_over_den(monkeypatch):
+    atoms = [(F(1), F(0)), (F(0), F(1))]
+    target = (F(2), F(3))  # lower prevision 2, dual mass (1, 0)
+    den = 10**12
+    solve = lp._solve_standard
+    seen = []
+
+    def fake(rows, rhs, cost):
+        status, x, y, ray = solve(rows, rhs, cost)
+        seen.append([-v for v in y])
+        # sums to 1, nonnegative on both atoms, expectation 2 + 1/den
+        return status, x, [F(-(den - 1), den), F(-1, den)], ray
+
+    assert lower_prevision(target, atoms) == 2
+    monkeypatch.setattr(lp, "_solve_standard", fake)
+    with pytest.raises(LpError, match="dual"):
+        lower_prevision(target, atoms)
+    assert seen == [[F(1), F(0)]]
+
+
+def test_work_cap_refuses_before_building_anything(monkeypatch):
+    monkeypatch.setattr(lp, "_MAX_CELLS", 3 * (4 + 3 + 1))
+    lp._check_work(3, 4)
+    with pytest.raises(lp.WorkCapError) as err:
+        lp._check_work(3, 5)
+    assert (err.value.cells, err.value.cap) == (27, 24)
+    assert isinstance(err.value, LpError)

@@ -22,6 +22,10 @@ from credalcones.net import (
 F = Fraction
 
 
+def dot(u, v):
+    return sum((x * y for x, y in zip(u, v)), F(0))
+
+
 def generator_tables(joint):
     """Each joint generator as a dense table over the joint space."""
     tables = []
@@ -446,3 +450,48 @@ def test_sampler_reproducibility():
     assert k1 == k2
     j1, j2 = n1.build_joint(), n2.build_joint()
     assert generator_tables(j1) == generator_tables(j2)
+
+
+def test_product_separator_scoring_one_generator_negative_is_refused():
+    a, b = binary("a"), binary("b")
+    sp_b = Space([b])
+    assessments = {"b": [[Gamble(sp_b, (1, -1))], []]}
+    net = CredalNet(Dag(["a", "b"], [("a", "b")]), [a, b], assessments)
+    p_cfg = net.parent_space("b").config_at(0)
+    given = net.nnd_space("b").config_at(0)
+    # not in b's local cone at a = a0, yet of positive canonical expectation
+    f = Gamble(net.node_space("b"), (-1, 3))
+    clean = net.build_joint().structured_member("b", p_cfg, (), given, f)
+    assert not clean.member and clean.route == "product-separator"
+    y = clean.separator
+    # flipping a's atom at a0 leaves the product mass as it was, and that
+    # mass now scores exactly one joint generator negative
+    joint = net.build_joint(mutate_flip=("a", 0, 0))
+    scores = [dot(y, t) for t in generator_tables(joint)]
+    assert sum(s < 0 for s in scores) == 1
+    res = joint.structured_member("b", p_cfg, (), given, f)
+    assert res.route == "exact-lp"
+    # -indicator(a0) is now a generator, so the target is a member
+    tables = generator_tables(joint)
+    total = [sum((c * tables[k][j] for k, c in res.witness), F(0)) for j in range(4)]
+    assert res.member and total == [F(-1), F(3), F(0), F(0)]
+
+
+def test_mutated_joint_lp_path_is_caught():
+    net = single_node_net()
+    # negate the assessed gamble (1, -1): the joint cone no longer holds it
+    joint = net.build_joint(mutate_flip=("a", 0, 0))
+    f = Gamble(net.node_space("a"), (1, -1))
+    empty = net.parent_space("a").config_at(0)
+    res = joint.structured_member("a", empty, (), empty, f)
+    # the lifted local witness fails against the flipped generator, and the
+    # LP's separator verifies against the generators as they are
+    assert not res.member and res.route == "exact-lp"
+    tables = generator_tables(joint)
+    assert all(dot(res.separator, t) >= 0 for t in tables)
+    assert dot(res.separator, f.table) < 0
+    report = joint.verify_requirements(random.Random(3), gambles_per_slot=2)
+    assert any(
+        v.kind == "irrelevance-mismatch" and v.node == "a" and v.local_member
+        for v in report.violations
+    )
