@@ -103,6 +103,16 @@ class Dag:
         excluded = {node, *self._parents[node], *self.descendants(node)}
         return tuple(n for n in self.nodes if n not in excluded)
 
+    def path(self) -> Optional[tuple[str, ...]]:
+        """The nodes in order along the graph if it is one connected
+        directed path v_0 -> v_1 -> ... (a single node counts), else None."""
+        order = self.validate().order
+        if order is None or len(self.edges) != len(order) - 1:
+            return None
+        if all(self._children[u] == (v,) for u, v in zip(order, order[1:])):
+            return order
+        return None
+
     def validate(self) -> DagReport:
         if self._report is None:
             self._report = self._build_report()

@@ -7,7 +7,9 @@ three conic primitives the rest of the package is built on: membership of a
 vector in the nonnegative span of finitely many generators (with a
 witness or a separating functional), detection of a vanishing
 nonnegative combination, and the lower prevision of a vector (the
-largest constant it exceeds within the closed cone).
+largest constant it exceeds within the closed cone), which
+_checked_prevision returns with its verified primal combination and dual
+mass function for callers that lift them.
 
 Every answer returned by this module is re-checked by exact substitution
 before it leaves; an unverifiable certificate is a solver bug and raises,
@@ -553,17 +555,25 @@ def contains_zero(generators: Sequence[Sequence[Fraction]]) -> Vanishing:
     return Vanishing(exists=True, route=EXACT_LP, combination=combo)
 
 
-def lower_prevision(
+def _expects(mass: Sequence[int], den: int, target: IntVector, m: Fraction) -> bool:
+    """The mass function mass / den sums to 1 and gives the target the
+    expectation m, both cross-multiplied to integers."""
+    return sum(mass) == den and _score(mass, target) * m.denominator == m.numerator * den * target[1]
+
+
+def _checked_prevision(
     target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
-) -> Fraction:
-    """sup { m : target - m in the closed cone of the generators }.
+) -> tuple[Fraction, Pairs, tuple[Fraction, ...]]:
+    """The lower prevision m of the target, with both of its certificates,
+    each verified before it is returned.
 
     One LP in standard form: columns are the generators, then m+ and m-
     (m = m+ - m- is free), rows sum(l_k g_k) + m = target, minimizing -m.
-    The optimum is re-verified both ways before it is returned: the primal
-    coefficients reproduce target - m with l >= 0, and the negated row
-    duals are a mass function p, nonnegative on every generator and summing
-    to 1, with p.target = m, so no larger m is feasible.
+    The primal certificate is the pairs (k, l_k), every l_k >= 0, whose
+    combination is target - m; the dual one is the mass function p, the
+    negated row duals: p sums to 1, p.g >= 0 for every generator and
+    p.target = m, so no larger m is feasible.  Callers that combine local
+    previsions into a larger one (the chain recursion of net) lift both.
     """
     dim = _check_dims(generators, len(target))
     tgt = [as_rational(v) for v in target]
@@ -578,16 +588,21 @@ def lower_prevision(
         raise LpError("lower prevision LP is infeasible: no constant shift reaches the cone")
     m = x[n] - x[n + 1]
     columns = [_int_vector(enumerate(g)) for g in gens]
-    shifted = _int_vector((j, v - m) for j, v in enumerate(tgt))
-    if not _combines(columns, _pairs(enumerate(x[:n])), shifted):
+    primal = _pairs(enumerate(x[:n]))
+    if not _combines(columns, primal, _int_vector((j, v - m) for j, v in enumerate(tgt))):
         raise LpError("lower prevision failed primal verification")
-    # p = mass / den; p . target == m, cross-multiplied
-    mass, den = _over_lcm([-v for v in y])
-    f = _int_vector(enumerate(tgt))
-    if (
-        sum(mass) != den
-        or _score(mass, f) * m.denominator != m.numerator * den * f[1]
-        or any(_score(mass, g) < 0 for g in columns)
+    p = tuple(-v for v in y)
+    mass, den = _over_lcm(p)
+    if not _expects(mass, den, _int_vector(enumerate(tgt)), m) or any(
+        _score(mass, g) < 0 for g in columns
     ):
         raise LpError("lower prevision failed dual verification")
-    return m
+    return m, primal, p
+
+
+def lower_prevision(
+    target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
+) -> Fraction:
+    """sup { m : target - m in the closed cone of the generators }, verified
+    both ways (see _checked_prevision)."""
+    return _checked_prevision(target, generators)[0]

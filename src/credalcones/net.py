@@ -23,6 +23,15 @@ integers over the nonzero entries (see lp):
   * targets of the form indicator(x) * f with f local to one node are
     settled by a tiny LP in the local cone, whose witness or separating
     functional lifts exactly to the joint space;
+  * when the graph is one directed path (a single node counts), the
+    chain recursion (route "chain-recursion") takes the lower prevision m
+    of any other target backwards from the leaf, one small local LP per
+    (node, parent value, local table): the local primals lift onto the
+    joint generators and telescope to target - m, the local duals chain
+    into a joint mass function of expectation m; the target is a member
+    exactly when m >= 0 (witness: the lifted primal plus m on every leaf
+    atom), and otherwise that mass function separates it.  Joint lower
+    and upper previsions on a path come from the same recursion;
   * anything else falls back to one exact LP over the generator columns.
 
 Because every shortcut certificate is verified before use, the fallback is
@@ -36,7 +45,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .cone import AssessmentCone, CoherenceReport
 from .core import Configuration, Gamble, Space, VariableSpace, indicator
@@ -49,7 +58,9 @@ from .lp import (
     Pairs,
     Vanishing,
     _check_work,
+    _checked_prevision,
     _combines,
+    _expects,
     _int_vector,
     _over_lcm,
     _pairs,
@@ -67,6 +78,8 @@ _GAMBLE_MAGNITUDE = 3
 _GAMBLE_DENOMINATOR = 2
 
 _SEPARATOR_CACHE_LIMIT = 32
+
+CHAIN_RECURSION = "chain-recursion"
 
 
 class NetworkError(ValueError):
@@ -344,28 +357,27 @@ class JointModel:
             w = self.canonical_witness
             self._cache_separator(w, _over_lcm(w)[0])
         self._local_memo: dict[tuple[str, int, tuple], Membership] = {}
+        self._prevision_memo: dict[tuple[str, int, tuple], tuple] = {}
         self._product_sep_memo: dict[tuple[str, int, tuple], Optional[tuple]] = {}
         self._dedup: Optional[tuple[list[IntVector], list[int]]] = None
 
     # -- product mass functions --------------------------------------------
 
     def _product_mass(
-        self, node: Optional[str] = None, parent_index: int = -1, kernel: Sequence[Fraction] = ()
+        self, kernel: Callable[[str, int, int], Sequence[Fraction]]
     ) -> list[Fraction]:
-        """The joint mass function of the network of local coherence
-        witnesses, with the witness of slot (node, parent_index), if one is
-        named, replaced by `kernel`."""
-        net = self.net
+        """The joint mass function whose factor for node s, at a joint
+        configuration with parent index p and non-parent-non-descendant
+        index n, is kernel(s, p, n) at the node's value there."""
+        maps = [
+            (s, self._parent_idx_at[s], self._nnd_idx_at[s], self._value_at[s])
+            for s in self.net.dag.nodes
+        ]
         y = []
         for j in range(self.space.size):
             mass = Fraction(1)
-            for s in net.dag.nodes:
-                p_idx = self._parent_idx_at[s][j]
-                digit = self._value_at[s][j]
-                if s == node and p_idx == parent_index:
-                    mass *= kernel[digit]
-                else:
-                    mass *= net.local_witness(s, p_idx)[digit]
+            for s, p_at, n_at, v_at in maps:
+                mass *= kernel(s, p_at[j], n_at[j])[v_at[j]]
                 if not mass:
                     break
             y.append(mass)
@@ -378,7 +390,7 @@ class JointModel:
         generator strictly positive, which certifies at once that no
         nonnegative combination of the generators vanishes.
         """
-        y = self._product_mass()
+        y = self._product_mass(lambda s, p, _: self.net.local_witness(s, p))
         ints, _ = _over_lcm(y)
         for info in self.generators:
             if _score(ints, _int_vector(info.support)) <= 0:
@@ -442,7 +454,8 @@ class JointModel:
         all observed and every other observed node is a non-parent-non-
         descendant, the structured route with its lifted local certificates
         applies; anything else goes through the quick routes, then one
-        exact LP.
+        exact LP, the chain recursion first when the graph is one directed
+        path.
         """
         observed = given.nodes if given is not None else ()
         unknown = [n for n in observed if n not in self.net.variables]
@@ -476,6 +489,9 @@ class JointModel:
         quick = self._quick_routes(target.table)
         if quick is not None:
             return quick
+        chained = self._chain_membership(target.table)
+        if chained is not None:
+            return chained
         return self._lp_membership(target.table)
 
     def _quick_routes(self, table: Sequence[Fraction]) -> Optional[Membership]:
@@ -651,11 +667,101 @@ class JointModel:
             self._product_sep_memo[key] = None
             return None
         kernel = tuple(v / total for v in local_separator)
-        y = _primitive(self._product_mass(node, parent_index, kernel))
+
+        def kernels(s: str, p: int, _: int) -> Sequence[Fraction]:
+            if s == node and p == parent_index:
+                return kernel
+            return self.net.local_witness(s, p)
+
+        y = _primitive(self._product_mass(kernels))
         ints, _ = _over_lcm(y)
         result = self._cache_separator(y, ints) if self._separates_all_generators(ints) else None
         self._product_sep_memo[key] = result
         return result
+
+    # -- chain recursion -----------------------------------------------------
+
+    def _local_prevision(
+        self, node: str, parent_index: int, table: tuple[Fraction, ...]
+    ) -> tuple[Fraction, Pairs, tuple[Fraction, ...]]:
+        key = (node, parent_index, table)
+        if key not in self._prevision_memo:
+            gens = [g.table for g in self.net.local_cone(node, parent_index).generators]
+            self._prevision_memo[key] = _checked_prevision(table, gens)
+        return self._prevision_memo[key]
+
+    def _chain_certificates(
+        self, table: Sequence[Fraction]
+    ) -> Optional[tuple[Fraction, dict[int, Fraction], list[Fraction]]]:
+        """The lower prevision m of a joint gamble by backward recursion
+        over the local models, when the graph is one directed path
+        s_0 -> ... -> s_{n-1}, with its two certificates: the primal
+        (generator index -> coefficient) combining to table - m, and the
+        dual mass function.  None off a path, or if either certificate
+        fails its check against every joint generator.
+
+        Level j replaces the current function, for each configuration u of
+        s_0 .. s_{j-1}, by the local lower prevision of its table on s_j in
+        the slot of u's value of s_{j-1}; u fixes both the parent and the
+        non-parent-non-descendant configuration of s_j, so the local primal
+        lifts onto the joint generators of that one slot, and the lifted
+        terms telescope to table - m.  The local optimal duals, chained as
+        conditional mass functions, make a joint mass function with
+        expectation m that scores every generator nonnegative.
+        """
+        order = self.net.dag.path()
+        if order is None:
+            return None
+        current = list(table)
+        primal: dict[int, Fraction] = {}
+        kernels: dict[tuple[str, int, int], tuple[Fraction, ...]] = {}
+        for s in reversed(order):
+            p_at, n_at, v_at = self._parent_idx_at[s], self._nnd_idx_at[s], self._value_at[s]
+            width = len(self.net.variables[s].values)
+            local: dict[tuple[int, int], list[Fraction]] = {}
+            for j, v in enumerate(current):
+                local.setdefault((p_at[j], n_at[j]), [None] * width)[v_at[j]] = v
+            lowered: dict[tuple[int, int], Fraction] = {}
+            for (p_idx, nnd_idx), row in local.items():
+                m, pairs, mass = self._local_prevision(s, p_idx, tuple(row))
+                lowered[(p_idx, nnd_idx)] = m
+                kernels[(s, p_idx, nnd_idx)] = mass
+                for k, c in pairs:
+                    primal[self._slot[(s, p_idx, nnd_idx, k)]] = c
+            current = [lowered[(p_at[j], n_at[j])] for j in range(len(current))]
+        m = current[0]
+        if not self._witness_matches(primal, [v - m for v in table]):
+            return None
+        mass = self._product_mass(lambda s, p, n: kernels[(s, p, n)])
+        ints, den = _over_lcm(mass)
+        if not _expects(ints, den, _int_vector(enumerate(table)), m):
+            return None
+        if not self._separates_all_generators(ints):
+            return None
+        return m, primal, mass
+
+    def _chain_membership(self, table: Sequence[Fraction]) -> Optional[Membership]:
+        """Membership of a nonzero joint gamble from its chain-recursion
+        lower prevision m: a member exactly when m >= 0, with the lifted
+        primal plus m on every leaf atom as witness; otherwise the dual
+        mass function separates it.  None when the recursion does not
+        apply or a certificate fails its check."""
+        chained = self._chain_certificates(table)
+        if chained is None:
+            return None
+        m, primal, mass = chained
+        if m < 0:
+            y = _primitive(mass)
+            self._cache_separator(y, _over_lcm(y)[0])
+            return Membership(member=False, route=CHAIN_RECURSION, separator=y)
+        witness = dict(primal)
+        if m:
+            for j in range(self.space.size):
+                k = self._atom_gen_at[j]
+                witness[k] = witness.get(k, Fraction(0)) + m
+        if not self._witness_matches(witness, table):
+            return None
+        return Membership(member=True, route=CHAIN_RECURSION, witness=_pairs(witness.items()))
 
     # -- requirement checks ----------------------------------------------------
 
@@ -685,9 +791,15 @@ class JointModel:
         )
 
     def lower_prevision(self, f: Gamble) -> Fraction:
-        """Largest m with f - m in the closure of the joint cone."""
+        """Largest m with f - m in the closure of the joint cone: by the
+        chain recursion when the graph is one directed path and its
+        certificates verify, else by one exact LP."""
+        table = f.extend(self.space).table
+        chained = self._chain_certificates(table)
+        if chained is not None:
+            return chained[0]
         columns, _ = self._dedup_columns()
-        return _lp_lower_prevision(f.extend(self.space).table, columns)
+        return _lp_lower_prevision(table, columns)
 
     def upper_prevision(self, f: Gamble) -> Fraction:
         return -self.lower_prevision(-f.extend(self.space))

@@ -35,6 +35,24 @@ CHAIN = {
     ],
 }
 
+# two parents of one child: not a chain, so generic queries reach the joint LP
+COLLIDER = {
+    "variables": [
+        {"id": "a", "values": ["0", "1"]},
+        {"id": "b", "values": ["0", "1"]},
+        {"id": "c", "values": ["0", "1"]},
+    ],
+    "edges": [["a", "c"], ["b", "c"]],
+    "local_models": [
+        {"node": "a", "given": {}, "gambles": []},
+        {"node": "b", "given": {}, "gambles": []},
+        {"node": "c", "given": {"a": "0", "b": "0"}, "gambles": [["2", "-1"]]},
+        {"node": "c", "given": {"a": "0", "b": "1"}, "gambles": []},
+        {"node": "c", "given": {"a": "1", "b": "0"}, "gambles": []},
+        {"node": "c", "given": {"a": "1", "b": "1"}, "gambles": [["-1", "2"]]},
+    ],
+}
+
 SINGLE = {
     "variables": [{"id": "a", "values": ["0", "1"]}],
     "edges": [],
@@ -452,7 +470,7 @@ def test_solver_fault_exits_1_not_as_bad_input(tmp_path, capsys, monkeypatch):
         return Membership(member=True, route="exact-lp", witness=((0, Fraction(1)),))
 
     monkeypatch.setattr(net_module, "conic_membership", bad_witness)
-    net = write(tmp_path, "net.json", CHAIN)
+    net = write(tmp_path, "net.json", COLLIDER)
     query = write(
         tmp_path,
         "q.json",
@@ -473,7 +491,7 @@ def test_work_cap_exits_2_before_any_dense_column(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(net_module.JointModel, "_table", dense_column)
     monkeypatch.setattr(lp, "_MAX_CELLS", 8 * 9)  # 8 rows: room for no column
-    net = write(tmp_path, "net.json", CHAIN)
+    net = write(tmp_path, "net.json", COLLIDER)
     query = write(
         tmp_path,
         "q.json",
@@ -491,6 +509,35 @@ def test_work_cap_exits_2_before_any_dense_column(tmp_path, capsys, monkeypatch,
         "cap": 72,
     }
     assert err == ""
+
+
+def test_chain_queries_need_no_joint_lp_under_the_work_cap(tmp_path, capsys, monkeypatch):
+    # the chain recursion answers from local LPs and checks its certificates
+    # on the sparse generators: no dense column, no joint LP, no work cap
+    net = write(tmp_path, "net.json", CHAIN)
+    gamble = {"scope": ["b", "c"], "table": ["2", "-1", "-1", "2"]}
+    query = write(
+        tmp_path,
+        "q.json",
+        [{"kind": "member", "gamble": gamble}, {"kind": "lower-prevision", "gamble": gamble}],
+    )
+    joint = load_network(net).build_joint()
+    columns, _ = joint._dedup_columns()
+    table = [Fraction(v) for _ in range(2) for v in gamble["table"]]  # a varies slowest
+    expected_member = lp.conic_membership(table, columns).member
+    expected_value = lp.lower_prevision(table, columns)
+
+    def dense_column(self, index):
+        raise AssertionError("a dense LP column was built")
+
+    monkeypatch.setattr(net_module.JointModel, "_table", dense_column)
+    monkeypatch.setattr(lp, "_MAX_CELLS", 8 * 9)
+    code, out, err = run(capsys, "query", net, query)
+    assert code == 0 and err == ""
+    member, lower = json.loads(out)["queries"]
+    assert member["result"]["member"] is expected_member
+    assert member["result"]["route"] == "chain-recursion"
+    assert lower["result"]["value"] == str(expected_value)
 
 
 def test_pivot_limit_exits_2_with_a_report(tmp_path, capsys, monkeypatch):

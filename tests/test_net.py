@@ -1,6 +1,7 @@
 """Joint model construction, certificate routes, and irrelevance checks."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,14 @@ import pytest
 from credalcones.cone import AssessmentCone
 from credalcones.core import Gamble, Space, VariableSpace, indicator
 from credalcones.dag import Dag
-from credalcones.lp import conic_membership, contains_zero as lp_contains_zero
+from credalcones.lp import (
+    LpError,
+    conic_membership,
+    contains_zero as lp_contains_zero,
+    lower_prevision as lp_lower_prevision,
+    verify_separator,
+    verify_witness,
+)
 from credalcones.net import (
     CredalNet,
     GeneratorCapError,
@@ -495,3 +503,176 @@ def test_mutated_joint_lp_path_is_caught():
         v.kind == "irrelevance-mismatch" and v.node == "a" and v.local_member
         for v in report.violations
     )
+
+
+# -- chain recursion ------------------------------------------------------------
+
+
+def coherent_gambles(rng, space, want):
+    """Up to `want` random gambles, each redrawn until the set stays coherent."""
+    chosen = []
+    for _ in range(want):
+        for _ in range(10):
+            candidate = chosen + [sample_gamble(rng, space)]
+            if AssessmentCone(space, candidate).is_coherent():
+                chosen = candidate
+                break
+    return chosen
+
+
+def sample_chain(rng, n, k):
+    """A chain of n k-valued nodes with 0-2 assessments per slot; the node
+    names are shuffled so that the path order is not the sorted order."""
+    names = [f"x{i}" for i in range(n)]
+    rng.shuffle(names)
+    variables = [VariableSpace(x, tuple(f"v{d}" for d in range(k))) for x in names]
+    assessments = {
+        x: [
+            coherent_gambles(rng, Space([var]), rng.randint(0, 2))
+            for _ in range(1 if i == 0 else k)
+        ]
+        for i, (x, var) in enumerate(zip(names, variables))
+    }
+    return CredalNet(Dag(names, list(zip(names, names[1:]))), variables, assessments)
+
+
+def chain_gambles(rng, net, count):
+    """Alternately a gamble on one node and one on the whole joint space."""
+    for i in range(count):
+        if i % 2:
+            yield sample_gamble(rng, net.joint_space)
+        else:
+            yield sample_gamble(rng, net.node_space(rng.choice(net.dag.nodes)))
+
+
+def refuse(*args):
+    raise AssertionError("the chain recursion fell back to the joint LP")
+
+
+def test_dag_path_order():
+    assert Dag("cab", [("c", "a"), ("a", "b")]).path() == ("c", "a", "b")
+    assert Dag(["a"]).path() == ("a",)
+    assert Dag("ab").path() is None  # two nodes, not connected
+    assert Dag("abc", [("a", "b"), ("a", "c")]).path() is None
+    assert Dag("abc", [("a", "c"), ("b", "c")]).path() is None
+    assert Dag("abc", [("a", "b"), ("b", "c"), ("a", "c")]).path() is None
+
+
+def test_chain_recursion_equals_the_joint_lp_and_never_falls_back(monkeypatch):
+    rng = random.Random(2017)
+    shapes = [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 5)]
+    for n, k in shapes:
+        net = sample_chain(rng, n, k)
+        joint = net.build_joint()
+        columns, _ = joint._dedup_columns()
+        tables = generator_tables(joint)
+        for f in chain_gambles(rng, net, 3):
+            table = f.extend(net.joint_space).table
+            lower = lp_lower_prevision(table, columns)
+            upper = -lp_lower_prevision([-v for v in table], columns)
+            member = conic_membership(table, columns).member
+
+            with monkeypatch.context() as patch:
+                patch.setattr("credalcones.net._lp_lower_prevision", refuse)
+                patch.setattr("credalcones.net.conic_membership", refuse)
+                m, primal, mass = joint._chain_certificates(table)
+                assert (joint.lower_prevision(f), joint.upper_prevision(f)) == (lower, upper)
+                res = joint._chain_membership(table)
+                generic = joint.member_with_certificate(f)
+            assert m == lower
+            # the lifted primal combines to f - m, the chained dual is a mass
+            # function of expectation m scoring every generator nonnegative
+            assert verify_witness(tables, [v - m for v in table], tuple(primal.items()))
+            assert sum(mass) == 1 and dot(mass, table) == m
+            assert all(dot(mass, t) >= 0 for t in tables)
+            assert res.route == "chain-recursion" and res.member == member
+            assert generic.member == member
+            if member:
+                assert verify_witness(tables, table, res.witness)
+            else:
+                assert verify_separator(tables, table, res.separator)
+
+
+def test_chain_recursion_on_mutated_chains_answers_as_the_lp():
+    rng = random.Random(4242)
+    verified = []
+    for n, k in [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]:
+        net = sample_chain(rng, n, k)
+        s = rng.choice(net.dag.nodes)
+        p_idx = rng.randrange(net.parent_space(s).size)
+        k_idx = rng.randrange(len(net.local_cone(s, p_idx).generators))
+        joint = net.build_joint(mutate_flip=(s, p_idx, k_idx))
+        columns, _ = joint._dedup_columns()
+        tables = generator_tables(joint)
+        for f in chain_gambles(rng, net, 4):
+            table = f.extend(net.joint_space).table
+            verified.append(joint._chain_certificates(table) is not None)
+            try:
+                lower = lp_lower_prevision(table, columns)
+            except LpError as err:
+                # a flipped atom can leave the tampered cone incoherent
+                with pytest.raises(LpError, match=re.escape(str(err))):
+                    joint.lower_prevision(f)
+            else:
+                assert joint.lower_prevision(f) == lower
+            res = joint.member_with_certificate(f)
+            assert res.member == conic_membership(table, columns).member
+            if res.member:
+                assert verify_witness(tables, table, res.witness)
+            else:
+                assert verify_separator(tables, table, res.separator)
+    # some certificates still verify against the tampered generators, and
+    # some fail and leave the answer to the joint LP
+    assert any(verified) and not all(verified)
+
+
+def test_fork_recursion_is_only_a_lower_bound_and_the_joint_lp_answers(monkeypatch):
+    # a -> b, a -> c: eliminating the children one after the other, in
+    # either order, can fall strictly below the joint lower prevision
+    rng = random.Random(2)
+    a, b, c = binary("a"), binary("b"), binary("c")
+
+    def iterated(net, table, first, second):
+        def low(node, p_idx, row):
+            return net.local_cone(node, p_idx).lower_prevision(Gamble(net.node_space(node), row))
+
+        def at(x, y, z):  # the table at a = x, first = y, second = z
+            where = {"a": x, first: y, second: z}
+            return table[4 * where["a"] + 2 * where["b"] + where["c"]]
+
+        inner = [
+            low(first, x, [low(second, x, [at(x, y, z) for z in (0, 1)]) for y in (0, 1)])
+            for x in (0, 1)
+        ]
+        return low("a", 0, inner)
+
+    for _ in range(200):
+        assessments = {
+            "a": [coherent_gambles(rng, Space([a]), rng.randint(0, 2))],
+            "b": [coherent_gambles(rng, Space([b]), rng.randint(0, 2)) for _ in range(2)],
+            "c": [coherent_gambles(rng, Space([c]), rng.randint(0, 2)) for _ in range(2)],
+        }
+        net = CredalNet(Dag("abc", [("a", "b"), ("a", "c")]), [a, b, c], assessments)
+        joint = net.build_joint()
+        columns, _ = joint._dedup_columns()
+        f = sample_gamble(rng, net.joint_space)
+        exact = lp_lower_prevision(f.table, columns)
+        if max(iterated(net, f.table, "b", "c"), iterated(net, f.table, "c", "b")) < exact:
+            break
+    else:
+        pytest.fail("no fork gamble separates the iterated values from the joint LP")
+
+    calls = []
+
+    def spy(target, cols):
+        calls.append(len(cols))
+        return lp_lower_prevision(target, cols)
+
+    def local_lp(*args):
+        raise AssertionError("the chain recursion ran on a fork")
+
+    monkeypatch.setattr("credalcones.net._lp_lower_prevision", spy)
+    monkeypatch.setattr(type(joint), "_local_prevision", local_lp)
+    assert net.dag.path() is None
+    assert joint.lower_prevision(f) == exact
+    assert calls == [len(columns)]
