@@ -6,12 +6,11 @@ global model of a credal network from local ones, and answers membership
 and bound queries with verifiable certificates.
 """
 
-from .cone import AssessmentCone, CoherenceReport, SignReport
+from .cone import AssessmentCone, CoherenceReport
 from .core import (
     Configuration,
     Gamble,
     ScopeError,
-    Sign,
     Space,
     VariableSpace,
     as_rational,
@@ -78,8 +77,6 @@ __all__ = [
     "PreciseNet",
     "Relation",
     "ScopeError",
-    "Sign",
-    "SignReport",
     "Space",
     "Vanishing",
     "VariableSpace",

@@ -12,7 +12,7 @@ Exit codes are a stable contract:
      re-verification (one "error:" line on stderr)
   2  semantic input error: cycle, missing or duplicate parent
      configuration, incoherent local model, generator cap exceeded, LP
-     pivot limit exceeded
+     pivot limit exceeded, local or joint LP over the work cap
   3  parse error: unreadable file, bad JSON, floats, wrong shapes,
      unknown references, bad command-line arguments
 """
@@ -284,7 +284,7 @@ def parse_joint_gamble(net: CredalNet, data: Any, where: str) -> Gamble:
     return Gamble(space, row)
 
 
-def _configuration(net: CredalNet, mapping: dict[str, str], space: Space, where: str) -> Configuration:
+def _configuration(mapping: dict[str, str], space: Space, where: str) -> Configuration:
     try:
         return space.configuration(mapping)
     except (ScopeError, KeyError) as err:
@@ -310,7 +310,7 @@ def _node_query_fields(net: CredalNet, query: Any, where: str):
     if node not in net.variables:
         raise ParseError(f"{where}: unknown node {node!r}")
     parent_map = _string_map(query.get("parent", {}), f"{where}: parent")
-    parent = _configuration(net, parent_map, net.parent_space(node), f"{where}: parent")
+    parent = _configuration(parent_map, net.parent_space(node), f"{where}: parent")
     given_map = _string_map(query.get("given", {}), f"{where}: given")
     irrelevant = tuple(sorted(given_map))
     unknown = [n for n in irrelevant if n not in net.variables]
@@ -323,7 +323,7 @@ def _node_query_fields(net: CredalNet, query: Any, where: str):
             f"{where}: {outside} are not non-parent-non-descendants of {node!r}"
         )
     given = _configuration(
-        net, given_map, Space(net.variables[n] for n in irrelevant), f"{where}: given"
+        given_map, Space(net.variables[n] for n in irrelevant), f"{where}: given"
     )
     table = _require(query, "gamble", list, where)
     node_space = net.node_space(node)
@@ -364,7 +364,7 @@ def run_query(net: CredalNet, joint: JointModel, query: Any, seed: int, where: s
             if unknown:
                 raise ParseError(f"{where}: given mentions unknown nodes {unknown}")
             space = Space(net.variables[n] for n in sorted(given_map))
-            observed = _configuration(net, given_map, space, f"{where}: given")
+            observed = _configuration(given_map, space, f"{where}: given")
         try:
             res = joint.member_with_certificate(f, given=observed)
         except ZeroGambleError as err:
@@ -501,18 +501,14 @@ def cmd_query(args) -> int:
 
 def cmd_verify(args) -> int:
     net = load_network(args.network)
-    mutation = None
-    if args.mutate_flip:
-        mutate = _parse_mutation(args.mutate_flip)
-        mutation = args.mutate_flip
-        try:
-            joint = net.build_joint(cap=args.cap, mutate_flip=mutate)
-        except GeneratorCapError:
-            raise
-        except NetworkError as err:
-            raise SemanticError(str(err)) from err
-    else:
-        joint = net.build_joint(cap=args.cap)
+    mutation = args.mutate_flip or None
+    mutate = _parse_mutation(mutation) if mutation else None
+    try:
+        joint = net.build_joint(cap=args.cap, mutate_flip=mutate)
+    except GeneratorCapError:
+        raise
+    except NetworkError as err:
+        raise SemanticError(str(err)) from err
     sweep = joint.verify_requirements(
         random.Random(args.seed),
         gambles_per_slot=args.gambles_per_slot,

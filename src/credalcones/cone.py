@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 from typing import Iterable, Optional, Sequence
 
 from .core import Gamble, Space, indicator
@@ -31,6 +30,7 @@ from .lp import (
     LpError,
     LpStatus,
     Membership,
+    _check_work,
     conic_membership,
     lower_prevision as _lp_lower_prevision,
     verify_witness,
@@ -57,24 +57,18 @@ class CoherenceReport:
         return self.coherent
 
 
-@dataclass(frozen=True)
-class SignReport:
-    """Result of the nonpositive-gamble sweep; ok when nothing slipped in."""
-
-    checked: int
-    violation: Optional[Gamble] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
-
-
 class AssessmentCone:
     """The natural-extension cone of finitely many assessed gambles."""
 
     def __init__(self, space: Space, assessments: Iterable[Gamble] = ()):
         if space.size < 1:
             raise ValueError("space must have at least one configuration")
+        assessments = tuple(assessments)
+        # the coherence LP (see _decide_coherence) is the largest LP a cone
+        # runs, so sizing it first bounds every local LP before any atom or
+        # row is built
+        size, k = space.size, len(assessments)
+        _check_work(1 + size + k, 2 * (size + 1) + size + k)
         self.space = space
         fitted = []
         for f in assessments:
@@ -145,9 +139,6 @@ class AssessmentCone:
 
     # -- membership -----------------------------------------------------------
 
-    def member(self, f: Gamble) -> bool:
-        return self.member_with_certificate(f).member
-
     def member_with_certificate(self, f: Gamble) -> Membership:
         """Is f in the strictly positive span of the generators?
 
@@ -161,28 +152,6 @@ class AssessmentCone:
         if f.is_zero:
             return Membership(member=False, route="zero-convention")
         return conic_membership(f.table, [g.table for g in self.generators])
-
-    def sign_diagnostics(self, rng: Optional[Random] = None, samples: int = 20) -> SignReport:
-        """Sweep nonpositive gambles and insist none is a member.
-
-        Every negated atom is checked, then `samples` random nonzero f <= 0.
-        For a coherent cone no violation can exist; an incoherent cone
-        typically betrays itself here (some assessed f <= 0 is a member).
-        """
-        rng = rng if rng is not None else Random(7)
-        size = self.space.size
-        probes = [-a for a in self.generators[len(self.assessments):]]
-        for _ in range(samples):
-            table = [Fraction(0)] * size
-            while all(v == 0 for v in table):
-                table = [
-                    Fraction(-rng.randint(0, 2), rng.randint(1, 2)) for _ in range(size)
-                ]
-            probes.append(Gamble(self.space, tuple(table)))
-        for checked, f in enumerate(probes, start=1):
-            if self.member(f):
-                return SignReport(checked=checked, violation=f)
-        return SignReport(checked=len(probes))
 
     # -- previsions -----------------------------------------------------------
 

@@ -13,7 +13,6 @@ extensions, indicators and the joint model project configurations with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -189,13 +188,6 @@ class Space:
             values.append(value)
         return Configuration(self, tuple(values))
 
-    def empty_configuration(self) -> "Configuration":
-        if self._variables:
-            raise ScopeError("space is not empty")
-        return Configuration(self, ())
-
-
-EMPTY_SPACE = Space(())
 
 
 @dataclass(frozen=True)
@@ -243,15 +235,6 @@ class Configuration:
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}={v}" for n, v in zip(self.nodes, self.values))
         return f"({inner})" if inner else "(empty)"
-
-
-class Sign(Enum):
-    """Classification of a gamble against the zero gamble."""
-
-    POSITIVE = "strictly-positive"  # f >= 0 and f != 0
-    NONPOSITIVE = "nonpositive"     # f <= 0 and f != 0
-    ZERO = "zero"
-    MIXED = "mixed"
 
 
 @dataclass(frozen=True)
@@ -322,33 +305,9 @@ class Gamble:
     def __rmul__(self, other: RationalLike) -> "Gamble":
         return self.__mul__(other)
 
-    def scale(self, lam: RationalLike) -> "Gamble":
-        """Positive scaling; the factor must be strictly positive."""
-        lam = as_rational(lam)
-        if lam <= 0:
-            raise ValueError(f"scaling factor must be strictly positive, got {lam}")
-        return self * lam
-
-    def sign(self) -> Sign:
-        has_pos = any(x > 0 for x in self.table)
-        has_neg = any(x < 0 for x in self.table)
-        if has_pos and has_neg:
-            return Sign.MIXED
-        if has_pos:
-            return Sign.POSITIVE
-        if has_neg:
-            return Sign.NONPOSITIVE
-        return Sign.ZERO
-
     @property
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.table)
-
-    def as_scalar(self) -> Fraction:
-        """The value of an empty-scope gamble (identified with a rational)."""
-        if len(self.space) != 0:
-            raise ScopeError("gamble has non-empty scope")
-        return self.table[0]
 
     def __repr__(self) -> str:
         return f"Gamble({self.space!r}, ({', '.join(map(str, self.table))}))"

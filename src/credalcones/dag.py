@@ -59,13 +59,6 @@ class Dag:
         self._known(node)
         return self._parents[node]
 
-    def children(self, node: str) -> tuple[str, ...]:
-        self._known(node)
-        return self._children[node]
-
-    def roots(self) -> tuple[str, ...]:
-        return tuple(n for n in self.nodes if not self._parents[n])
-
     def leaves(self) -> tuple[str, ...]:
         return tuple(n for n in self.nodes if not self._children[n])
 
@@ -81,19 +74,6 @@ class Dag:
             out.add(n)
             stack.extend(self._children[n])
         out.discard(node)  # only possible in a cyclic graph
-        return tuple(sorted(out))
-
-    def ancestors(self, node: str) -> tuple[str, ...]:
-        self._known(node)
-        out: set[str] = set()
-        stack = list(self._parents[node])
-        while stack:
-            n = stack.pop()
-            if n in out:
-                continue
-            out.add(n)
-            stack.extend(self._parents[n])
-        out.discard(node)
         return tuple(sorted(out))
 
     def non_parent_non_descendants(self, node: str) -> tuple[str, ...]:
@@ -117,12 +97,6 @@ class Dag:
         if self._report is None:
             self._report = self._build_report()
         return self._report
-
-    def topological_order(self) -> tuple[str, ...]:
-        report = self.validate()
-        if not report.acyclic:
-            raise DagError(f"graph has a cycle: {' -> '.join(report.cycle)}")
-        return report.order
 
     def _build_report(self) -> DagReport:
         # Kahn's algorithm, always taking the smallest available node id

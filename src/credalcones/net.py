@@ -489,10 +489,7 @@ class JointModel:
         quick = self._quick_routes(target.table)
         if quick is not None:
             return quick
-        chained = self._chain_membership(target.table)
-        if chained is not None:
-            return chained
-        return self._lp_membership(target.table)
+        return self._exact_membership(target.table)
 
     def _quick_routes(self, table: Sequence[Fraction]) -> Optional[Membership]:
         if all(v >= 0 for v in table):
@@ -525,6 +522,13 @@ class JointModel:
         for j, v in self.generators[index].support:
             table[j] = v
         return tuple(table)
+
+    def _exact_membership(self, table: Sequence[Fraction]) -> Membership:
+        """The tail of every membership route: the chain recursion when the
+        graph is one directed path, else, or when one of its certificates
+        fails, one exact LP over the joint generators."""
+        chained = self._chain_membership(table)
+        return chained if chained is not None else self._lp_membership(table)
 
     def _lp_membership(self, table: Sequence[Fraction]) -> Membership:
         columns, owners = self._dedup_columns()
@@ -586,7 +590,8 @@ class JointModel:
         local witness replicates over the unobserved non-parent-non-
         descendants; a local separating functional extends to a product
         mass function).  Both are verified against the actual generator
-        list, so a tampered joint model falls through to the exact LP.
+        list, so a tampered joint model falls through to the chain
+        recursion (on a path) and then the exact LP.
         """
         net = self.net
         nnd = net.dag.non_parent_non_descendants(node)
@@ -626,7 +631,7 @@ class JointModel:
             sep = self._product_separator(node, p_idx, f, cert.separator)
             if sep is not None and _score(sep[1], _int_vector(enumerate(target.table))) < 0:
                 return Membership(member=False, route="product-separator", separator=sep[0])
-        return self._lp_membership(target.table)
+        return self._exact_membership(target.table)
 
     def _assemble_local_witness(
         self,

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from credalcones import lp, net as net_module
+from credalcones import cone, core, lp, net as net_module
 from credalcones.cli import load_network, main, serialize_network
 from credalcones.lp import Membership
 from credalcones.net import sample_credal_net
@@ -509,6 +509,33 @@ def test_work_cap_exits_2_before_any_dense_column(tmp_path, capsys, monkeypatch,
         "cap": 72,
     }
     assert err == ""
+
+
+def test_local_work_cap_exits_2_before_any_atom_or_lp_row(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an atom or a coherence LP row was built")
+
+    monkeypatch.setattr(core, "indicator", never)
+    monkeypatch.setattr(cone, "indicator", never)
+    monkeypatch.setattr(lp.LinearSystem, "add_constraint", never)
+    monkeypatch.setattr(lp, "_MAX_CELLS", 100)
+    values = [str(d) for d in range(6)]
+    model = {"node": "x", "given": {}, "gambles": [["5", "-1", "-1", "-1", "-1", "-1"]]}
+    net = write(
+        tmp_path,
+        "net.json",
+        {"variables": [{"id": "x", "values": values}], "edges": [], "local_models": [model]},
+    )
+    code, out, err = run(capsys, "validate", net)
+    assert code == 2 and err == ""
+    # the coherence LP: 1 + 6 + 1 rows, 2 * (6 + 1) + 6 + 1 standard-form columns
+    assert json.loads(out) == {
+        "command": "validate",
+        "valid": False,
+        "reason": "work-cap",
+        "cells": 8 * (21 + 8 + 1),
+        "cap": 100,
+    }
 
 
 def test_chain_queries_need_no_joint_lp_under_the_work_cap(tmp_path, capsys, monkeypatch):

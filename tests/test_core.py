@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from credalcones.core import (
-    EMPTY_SPACE,
     Configuration,
     Gamble,
     ScopeError,
-    Sign,
     Space,
     VariableSpace,
     as_rational,
@@ -79,22 +77,13 @@ def test_indicator_of_partial_configuration():
 
 def test_indicator_of_empty_configuration_is_constant_one():
     sp = space_ab()
-    ind = indicator(EMPTY_SPACE.empty_configuration(), sp)
+    ind = indicator(Space(()).config_at(0), sp)
     assert ind.table == (1, 1, 1, 1)
 
 
 def test_empty_space_gamble_is_a_scalar():
-    f = Gamble(EMPTY_SPACE, (Fraction(3, 4),))
-    assert f.as_scalar() == Fraction(3, 4)
-    assert f.sign() is Sign.POSITIVE
-
-
-def test_sign_classification():
-    sp = space_ab()
-    assert Gamble(sp, (1, 0, 0, 0)).sign() is Sign.POSITIVE
-    assert Gamble(sp, (0, 0, 0, -2)).sign() is Sign.NONPOSITIVE
-    assert Gamble(sp, (0, 0, 0, 0)).sign() is Sign.ZERO
-    assert Gamble(sp, (1, 0, 0, -1)).sign() is Sign.MIXED
+    f = Gamble(Space(()), (Fraction(3, 4),))
+    assert f.extend(space_ab()) == Gamble.constant(space_ab(), Fraction(3, 4))
 
 
 def test_arithmetic_auto_extends_to_union_scope():
@@ -105,6 +94,7 @@ def test_arithmetic_auto_extends_to_union_scope():
     h = f + g
     assert h.space.nodes == ("a", "b")
     assert h.table == (3, 4, 1, 2)
+    assert (Fraction(1, 2) * h).table == (Fraction(3, 2), 2, Fraction(1, 2), 1)
 
 
 def test_conflicting_domains_are_rejected():
@@ -114,20 +104,6 @@ def test_conflicting_domains_are_rejected():
     g = Gamble(sp2, (1, 1, 1))
     with pytest.raises(ScopeError):
         _ = f + g
-
-
-def test_scale_requires_strictly_positive_factor():
-    f = Gamble(space_ab(), (1, 2, 3, 4))
-    assert f.scale(Fraction(1, 2)).table == (
-        Fraction(1, 2),
-        Fraction(1),
-        Fraction(3, 2),
-        Fraction(2),
-    )
-    with pytest.raises(ValueError):
-        f.scale(0)
-    with pytest.raises(ValueError):
-        f.scale(-1)
 
 
 def test_floats_are_rejected():

@@ -14,12 +14,9 @@ def chain():
 def test_chain_relations():
     g = chain()
     assert g.parents("c") == ("b",)
-    assert g.children("b") == ("c",)
-    assert g.roots() == ("a",)
     assert g.leaves() == ("d",)
     assert g.descendants("b") == ("c", "d")
-    assert g.ancestors("c") == ("a", "b")
-    assert g.topological_order() == ("a", "b", "c", "d")
+    assert g.validate().order == ("a", "b", "c", "d")
 
 
 def test_non_parent_non_descendants_on_chain():
@@ -40,7 +37,6 @@ def test_diamond():
 
 def test_isolated_nodes_are_fine():
     g = Dag(["x", "y"])
-    assert g.roots() == ("x", "y")
     assert g.leaves() == ("x", "y")
     assert g.non_parent_non_descendants("x") == ("y",)
 
@@ -54,8 +50,7 @@ def test_cycle_certificate():
     edges = set(g.edges)
     for u, v in zip(cyc, cyc[1:]):
         assert (u, v) in edges
-    with pytest.raises(DagError):
-        g.topological_order()
+    assert report.order is None
 
 
 def test_cycle_with_dangling_sink():

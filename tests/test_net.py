@@ -72,7 +72,7 @@ def test_single_node_generators_mirror_local_cone():
     for table, g in zip(generator_tables(joint), local.generators):
         assert table == g.table
     f = Gamble(net.joint_space, (3, -1))
-    assert joint.member_with_certificate(f).member == local.member(f)
+    assert joint.member_with_certificate(f).member == local.member_with_certificate(f).member
 
 
 def test_chain_generator_count_and_order():
@@ -595,7 +595,9 @@ def test_chain_recursion_equals_the_joint_lp_and_never_falls_back(monkeypatch):
 
 def test_chain_recursion_on_mutated_chains_answers_as_the_lp():
     rng = random.Random(4242)
+    picks = random.Random(4243)  # structured queries; rng's draws stay as they were
     verified = []
+    tails = set()
     for n, k in [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]:
         net = sample_chain(rng, n, k)
         s = rng.choice(net.dag.nodes)
@@ -621,9 +623,29 @@ def test_chain_recursion_on_mutated_chains_answers_as_the_lp():
                 assert verify_witness(tables, table, res.witness)
             else:
                 assert verify_separator(tables, table, res.separator)
+        # structured queries share the tail: the chain recursion, then the LP
+        for s in net.dag.nodes * 3:
+            p_space = net.parent_space(s)
+            p_cfg = p_space.config_at(picks.randrange(p_space.size))
+            nnd = net.dag.non_parent_non_descendants(s)
+            irrelevant = tuple(x for x in nnd if picks.random() < 0.5)
+            i_space = Space(net.variables[x] for x in irrelevant)
+            given = i_space.config_at(picks.randrange(i_space.size))
+            f = sample_gamble(picks, net.node_space(s))
+            target = indicator(p_cfg.combine(given), net.joint_space) * f.extend(net.joint_space)
+            res = joint.structured_member(s, p_cfg, irrelevant, given, f)
+            assert res.member == conic_membership(target.table, columns).member
+            if res.member:
+                assert verify_witness(tables, target.table, res.witness)
+            else:
+                assert verify_separator(tables, target.table, res.separator)
+            tails.add(res.route)
     # some certificates still verify against the tampered generators, and
     # some fail and leave the answer to the joint LP
     assert any(verified) and not all(verified)
+    # a structured query whose local lifts fail can still be answered by
+    # the chain recursion, before the joint LP
+    assert "chain-recursion" in tails, tails
 
 
 def test_fork_recursion_is_only_a_lower_bound_and_the_joint_lp_answers(monkeypatch):
