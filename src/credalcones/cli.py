@@ -337,7 +337,7 @@ def _node_query_fields(net: CredalNet, query: Any, where: str):
             f"{where}: the zero gamble has no desirability status",
             {"reason": "zero-gamble"},
         )
-    return node, parent, irrelevant, given, Gamble(node_space, row)
+    return node, parent, given, Gamble(node_space, row)
 
 
 def _query_count(query: dict, key: str, default: int, where: str) -> int:
@@ -379,12 +379,12 @@ def run_query(net: CredalNet, joint: JointModel, query: Any, seed: int, where: s
         )
         return {"kind": kind, "result": {"value": str(value)}}
     if kind == "marginal-member":
-        node, parent, irrelevant, given, f = _node_query_fields(net, query, where)
-        res = joint.structured_member(node, parent, irrelevant, given, f)
+        _, parent, given, f = _node_query_fields(net, query, where)
+        res = joint.member_with_certificate(f, given=parent.combine(given))
         return {"kind": kind, "result": _membership_json(res)}
     if kind == "irrelevance-check":
-        node, parent, irrelevant, given, f = _node_query_fields(net, query, where)
-        check = joint.check_irrelevance(node, parent, irrelevant, given, f)
+        node, parent, given, f = _node_query_fields(net, query, where)
+        check = joint.check_irrelevance(node, parent, given, f)
         return {
             "kind": kind,
             "result": {

@@ -32,7 +32,6 @@ from .lp import (
     Membership,
     _check_work,
     conic_membership,
-    lower_prevision as _lp_lower_prevision,
     verify_witness,
 )
 
@@ -152,18 +151,3 @@ class AssessmentCone:
         if f.is_zero:
             return Membership(member=False, route="zero-convention")
         return conic_membership(f.table, [g.table for g in self.generators])
-
-    # -- previsions -----------------------------------------------------------
-
-    def lower_prevision(self, f: Gamble) -> Fraction:
-        """sup { m : f - m is desirable }, as a supremum over the closed span.
-
-        The supremum need not be attained in the cone itself (f - m* can be
-        the zero gamble or another boundary point); callers get the exact
-        bound, not a membership claim.
-        """
-        table = f.extend(self.space).table
-        return _lp_lower_prevision(table, [g.table for g in self.generators])
-
-    def upper_prevision(self, f: Gamble) -> Fraction:
-        return -self.lower_prevision(-f.extend(self.space))

@@ -537,22 +537,15 @@ def conic_membership(
 def contains_zero(generators: Sequence[Sequence[Fraction]]) -> Vanishing:
     """Is there l >= 0, l != 0, with sum l_k g_k = 0?
 
-    Normalized as sum(l) = 1, which loses no generality for a cone.
+    Normalized as sum(l) = 1, which loses no generality for a cone: the
+    membership of (0, ..., 0, 1) in the cone of the generators with a
+    coordinate 1 appended, whose witness is the combination.
     """
     if not generators:
         return Vanishing(exists=False, route=EXACT_LP)
     dim = _check_dims(generators, None)
-    gens = [[as_rational(v) for v in g] for g in generators]
-    rows = _coordinate_rows(gens, dim) + [[1] * len(gens)]
-    rhs = [0] * dim + [1]
-    status, x, _, _ = _solve_standard(rows, rhs, [0] * len(gens))
-    if status is LpStatus.INFEASIBLE:
-        return Vanishing(exists=False, route=EXACT_LP)
-    combo = _pairs(enumerate(x))
-    weights, den = _over_lcm([c for _, c in combo])
-    if sum(weights) != den or not verify_witness(gens, [0] * dim, combo):
-        raise LpError("vanishing combination failed verification")
-    return Vanishing(exists=True, route=EXACT_LP, combination=combo)
+    res = conic_membership([0] * dim + [1], [[*g, 1] for g in generators])
+    return Vanishing(exists=res.member, route=EXACT_LP, combination=res.witness)
 
 
 def _expects(mass: Sequence[int], den: int, target: IntVector, m: Fraction) -> bool:

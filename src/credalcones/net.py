@@ -116,10 +116,6 @@ class GeneratorInfo:
     index: int
     node: str
     parent_index: int
-    nnd_index: int
-    local_index: int
-    is_atom: bool
-    flipped: bool
     support: tuple[tuple[int, Fraction], ...]
 
 
@@ -335,10 +331,6 @@ class JointModel:
                             index=len(self.generators),
                             node=s,
                             parent_index=p_idx,
-                            nnd_index=nnd_idx,
-                            local_index=k,
-                            is_atom=k >= n_assessed,
-                            flipped=flip,
                             support=tuple(
                                 (j, -g.table[v] if flip else g.table[v])
                                 for j, v in cells
@@ -347,7 +339,7 @@ class JointModel:
                         )
                         self.generators.append(info)
                         self._slot[(s, p_idx, nnd_idx, k)] = info.index
-                        if s == self._leaf and info.is_atom:
+                        if s == self._leaf and k >= n_assessed:
                             self._atom_gen_at[info.support[0][0]] = info.index
 
         self.canonical_witness = self._build_canonical_witness()
@@ -358,7 +350,6 @@ class JointModel:
             self._cache_separator(w, _over_lcm(w)[0])
         self._local_memo: dict[tuple[str, int, tuple], Membership] = {}
         self._prevision_memo: dict[tuple[str, int, tuple], tuple] = {}
-        self._product_sep_memo: dict[tuple[str, int, tuple], Optional[tuple]] = {}
         self._dedup: Optional[tuple[list[IntVector], list[int]]] = None
 
     # -- product mass functions --------------------------------------------
@@ -472,17 +463,12 @@ class JointModel:
         if len(f.space.nodes) == 1 and f.space.nodes[0] in net.variables:
             s = f.space.nodes[0]
             parents = set(net.dag.parents(s))
-            rest = tuple(sorted(set(observed) - parents))
-            if parents <= set(observed) and set(rest) <= set(
+            if parents <= set(observed) and set(observed) - parents <= set(
                 net.dag.non_parent_non_descendants(s)
             ):
-                p_cfg = net.parent_space(s).configuration(
-                    {n: given.value_of(n) for n in parents}
-                )
-                irrelevant = Space(net.variables[n] for n in rest).configuration(
-                    {n: given.value_of(n) for n in rest}
-                )
-                return self.structured_member(s, p_cfg, rest, irrelevant, f)
+                p_space = net.parent_space(s)
+                p_cfg = p_space.configuration({n: given.value_of(n) for n in parents})
+                return self.structured_member(s, p_space.index_of(p_cfg), given, f)
         target = f.extend(self.space)
         if observed:
             target = indicator(given, self.space) * target
@@ -574,17 +560,14 @@ class JointModel:
         return self._local_memo[key]
 
     def structured_member(
-        self,
-        node: str,
-        parent_config: Configuration,
-        irrelevant: Sequence[str],
-        given: Configuration,
-        f: Gamble,
+        self, node: str, parent_index: int, given: Optional[Configuration], f: Gamble
     ) -> Membership:
-        """Membership of indicator(parent_config, given) * f in the joint
-        cone, where f is a nonzero gamble on `node` and `irrelevant` is a
-        subset of its non-parent-non-descendants with observed configuration
-        `given`.
+        """The structured route of member_with_certificate and
+        check_irrelevance: membership of indicator(given) * f in the joint
+        cone, where f is a nonzero gamble on `node`, and the observation
+        `given` (None for nothing) fixes the node's parents to their
+        configuration at `parent_index` and otherwise observes only
+        non-parent-non-descendants.
 
         Certificates are assembled from the local cone when possible (a
         local witness replicates over the unobserved non-parent-non-
@@ -593,42 +576,27 @@ class JointModel:
         list, so a tampered joint model falls through to the chain
         recursion (on a path) and then the exact LP.
         """
-        net = self.net
-        nnd = net.dag.non_parent_non_descendants(node)
-        extra = set(irrelevant) - set(nnd)
-        if extra:
-            raise NetworkError(
-                f"{sorted(extra)} are not non-parent-non-descendants of {node!r}"
-            )
-        irrelevant = tuple(sorted(set(irrelevant)))
-        if tuple(sorted(given.nodes)) != irrelevant:
-            raise NetworkError("given configuration must cover exactly the irrelevant set")
-        p_space = net.parent_space(node)
-        if parent_config.space != p_space:
-            raise NetworkError("parent configuration on the wrong space")
-        f = f.extend(net.node_space(node))
-        if f.is_zero:
-            raise ZeroGambleError("the zero gamble has no desirability status")
-
-        observed = indicator(parent_config.combine(given), self.space)
+        f = f.extend(self.net.node_space(node))
+        if given is None:
+            given = Space().config_at(0)
+        observed = indicator(given, self.space)
         target = observed * f.extend(self.space)
 
         quick = self._quick_routes(target.table)
         if quick is not None:
             return quick
 
-        p_idx = p_space.index_of(parent_config)
-        cert = self._local_membership(node, p_idx, f)
+        cert = self._local_membership(node, parent_index, f)
         if cert.member:
             assembled = self._assemble_local_witness(
-                node, p_idx, observed.table, cert.witness
+                node, parent_index, observed.table, cert.witness
             )
             if self._witness_matches(assembled, target.table):
                 return Membership(
                     member=True, route="local-assembly", witness=_pairs(assembled.items())
                 )
         else:
-            sep = self._product_separator(node, p_idx, f, cert.separator)
+            sep = self._product_separator(node, parent_index, cert.separator)
             if sep is not None and _score(sep[1], _int_vector(enumerate(target.table))) < 0:
                 return Membership(member=False, route="product-separator", separator=sep[0])
         return self._exact_membership(target.table)
@@ -651,25 +619,17 @@ class JointModel:
         return witness
 
     def _product_separator(
-        self,
-        node: str,
-        parent_index: int,
-        f: Gamble,
-        local_separator: Sequence[Fraction],
+        self, node: str, parent_index: int, local_separator: Sequence[Fraction]
     ) -> Optional[tuple]:
         """A mass function scoring every generator nonnegative and the
         structured target negative: the network of local witnesses with the
         node's kernel at this parent slot replaced by the (normalized)
         local separating functional; as its separator cache entry (y,
         integer form), or None."""
-        key = (node, parent_index, f.table)
-        if key in self._product_sep_memo:
-            return self._product_sep_memo[key]
         total = sum(local_separator)
         if total <= 0 or any(v < 0 for v in local_separator):
             # a local separator is nonnegative (atoms are generators); a
             # tampered certificate is useless here
-            self._product_sep_memo[key] = None
             return None
         kernel = tuple(v / total for v in local_separator)
 
@@ -680,9 +640,7 @@ class JointModel:
 
         y = _primitive(self._product_mass(kernels))
         ints, _ = _over_lcm(y)
-        result = self._cache_separator(y, ints) if self._separates_all_generators(ints) else None
-        self._product_sep_memo[key] = result
-        return result
+        return self._cache_separator(y, ints) if self._separates_all_generators(ints) else None
 
     # -- chain recursion -----------------------------------------------------
 
@@ -771,24 +729,26 @@ class JointModel:
     # -- requirement checks ----------------------------------------------------
 
     def check_irrelevance(
-        self,
-        node: str,
-        parent_config: Configuration,
-        irrelevant: Sequence[str],
-        given: Configuration,
-        f: Gamble,
+        self, node: str, parent_config: Configuration, given: Configuration, f: Gamble
     ) -> IrrelevanceCheck:
         """Local desirability of f must coincide with joint desirability of
         indicator(parent_config, given) * f, for any observed configuration
-        of any subset of the node's non-parent-non-descendants."""
-        p_idx = self.net.parent_space(node).index_of(parent_config)
+        `given` of any subset of the node's non-parent-non-descendants."""
+        extra = set(given.nodes) - set(self.net.dag.non_parent_non_descendants(node))
+        if extra:
+            raise NetworkError(
+                f"{sorted(extra)} are not non-parent-non-descendants of {node!r}"
+            )
         f = f.extend(self.net.node_space(node))
+        if f.is_zero:
+            raise ZeroGambleError("the zero gamble has no desirability status")
+        p_idx = self.net.parent_space(node).index_of(parent_config)
         local = self._local_membership(node, p_idx, f).member
-        joint = self.structured_member(node, parent_config, irrelevant, given, f).member
+        joint = self.structured_member(node, p_idx, parent_config.combine(given), f).member
         return IrrelevanceCheck(
             node=node,
             parent_config=parent_config,
-            irrelevant=tuple(sorted(set(irrelevant))),
+            irrelevant=given.nodes,
             given=given,
             gamble=f,
             local_member=local,
@@ -824,7 +784,7 @@ class JointModel:
 
     def _irrelevance_slots(
         self, rng: random.Random, gambles_per_slot: int, subset_cap: int
-    ) -> Iterator[tuple[str, Configuration, tuple[str, ...], Configuration, Gamble]]:
+    ) -> Iterator[tuple[str, Configuration, Configuration, Gamble]]:
         """Every irrelevance check of the sweep, in sweep order; subsets and
         gambles are drawn from rng only when the sweep reaches them."""
         net = self.net
@@ -841,7 +801,7 @@ class JointModel:
                     for irrelevant in subsets:
                         i_space = Space(net.variables[n] for n in irrelevant)
                         for given in i_space.configurations():
-                            yield s, p_cfg, irrelevant, given, f
+                            yield s, p_cfg, given, f
 
     def _negatives(self, rng: random.Random, draws: int) -> Iterator[tuple[Fraction, ...]]:
         """Negated atoms, then `draws` random nonpositive tables, each drawn when reached."""
@@ -877,7 +837,11 @@ class JointModel:
 
         max_checks caps the number of irrelevance checks (a deterministic
         budget); a sweep with checks left beyond it is reported as
-        budget_exhausted."""
+        budget_exhausted.  The negatives are outside the budget: there are
+        size + gambles_per_slot of them, linear in the joint size, the
+        canonical witness of an untampered model rejects each without an
+        LP, and counting them would change negatives_checked in every
+        budgeted report."""
         rng = rng if rng is not None else random.Random(0)
         violations: list[Violation] = []
 
@@ -921,8 +885,8 @@ class JointModel:
 
         slots = self._irrelevance_slots(rng, gambles_per_slot, subset_cap)
         checked = 0
-        for s, p_cfg, irrelevant, given, f in islice(slots, max_checks):
-            check = self.check_irrelevance(s, p_cfg, irrelevant, given, f)
+        for s, p_cfg, given, f in islice(slots, max_checks):
+            check = self.check_irrelevance(s, p_cfg, given, f)
             checked += 1
             if not check.agree:
                 violations.append(
@@ -930,7 +894,7 @@ class JointModel:
                         kind="irrelevance-mismatch",
                         node=s,
                         parent_values=p_cfg.values,
-                        irrelevant=irrelevant,
+                        irrelevant=given.nodes,
                         given_values=given.values,
                         gamble=f.table,
                         local_member=check.local_member,

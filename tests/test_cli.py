@@ -16,6 +16,7 @@ import pytest
 
 from credalcones import cone, core, lp, net as net_module
 from credalcones.cli import load_network, main, serialize_network
+from credalcones.dag import Dag
 from credalcones.lp import Membership
 from credalcones.net import sample_credal_net
 
@@ -443,6 +444,67 @@ def test_serialize_parse_round_trip_is_exact(tmp_path):
             )
         # and serializing the parsed net reproduces the document exactly
         assert serialize_network(back) == blob
+
+
+def test_marginal_and_condition_member_print_the_same_result(tmp_path, capsys):
+    # marginal-member is answered by the one conditioning entry: on the same
+    # observations, asked in the same order (a query may cache a separator
+    # that answers a later one), both kinds print the same flag, route and
+    # certificate
+    rng = random.Random(4242)
+    observed_nnd = 0
+    for i in range(12):
+        net = sample_credal_net(rng, max_nodes=4, max_values=3, max_assessments=2)
+        marginal, conditional = [], []
+        dag = net.dag
+        nodes = [n for n in dag.nodes if dag.non_parent_non_descendants(n)] or dag.nodes
+        for _ in range(4):
+            s = rng.choice(nodes)
+            parent = net.parent_space(s).config_at(rng.randrange(net.parent_space(s).size))
+            nnd = dag.non_parent_non_descendants(s)
+            observed = [n for n in nnd if rng.random() < 0.5]
+            given = {n: rng.choice(net.variables[n].values) for n in observed}
+            observed_nnd += bool(given)
+            row = [str(v) for v in net_module.sample_gamble(rng, net.node_space(s)).table]
+            marginal.append(
+                {
+                    "kind": "marginal-member",
+                    "node": s,
+                    "parent": parent.as_dict(),
+                    "given": given,
+                    "gamble": row,
+                }
+            )
+            conditional.append(
+                {
+                    "kind": "condition-member",
+                    "given": {**parent.as_dict(), **given},
+                    "gamble": {"scope": [s], "table": row},
+                }
+            )
+        path = write(tmp_path, f"net{i}.json", serialize_network(net))
+        results = []
+        for name, queries in (("marginal", marginal), ("conditional", conditional)):
+            code, out, _ = run(capsys, "query", path, write(tmp_path, f"{name}{i}.json", queries))
+            assert code == 0
+            results.append([answer["result"] for answer in json.loads(out)["queries"]])
+        assert results[0] == results[1]
+    assert observed_nnd > 0
+
+    # check_irrelevance refuses an observed node outside the non-parent-non-
+    # descendants (here the child's own parent) and the zero gamble
+    net = net_module.CredalNet(
+        Dag(["a", "b"], [("a", "b")]),
+        [core.VariableSpace("a", ("0", "1")), core.VariableSpace("b", ("0", "1"))],
+    )
+    joint = net.build_joint()
+    a0 = net.parent_space("b").config_at(0)
+    f = core.Gamble(net.node_space("b"), (1, -1))
+    with pytest.raises(net_module.NetworkError, match="non-parent-non-descendants"):
+        joint.check_irrelevance("b", a0, a0, f)
+    empty = net.nnd_space("b").config_at(0)
+    with pytest.raises(net_module.ZeroGambleError):
+        joint.check_irrelevance("b", a0, empty, core.Gamble.zero(net.node_space("b")))
 
 
 def test_budget_exhaustion_reports_but_passes(tmp_path, capsys):

@@ -106,20 +106,28 @@ def test_zero_assessment_rejected():
         AssessmentCone(sp, [Gamble.zero(sp)])
 
 
+def lower(cone, f):
+    return lp.lower_prevision(f.extend(cone.space).table, [g.table for g in cone.generators])
+
+
+def upper(cone, f):
+    return -lower(cone, -f)
+
+
 def test_vacuous_previsions_are_min_and_max():
     sp = coin()
     cone = AssessmentCone(sp)
     f = Gamble(sp, (1, -1))
-    assert cone.lower_prevision(f) == -1
-    assert cone.upper_prevision(f) == 1
+    assert lower(cone, f) == -1
+    assert upper(cone, f) == 1
 
 
 def test_assessed_gamble_has_nonnegative_lower_prevision():
     sp = coin()
     f = Gamble(sp, (1, -1))
     cone = AssessmentCone(sp, [f])
-    assert cone.lower_prevision(f) == 0
-    assert cone.upper_prevision(f) == 1
+    assert lower(cone, f) == 0
+    assert upper(cone, f) == 1
 
 
 def random_cone(rng, max_values=3, max_assessments=3):
@@ -262,10 +270,10 @@ def test_members_closed_under_addition_and_scaling(data):
 )
 def test_prevision_shift_and_order(data, c):
     cone, f, _ = data
-    low = cone.lower_prevision(f)
-    assert cone.upper_prevision(f) >= low
+    low = lower(cone, f)
+    assert upper(cone, f) >= low
     const = Gamble.constant(cone.space, c)
-    assert cone.lower_prevision(f + const) == low + c
+    assert lower(cone, f + const) == low + c
 
 
 def test_multi_node_cone_accepts_subscope_gambles():
@@ -274,4 +282,4 @@ def test_multi_node_cone_accepts_subscope_gambles():
     cone = AssessmentCone(sp, [f_a])
     assert cone.is_coherent()
     assert cone.member_with_certificate(f_a).member  # auto-extended
-    assert cone.lower_prevision(f_a) == 0
+    assert lower(cone, f_a) == 0

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used there or re-exported."""
+"""Every name a package module imports is used there or re-exported, and
+every private helper the package defines is referenced somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,48 @@ def test_an_unused_import_is_reported():
     source = "from __future__ import annotations\nimport os, sys\nfrom a import b as c\nos.sep\n"
     assert unused_imports(source) == ["sys", "c"]
     assert unused_imports("import sys\n__all__ = ['sys']\n") == []
+
+
+def unreferenced_helpers(sources: list[str]) -> list[str]:
+    """The `_`-prefixed functions and methods (dunders excepted) defined in
+    `sources` that no ast.Name or ast.Attribute references outside their
+    own definition."""
+    trees = [ast.parse(source) for source in sources]
+    refs = []
+    for t, tree in enumerate(trees):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((node.id, t, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, t, node.lineno))
+    unreferenced = []
+    for t, tree in enumerate(trees):
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+                continue
+            if not any(
+                ref == name and (u != t or not node.lineno <= line <= node.end_lineno)
+                for ref, u, line in refs
+            ):
+                unreferenced.append(name)
+    return unreferenced
+
+
+def test_every_private_helper_is_referenced():
+    assert unreferenced_helpers([path.read_text() for path in MODULES]) == []
+
+
+def test_an_unreferenced_helper_is_reported():
+    source = (
+        "def _used():\n    pass\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class A:\n"
+        "    def __init__(self):\n        self._called()\n"
+        "    def _called(self):\n        pass\n"
+        "    def _method(self):\n        pass\n"
+    )
+    assert unreferenced_helpers([source, "_used()\n"]) == ["_recursive", "_method"]
+    assert unreferenced_helpers([source]) == ["_used", "_recursive", "_method"]

@@ -184,9 +184,9 @@ def test_structured_member_routes_and_certificates():
     empty_parent = net.parent_space("a").config_at(0)
     empty_given = net.nnd_space("a").config_at(0)
     f = Gamble(sp_a, (1, -1))  # the assessed gamble on a
-    res = joint.structured_member("a", empty_parent, (), empty_given, f)
+    res = joint.member_with_certificate(f, given=empty_parent.combine(empty_given))
     assert res.member and res.route == "local-assembly"
-    res = joint.structured_member("a", empty_parent, (), empty_given, -f)
+    res = joint.member_with_certificate(-f, given=empty_parent.combine(empty_given))
     assert not res.member and res.route in ("product-separator", "cached-separator")
 
     # b's local cone is vacuous: a mixed gamble on b is not desirable,
@@ -195,7 +195,9 @@ def test_structured_member_routes_and_certificates():
     g = Gamble(sp_b, (1, -1))
     for p_idx in range(2):
         p_cfg = net.parent_space("b").config_at(p_idx)
-        res = joint.structured_member("b", p_cfg, (), net.nnd_space("b").config_at(0), g)
+        res = joint.member_with_certificate(
+            g, given=p_cfg.combine(net.nnd_space("b").config_at(0))
+        )
         assert not res.member
 
 
@@ -218,9 +220,9 @@ def test_structured_member_with_irrelevant_observation():
         expected = p_idx == 0  # assessed under b0, not under b1
         for a_value in ("a0", "a1"):
             given = Space([binary("a")]).configuration({"a": a_value})
-            res = joint.structured_member("c", p_cfg, ("a",), given, f)
+            res = joint.member_with_certificate(f, given=p_cfg.combine(given))
             assert res.member == expected
-            check = joint.check_irrelevance("c", p_cfg, ("a",), given, f)
+            check = joint.check_irrelevance("c", p_cfg, given, f)
             assert check.agree
 
 
@@ -238,7 +240,7 @@ def test_structured_member_agrees_with_raw_lp():
             i_space = Space(net.variables[n] for n in irrelevant)
             given = i_space.config_at(rng.randrange(i_space.size))
             f = sample_gamble(rng, net.node_space(s))
-            res = joint.structured_member(s, p_cfg, irrelevant, given, f)
+            res = joint.member_with_certificate(f, given=p_cfg.combine(given))
             target = indicator(
                 p_cfg.combine(given), net.joint_space
             ) * f.extend(net.joint_space)
@@ -255,8 +257,8 @@ def test_joint_member_is_strict_about_zero():
     with pytest.raises(ZeroGambleError):
         joint.member_with_certificate(Gamble.zero(net.node_space("b")), given=a0)
     with pytest.raises(ZeroGambleError):
-        joint.structured_member(
-            "b", a0, (), net.nnd_space("b").config_at(0), Gamble.zero(net.node_space("b"))
+        joint.member_with_certificate(
+            Gamble.zero(net.node_space("b")), given=a0.combine(net.nnd_space("b").config_at(0))
         )
     assert joint.member_with_certificate(Gamble.constant(net.joint_space, 1)).member
 
@@ -307,16 +309,16 @@ def test_membership_given_an_observation_dispatch_and_errors():
     f = Gamble(sp_c, (2, -1))
     columns = generator_tables(joint)
     ab_space = Space([binary("a"), binary("b")])
-    # parent (b) plus a non-parent-non-descendant (a) observed: the
-    # structured certificate route must be reproduced exactly
+    # parent (b) plus a non-parent-non-descendant (a) observed, in one
+    # configuration or combined from the two parts: the same structured
+    # certificate either way
     for a_val in ("a0", "a1"):
         observed = ab_space.configuration({"a": a_val, "b": "b0"})
-        structured = joint.structured_member(
-            "c",
-            Space([binary("b")]).configuration({"b": "b0"}),
-            ("a",),
-            Space([binary("a")]).configuration({"a": a_val}),
+        structured = joint.member_with_certificate(
             f,
+            given=Space([binary("b")])
+            .configuration({"b": "b0"})
+            .combine(Space([binary("a")]).configuration({"a": a_val})),
         )
         assert joint.member_with_certificate(f, given=observed) == structured
         assert structured.member and structured.route == "local-assembly"
@@ -469,7 +471,7 @@ def test_product_separator_scoring_one_generator_negative_is_refused():
     given = net.nnd_space("b").config_at(0)
     # not in b's local cone at a = a0, yet of positive canonical expectation
     f = Gamble(net.node_space("b"), (-1, 3))
-    clean = net.build_joint().structured_member("b", p_cfg, (), given, f)
+    clean = net.build_joint().member_with_certificate(f, given=p_cfg.combine(given))
     assert not clean.member and clean.route == "product-separator"
     y = clean.separator
     # flipping a's atom at a0 leaves the product mass as it was, and that
@@ -477,7 +479,7 @@ def test_product_separator_scoring_one_generator_negative_is_refused():
     joint = net.build_joint(mutate_flip=("a", 0, 0))
     scores = [dot(y, t) for t in generator_tables(joint)]
     assert sum(s < 0 for s in scores) == 1
-    res = joint.structured_member("b", p_cfg, (), given, f)
+    res = joint.member_with_certificate(f, given=p_cfg.combine(given))
     assert res.route == "exact-lp"
     # -indicator(a0) is now a generator, so the target is a member
     tables = generator_tables(joint)
@@ -491,7 +493,7 @@ def test_mutated_joint_lp_path_is_caught():
     joint = net.build_joint(mutate_flip=("a", 0, 0))
     f = Gamble(net.node_space("a"), (1, -1))
     empty = net.parent_space("a").config_at(0)
-    res = joint.structured_member("a", empty, (), empty, f)
+    res = joint.member_with_certificate(f, given=empty.combine(empty))
     # the lifted local witness fails against the flipped generator, and the
     # LP's separator verifies against the generators as they are
     assert not res.member and res.route == "exact-lp"
@@ -633,7 +635,7 @@ def test_chain_recursion_on_mutated_chains_answers_as_the_lp():
             given = i_space.config_at(picks.randrange(i_space.size))
             f = sample_gamble(picks, net.node_space(s))
             target = indicator(p_cfg.combine(given), net.joint_space) * f.extend(net.joint_space)
-            res = joint.structured_member(s, p_cfg, irrelevant, given, f)
+            res = joint.member_with_certificate(f, given=p_cfg.combine(given))
             assert res.member == conic_membership(target.table, columns).member
             if res.member:
                 assert verify_witness(tables, target.table, res.witness)
@@ -656,7 +658,8 @@ def test_fork_recursion_is_only_a_lower_bound_and_the_joint_lp_answers(monkeypat
 
     def iterated(net, table, first, second):
         def low(node, p_idx, row):
-            return net.local_cone(node, p_idx).lower_prevision(Gamble(net.node_space(node), row))
+            gens = [g.table for g in net.local_cone(node, p_idx).generators]
+            return lp_lower_prevision(row, gens)
 
         def at(x, y, z):  # the table at a = x, first = y, second = z
             where = {"a": x, first: y, second: z}
