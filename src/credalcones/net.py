@@ -407,11 +407,9 @@ class JointModel:
             self._dedup = (columns, owners)
         return self._dedup
 
-    def _witness_matches(
-        self, witness: dict[int, Fraction], target: Sequence[Fraction]
-    ) -> bool:
+    def _witness_matches(self, witness: dict[int, Fraction], target: IntVector) -> bool:
         columns, _ = self._int_columns()
-        return _combines(columns, witness.items(), _int_vector(enumerate(target)))
+        return _combines(columns, witness.items(), target)
 
     def _separates_all_generators(self, y: Sequence[int]) -> bool:
         """y (integers) scores every generator nonnegative."""
@@ -464,7 +462,7 @@ class JointModel:
             s = f.space.nodes[0]
             parents = set(net.dag.parents(s))
             if parents <= set(observed) and set(observed) - parents <= set(
-                net.dag.non_parent_non_descendants(s)
+                net.nnd_space(s).nodes
             ):
                 p_space = net.parent_space(s)
                 p_cfg = p_space.configuration({n: given.value_of(n) for n in parents})
@@ -472,22 +470,19 @@ class JointModel:
         target = f.extend(self.space)
         if observed:
             target = indicator(given, self.space) * target
-        quick = self._quick_routes(target.table)
+        quick = self._quick_routes(_int_vector(enumerate(target.table)))
         if quick is not None:
             return quick
         return self._exact_membership(target.table)
 
-    def _quick_routes(self, table: Sequence[Fraction]) -> Optional[Membership]:
-        if all(v >= 0 for v in table):
-            witness: dict[int, Fraction] = {}
-            for j, v in enumerate(table):
-                if v:
-                    witness[self._atom_gen_at[j]] = v
-            if self._witness_matches(witness, table):
+    def _quick_routes(self, target: IntVector) -> Optional[Membership]:
+        entries, den = target
+        if all(n > 0 for _, n in entries):
+            witness = {self._atom_gen_at[j]: Fraction(n, den) for j, n in entries}
+            if self._witness_matches(witness, target):
                 return Membership(
                     member=True, route="positive-span", witness=_pairs(witness.items())
                 )
-        target = _int_vector(enumerate(table))
         for y, ints in self._separators:
             if _score(ints, target) < 0:
                 return Membership(member=False, route="cached-separator", separator=y)
@@ -517,15 +512,15 @@ class JointModel:
         return chained if chained is not None else self._lp_membership(table)
 
     def _lp_membership(self, table: Sequence[Fraction]) -> Membership:
+        target = _int_vector(enumerate(table))
         columns, owners = self._dedup_columns()
         res = conic_membership(table, columns)
         if res.member:
             witness = {owners[k]: c for k, c in res.witness}
-            if not self._witness_matches(witness, table):
+            if not self._witness_matches(witness, target):
                 raise LpError("LP witness failed joint verification")
             return Membership(member=True, route=EXACT_LP, witness=_pairs(witness.items()))
         y, _ = _over_lcm(res.separator)
-        target = _int_vector(enumerate(table))
         if not self._separates_all_generators(y) or _score(y, target) >= 0:
             raise LpError("LP separator failed joint verification")
         self._cache_separator(res.separator, y)
@@ -546,7 +541,7 @@ class JointModel:
         if not res.exists:
             return res
         combo = {owners[k]: c for k, c in res.combination}
-        if not self._witness_matches(combo, ()):
+        if not self._witness_matches(combo, _int_vector(())):
             raise LpError("vanishing combination failed joint verification")
         return Vanishing(exists=True, route=EXACT_LP, combination=_pairs(combo.items()))
 
@@ -563,57 +558,65 @@ class JointModel:
         self, node: str, parent_index: int, given: Optional[Configuration], f: Gamble
     ) -> Membership:
         """The structured route of member_with_certificate and
-        check_irrelevance: membership of indicator(given) * f in the joint
-        cone, where f is a nonzero gamble on `node`, and the observation
-        `given` (None for nothing) fixes the node's parents to their
-        configuration at `parent_index` and otherwise observes only
-        non-parent-non-descendants.
+        check_irrelevance: membership of indicator(parent configuration,
+        given) * f in the joint cone, where f is a nonzero gamble on `node`,
+        the parent configuration is the one at `parent_index`, and the
+        observation `given` (None for nothing) is of non-parent-non-
+        descendants, and of the parents too if the caller has them at hand.
 
-        Certificates are assembled from the local cone when possible (a
-        local witness replicates over the unobserved non-parent-non-
-        descendants; a local separating functional extends to a product
-        mass function).  Both are verified against the actual generator
-        list, so a tampered joint model falls through to the chain
-        recursion (on a path) and then the exact LP.
+        The target is built in integer form (_int_vector) straight from the
+        joint index maps: the joint configurations with this parent index
+        and the observed values, each carrying f's entry at the node's
+        value there.  Certificates are assembled from the local cone when
+        possible (a local witness replicates over the unobserved
+        non-parent-non-descendants; a local separating functional extends
+        to a product mass function).  Both are verified against the actual
+        generator list, so a tampered joint model falls through to the
+        chain recursion (on a path) and then the exact LP.
         """
         f = f.extend(self.net.node_space(node))
-        if given is None:
-            given = Space().config_at(0)
-        observed = indicator(given, self.space)
-        target = observed * f.extend(self.space)
+        fixed = [
+            (self._value_at[n], self.net.variables[n].index_of(v))
+            for n, v in (zip(given.nodes, given.values) if given is not None else ())
+        ]
+        observed = [
+            j
+            for j, p in enumerate(self._parent_idx_at[node])
+            if p == parent_index and all(at[j] == k for at, k in fixed)
+        ]
+        ints, den = _over_lcm(f.table)
+        v_at = self._value_at[node]
+        target = tuple((j, ints[v_at[j]]) for j in observed if ints[v_at[j]]), den
 
-        quick = self._quick_routes(target.table)
+        quick = self._quick_routes(target)
         if quick is not None:
             return quick
 
         cert = self._local_membership(node, parent_index, f)
         if cert.member:
-            assembled = self._assemble_local_witness(
-                node, parent_index, observed.table, cert.witness
-            )
-            if self._witness_matches(assembled, target.table):
+            assembled = self._assemble_local_witness(node, parent_index, observed, cert.witness)
+            if self._witness_matches(assembled, target):
                 return Membership(
                     member=True, route="local-assembly", witness=_pairs(assembled.items())
                 )
         else:
             sep = self._product_separator(node, parent_index, cert.separator)
-            if sep is not None and _score(sep[1], _int_vector(enumerate(target.table))) < 0:
+            if sep is not None and _score(sep[1], target) < 0:
                 return Membership(member=False, route="product-separator", separator=sep[0])
-        return self._exact_membership(target.table)
+        table = [Fraction(0)] * self.space.size
+        for j, n in target[0]:
+            table[j] = Fraction(n, den)
+        return self._exact_membership(table)
 
     def _assemble_local_witness(
-        self,
-        node: str,
-        parent_index: int,
-        observed: Sequence[Fraction],
-        local_witness: Pairs,
+        self, node: str, parent_index: int, observed: Sequence[int], local_witness: Pairs
     ) -> dict[int, Fraction]:
         """Replicate a local cone witness over every non-parent-non-
         descendant configuration compatible with the observation, whose
-        indicator on the joint space is `observed`."""
+        joint configuration indices are `observed`."""
         nnd_at = self._nnd_idx_at[node]
         witness: dict[int, Fraction] = {}
-        for nnd_idx in {nnd_at[j] for j, v in enumerate(observed) if v}:
+        for nnd_idx in {nnd_at[j] for j in observed}:
             for k, coeff in local_witness:
                 witness[self._slot[(node, parent_index, nnd_idx, k)]] = coeff
         return witness
@@ -693,7 +696,7 @@ class JointModel:
                     primal[self._slot[(s, p_idx, nnd_idx, k)]] = c
             current = [lowered[(p_at[j], n_at[j])] for j in range(len(current))]
         m = current[0]
-        if not self._witness_matches(primal, [v - m for v in table]):
+        if not self._witness_matches(primal, _int_vector((j, v - m) for j, v in enumerate(table))):
             return None
         mass = self._product_mass(lambda s, p, n: kernels[(s, p, n)])
         ints, den = _over_lcm(mass)
@@ -722,7 +725,7 @@ class JointModel:
             for j in range(self.space.size):
                 k = self._atom_gen_at[j]
                 witness[k] = witness.get(k, Fraction(0)) + m
-        if not self._witness_matches(witness, table):
+        if not self._witness_matches(witness, _int_vector(enumerate(table))):
             return None
         return Membership(member=True, route=CHAIN_RECURSION, witness=_pairs(witness.items()))
 
@@ -734,7 +737,7 @@ class JointModel:
         """Local desirability of f must coincide with joint desirability of
         indicator(parent_config, given) * f, for any observed configuration
         `given` of any subset of the node's non-parent-non-descendants."""
-        extra = set(given.nodes) - set(self.net.dag.non_parent_non_descendants(node))
+        extra = set(given.nodes) - set(self.net.nnd_space(node).nodes)
         if extra:
             raise NetworkError(
                 f"{sorted(extra)} are not non-parent-non-descendants of {node!r}"
@@ -744,7 +747,7 @@ class JointModel:
             raise ZeroGambleError("the zero gamble has no desirability status")
         p_idx = self.net.parent_space(node).index_of(parent_config)
         local = self._local_membership(node, p_idx, f).member
-        joint = self.structured_member(node, p_idx, parent_config.combine(given), f).member
+        joint = self.structured_member(node, p_idx, given, f).member
         return IrrelevanceCheck(
             node=node,
             parent_config=parent_config,
@@ -789,7 +792,7 @@ class JointModel:
         gambles are drawn from rng only when the sweep reaches them."""
         net = self.net
         for s in net.dag.nodes:
-            nnd = net.dag.non_parent_non_descendants(s)
+            nnd = net.nnd_space(s).nodes
             subsets = self._subsets_for_sweep(nnd, rng, subset_cap)
             p_space = net.parent_space(s)
             node_space = net.node_space(s)

@@ -248,6 +248,69 @@ def test_structured_member_agrees_with_raw_lp():
             assert res.member == direct.member
 
 
+def random_mutation(rng, net):
+    """A random (node, parent index, local generator index) to flip."""
+    s = rng.choice(net.dag.nodes)
+    p_idx = rng.randrange(net.parent_space(s).size)
+    return s, p_idx, rng.randrange(len(net.local_cone(s, p_idx).generators))
+
+
+def test_structured_target_is_the_dense_target():
+    # the structured route builds its target sparsely from the joint index
+    # maps; its answers must be those of the dense product
+    # indicator(parent and given) * f, on tampered models too, where the
+    # route falls through to the chain recursion or the exact LP
+    rng = random.Random(1010)
+    routes = set()
+    for trial in range(16):
+        net = sample_credal_net(rng, max_nodes=4, max_values=3)
+        flip = random_mutation(rng, net) if trial % 2 else None
+        with_parents, without = (net.build_joint(mutate_flip=flip) for _ in range(2))
+        columns = generator_tables(with_parents)
+        for _ in range(6):
+            s = rng.choice(net.dag.nodes)
+            p_space = net.parent_space(s)
+            p_idx = rng.randrange(p_space.size)
+            p_cfg = p_space.config_at(p_idx)
+            irrelevant = tuple(n for n in net.nnd_space(s).nodes if rng.random() < 0.5)
+            i_space = Space(net.variables[n] for n in irrelevant)
+            given = i_space.config_at(rng.randrange(i_space.size))
+            f = sample_gamble(rng, net.node_space(s))
+            res = with_parents.structured_member(s, p_idx, p_cfg.combine(given), f)
+            # both models have answered the same queries so far, so their
+            # separator caches agree and so must route and certificate
+            assert without.structured_member(s, p_idx, given, f) == res
+            target = indicator(p_cfg.combine(given), net.joint_space) * f.extend(net.joint_space)
+            assert res.member == conic_membership(target.table, columns).member
+            if res.member:
+                assert verify_witness(columns, target.table, res.witness)
+            else:
+                assert verify_separator(columns, target.table, res.separator)
+            routes.add(res.route)
+    assert {"local-assembly", "product-separator"} <= routes, routes
+    assert routes & {"exact-lp", "chain-recursion"}, routes
+
+
+def test_untampered_sweep_builds_no_indicator(monkeypatch):
+    rng = random.Random(2020)
+    nets = [sample_credal_net(rng) for _ in range(6)]
+
+    def sweeps():
+        return [
+            net.build_joint().verify_requirements(random.Random(i), gambles_per_slot=2)
+            for i, net in enumerate(nets)
+        ]
+
+    reports = sweeps()
+
+    def no_indicator(*args):
+        raise AssertionError("indicator built during an untampered sweep")
+
+    monkeypatch.setattr("credalcones.net.indicator", no_indicator)
+    assert sweeps() == reports
+    assert all(report.ok for report in reports)
+
+
 def test_joint_member_is_strict_about_zero():
     net = chain_net(assess_a=True)
     joint = net.build_joint()
