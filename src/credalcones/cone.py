@@ -8,7 +8,10 @@ that extension is the finitely generated cone spanned by
 
     assessments (in given order), then one atom per value (value order),
 
-and this generator order is fixed, so reports are reproducible.
+and this generator order is fixed, so reports are reproducible.  Membership
+LPs and certificate checks read the generators as integer columns
+(AssessmentCone.columns, built on first use); the joint model of net
+builds its own columns from them.
 
 Coherence is decided by a strictly positive expectation functional: the
 natural extension is coherent exactly when some probability mass function
@@ -22,17 +25,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import Gamble, Space, indicator
 from .lp import (
+    IntVector,
     LinearSystem,
     LpError,
     LpStatus,
     Membership,
     _check_work,
+    _combines,
+    _int_vector,
     conic_membership,
-    verify_witness,
 )
 
 
@@ -80,6 +86,12 @@ class AssessmentCone:
         self.generators: tuple[Gamble, ...] = self.assessments + atoms
         self._coherence: Optional[CoherenceReport] = None
 
+    @cached_property
+    def columns(self) -> tuple[IntVector, ...]:
+        """The generators as integer columns (lp.IntVector), which its LPs
+        and certificate checks read; built on first use."""
+        return tuple(_int_vector(enumerate(g.table)) for g in self.generators)
+
     def __repr__(self) -> str:
         return f"AssessmentCone({self.space!r}, {len(self.assessments)} assessments)"
 
@@ -121,8 +133,8 @@ class AssessmentCone:
         certificate = tuple(-v for v in dual[size + 1:]) + tuple(
             -v - margin for v in dual[1:size + 1]
         )
-        if not any(certificate) or not verify_witness(
-            [g.table for g in self.generators], [Fraction(0)] * size, tuple(enumerate(certificate))
+        if not any(certificate) or not _combines(
+            self.columns, tuple(enumerate(certificate)), _int_vector(())
         ):
             raise LpError("incoherence without a vanishing combination")
         return CoherenceReport(
@@ -150,4 +162,4 @@ class AssessmentCone:
         f = f.extend(self.space)
         if f.is_zero:
             return Membership(member=False, route="zero-convention")
-        return conic_membership(f.table, [g.table for g in self.generators])
+        return conic_membership(f.table, self.columns)

@@ -11,11 +11,14 @@ largest constant it exceeds within the closed cone), which
 _checked_prevision returns with its verified primal combination and dual
 mass function for callers that lift them.
 
-Every answer returned by this module is re-checked by exact substitution
-before it leaves; an unverifiable certificate is a solver bug and raises,
-never a wrong answer.  The checks run in exact integer arithmetic over the
-nonzero entries only (_int_vector): a sign test scales each vector by the
-lcm of its denominators, which is positive and so keeps the sign, and an
+The primitives take a dense target and each generator as an integer
+column (IntVector), built once by cone or net; only _coordinate_rows lays
+the columns out densely, for the tableau.  Every answer returned by this
+module is re-checked by exact substitution against those columns before it
+leaves; an unverifiable certificate is a solver bug and raises, never a
+wrong answer.  The checks run in exact integer arithmetic over the nonzero
+entries only (_combines, _score): a sign test scales each vector by the lcm
+of its denominators, which is positive and so keeps the sign, and an
 equality is cross-multiplied by the denominators.  They decide exactly what
 the rational substitution decides.
 
@@ -433,18 +436,6 @@ def _pairs(items) -> Pairs:
     return tuple(sorted((k, c) for k, c in items if c != 0))
 
 
-def _check_dims(generators, target_len: Optional[int]) -> int:
-    dims = {len(g) for g in generators}
-    if target_len is not None:
-        dims.add(target_len)
-    if len(dims) != 1:
-        raise ValueError("generators and target must share one dimension")
-    (dim,) = dims
-    if dim == 0:
-        raise ValueError("dimension must be at least 1")
-    return dim
-
-
 IntVector = tuple[tuple[tuple[int, int], ...], int]
 
 
@@ -454,6 +445,14 @@ def _int_vector(items) -> IntVector:
     items = [(j, v) for j, v in items if v]
     den = lcm(*[v.denominator for _, v in items])
     return tuple((j, v.numerator * (den // v.denominator)) for j, v in items), den
+
+
+def _check_columns(columns: Sequence[IntVector], dim: int) -> None:
+    """Every column index lies in range(dim), and dim is at least 1."""
+    if dim == 0:
+        raise ValueError("dimension must be at least 1")
+    if any(not 0 <= j < dim for entries, _ in columns for j, _ in entries):
+        raise ValueError("generators and target must share one dimension")
 
 
 def _score(y: Sequence[int], vec: IntVector) -> int:
@@ -480,71 +479,69 @@ def _combines(columns: Sequence[IntVector], pairs, target: IntVector) -> bool:
     return not any(total.values())
 
 
-def verify_witness(generators, target, witness: Pairs) -> bool:
-    """Exact re-substitution: coefficients >= 0 and sum(c g_k) == target."""
-    columns = [_int_vector(enumerate(g)) for g in generators]
-    return _combines(columns, witness, _int_vector(enumerate(target)))
-
-
-def verify_separator(generators, target, separator) -> bool:
-    """Exact check: separator.g >= 0 for all generators, separator.target < 0."""
+def _separates(columns: Sequence[IntVector], target: IntVector, separator) -> bool:
+    """separator.g >= 0 for every column g and separator.target < 0."""
     y, _ = _over_lcm(separator)
-    if any(_score(y, _int_vector(enumerate(g))) < 0 for g in generators):
-        return False
-    return _score(y, _int_vector(enumerate(target))) < 0
+    return all(_score(y, g) >= 0 for g in columns) and _score(y, target) < 0
 
 
-def _coordinate_rows(gens, dim: int) -> list[list]:
-    """Row i holds coordinate i of every generator: one column each."""
-    return [[g[i] for g in gens] for i in range(dim)]
+def _coordinate_rows(columns: Sequence[IntVector], dim: int) -> list[list]:
+    """Row i holds coordinate i of every column, as a rational: the only
+    dense form of the generators, built for the tableau."""
+    rows: list[list] = [[0] * len(columns) for _ in range(dim)]
+    for k, (entries, den) in enumerate(columns):
+        for j, n in entries:
+            rows[j][k] = Fraction(n, den)
+    return rows
 
 
-def conic_membership(
-    target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
-) -> Membership:
-    """Decide target in { sum l_k g_k : l >= 0 }, with certificate.
+def conic_membership(target: Sequence[Fraction], columns: Sequence[IntVector]) -> Membership:
+    """Decide target in { sum l_k g_k : l >= 0 }, with certificate; the
+    target is dense, the generators g_k are integer columns (IntVector).
 
     The zero target is rejected: whether the cone is pointed is a
     different question, answered by contains_zero below.
     """
-    dim = _check_dims(generators, len(target))
-    tgt = [as_rational(v) for v in target]
-    if all(v == 0 for v in tgt):
+    dim = len(target)
+    _check_columns(columns, dim)
+    if not any(target):
         raise LpError("zero target is not a membership query; use contains_zero")
-    gens = [[as_rational(v) for v in g] for g in generators]
+    goal = _int_vector(enumerate(target))
 
-    if not gens:
-        sep = _primitive([-v for v in tgt])
-        if not verify_separator([], tgt, sep):
+    if not columns:
+        sep = _primitive([-v for v in target])
+        if not _separates(columns, goal, sep):
             raise LpError("separator failed verification")
         return Membership(member=False, route=EXACT_LP, separator=sep)
 
-    rows = _coordinate_rows(gens, dim)
-    status, x, y, _ = _solve_standard(rows, tgt, [0] * len(gens))
+    rows = _coordinate_rows(columns, dim)
+    status, x, y, _ = _solve_standard(rows, target, [0] * len(columns))
     if status is LpStatus.OPTIMAL:
         witness = _pairs(enumerate(x))
-        if not verify_witness(gens, tgt, witness):
+        if not _combines(columns, witness, goal):
             raise LpError("witness failed verification")
         return Membership(member=True, route=EXACT_LP, witness=witness)
     if status is LpStatus.INFEASIBLE:
         separator = _primitive([-v for v in y])
-        if not verify_separator(gens, tgt, separator):
+        if not _separates(columns, goal, separator):
             raise LpError("separator failed verification")
         return Membership(member=False, route=EXACT_LP, separator=separator)
     raise LpError("conic membership cannot be unbounded")  # pragma: no cover
 
 
-def contains_zero(generators: Sequence[Sequence[Fraction]]) -> Vanishing:
-    """Is there l >= 0, l != 0, with sum l_k g_k = 0?
+def contains_zero(columns: Sequence[IntVector], dim: int) -> Vanishing:
+    """Is there l >= 0, l != 0, with sum l_k g_k = 0, the g_k integer
+    columns of dimension dim?
 
     Normalized as sum(l) = 1, which loses no generality for a cone: the
-    membership of (0, ..., 0, 1) in the cone of the generators with a
+    membership of (0, ..., 0, 1) in the cone of the columns with a
     coordinate 1 appended, whose witness is the combination.
     """
-    if not generators:
+    if not columns:
         return Vanishing(exists=False, route=EXACT_LP)
-    dim = _check_dims(generators, None)
-    res = conic_membership([0] * dim + [1], [[*g, 1] for g in generators])
+    _check_columns(columns, dim)
+    lifted = [((*entries, (dim, den)), den) for entries, den in columns]
+    res = conic_membership([0] * dim + [1], lifted)
     return Vanishing(exists=res.member, route=EXACT_LP, combination=res.witness)
 
 
@@ -555,7 +552,7 @@ def _expects(mass: Sequence[int], den: int, target: IntVector, m: Fraction) -> b
 
 
 def _checked_prevision(
-    target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
+    target: Sequence[Fraction], columns: Sequence[IntVector]
 ) -> tuple[Fraction, Pairs, tuple[Fraction, ...]]:
     """The lower prevision m of the target, with both of its certificates,
     each verified before it is returned.
@@ -568,34 +565,24 @@ def _checked_prevision(
     p.target = m, so no larger m is feasible.  Callers that combine local
     previsions into a larger one (the chain recursion of net) lift both.
     """
-    dim = _check_dims(generators, len(target))
-    tgt = [as_rational(v) for v in target]
-    gens = [[as_rational(v) for v in g] for g in generators]
-    n = len(gens)
-    rows = [row + [1, -1] for row in _coordinate_rows(gens, dim)]
+    dim = len(target)
+    _check_columns(columns, dim)
+    n = len(columns)
+    rows = [row + [1, -1] for row in _coordinate_rows(columns, dim)]
     cost = [0] * n + [-1, 1]
-    status, x, y, _ = _solve_standard(rows, tgt, cost)
+    status, x, y, _ = _solve_standard(rows, target, cost)
     if status is LpStatus.UNBOUNDED:
         raise LpError("unbounded lower prevision: the cone is incoherent")
     if status is not LpStatus.OPTIMAL:
         raise LpError("lower prevision LP is infeasible: no constant shift reaches the cone")
     m = x[n] - x[n + 1]
-    columns = [_int_vector(enumerate(g)) for g in gens]
     primal = _pairs(enumerate(x[:n]))
-    if not _combines(columns, primal, _int_vector((j, v - m) for j, v in enumerate(tgt))):
+    if not _combines(columns, primal, _int_vector((j, v - m) for j, v in enumerate(target))):
         raise LpError("lower prevision failed primal verification")
     p = tuple(-v for v in y)
     mass, den = _over_lcm(p)
-    if not _expects(mass, den, _int_vector(enumerate(tgt)), m) or any(
+    if not _expects(mass, den, _int_vector(enumerate(target)), m) or any(
         _score(mass, g) < 0 for g in columns
     ):
         raise LpError("lower prevision failed dual verification")
     return m, primal, p
-
-
-def lower_prevision(
-    target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
-) -> Fraction:
-    """sup { m : target - m in the closed cone of the generators }, verified
-    both ways (see _checked_prevision)."""
-    return _checked_prevision(target, generators)[0]

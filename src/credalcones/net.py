@@ -11,9 +11,10 @@ order: nodes sorted, parent configurations lexicographic, then
 non-parent-non-descendant configurations lexicographic, then the local
 generator list (assessments first, atoms last).
 
-Queries against the joint cone are answered by certificates that are always
-re-verified against the actual generator list by exact substitution, in
-integers over the nonzero entries (see lp):
+Every generator is one integer column (lp.IntVector), built from its
+local cone's column.  Queries against the joint cone are answered by
+certificates that are always re-verified against these columns by exact
+substitution, in integers over the nonzero entries (see lp):
 
   * nonnegative nonzero targets are combined from full-configuration atom
     generators contributed by a leaf node;
@@ -68,7 +69,6 @@ from .lp import (
     _score,
     conic_membership,
     contains_zero as _lp_contains_zero,
-    lower_prevision as _lp_lower_prevision,
 )
 
 DEFAULT_GENERATOR_CAP = 100_000
@@ -109,14 +109,14 @@ class IncoherentLocalModel(NetworkError):
 
 @dataclass(frozen=True)
 class GeneratorInfo:
-    """One joint generator, as `support` (its nonzero entries as (joint
-    configuration index, value) pairs, in index order), and where it came
-    from."""
+    """One joint generator, as its integer `column` (lp.IntVector: the
+    nonzero entries as (joint configuration index, integer) pairs in index
+    order, over one denominator), and where it came from."""
 
     index: int
     node: str
     parent_index: int
-    support: tuple[tuple[int, Fraction], ...]
+    column: IntVector
 
 
 @dataclass(frozen=True)
@@ -322,25 +322,25 @@ class JointModel:
                 agree.setdefault((p_at[j], n_at[j]), []).append((j, v_at[j]))
             for p_idx in range(n_parent):
                 n_assessed = len(net.assessments[(s, p_idx)])
-                local_gens = net.local_cone(s, p_idx).generators
+                # each local column by value, negated at the flipped slot
+                local_cols = [
+                    ({v: -n if mutate_flip == (s, p_idx, k) else n for v, n in entries}, den)
+                    for k, (entries, den) in enumerate(net.local_cone(s, p_idx).columns)
+                ]
                 for nnd_idx in range(n_nnd):
                     cells = agree[(p_idx, nnd_idx)]
-                    for k, g in enumerate(local_gens):
-                        flip = mutate_flip == (s, p_idx, k)
+                    for k, (by_value, den) in enumerate(local_cols):
+                        entries = tuple((j, by_value[v]) for j, v in cells if v in by_value)
                         info = GeneratorInfo(
                             index=len(self.generators),
                             node=s,
                             parent_index=p_idx,
-                            support=tuple(
-                                (j, -g.table[v] if flip else g.table[v])
-                                for j, v in cells
-                                if g.table[v] != 0
-                            ),
+                            column=(entries, den),
                         )
                         self.generators.append(info)
                         self._slot[(s, p_idx, nnd_idx, k)] = info.index
                         if s == self._leaf and k >= n_assessed:
-                            self._atom_gen_at[info.support[0][0]] = info.index
+                            self._atom_gen_at[entries[0][0]] = info.index
 
         self.canonical_witness = self._build_canonical_witness()
         # cached separators, each with its integer form (_over_lcm)
@@ -384,27 +384,20 @@ class JointModel:
         y = self._product_mass(lambda s, p, _: self.net.local_witness(s, p))
         ints, _ = _over_lcm(y)
         for info in self.generators:
-            if _score(ints, _int_vector(info.support)) <= 0:
+            if _score(ints, info.column) <= 0:
                 return None
         return tuple(y)
 
     # -- verified certificate helpers -------------------------------------
 
     def _int_columns(self) -> tuple[list[IntVector], list[int]]:
-        """Every generator's support in integer form (_int_vector), one
-        shared object per distinct support, and the generator each distinct
-        support first occurs at; built on first use."""
+        """Every generator's column, and the generator each distinct column
+        first occurs at, in order; built on first use."""
         if self._dedup is None:
-            first: dict[IntVector, IntVector] = {}
-            columns: list[IntVector] = []
-            owners: list[int] = []
+            first: dict[IntVector, int] = {}
             for info in self.generators:
-                column = _int_vector(info.support)
-                shared = first.setdefault(column, column)
-                if shared is column:
-                    owners.append(info.index)
-                columns.append(shared)
-            self._dedup = (columns, owners)
+                first.setdefault(info.column, info.index)
+            self._dedup = ([info.column for info in self.generators], list(first.values()))
         return self._dedup
 
     def _witness_matches(self, witness: dict[int, Fraction], target: IntVector) -> bool:
@@ -488,21 +481,14 @@ class JointModel:
                 return Membership(member=False, route="cached-separator", separator=y)
         return None
 
-    def _dedup_columns(self) -> tuple[list[tuple[Fraction, ...]], list[int]]:
-        """The distinct generators as dense LP columns, in order of first
-        occurrence, and the index of the generator each column stands for.
-        The LP is sized from the sparse supports first, and refused with
-        WorkCapError before any dense column is built."""
-        _, owners = self._int_columns()
+    def _dedup_columns(self) -> tuple[list[IntVector], list[int]]:
+        """The distinct generator columns, in order of first occurrence, and
+        the index of the generator each column stands for.  The joint LP is
+        sized here, and refused with WorkCapError before anything of its
+        size is built."""
+        columns, owners = self._int_columns()
         _check_work(self.space.size, len(owners))
-        return [self._table(k) for k in owners], owners
-
-    def _table(self, index: int) -> tuple[Fraction, ...]:
-        """Generator `index` as a dense table over the joint space."""
-        table = [Fraction(0)] * self.space.size
-        for j, v in self.generators[index].support:
-            table[j] = v
-        return tuple(table)
+        return [columns[k] for k in owners], owners
 
     def _exact_membership(self, table: Sequence[Fraction]) -> Membership:
         """The tail of every membership route: the chain recursion when the
@@ -537,7 +523,7 @@ class JointModel:
             # combination would need all-zero coefficients
             return Vanishing(exists=False, route="canonical-witness")
         columns, owners = self._dedup_columns()
-        res = _lp_contains_zero(columns)
+        res = _lp_contains_zero(columns, self.space.size)
         if not res.exists:
             return res
         combo = {owners[k]: c for k, c in res.combination}
@@ -652,8 +638,8 @@ class JointModel:
     ) -> tuple[Fraction, Pairs, tuple[Fraction, ...]]:
         key = (node, parent_index, table)
         if key not in self._prevision_memo:
-            gens = [g.table for g in self.net.local_cone(node, parent_index).generators]
-            self._prevision_memo[key] = _checked_prevision(table, gens)
+            columns = self.net.local_cone(node, parent_index).columns
+            self._prevision_memo[key] = _checked_prevision(table, columns)
         return self._prevision_memo[key]
 
     def _chain_certificates(
@@ -767,7 +753,7 @@ class JointModel:
         if chained is not None:
             return chained[0]
         columns, _ = self._dedup_columns()
-        return _lp_lower_prevision(table, columns)
+        return _checked_prevision(table, columns)[0]
 
     def upper_prevision(self, f: Gamble) -> Fraction:
         return -self.lower_prevision(-f.extend(self.space))
@@ -794,6 +780,12 @@ class JointModel:
         for s in net.dag.nodes:
             nnd = net.nnd_space(s).nodes
             subsets = self._subsets_for_sweep(nnd, rng, subset_cap)
+            # the observed configurations of every subset, in sweep order
+            observations = [
+                given
+                for irrelevant in subsets
+                for given in Space(net.variables[n] for n in irrelevant).configurations()
+            ]
             p_space = net.parent_space(s)
             node_space = net.node_space(s)
             for p_idx in range(p_space.size):
@@ -801,10 +793,8 @@ class JointModel:
                 local_gens = net.local_cone(s, p_idx).generators
                 draws = (sample_gamble(rng, node_space) for _ in range(gambles_per_slot))
                 for f in chain(local_gens, [-g for g in local_gens], draws):
-                    for irrelevant in subsets:
-                        i_space = Space(net.variables[n] for n in irrelevant)
-                        for given in i_space.configurations():
-                            yield s, p_cfg, given, f
+                    for given in observations:
+                        yield s, p_cfg, given, f
 
     def _negatives(self, rng: random.Random, draws: int) -> Iterator[tuple[Fraction, ...]]:
         """Negated atoms, then `draws` random nonpositive tables, each drawn when reached."""

@@ -144,7 +144,8 @@ def positivity_audit(
 
     failures: list[str] = []
     for gen in joint.generators:
-        score = sum((masses[j] * v for j, v in gen.support), Fraction(0))
+        entries, den = gen.column
+        score = sum((masses[j] * v for j, v in entries), Fraction(0)) / den
         if score <= 0:
             failures.append(f"generator {gen.index} scored {score}")
 
@@ -155,8 +156,9 @@ def positivity_audit(
         coeffs = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in picks]
         table = [Fraction(0)] * space.size
         for k, lam in zip(picks, coeffs):
-            for j, v in joint.generators[k].support:
-                table[j] += lam * v
+            entries, den = joint.generators[k].column
+            for j, v in entries:
+                table[j] += lam * v / den
         score = sum((m * v for m, v in zip(masses, table)), Fraction(0))
         checked += 1
         if score <= 0:

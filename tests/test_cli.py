@@ -548,10 +548,10 @@ def test_solver_fault_exits_1_not_as_bad_input(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["member", "lower-prevision"])
 def test_work_cap_exits_2_before_any_dense_column(tmp_path, capsys, monkeypatch, kind):
-    def dense_column(self, index):
-        raise AssertionError("a dense LP column was built")
+    def dense_rows(columns, dim):
+        raise AssertionError("a dense LP row was built")
 
-    monkeypatch.setattr(net_module.JointModel, "_table", dense_column)
+    monkeypatch.setattr(lp, "_coordinate_rows", dense_rows)
     monkeypatch.setattr(lp, "_MAX_CELLS", 8 * 9)  # 8 rows: room for no column
     net = write(tmp_path, "net.json", COLLIDER)
     query = write(
@@ -602,7 +602,7 @@ def test_local_work_cap_exits_2_before_any_atom_or_lp_row(tmp_path, capsys, monk
 
 def test_chain_queries_need_no_joint_lp_under_the_work_cap(tmp_path, capsys, monkeypatch):
     # the chain recursion answers from local LPs and checks its certificates
-    # on the sparse generators: no dense column, no joint LP, no work cap
+    # on the integer generator columns: no joint LP is sized, no work cap
     net = write(tmp_path, "net.json", CHAIN)
     gamble = {"scope": ["b", "c"], "table": ["2", "-1", "-1", "2"]}
     query = write(
@@ -614,12 +614,12 @@ def test_chain_queries_need_no_joint_lp_under_the_work_cap(tmp_path, capsys, mon
     columns, _ = joint._dedup_columns()
     table = [Fraction(v) for _ in range(2) for v in gamble["table"]]  # a varies slowest
     expected_member = lp.conic_membership(table, columns).member
-    expected_value = lp.lower_prevision(table, columns)
+    expected_value = lp._checked_prevision(table, columns)[0]
 
-    def dense_column(self, index):
-        raise AssertionError("a dense LP column was built")
+    def joint_lp(self):
+        raise AssertionError("a joint LP was sized")
 
-    monkeypatch.setattr(net_module.JointModel, "_table", dense_column)
+    monkeypatch.setattr(net_module.JointModel, "_dedup_columns", joint_lp)
     monkeypatch.setattr(lp, "_MAX_CELLS", 8 * 9)
     code, out, err = run(capsys, "query", net, query)
     assert code == 0 and err == ""

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from credalcones import lp
 from credalcones.cone import AssessmentCone
 from credalcones.core import Gamble, Space, VariableSpace
-from credalcones.lp import contains_zero, verify_witness
+from credalcones.lp import contains_zero
+from dense import int_columns, is_witness
 
 F = Fraction
 
@@ -49,7 +50,7 @@ def test_contradictory_assessment_is_incoherent():
     assert report.certificate is not None
     combo = report.certificate
     tables = [g.table for g in cone.generators]
-    assert verify_witness(tables, (F(0),) * sp.size, tuple(enumerate(combo)))
+    assert is_witness(tables, (F(0),) * sp.size, enumerate(combo))
     assert any(c > 0 for c in combo)
 
 
@@ -83,7 +84,7 @@ def test_membership_certificates_verify():
     inside = cone.member_with_certificate(Gamble(sp, (3, -1)))  # 2f + 2*atom0 + 1*... check
     assert inside.member
     tables = [g.table for g in cone.generators]
-    assert verify_witness(tables, (F(3), F(-1)), inside.witness)
+    assert is_witness(tables, (F(3), F(-1)), inside.witness)
     outside = cone.member_with_certificate(Gamble(sp, (1, -2)))
     assert not outside.member
     sep = outside.separator
@@ -107,7 +108,8 @@ def test_zero_assessment_rejected():
 
 
 def lower(cone, f):
-    return lp.lower_prevision(f.extend(cone.space).table, [g.table for g in cone.generators])
+    columns = int_columns(g.table for g in cone.generators)
+    return lp._checked_prevision(f.extend(cone.space).table, columns)[0]
 
 
 def upper(cone, f):
@@ -148,7 +150,7 @@ def test_coherence_equals_no_vanishing_combination():
     for _ in range(120):
         cone = random_cone(rng)
         coherent = cone.is_coherent().coherent
-        vanishes = contains_zero([g.table for g in cone.generators]).exists
+        vanishes = contains_zero(int_columns(g.table for g in cone.generators), cone.space.size).exists
         assert coherent == (not vanishes)
         seen[coherent] += 1
     assert seen[True] > 10 and seen[False] > 10
@@ -176,7 +178,7 @@ def test_incoherence_certificate_comes_from_the_coherence_lp(monkeypatch):
         combo = report.certificate
         assert all(c >= 0 for c in combo) and any(combo)
         tables = [g.table for g in cone.generators]
-        assert verify_witness(tables, (F(0),) * cone.space.size, tuple(enumerate(combo)))
+        assert is_witness(tables, (F(0),) * cone.space.size, enumerate(combo))
 
 
 def nonpositive_probes(cone, rng, samples=20):

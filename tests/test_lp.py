@@ -15,12 +15,14 @@ from credalcones.lp import (
     LpStatus,
     conic_membership,
     contains_zero,
-    lower_prevision,
-    verify_separator,
-    verify_witness,
 )
+from dense import int_columns, is_separator, is_witness
 
 F = Fraction
+
+
+def lower_prevision(target, tables):
+    return lp._checked_prevision(target, int_columns(tables))[0]
 
 
 def dot(u, v):
@@ -134,47 +136,53 @@ def test_conflicting_singleton_rows_are_infeasible():
 
 def test_membership_inside_2d_cone():
     gens = [(F(1), F(0)), (F(1), F(1))]
-    res = conic_membership((F(3), F(1)), gens)
+    res = conic_membership((F(3), F(1)), int_columns(gens))
     assert res.member and res.route == "exact-lp"
     assert res.witness == ((0, F(2)), (1, F(1)))
 
 
 def test_membership_outside_2d_cone():
     gens = [(F(1), F(0)), (F(1), F(1))]
-    res = conic_membership((F(0), F(1)), gens)
+    res = conic_membership((F(0), F(1)), int_columns(gens))
     assert not res.member
     assert res.separator is not None
-    assert verify_separator(gens, (F(0), F(1)), res.separator)
+    assert is_separator(gens, (F(0), F(1)), res.separator)
 
 
 def test_zero_target_is_rejected():
     # pointedness is a property of the cone, not a membership question
     with pytest.raises(LpError, match="contains_zero"):
-        conic_membership((F(0), F(0)), [(F(1), F(2))])
+        conic_membership((F(0), F(0)), int_columns([(F(1), F(2))]))
 
 
 def test_empty_generator_list():
     res = conic_membership((F(1), F(-2)), [])
     assert not res.member
-    assert verify_separator([], (F(1), F(-2)), res.separator)
-    assert not contains_zero([]).exists
+    assert is_separator([], (F(1), F(-2)), res.separator)
+    assert not contains_zero([], 2).exists
 
 
 def test_contains_zero_detects_opposite_rays():
-    res = contains_zero([(F(1), F(-1)), (F(-1), F(1))])
+    rays = [(F(1), F(-1)), (F(-1), F(1))]
+    res = contains_zero(int_columns(rays), 2)
     assert res.exists and res.route == "exact-lp"
     assert res.combination == ((0, F(1, 2)), (1, F(1, 2)))
-    assert verify_witness([(F(1), F(-1)), (F(-1), F(1))], (F(0), F(0)), res.combination)
+    assert is_witness(rays, (F(0), F(0)), res.combination)
 
 
 def test_contains_zero_negative_for_pointed_cone():
     gens = [(F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
-    assert not contains_zero(gens).exists
+    assert not contains_zero(int_columns(gens), 2).exists
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        conic_membership((F(1), F(0)), [(F(1), F(0)), (F(1),)])
+    # a column index outside the target's dimension
+    with pytest.raises(ValueError, match="one dimension"):
+        conic_membership((F(1), F(0)), int_columns([(F(1), F(0)), (F(0), F(0), F(1))]))
+    with pytest.raises(ValueError, match="one dimension"):
+        contains_zero([(((-1, 1),), 1)], 2)
+    with pytest.raises(ValueError, match="at least 1"):
+        conic_membership((), [])
 
 
 def test_lower_prevision_is_the_largest_constant_shift():
@@ -275,12 +283,12 @@ def test_membership_agrees_with_brute_force():
             tuple(F(1) for _ in range(dim))
         ]
         target = _nonzero_vector(rng, dim)
-        res = conic_membership(target, gens)
+        res = conic_membership(target, int_columns(gens))
         assert res.member == brute_force_member(gens, target)
         if res.member:
-            assert verify_witness(gens, target, res.witness)
+            assert is_witness(gens, target, res.witness)
         else:
-            assert verify_separator(gens, target, res.separator)
+            assert is_separator(gens, target, res.separator)
 
 
 def test_two_sided_membership_forces_a_vanishing_combination():
@@ -292,14 +300,14 @@ def test_two_sided_membership_forces_a_vanishing_combination():
         n = rng.randint(2, 5)
         gens = [_nonzero_vector(rng, dim) for _ in range(n)]
         target = _nonzero_vector(rng, dim)
-        forward = conic_membership(target, gens)
+        forward = conic_membership(target, int_columns(gens))
         if not forward.member:
             continue
-        backward = conic_membership(tuple(-v for v in target), gens)
+        backward = conic_membership(tuple(-v for v in target), int_columns(gens))
         if not backward.member:
             continue
         hits += 1
-        assert contains_zero(gens).exists
+        assert contains_zero(int_columns(gens), dim).exists
     assert hits >= 10
 
 
@@ -307,9 +315,9 @@ def test_solver_is_deterministic():
     rng = random.Random(7)
     gens = [tuple(F(rng.randint(-3, 3)) for _ in range(4)) for _ in range(8)]
     target = _nonzero_vector(rng, 4)
-    first = conic_membership(target, gens)
+    first = conic_membership(target, int_columns(gens))
     for _ in range(3):
-        again = conic_membership(target, gens)
+        again = conic_membership(target, int_columns(gens))
         assert again == first
 
 
@@ -432,18 +440,18 @@ def test_separator_scoring_one_generator_at_minus_eps_is_rejected():
     target = (F(-1), F(-1))
     y = (F(1), F(1))
     gens = [(F(1), F(0)), (F(0), F(1)), (F(1, 2), F(-1, 2))]
-    assert verify_separator(gens, target, y)  # the third scores exactly 0
+    assert is_separator(gens, target, y)  # the third scores exactly 0
     gens[2] = (F(1, 2), F(-1, 2) - EPS)  # and now exactly -1/10^12
     assert dot(y, gens[2]) == -EPS
-    assert not verify_separator(gens, target, y)
+    assert not is_separator(gens, target, y)
 
 
 def test_witness_missing_the_target_by_eps_is_rejected():
     gens = [(F(1), F(0)), (F(0), F(1))]
-    assert verify_witness(gens, (F(2), F(3)), ((0, F(2)), (1, F(3))))
-    assert not verify_witness(gens, (F(2), F(3)), ((0, F(2)), (1, F(3) - EPS)))
-    assert not verify_witness(gens, (F(2), F(3)), ((0, F(2)), (1, F(3)), (1, EPS)))
-    assert not verify_witness(gens, (F(2), F(3) + EPS), ((0, F(2)), (1, F(3))))
+    assert is_witness(gens, (F(2), F(3)), ((0, F(2)), (1, F(3))))
+    assert not is_witness(gens, (F(2), F(3)), ((0, F(2)), (1, F(3) - EPS)))
+    assert not is_witness(gens, (F(2), F(3)), ((0, F(2)), (1, F(3)), (1, EPS)))
+    assert not is_witness(gens, (F(2), F(3) + EPS), ((0, F(2)), (1, F(3))))
 
 
 def test_lower_prevision_rejects_a_dual_that_misses_by_one_over_den(monkeypatch):

@@ -11,11 +11,10 @@ from credalcones.core import Gamble, Space, VariableSpace, indicator
 from credalcones.dag import Dag
 from credalcones.lp import (
     LpError,
+    _checked_prevision,
+    _int_vector,
     conic_membership,
     contains_zero as lp_contains_zero,
-    lower_prevision as lp_lower_prevision,
-    verify_separator,
-    verify_witness,
 )
 from credalcones.net import (
     CredalNet,
@@ -26,6 +25,7 @@ from credalcones.net import (
     sample_credal_net,
     sample_gamble,
 )
+from dense import int_columns, is_separator, is_witness
 
 F = Fraction
 
@@ -39,10 +39,15 @@ def generator_tables(joint):
     tables = []
     for info in joint.generators:
         table = [F(0)] * joint.space.size
-        for j, v in info.support:
-            table[j] = v
+        entries, den = info.column
+        for j, n in entries:
+            table[j] = F(n, den)
         tables.append(tuple(table))
     return tables
+
+
+def lp_lower_prevision(target, columns):
+    return _checked_prevision(target, columns)[0]
 
 
 def binary(name):
@@ -103,6 +108,34 @@ def test_generator_count_matches_construction_on_random_nets():
         assert net.generator_count() == len(net.build_joint().generators)
 
 
+def test_joint_integer_columns_equal_their_definition():
+    # every generator column is the integer form of the dense product
+    # indicator(parent config and nnd config) * local generator, built here
+    # through core, and negated at the flipped slot of a mutated model
+    rng = random.Random(73)
+    flips = 0
+    for trial in range(12):
+        net = sample_credal_net(rng, max_nodes=4, max_values=3)
+        flip = random_mutation(rng, net) if trial % 2 else None
+        joint = net.build_joint(mutate_flip=flip)
+        space = net.joint_space
+        expected = []
+        for s in net.dag.nodes:
+            p_space, nnd_space = net.parent_space(s), net.nnd_space(s)
+            for p_idx in range(p_space.size):
+                for n_idx in range(nnd_space.size):
+                    observed = p_space.config_at(p_idx).combine(nnd_space.config_at(n_idx))
+                    for k, g in enumerate(net.local_cone(s, p_idx).generators):
+                        product = indicator(observed, space) * g.extend(space)
+                        if flip == (s, p_idx, k):
+                            product = -product
+                            flips += 1
+                        expected.append((s, p_idx, _int_vector(enumerate(product.table))))
+        assert [(g.node, g.parent_index, g.column) for g in joint.generators] == expected
+        assert [g.index for g in joint.generators] == list(range(len(expected)))
+    assert flips >= 6
+
+
 def test_generator_cap():
     net = chain_net()
     with pytest.raises(GeneratorCapError):
@@ -134,7 +167,7 @@ def test_canonical_witness_certifies_zero_freeness():
         assert not report.exists
         assert report.route == "canonical-witness"
         # independent route: the LP primitive over the raw columns
-        assert not lp_contains_zero(generator_tables(joint)).exists
+        assert not lp_contains_zero(int_columns(generator_tables(joint)), joint.space.size).exists
 
 
 def test_joint_lp_columns_are_the_distinct_generators_in_first_occurrence_order(monkeypatch):
@@ -154,14 +187,14 @@ def test_joint_lp_columns_are_the_distinct_generators_in_first_occurrence_order(
         tables = generator_tables(joint)
         distinct = list(dict.fromkeys(tables))
         columns, owners = joint._dedup_columns()
-        assert columns == distinct
+        assert columns == int_columns(distinct)
         assert owners == [tables.index(t) for t in distinct]
     joint = twin.build_joint()
     assert len(joint.generators) == 8 and len(joint._dedup_columns()[0]) == 4
     # scored 0 by the canonical witness and not positive: only the LP decides
     res = joint.member_with_certificate(Gamble(twin.joint_space, (1, -1, 0, 0)))
     assert res.route == "exact-lp" and not res.member
-    assert seen == [list(dict.fromkeys(generator_tables(joint)))]
+    assert seen == [int_columns(dict.fromkeys(generator_tables(joint)))]
 
 
 def test_positive_gambles_are_members_and_nonpositive_are_not():
@@ -231,7 +264,7 @@ def test_structured_member_agrees_with_raw_lp():
     for _ in range(5):
         net = sample_credal_net(rng, max_nodes=3, max_values=2)
         joint = net.build_joint()
-        columns = generator_tables(joint)
+        columns = int_columns(generator_tables(joint))
         for s in net.dag.nodes:
             p_space = net.parent_space(s)
             nnd = net.dag.non_parent_non_descendants(s)
@@ -266,7 +299,8 @@ def test_structured_target_is_the_dense_target():
         net = sample_credal_net(rng, max_nodes=4, max_values=3)
         flip = random_mutation(rng, net) if trial % 2 else None
         with_parents, without = (net.build_joint(mutate_flip=flip) for _ in range(2))
-        columns = generator_tables(with_parents)
+        tables = generator_tables(with_parents)
+        columns = int_columns(tables)
         for _ in range(6):
             s = rng.choice(net.dag.nodes)
             p_space = net.parent_space(s)
@@ -283,9 +317,9 @@ def test_structured_target_is_the_dense_target():
             target = indicator(p_cfg.combine(given), net.joint_space) * f.extend(net.joint_space)
             assert res.member == conic_membership(target.table, columns).member
             if res.member:
-                assert verify_witness(columns, target.table, res.witness)
+                assert is_witness(tables, target.table, res.witness)
             else:
-                assert verify_separator(columns, target.table, res.separator)
+                assert is_separator(tables, target.table, res.separator)
             routes.add(res.route)
     assert {"local-assembly", "product-separator"} <= routes, routes
     assert routes & {"exact-lp", "chain-recursion"}, routes
@@ -370,7 +404,7 @@ def test_membership_given_an_observation_dispatch_and_errors():
     joint = net.build_joint()
     sp_c = net.node_space("c")
     f = Gamble(sp_c, (2, -1))
-    columns = generator_tables(joint)
+    columns = int_columns(generator_tables(joint))
     ab_space = Space([binary("a"), binary("b")])
     # parent (b) plus a non-parent-non-descendant (a) observed, in one
     # configuration or combined from the two parts: the same structured
@@ -638,7 +672,7 @@ def test_chain_recursion_equals_the_joint_lp_and_never_falls_back(monkeypatch):
             member = conic_membership(table, columns).member
 
             with monkeypatch.context() as patch:
-                patch.setattr("credalcones.net._lp_lower_prevision", refuse)
+                patch.setattr("credalcones.net.JointModel._dedup_columns", refuse)
                 patch.setattr("credalcones.net.conic_membership", refuse)
                 m, primal, mass = joint._chain_certificates(table)
                 assert (joint.lower_prevision(f), joint.upper_prevision(f)) == (lower, upper)
@@ -647,15 +681,15 @@ def test_chain_recursion_equals_the_joint_lp_and_never_falls_back(monkeypatch):
             assert m == lower
             # the lifted primal combines to f - m, the chained dual is a mass
             # function of expectation m scoring every generator nonnegative
-            assert verify_witness(tables, [v - m for v in table], tuple(primal.items()))
+            assert is_witness(tables, [v - m for v in table], primal.items())
             assert sum(mass) == 1 and dot(mass, table) == m
             assert all(dot(mass, t) >= 0 for t in tables)
             assert res.route == "chain-recursion" and res.member == member
             assert generic.member == member
             if member:
-                assert verify_witness(tables, table, res.witness)
+                assert is_witness(tables, table, res.witness)
             else:
-                assert verify_separator(tables, table, res.separator)
+                assert is_separator(tables, table, res.separator)
 
 
 def test_chain_recursion_on_mutated_chains_answers_as_the_lp():
@@ -685,9 +719,9 @@ def test_chain_recursion_on_mutated_chains_answers_as_the_lp():
             res = joint.member_with_certificate(f)
             assert res.member == conic_membership(table, columns).member
             if res.member:
-                assert verify_witness(tables, table, res.witness)
+                assert is_witness(tables, table, res.witness)
             else:
-                assert verify_separator(tables, table, res.separator)
+                assert is_separator(tables, table, res.separator)
         # structured queries share the tail: the chain recursion, then the LP
         for s in net.dag.nodes * 3:
             p_space = net.parent_space(s)
@@ -701,9 +735,9 @@ def test_chain_recursion_on_mutated_chains_answers_as_the_lp():
             res = joint.member_with_certificate(f, given=p_cfg.combine(given))
             assert res.member == conic_membership(target.table, columns).member
             if res.member:
-                assert verify_witness(tables, target.table, res.witness)
+                assert is_witness(tables, target.table, res.witness)
             else:
-                assert verify_separator(tables, target.table, res.separator)
+                assert is_separator(tables, target.table, res.separator)
             tails.add(res.route)
     # some certificates still verify against the tampered generators, and
     # some fail and leave the answer to the joint LP
@@ -722,7 +756,7 @@ def test_fork_recursion_is_only_a_lower_bound_and_the_joint_lp_answers(monkeypat
     def iterated(net, table, first, second):
         def low(node, p_idx, row):
             gens = [g.table for g in net.local_cone(node, p_idx).generators]
-            return lp_lower_prevision(row, gens)
+            return lp_lower_prevision(row, int_columns(gens))
 
         def at(x, y, z):  # the table at a = x, first = y, second = z
             where = {"a": x, first: y, second: z}
@@ -754,12 +788,12 @@ def test_fork_recursion_is_only_a_lower_bound_and_the_joint_lp_answers(monkeypat
 
     def spy(target, cols):
         calls.append(len(cols))
-        return lp_lower_prevision(target, cols)
+        return _checked_prevision(target, cols)
 
     def local_lp(*args):
         raise AssertionError("the chain recursion ran on a fork")
 
-    monkeypatch.setattr("credalcones.net._lp_lower_prevision", spy)
+    monkeypatch.setattr("credalcones.net._checked_prevision", spy)
     monkeypatch.setattr(type(joint), "_local_prevision", local_lp)
     assert net.dag.path() is None
     assert joint.lower_prevision(f) == exact

@@ -8,6 +8,7 @@ import pytest
 from credalcones.core import Gamble, Space, VariableSpace, indicator
 from credalcones.dag import Dag
 from credalcones.lp import conic_membership
+from dense import int_columns
 from credalcones.net import CredalNet, sample_credal_net, sample_gamble
 from credalcones.oracle import (
     FM_MAX_DIM,
@@ -107,8 +108,9 @@ def test_witness_network_matches_canonical_witness():
         # and every generator really has strictly positive expectation
         for info in joint.generators:
             table = [F(0)] * net.joint_space.size
-            for j, v in info.support:
-                table[j] = v
+            entries, den = info.column
+            for j, n in entries:
+                table[j] = F(n, den)
             assert precise.expectation(Gamble(net.joint_space, table)) > 0
 
 
@@ -188,7 +190,7 @@ def test_fm_agrees_with_lp():
         target = tuple(F(rng.randint(-3, 3)) for _ in range(dim))
         while all(v == 0 for v in target):
             target = tuple(F(rng.randint(-3, 3)) for _ in range(dim))
-        lp_says = conic_membership(target, gens).member
+        lp_says = conic_membership(target, int_columns(gens)).member
         fm_says = fm_membership(target, gens)
         assert lp_says == fm_says
         if lp_says:
