@@ -11,6 +11,15 @@ largest constant it exceeds within the closed cone), which
 _checked_prevision returns with its verified primal combination and dual
 mass function for callers that lift them.
 
+A prevision LP over fixed columns keeps its matrix and cost from call to
+call; only the target, its right-hand side, moves.  So an optimal basis B
+of one solve stays dual feasible for every target, and is optimal for a
+new target t exactly when B^-1 t is nonnegative on B's generators (the
+shift is free; Chvatal, Linear Programming, 1983, ch. 10).
+_prevision_basis builds B^-1 from the verified certificates of a solve,
+and _prevision_at_basis answers such a t from it without a pivot; its
+answer passes the same checks as a cold solve's (_verified_prevision).
+
 The primitives take a dense target and each generator as an integer
 column (IntVector), built once by cone or net; only _coordinate_rows lays
 the columns out densely, for the tableau.  Every answer returned by this
@@ -575,14 +584,104 @@ def _checked_prevision(
         raise LpError("unbounded lower prevision: the cone is incoherent")
     if status is not LpStatus.OPTIMAL:
         raise LpError("lower prevision LP is infeasible: no constant shift reaches the cone")
-    m = x[n] - x[n + 1]
-    primal = _pairs(enumerate(x[:n]))
-    if not _combines(columns, primal, _int_vector((j, v - m) for j, v in enumerate(target))):
+    return _verified_prevision(
+        target, columns, x[n] - x[n + 1], _pairs(enumerate(x[:n])), tuple(-v for v in y)
+    )
+
+
+def _verified_prevision(
+    target: Sequence[Fraction],
+    columns: Sequence[IntVector],
+    m: Fraction,
+    primal: Pairs,
+    p: tuple[Fraction, ...],
+) -> tuple[Fraction, Pairs, tuple[Fraction, ...]]:
+    """(m, primal, p) once the primal combines the columns to target - m
+    and the mass function p sums to 1, gives the target the expectation m
+    and scores every column nonnegative; raises LpError otherwise.  The
+    target is checked as integers over den, target - m over den times m's
+    denominator."""
+    ints, den = _over_lcm(target)
+    a, b = m.numerator, m.denominator
+    shifted = tuple((j, n * b - a * den) for j, n in enumerate(ints) if n * b != a * den)
+    if not _combines(columns, primal, (shifted, den * b)):
         raise LpError("lower prevision failed primal verification")
-    p = tuple(-v for v in y)
-    mass, den = _over_lcm(p)
-    if not _expects(mass, den, _int_vector(enumerate(target)), m) or any(
-        _score(mass, g) < 0 for g in columns
-    ):
+    goal = tuple((j, n) for j, n in enumerate(ints) if n), den
+    mass, mass_den = _over_lcm(p)
+    if not _expects(mass, mass_den, goal, m) or any(_score(mass, g) < 0 for g in columns):
         raise LpError("lower prevision failed dual verification")
     return m, primal, p
+
+
+@dataclass(frozen=True)
+class PrevisionBasis:
+    """A verified optimal basis B of the prevision LP over one column list.
+
+    `inverse` is B^-1 as integer rows over the positive `den`.  Its first
+    row belongs to the free shift m; row i + 1 belongs to the generator
+    `basic[i]`.  The first row is the dual: a mass function that sums to 1
+    and scores every column nonnegative, so B stays dual feasible whatever
+    the target (the right-hand side) is.
+    """
+
+    basic: tuple[int, ...]
+    inverse: tuple[tuple[int, ...], ...]
+    den: int
+
+
+def _prevision_basis(
+    columns: Sequence[IntVector], primal: Pairs, p: Sequence[Fraction]
+) -> Optional[PrevisionBasis]:
+    """An optimal basis of the prevision LP over these columns, built from
+    the verified certificates (primal, p) of one of its solves; None if the
+    shift and the columns p scores 0 do not span the space, or if the dual
+    row does not pass its check.
+
+    The basic columns are the shift, then the primal's support, then the
+    other columns p scores 0, each kept if independent of those before it:
+    the kernel's pivots (_Tableau._pivot) on the candidate columns, whose
+    artificial columns end as B^-1, one row per basic column.
+    """
+    dim = len(p)
+    mass, _ = _over_lcm(p)
+    support = [k for k, _ in primal]
+    tight = [k for k, g in enumerate(columns) if k not in support and _score(mass, g) == 0]
+    candidates = support + tight
+    width = 1 + len(candidates)
+    rows = [[1, *row] for row in _coordinate_rows([columns[k] for k in candidates], dim)]
+    tableau = _Tableau(rows, [0] * dim, [0] * width)
+    tableau._set_objective([0] * width)
+    basis = tableau.basis
+    for c in range(width):
+        r = next((i for i in range(dim) if basis[i] >= width and tableau.rows[i][c]), None)
+        if r is not None:
+            tableau._pivot(r, c)
+    if any(b >= width for b in basis):
+        return None
+    order = sorted(range(dim), key=basis.__getitem__)
+    ints, den = _over_lcm(
+        [Fraction(a, tableau.dens[i]) for i in order for a in tableau.rows[i][width:-1]]
+    )
+    inverse = tuple(tuple(ints[i * dim:(i + 1) * dim]) for i in range(dim))
+    if sum(inverse[0]) != den or any(_score(inverse[0], g) < 0 for g in columns):
+        return None
+    return PrevisionBasis(tuple(candidates[basis[i] - 1] for i in order[1:]), inverse, den)
+
+
+def _prevision_at_basis(
+    basis: PrevisionBasis, target: Sequence[Fraction], columns: Sequence[IntVector]
+) -> Optional[tuple[Fraction, Pairs, tuple[Fraction, ...]]]:
+    """What _checked_prevision returns, read off a cached optimal basis B
+    of the same columns without a pivot: None unless B^-1 target is
+    nonnegative on every basic generator, which makes B optimal for this
+    target.  Then m is the shift entry of B^-1 target, the primal is the
+    generator entries and the dual is the first row of B^-1; the answer
+    passes _checked_prevision's checks or raises LpError."""
+    ints, den = _over_lcm(target)
+    x = [sum(a * t for a, t in zip(row, ints)) for row in basis.inverse]
+    if any(v < 0 for v in x[1:]):
+        return None
+    scale = basis.den * den
+    primal = _pairs((k, Fraction(v, scale)) for k, v in zip(basis.basic, x[1:]))
+    p = tuple(Fraction(a, basis.den) for a in basis.inverse[0])
+    return _verified_prevision(target, columns, Fraction(x[0], scale), primal, p)

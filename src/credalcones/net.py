@@ -27,7 +27,9 @@ substitution, in integers over the nonzero entries (see lp):
   * when the graph is one directed path (a single node counts), the
     chain recursion (route "chain-recursion") takes the lower prevision m
     of any other target backwards from the leaf, one small local LP per
-    (node, parent value, local table): the local primals lift onto the
+    (node, parent value, local table), answered at a cached optimal basis
+    of its slot when one is optimal for the table and solved cold
+    otherwise (see _local_prevision); the local primals lift onto the
     joint generators and telescope to target - m, the local duals chain
     into a joint mass function of expectation m; the target is a member
     exactly when m >= 0 (witness: the lifted primal plus m on every leaf
@@ -57,6 +59,7 @@ from .lp import (
     LpError,
     Membership,
     Pairs,
+    PrevisionBasis,
     Vanishing,
     _check_work,
     _checked_prevision,
@@ -65,6 +68,8 @@ from .lp import (
     _int_vector,
     _over_lcm,
     _pairs,
+    _prevision_at_basis,
+    _prevision_basis,
     _primitive,
     _score,
     conic_membership,
@@ -78,6 +83,9 @@ _GAMBLE_MAGNITUDE = 3
 _GAMBLE_DENOMINATOR = 2
 
 _SEPARATOR_CACHE_LIMIT = 32
+
+# optimal bases kept per local prevision slot, most recently used first
+_BASIS_LIMIT = 4
 
 CHAIN_RECURSION = "chain-recursion"
 
@@ -350,6 +358,7 @@ class JointModel:
             self._cache_separator(w, _over_lcm(w)[0])
         self._local_memo: dict[tuple[str, int, tuple], Membership] = {}
         self._prevision_memo: dict[tuple[str, int, tuple], tuple] = {}
+        self._bases: dict[tuple[str, int], list[PrevisionBasis]] = {}
         self._dedup: Optional[tuple[list[IntVector], list[int]]] = None
 
     # -- product mass functions --------------------------------------------
@@ -405,9 +414,10 @@ class JointModel:
         return _combines(columns, witness.items(), target)
 
     def _separates_all_generators(self, y: Sequence[int]) -> bool:
-        """y (integers) scores every generator nonnegative."""
-        columns, _ = self._int_columns()
-        return all(_score(y, g) >= 0 for g in columns)
+        """y (integers) scores every generator nonnegative; each distinct
+        column is scored once."""
+        columns, owners = self._int_columns()
+        return all(_score(y, columns[k]) >= 0 for k in owners)
 
     def _cache_separator(self, y: tuple[Fraction, ...], ints: list[int]) -> tuple:
         """Cache a verified separator y, whose integer form is `ints`;
@@ -636,10 +646,28 @@ class JointModel:
     def _local_prevision(
         self, node: str, parent_index: int, table: tuple[Fraction, ...]
     ) -> tuple[Fraction, Pairs, tuple[Fraction, ...]]:
+        """The checked local lower prevision of a table, memoized.  A new
+        table is first tried at the slot's cached optimal bases (at most
+        _BASIS_LIMIT, most recently used first) and solved cold only when
+        none is optimal for it; the cold solve's basis then joins the
+        front.  Either answer passes the same checks, so m is the same,
+        but its certificates may differ from a cold solve's."""
         key = (node, parent_index, table)
         if key not in self._prevision_memo:
             columns = self.net.local_cone(node, parent_index).columns
-            self._prevision_memo[key] = _checked_prevision(table, columns)
+            bases = self._bases.setdefault((node, parent_index), [])
+            for i, basis in enumerate(bases):
+                answer = _prevision_at_basis(basis, table, columns)
+                if answer is not None:
+                    bases.insert(0, bases.pop(i))
+                    break
+            else:
+                answer = _checked_prevision(table, columns)
+                basis = _prevision_basis(columns, answer[1], answer[2])
+                if basis is not None:
+                    bases.insert(0, basis)
+                    del bases[_BASIS_LIMIT:]
+            self._prevision_memo[key] = answer
         return self._prevision_memo[key]
 
     def _chain_certificates(

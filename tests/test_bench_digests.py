@@ -2,24 +2,57 @@
 
 ``perfbench/digests.json`` holds, per workload and seed, a digest of every
 unit's answers (member flags, prevision values, verify outcomes).  Replaying
-seed 1 of the chain and sweep workloads here catches a change that moves an
-answer without anyone running the benchmark.
+seeds 1 and 2 of the chain workload and seed 1 of the sweep here catches a
+change that moves an answer without anyone running the benchmark.  Which
+local LP answers a chain query (a cached basis or a cold solve) depends on
+the queries before it, so a second chain seed guards the values.
 """
 
+import contextlib
+import io
 import sys
 
 import pytest
 
+from credalcones import lp
+from credalcones.cli import main
 from test_bench_surface import load
 
 
-@pytest.mark.parametrize("name", ["chain", "sweep"])
-def test_recorded_digests_replay(tmp_path, monkeypatch, name):
+@pytest.mark.parametrize(
+    "name, seed",
+    [
+        pytest.param("chain", 1, id="chain"),
+        pytest.param("chain", 2, id="chain-seed2"),
+        pytest.param("sweep", 1, id="sweep"),
+    ],
+)
+def test_recorded_digests_replay(tmp_path, monkeypatch, name, seed):
     run = load("run")
     monkeypatch.setattr(sys, "path", list(sys.path))  # import_package prepends
     workload = run.import_package()[name]()
-    units = run.make_inputs(workload, 1, tmp_path)
+    units = run.make_inputs(workload, seed, tmp_path)
     log = run.run_fixed(workload, units)
-    assert run.compare_recorded(log, name, 1, run.input_digest(units)) == "checked"
+    assert run.compare_recorded(log, name, seed, run.input_digest(units)) == "checked"
     assert log.failed == 0, log.messages
     assert len(log.unit_digests) == len(units)
+
+
+def test_chain_queries_reuse_local_bases(tmp_path, monkeypatch):
+    # the first chain file of seed 1 (six binary nodes, seven queries) needs
+    # 102 distinct local previsions; solved cold, each is one two-row LP
+    run = load("run")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    unit = run.make_inputs(run.import_package()["chain"](), 1, tmp_path)[0]
+    solve = lp._solve_standard
+    cold = []
+
+    def spy(rows, rhs, cost):
+        if len(rows) == 2 and cost[-2:] == [-1, 1]:
+            cold.append(rhs)
+        return solve(rows, rhs, cost)
+
+    monkeypatch.setattr(lp, "_solve_standard", spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["query", str(unit.path), str(unit.query_path)]) == 0
+    assert 0 < len(cold) <= 30

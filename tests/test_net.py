@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,9 @@ from credalcones.lp import (
     LpError,
     _checked_prevision,
     _int_vector,
+    _prevision_at_basis,
+    _prevision_basis,
+    _score,
     conic_membership,
     contains_zero as lp_contains_zero,
 )
@@ -584,6 +588,26 @@ def test_product_separator_scoring_one_generator_negative_is_refused():
     assert res.member and total == [F(-1), F(3), F(0), F(0)]
 
 
+def test_a_separator_scoring_a_duplicated_column_negative_is_refused():
+    # the assessment (1, 0) on b at a0 is b's first atom again, so each of
+    # its joint generators has a twin; only one of the two is scored
+    a, b = binary("a"), binary("b")
+    sp_b = Space([b])
+    net = CredalNet(Dag(["a", "b"], [("a", "b")]), [a, b], {"b": [[Gamble(sp_b, (1, 0))], []]})
+    joint = net.build_joint()
+    columns, owners = joint._int_columns()
+    twin = next(k for k in range(len(columns)) if k not in owners)
+    assert columns.count(columns[twin]) == 2
+    # y scores that column, at (a0, b0), -1 and every other column >= 0
+    (j, _), = columns[twin][0]
+    y = [1] * joint.space.size
+    y[j] = -1
+    assert [_score(y, c) < 0 for c in columns].count(True) == 2
+    assert not joint._separates_all_generators(y)
+    y[j] = 1
+    assert joint._separates_all_generators(y)
+
+
 def test_mutated_joint_lp_path_is_caught():
     net = single_node_net()
     # negate the assessed gamble (1, -1): the joint cone no longer holds it
@@ -798,3 +822,152 @@ def test_fork_recursion_is_only_a_lower_bound_and_the_joint_lp_answers(monkeypat
     assert net.dag.path() is None
     assert joint.lower_prevision(f) == exact
     assert calls == [len(columns)]
+
+
+# -- local previsions from cached bases ---------------------------------------
+
+
+def assert_local_prevision(cone, table, answer):
+    """answer is the lower prevision of table in the cone, as a cold solve
+    finds it, with a primal that combines the generators to table - m and a
+    mass function of expectation m that scores every generator
+    nonnegative."""
+    m, primal, mass = answer
+    tables = [g.table for g in cone.generators]
+    assert m == lp_lower_prevision(table, cone.columns)
+    assert is_witness(tables, [v - m for v in table], primal)
+    assert sum(mass) == 1 and dot(mass, table) == m
+    assert all(dot(mass, t) >= 0 for t in tables)
+
+
+def random_local_cone(rng):
+    """A coherent cone on 2-4 values with 0-3 assessments."""
+    k = rng.randint(2, 4)
+    space = Space([VariableSpace("a", tuple(f"v{i}" for i in range(k)))])
+    return AssessmentCone(space, coherent_gambles(rng, space, rng.randint(0, 3)))
+
+
+def test_local_prevision_at_a_cached_basis_equals_a_cold_solve():
+    rng = random.Random(1729)
+    answered = refused = 0
+    for _ in range(60):
+        cone = random_local_cone(rng)
+        columns = cone.columns
+        first = sample_gamble(rng, cone.space).table
+        cold = _checked_prevision(first, columns)
+        basis = _prevision_basis(columns, cold[1], cold[2])
+        # the atoms are generators, so an optimal basis always exists
+        assert basis is not None
+        assert _prevision_at_basis(basis, first, columns)[0] == cold[0]
+        for _ in range(8):
+            table = sample_gamble(rng, cone.space).table
+            answer = _prevision_at_basis(basis, table, columns)
+            if answer is None:
+                refused += 1
+            else:
+                answered += 1
+                assert_local_prevision(cone, table, answer)
+    assert answered > 100 and refused > 100, (answered, refused)
+
+
+def dense_table(rng, size):
+    return tuple(F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2)) for _ in range(size))
+
+
+def test_a_corrupted_basis_never_answers():
+    # every entry of B^-1 meets a nonzero target entry, so changing one
+    # moves the primal or m off the certificate checks
+    rng = random.Random(1730)
+    corrupted = 0
+    for _ in range(30):
+        cone = random_local_cone(rng)
+        columns = cone.columns
+        table = dense_table(rng, cone.space.size)
+        m, primal, mass = _checked_prevision(table, columns)
+        basis = _prevision_basis(columns, primal, mass)
+        assert _prevision_at_basis(basis, table, columns)[0] == m
+        for i, row in enumerate(basis.inverse):
+            for j in range(len(row)):
+                inverse = [list(r) for r in basis.inverse]
+                inverse[i][j] += 1
+                bad = replace(basis, inverse=tuple(map(tuple, inverse)))
+                try:
+                    answer = _prevision_at_basis(bad, table, columns)
+                except LpError:
+                    answer = None
+                assert answer is None
+                corrupted += 1
+    assert corrupted > 200
+
+
+def test_a_corrupted_cached_basis_raises_or_leaves_the_answer_to_a_cold_solve(monkeypatch):
+    rng = random.Random(1731)
+    cold = []
+
+    def spy(target, columns):
+        cold.append(target)
+        return _checked_prevision(target, columns)
+
+    monkeypatch.setattr("credalcones.net._checked_prevision", spy)
+    outcomes = set()
+    for _ in range(40):
+        net = sample_chain(rng, 3, 2)
+        joint = net.build_joint()
+        s = net.dag.path()[-1]
+        cone = net.local_cone(s, 0)
+        table = dense_table(rng, 2)
+        joint._local_prevision(s, 0, table)
+        (basis,) = joint._bases[(s, 0)]
+        inverse = [list(r) for r in basis.inverse]
+        inverse[rng.randrange(2)][rng.randrange(2)] -= 1
+        joint._bases[(s, 0)] = [replace(basis, inverse=tuple(map(tuple, inverse)))]
+        joint._prevision_memo.clear()
+        cold.clear()
+        try:
+            answer = joint._local_prevision(s, 0, table)
+        except LpError:
+            outcomes.add("raised")
+        else:
+            assert cold == [table]
+            assert_local_prevision(cone, table, answer)
+            outcomes.add("cold")
+    assert outcomes == {"raised", "cold"}
+
+
+def test_chain_local_previsions_from_cached_bases_equal_a_cold_solve(monkeypatch):
+    rng = random.Random(1732)
+    seen = {"reused": 0, "cold": 0, "cold past cached bases": 0}
+    joint = None
+
+    def basis_spy(basis, target, columns):
+        answer = _prevision_at_basis(basis, target, columns)
+        seen["reused"] += answer is not None
+        return answer
+
+    def cold_spy(target, columns):
+        seen["cold"] += 1
+        slot = slots[id(columns)]
+        # no cached basis of the slot was optimal for this target
+        if joint._bases.get(slot):
+            seen["cold past cached bases"] += 1
+        return _checked_prevision(target, columns)
+
+    monkeypatch.setattr("credalcones.net._prevision_at_basis", basis_spy)
+    monkeypatch.setattr("credalcones.net._checked_prevision", cold_spy)
+    shapes = [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 5)]
+    for n, k in shapes:
+        net = sample_chain(rng, n, k)
+        slots = {
+            id(net.local_cone(s, p).columns): (s, p)
+            for s in net.dag.nodes
+            for p in range(net.parent_space(s).size)
+        }
+        for flip in (None, random_mutation(rng, net)):
+            joint = net.build_joint(mutate_flip=flip)
+            for f in chain_gambles(rng, net, 4):
+                table = f.extend(net.joint_space).table
+                joint._chain_certificates(table)
+                joint._chain_certificates(tuple(-v for v in table))
+            for (s, p_idx, table), answer in joint._prevision_memo.items():
+                assert_local_prevision(net.local_cone(s, p_idx), table, answer)
+    assert seen["reused"] > 1000 and seen["cold past cached bases"] > 100, seen
