@@ -13,6 +13,18 @@ LPs and certificate checks read the generators as integer columns
 (AssessmentCone.columns, built on first use); the joint model of net
 builds its own columns from them.
 
+Two quick routes settle most memberships before the LP, each with a
+certificate checked against the columns:
+
+  * positive-span: a target whose nonzero entries are all positive is the
+    combination of the atoms with its own entries as coefficients, a
+    witness checked by exact substitution;
+  * cached-separator: a coherent cone's witness pmf scores every generator
+    strictly positive, so any target it scores negative lies outside the
+    cone, and the witness (as primitive integers) separates it.  Its
+    scores on the generators are checked once per cone; an incoherent
+    cone has no such witness and never takes this route.
+
 Coherence is decided by a strictly positive expectation functional: the
 natural extension is coherent exactly when some probability mass function
 with all-positive mass gives every generator strictly positive expectation.
@@ -38,6 +50,9 @@ from .lp import (
     _check_work,
     _combines,
     _int_vector,
+    _pairs,
+    _primitive,
+    _score,
     conic_membership,
 )
 
@@ -158,8 +173,42 @@ class AssessmentCone:
         combination vanishes.  (For an incoherent cone the zero gamble is
         technically reachable; coherence is reported separately and this
         method keeps the convention member(0) == False.)
+
+        A nonzero f >= 0 is answered "positive-span", with the atoms
+        weighted by f's entries as witness; an f that the coherence
+        witness scores negative, "cached-separator", with that witness as
+        separator (see _witness_separator).  Both certificates are checked
+        against the columns; anything else is one exact LP.
         """
         f = f.extend(self.space)
         if f.is_zero:
             return Membership(member=False, route="zero-convention")
+        target = _int_vector(enumerate(f.table))
+        entries, den = target
+        if all(n > 0 for _, n in entries):
+            first_atom = len(self.assessments)
+            witness = _pairs((first_atom + j, Fraction(n, den)) for j, n in entries)
+            if _combines(self.columns, witness, target):
+                return Membership(member=True, route="positive-span", witness=witness)
+        separator = self._witness_separator
+        if separator is not None and _score(separator[1], target) < 0:
+            return Membership(member=False, route="cached-separator", separator=separator[0])
         return conic_membership(f.table, self.columns)
+
+    @cached_property
+    def _witness_separator(self) -> Optional[tuple[tuple[Fraction, ...], list[int]]]:
+        """The coherence witness as primitive integers, both as Fractions
+        and as ints, once it is checked to score every column strictly
+        positive (LpError otherwise); None for an incoherent cone.
+
+        Scoring every generator nonnegative, it separates every target it
+        scores negative: a nonnegative combination of the generators
+        scores nonnegative."""
+        report = self.is_coherent()
+        if not report.coherent:
+            return None
+        y = _primitive(report.witness)
+        ints = [int(v) for v in y]
+        if not all(_score(ints, column) > 0 for column in self.columns):
+            raise LpError("coherence witness failed verification")
+        return y, ints

@@ -360,6 +360,7 @@ class JointModel:
         self._prevision_memo: dict[tuple[str, int, tuple], tuple] = {}
         self._bases: dict[tuple[str, int], list[PrevisionBasis]] = {}
         self._dedup: Optional[tuple[list[IntVector], list[int]]] = None
+        self._observed: dict[tuple[str, int, tuple], list[int]] = {}
 
     # -- product mass functions --------------------------------------------
 
@@ -562,24 +563,17 @@ class JointModel:
 
         The target is built in integer form (_int_vector) straight from the
         joint index maps: the joint configurations with this parent index
-        and the observed values, each carrying f's entry at the node's
-        value there.  Certificates are assembled from the local cone when
-        possible (a local witness replicates over the unobserved
+        and the observed values (found once per model for each
+        observation, _observed_indices), each carrying f's entry at the
+        node's value there.  Certificates are assembled from the local
+        cone when possible (a local witness replicates over the unobserved
         non-parent-non-descendants; a local separating functional extends
         to a product mass function).  Both are verified against the actual
         generator list, so a tampered joint model falls through to the
         chain recursion (on a path) and then the exact LP.
         """
         f = f.extend(self.net.node_space(node))
-        fixed = [
-            (self._value_at[n], self.net.variables[n].index_of(v))
-            for n, v in (zip(given.nodes, given.values) if given is not None else ())
-        ]
-        observed = [
-            j
-            for j, p in enumerate(self._parent_idx_at[node])
-            if p == parent_index and all(at[j] == k for at, k in fixed)
-        ]
+        observed = self._observed_indices(node, parent_index, given)
         ints, den = _over_lcm(f.table)
         v_at = self._value_at[node]
         target = tuple((j, ints[v_at[j]]) for j in observed if ints[v_at[j]]), den
@@ -603,6 +597,25 @@ class JointModel:
         for j, n in target[0]:
             table[j] = Fraction(n, den)
         return self._exact_membership(table)
+
+    def _observed_indices(
+        self, node: str, parent_index: int, given: Optional[Configuration]
+    ) -> list[int]:
+        """The joint configuration indices with this parent index of the
+        node and the observed values of `given` (None for nothing), in
+        index order; computed once per (node, parent index, observation)."""
+        pairs = tuple(zip(given.nodes, given.values)) if given is not None else ()
+        key = (node, parent_index, pairs)
+        if key not in self._observed:
+            fixed = [
+                (self._value_at[n], self.net.variables[n].index_of(v)) for n, v in pairs
+            ]
+            self._observed[key] = [
+                j
+                for j, p in enumerate(self._parent_idx_at[node])
+                if p == parent_index and all(at[j] == k for at, k in fixed)
+            ]
+        return self._observed[key]
 
     def _assemble_local_witness(
         self, node: str, parent_index: int, observed: Sequence[int], local_witness: Pairs

@@ -5,7 +5,10 @@ Two deliberately different computation routes live here:
   * PreciseNet: a precise Bayesian network over the same DAG, with one
     exact probability mass function per (node, parent configuration).
     Expectations are computed by brute-force summation over the whole
-    joint space, nothing shared with the LP code paths.
+    joint space, nothing shared with the LP code paths.  positivity_audit
+    scores the joint generators under it exactly in integers (the global
+    masses over one denominator) and random combinations of them by
+    linearity, without any certificate check of lp or net.
 
   * fm_membership: conic membership decided by Gaussian elimination of the
     equality rows followed by Fourier-Motzkin elimination of the
@@ -21,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import Configuration, Gamble
-from .lp import _primitive
+from .lp import _over_lcm, _primitive
 from .net import CredalNet, JointModel
 
 FM_MAX_DIM = 8
@@ -121,9 +124,12 @@ def positivity_audit(
     WitnessMismatchError is raised.
 
     Then every joint generator, and `samples` random conic combinations of
-    them, get a brute-force expectation that must be exactly positive.  A
-    failure means the generator list does not span a cone the witness
-    network can certify, e.g. after a sign-flip mutation.
+    them, get an exact expectation that must be positive.  A generator is
+    scored in integers, its column against the global masses over their
+    common denominator; a combination, by linearity, as the combination of
+    its generators' scores.  A failure means the generator list does not
+    span a cone the witness network can certify, e.g. after a sign-flip
+    mutation.
     """
     rng = rng if rng is not None else random.Random(0)
     net = precise.net
@@ -138,28 +144,28 @@ def positivity_audit(
                         f"nonpositive expectation"
                     )
 
-    space = net.joint_space
-    masses = [precise.global_mass(c) for c in space.configurations()]
-    total = sum(masses, Fraction(0))
+    # the global masses as integers over one denominator (mass j is
+    # ints[j] / den); each generator's exact score as (numerator,
+    # denominator), its column (entries, col_den) scored in integers
+    ints, den = _over_lcm([precise.global_mass(c) for c in net.joint_space.configurations()])
+    scores = [
+        (sum(ints[j] * v for j, v in entries), den * col_den)
+        for entries, col_den in (gen.column for gen in joint.generators)
+    ]
+    failures = [
+        f"generator {gen.index} scored {Fraction(*score)}"
+        for gen, score in zip(joint.generators, scores)
+        if score[0] <= 0
+    ]
 
-    failures: list[str] = []
-    for gen in joint.generators:
-        entries, den = gen.column
-        score = sum((masses[j] * v for j, v in entries), Fraction(0)) / den
-        if score <= 0:
-            failures.append(f"generator {gen.index} scored {score}")
-
+    # the expectation is linear, so a combination scores the combination
+    # of its generators' scores
     n = len(joint.generators)
     checked = 0
     for _ in range(samples):
         picks = rng.sample(range(n), rng.randint(1, min(4, n)))
         coeffs = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in picks]
-        table = [Fraction(0)] * space.size
-        for k, lam in zip(picks, coeffs):
-            entries, den = joint.generators[k].column
-            for j, v in entries:
-                table[j] += lam * v / den
-        score = sum((m * v for m, v in zip(masses, table)), Fraction(0))
+        score = sum((lam * Fraction(*scores[k]) for k, lam in zip(picks, coeffs)), Fraction(0))
         checked += 1
         if score <= 0:
             failures.append(
@@ -169,7 +175,7 @@ def positivity_audit(
         checked=checked,
         generators_checked=n,
         all_positive=not failures,
-        total_mass_one=total == 1,
+        total_mass_one=sum(ints) == den,
         failures=tuple(failures),
     )
 

@@ -3,10 +3,15 @@
 The package holds every generator as an integer column (lp.IntVector) from
 the local cone to the LP; tests that state their generators as dense tables
 convert them here, and check certificates against them with the same exact
-integer checks the primitives run.
+integer checks the primitives run.  positivity_audit is the dense Fraction
+reference for oracle.positivity_audit.
 """
 
+import random
+from fractions import Fraction
+
 from credalcones.lp import _combines, _int_vector, _separates
+from credalcones.oracle import AuditReport, WitnessMismatchError
 
 
 def int_columns(tables):
@@ -23,3 +28,56 @@ def is_witness(tables, target, pairs):
 def is_separator(tables, target, y):
     """y scores every table nonnegative and the target negative."""
     return _separates(int_columns(tables), _int_vector(enumerate(target)), y)
+
+
+def positivity_audit(precise, joint, rng=None, samples=50):
+    """oracle.positivity_audit by brute force: every generator and every
+    random combination laid out as a dense Fraction table and summed
+    against the global masses, drawing from rng exactly as the oracle does."""
+    rng = rng if rng is not None else random.Random(0)
+    net = precise.net
+    if joint.net is not net:
+        raise ValueError("joint model and precise network disagree on the net")
+    for s in net.dag.nodes:
+        for p_idx in range(net.parent_space(s).size):
+            for g in net.local_cone(s, p_idx).generators:
+                if precise.local_expectation(s, p_idx, g) <= 0:
+                    raise WitnessMismatchError(
+                        f"kernel for ({s!r}, {p_idx}) gives a local generator "
+                        f"nonpositive expectation"
+                    )
+
+    space = net.joint_space
+    masses = [precise.global_mass(c) for c in space.configurations()]
+    total = sum(masses, Fraction(0))
+
+    failures = []
+    for gen in joint.generators:
+        entries, den = gen.column
+        score = sum((masses[j] * v for j, v in entries), Fraction(0)) / den
+        if score <= 0:
+            failures.append(f"generator {gen.index} scored {score}")
+
+    n = len(joint.generators)
+    checked = 0
+    for _ in range(samples):
+        picks = rng.sample(range(n), rng.randint(1, min(4, n)))
+        coeffs = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in picks]
+        table = [Fraction(0)] * space.size
+        for k, lam in zip(picks, coeffs):
+            entries, den = joint.generators[k].column
+            for j, v in entries:
+                table[j] += lam * v / den
+        score = sum((m * v for m, v in zip(masses, table)), Fraction(0))
+        checked += 1
+        if score <= 0:
+            failures.append(
+                f"combination of generators {sorted(picks)} scored {score}"
+            )
+    return AuditReport(
+        checked=checked,
+        generators_checked=n,
+        all_positive=not failures,
+        total_mass_one=total == 1,
+        failures=tuple(failures),
+    )

@@ -2,20 +2,23 @@
 
 ``perfbench/digests.json`` holds, per workload and seed, a digest of every
 unit's answers (member flags, prevision values, verify outcomes).  Replaying
-seeds 1 and 2 of the chain workload and seed 1 of the sweep here catches a
-change that moves an answer without anyone running the benchmark.  Which
-local LP answers a chain query (a cached basis or a cold solve) depends on
-the queries before it, so a second chain seed guards the values.
+seeds 1 and 2 of the chain workload, seed 1 of the sweep and seed 1 of the
+mutated sweep here catches a change that moves an answer without anyone
+running the benchmark.  Which local LP answers a chain query (a cached
+basis or a cold solve) depends on the queries before it, so a second chain
+seed guards the values; the mutated seed drives flipped joint models
+through the local certificates and the positivity audit's failures.
 """
 
 import contextlib
 import io
+import random
 import sys
 
 import pytest
 
-from credalcones import lp
-from credalcones.cli import main
+from credalcones import cone, lp
+from credalcones.cli import load_network, main
 from test_bench_surface import load
 
 
@@ -25,6 +28,7 @@ from test_bench_surface import load
         pytest.param("chain", 1, id="chain"),
         pytest.param("chain", 2, id="chain-seed2"),
         pytest.param("sweep", 1, id="sweep"),
+        pytest.param("mutated", 1, id="mutated"),
     ],
 )
 def test_recorded_digests_replay(tmp_path, monkeypatch, name, seed):
@@ -56,3 +60,35 @@ def test_chain_queries_reuse_local_bases(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["query", str(unit.path), str(unit.query_path)]) == 0
     assert 0 < len(cold) <= 30
+
+
+def test_sweep_local_memberships_mostly_skip_the_lp(tmp_path, monkeypatch):
+    # unit 6 of sweep seed 1 (18 joint configurations): its sweep asks 170
+    # distinct local memberships, and the quick routes leave 30 to the LP
+    run = load("run")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    unit = run.make_inputs(run.import_package()["sweep"](), 1, tmp_path)[6]
+    solve = cone.conic_membership
+    local_lps = []
+
+    def spy(target, columns):
+        local_lps.append(target)
+        return solve(target, columns)
+
+    monkeypatch.setattr(cone, "conic_membership", spy)
+
+    def sweep_local_lps():
+        joint = load_network(str(unit.path)).build_joint()
+        local_lps.clear()
+        report = joint.verify_requirements(random.Random(unit.calls[0]["seed"]))
+        assert report.ok
+        return len(local_lps)
+
+    assert 0 < sweep_local_lps() <= 40
+    # the same sweep with every local membership left to the LP
+    monkeypatch.setattr(
+        cone.AssessmentCone,
+        "member_with_certificate",
+        lambda self, f: cone.conic_membership(f.extend(self.space).table, self.columns),
+    )
+    assert sweep_local_lps() > 40

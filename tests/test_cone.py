@@ -1,6 +1,8 @@
 """Cone coherence, membership, previsions, and the witness equivalence."""
 
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from credalcones import lp
 from credalcones.cone import AssessmentCone
 from credalcones.core import Gamble, Space, VariableSpace
-from credalcones.lp import contains_zero
-from dense import int_columns, is_witness
+from credalcones.lp import LpError, contains_zero
+from dense import int_columns, is_separator, is_witness
 
 F = Fraction
 
@@ -179,6 +181,68 @@ def test_incoherence_certificate_comes_from_the_coherence_lp(monkeypatch):
         assert all(c >= 0 for c in combo) and any(combo)
         tables = [g.table for g in cone.generators]
         assert is_witness(tables, (F(0),) * cone.space.size, enumerate(combo))
+
+
+def random_target(rng, cone):
+    size = cone.space.size
+    table = (F(0),) * size
+    while not any(table):
+        table = tuple(F(rng.randint(-2, 3), rng.randint(1, 2)) for _ in range(size))
+    return Gamble(cone.space, table)
+
+
+def test_local_quick_routes_agree_with_the_lp():
+    # cones on 2-4 values with 0-3 assessments, coherent or not
+    rng = random.Random(1313)
+    routes = Counter()
+    for _ in range(150):
+        cone = random_cone(rng, max_values=4, max_assessments=3)
+        coherent = cone.is_coherent().coherent
+        tables = [g.table for g in cone.generators]
+        for _ in range(8):
+            f = random_target(rng, cone)
+            res = cone.member_with_certificate(f)
+            routes[res.route, coherent] += 1
+            if res.route == "exact-lp":
+                continue
+            assert res.member == lp.conic_membership(f.table, cone.columns).member
+            if res.member:
+                assert res.route == "positive-span"
+                assert is_witness(tables, f.table, res.witness)
+            else:
+                assert res.route == "cached-separator" and coherent
+                assert is_separator(tables, f.table, res.separator)
+    assert routes["cached-separator", False] == 0
+    for route in ("positive-span", "exact-lp"):
+        assert routes[route, True] > 20 and routes[route, False] > 20, routes
+    assert routes["cached-separator", True] > 20, routes
+
+
+def test_a_tampered_coherence_witness_never_separates():
+    # a stored witness that scores some generator <= 0 raises or leaves the
+    # question to the LP; it is never returned as a separator
+    rng = random.Random(1414)
+    tampered = raised = 0
+    while tampered < 30:
+        cone = random_cone(rng, max_values=4, max_assessments=3)
+        report = cone.is_coherent()
+        if not report.coherent:
+            continue
+        size = cone.space.size
+        bad = [F(0)] * size
+        bad[rng.randrange(size)] = F(1)  # scores the other atoms 0
+        cone._coherence = replace(report, witness=tuple(bad))
+        tampered += 1
+        for _ in range(6):
+            f = random_target(rng, cone)
+            try:
+                res = cone.member_with_certificate(f)
+            except LpError:
+                raised += 1
+                continue
+            assert res.route in ("positive-span", "exact-lp")
+            assert res.member == lp.conic_membership(f.table, cone.columns).member
+    assert raised > 30
 
 
 def nonpositive_probes(cone, rng, samples=20):

@@ -4,6 +4,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -971,3 +972,47 @@ def test_chain_local_previsions_from_cached_bases_equal_a_cold_solve(monkeypatch
             for (s, p_idx, table), answer in joint._prevision_memo.items():
                 assert_local_prevision(net.local_cone(s, p_idx), table, answer)
     assert seen["reused"] > 1000 and seen["cold past cached bases"] > 100, seen
+
+
+def test_observed_indices_match_the_uncached_computation():
+    # the structured route's joint indices of (node, parent index,
+    # observation), cached per model, against a scan of every joint
+    # configuration; observations on every subset of non-parent-non-
+    # descendants, alone and merged with the parents as
+    # member_with_certificate passes them, on clean and flipped models
+    rng = random.Random(1515)
+    checked = 0
+    for trial in range(20):
+        net = sample_credal_net(rng)
+        flip = None
+        if trial % 2:
+            node = rng.choice(net.dag.nodes)
+            p_idx = rng.randrange(net.parent_space(node).size)
+            flip = (node, p_idx, rng.randrange(len(net.local_cone(node, p_idx).generators)))
+        joint = net.build_joint(mutate_flip=flip)
+        space = net.joint_space
+        for s in net.dag.nodes:
+            nnd = net.nnd_space(s).nodes
+            for p_idx in range(net.parent_space(s).size):
+                parent = net.parent_space(s).config_at(p_idx)
+                for k in range(len(nnd) + 1):
+                    for subset in combinations(nnd, k):
+                        sub_space = Space(net.variables[n] for n in subset)
+                        for given in sub_space.configurations():
+                            fixed = parent.combine(given)
+                            scan = [
+                                j
+                                for j in range(space.size)
+                                if all(
+                                    space.config_at(j).value_of(n) == v
+                                    for n, v in zip(fixed.nodes, fixed.values)
+                                )
+                            ]
+                            for observed in (given, fixed):
+                                cached = joint._observed_indices(s, p_idx, observed)
+                                assert cached == scan
+                                assert joint._observed_indices(s, p_idx, observed) is cached
+                                checked += 1
+                none = joint._observed_indices(s, p_idx, None)
+                assert none == [j for j in range(space.size) if joint._parent_idx_at[s][j] == p_idx]
+    assert checked > 500

@@ -8,7 +8,7 @@ import pytest
 from credalcones.core import Gamble, Space, VariableSpace, indicator
 from credalcones.dag import Dag
 from credalcones.lp import conic_membership
-from dense import int_columns
+from dense import int_columns, positivity_audit as dense_positivity_audit
 from credalcones.net import CredalNet, sample_credal_net, sample_gamble
 from credalcones.oracle import (
     FM_MAX_DIM,
@@ -149,6 +149,27 @@ def test_positivity_audit_catches_sign_flip_mutations():
     assert not report.all_positive
     assert report.failures
     assert any("generator" in f for f in report.failures)
+
+
+def random_flip(net, rng):
+    """A random (node, parent index, local generator index) of the net."""
+    node = rng.choice(net.dag.nodes)
+    p_idx = rng.randrange(net.parent_space(node).size)
+    return node, p_idx, rng.randrange(len(net.local_cone(node, p_idx).generators))
+
+
+def test_positivity_audit_equals_the_dense_reference():
+    # the integer scores and the linear combination scores give the same
+    # report, failure strings included, as dense Fraction tables
+    # (a flipped generator scores negative under every positive mass)
+    for seed in range(1000, 1040):
+        net = sample_credal_net(random.Random(seed))
+        precise = PreciseNet.from_witnesses(net)
+        for flip in (None, random_flip(net, random.Random(seed + 1))):
+            joint = net.build_joint(mutate_flip=flip)
+            report = positivity_audit(precise, joint, random.Random(seed + 2))
+            assert report == dense_positivity_audit(precise, joint, random.Random(seed + 2))
+            assert report.ok == (flip is None)
 
 
 # -- Fourier-Motzkin ------------------------------------------------------------
