@@ -8,10 +8,12 @@ that extension is the finitely generated cone spanned by
 
     assessments (in given order), then one atom per value (value order),
 
-and this generator order is fixed, so reports are reproducible.  Membership
-LPs and certificate checks read the generators as integer columns
-(AssessmentCone.columns, built on first use); the joint model of net
-builds its own columns from them.
+and this generator order is fixed, so reports are reproducible.  A cone
+owns all of its state, which every joint model of a network shares: the
+generators as integer columns (AssessmentCone.columns, built on first use,
+read by its LPs and checks and lifted by net), the coherence report, the
+memoized memberships and lower previsions (keyed by integer forms), and
+the optimal bases its prevision LPs warm-start from.
 
 Two quick routes settle most memberships before the LP, each with a
 certificate checked against the columns:
@@ -47,14 +49,23 @@ from .lp import (
     LpError,
     LpStatus,
     Membership,
+    Pairs,
+    PrevisionBasis,
     _check_work,
+    _checked_prevision,
     _combines,
     _int_vector,
+    _over_lcm,
     _pairs,
+    _prevision_at_basis,
+    _prevision_basis,
     _primitive,
     _score,
     conic_membership,
 )
+
+# optimal bases kept per cone for its prevision LPs, most recently used first
+_BASIS_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -100,6 +111,9 @@ class AssessmentCone:
         atoms = tuple(indicator(space.config_at(i), space) for i in range(space.size))
         self.generators: tuple[Gamble, ...] = self.assessments + atoms
         self._coherence: Optional[CoherenceReport] = None
+        self._members: dict[IntVector, Membership] = {}
+        self._previsions: dict[tuple[int, ...], tuple] = {}
+        self._bases: list[PrevisionBasis] = []
 
     @cached_property
     def columns(self) -> tuple[IntVector, ...]:
@@ -168,22 +182,27 @@ class AssessmentCone:
     def member_with_certificate(self, f: Gamble) -> Membership:
         """Is f in the strictly positive span of the generators?
 
-        The zero gamble is never a member: the span requires at least one
-        strictly positive coefficient, and for a coherent cone no nonzero
-        combination vanishes.  (For an incoherent cone the zero gamble is
-        technically reachable; coherence is reported separately and this
-        method keeps the convention member(0) == False.)
+        The zero gamble never is: the span needs a strictly positive
+        coefficient, and a coherent cone has no vanishing combination (an
+        incoherent one keeps the convention member(0) == False; coherence
+        is reported separately).
 
         A nonzero f >= 0 is answered "positive-span", with the atoms
         weighted by f's entries as witness; an f that the coherence
         witness scores negative, "cached-separator", with that witness as
         separator (see _witness_separator).  Both certificates are checked
-        against the columns; anything else is one exact LP.
+        against the columns; anything else is one exact LP.  Answers are
+        memoized, keyed by the target's integer form.
         """
         f = f.extend(self.space)
         if f.is_zero:
             return Membership(member=False, route="zero-convention")
         target = _int_vector(enumerate(f.table))
+        if target not in self._members:
+            self._members[target] = self._membership(f.table, target)
+        return self._members[target]
+
+    def _membership(self, table: Sequence[Fraction], target: IntVector) -> Membership:
         entries, den = target
         if all(n > 0 for _, n in entries):
             first_atom = len(self.assessments)
@@ -193,7 +212,7 @@ class AssessmentCone:
         separator = self._witness_separator
         if separator is not None and _score(separator[1], target) < 0:
             return Membership(member=False, route="cached-separator", separator=separator[0])
-        return conic_membership(f.table, self.columns)
+        return conic_membership(table, self.columns)
 
     @cached_property
     def _witness_separator(self) -> Optional[tuple[tuple[Fraction, ...], list[int]]]:
@@ -212,3 +231,29 @@ class AssessmentCone:
         if not all(_score(ints, column) > 0 for column in self.columns):
             raise LpError("coherence witness failed verification")
         return y, ints
+
+    # -- lower previsions -----------------------------------------------------
+
+    def lower_prevision(
+        self, table: Sequence[Fraction]
+    ) -> tuple[Fraction, Pairs, tuple[Fraction, ...]]:
+        """lp._checked_prevision of the table, memoized by its integers over
+        their lcm, and first tried at the cached optimal bases (at most
+        _BASIS_LIMIT, most recently used first; a cold solve's joins the
+        front).  m is always a cold solve's; the certificates may differ."""
+        ints, den = _over_lcm(table)
+        key = (*ints, den)
+        if key not in self._previsions:
+            for i, basis in enumerate(self._bases):
+                answer = _prevision_at_basis(basis, table, self.columns)
+                if answer is not None:
+                    self._bases.insert(0, self._bases.pop(i))
+                    break
+            else:
+                answer = _checked_prevision(table, self.columns)
+                basis = _prevision_basis(self.columns, answer[1], answer[2])
+                if basis is not None:
+                    self._bases.insert(0, basis)
+                    del self._bases[_BASIS_LIMIT:]
+            self._previsions[key] = answer
+        return self._previsions[key]

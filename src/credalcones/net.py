@@ -12,9 +12,11 @@ non-parent-non-descendant configurations lexicographic, then the local
 generator list (assessments first, atoms last).
 
 Every generator is one integer column (lp.IntVector), built from its
-local cone's column.  Queries against the joint cone are answered by
-certificates that are always re-verified against these columns by exact
-substitution, in integers over the nonzero entries (see lp):
+local cone's column.  All local state (witnesses, memoized memberships and
+previsions, warm-start bases) lives on the cones, so every joint model of
+a network, flipped or not, shares it.  Queries on the joint cone are
+answered by certificates always re-verified against these columns by
+exact substitution, in integers over the nonzero entries (see lp):
 
   * nonnegative nonzero targets are combined from full-configuration atom
     generators contributed by a leaf node;
@@ -22,18 +24,17 @@ substitution, in integers over the nonzero entries (see lp):
     local coherence witnesses, rejects every target it scores negative
     (and proves no nonnegative combination of generators vanishes);
   * targets of the form indicator(x) * f with f local to one node are
-    settled by a tiny LP in the local cone, whose witness or separating
-    functional lifts exactly to the joint space;
+    settled by f's membership in the local cone, whose witness or
+    separating functional lifts exactly to the joint space;
   * when the graph is one directed path (a single node counts), the
     chain recursion (route "chain-recursion") takes the lower prevision m
     of any other target backwards from the leaf, one small local LP per
-    (node, parent value, local table), answered at a cached optimal basis
-    of its slot when one is optimal for the table and solved cold
-    otherwise (see _local_prevision); the local primals lift onto the
-    joint generators and telescope to target - m, the local duals chain
-    into a joint mass function of expectation m; the target is a member
-    exactly when m >= 0 (witness: the lifted primal plus m on every leaf
-    atom), and otherwise that mass function separates it.  Joint lower
+    (node, parent value, local table), which the local cone memoizes and
+    warm-starts (AssessmentCone.lower_prevision); the local primals lift
+    onto the joint generators and telescope to target - m, the local duals
+    chain into a joint mass function of expectation m; the target is a
+    member exactly when m >= 0 (witness: the lifted primal plus m on every
+    leaf atom), and otherwise that mass function separates it.  Joint lower
     and upper previsions on a path come from the same recursion;
   * anything else falls back to one exact LP over the generator columns.
 
@@ -59,7 +60,6 @@ from .lp import (
     LpError,
     Membership,
     Pairs,
-    PrevisionBasis,
     Vanishing,
     _check_work,
     _checked_prevision,
@@ -68,8 +68,6 @@ from .lp import (
     _int_vector,
     _over_lcm,
     _pairs,
-    _prevision_at_basis,
-    _prevision_basis,
     _primitive,
     _score,
     conic_membership,
@@ -83,9 +81,6 @@ _GAMBLE_MAGNITUDE = 3
 _GAMBLE_DENOMINATOR = 2
 
 _SEPARATOR_CACHE_LIMIT = 32
-
-# optimal bases kept per local prevision slot, most recently used first
-_BASIS_LIMIT = 4
 
 CHAIN_RECURSION = "chain-recursion"
 
@@ -230,17 +225,11 @@ class CredalNet:
                 )
 
         self._cones: dict[tuple[str, int], AssessmentCone] = {}
-        self._witness: dict[tuple[str, int], tuple[Fraction, ...]] = {}
-        for s in dag.nodes:
-            for p_idx in range(self._parent_space[s].size):
-                cone = AssessmentCone(self._node_space[s], self.assessments[(s, p_idx)])
-                rep = cone.is_coherent()
-                if not rep.coherent:
-                    raise IncoherentLocalModel(
-                        s, self._parent_space[s].config_at(p_idx), rep
-                    )
-                self._cones[(s, p_idx)] = cone
-                self._witness[(s, p_idx)] = rep.witness
+        for (s, p_idx), gambles in self.assessments.items():
+            cone = self._cones[(s, p_idx)] = AssessmentCone(self._node_space[s], gambles)
+            rep = cone.is_coherent()
+            if not rep.coherent:
+                raise IncoherentLocalModel(s, self._parent_space[s].config_at(p_idx), rep)
 
     def node_space(self, node: str) -> Space:
         return self._node_space[node]
@@ -256,8 +245,8 @@ class CredalNet:
 
     def local_witness(self, node: str, parent_index: int) -> tuple[Fraction, ...]:
         """A strictly positive pmf on the node's values giving every local
-        generator strictly positive expectation."""
-        return self._witness[(node, parent_index)]
+        generator strictly positive expectation (the cone's own)."""
+        return self._cones[(node, parent_index)].is_coherent().witness
 
     def generator_count(self) -> int:
         total = 0
@@ -356,9 +345,6 @@ class JointModel:
         if self.canonical_witness is not None:
             w = self.canonical_witness
             self._cache_separator(w, _over_lcm(w)[0])
-        self._local_memo: dict[tuple[str, int, tuple], Membership] = {}
-        self._prevision_memo: dict[tuple[str, int, tuple], tuple] = {}
-        self._bases: dict[tuple[str, int], list[PrevisionBasis]] = {}
         self._dedup: Optional[tuple[list[IntVector], list[int]]] = None
         self._observed: dict[tuple[str, int, tuple], list[int]] = {}
 
@@ -544,13 +530,6 @@ class JointModel:
 
     # -- structured queries --------------------------------------------------
 
-    def _local_membership(self, node: str, parent_index: int, f: Gamble) -> Membership:
-        key = (node, parent_index, f.table)
-        if key not in self._local_memo:
-            cone = self.net.local_cone(node, parent_index)
-            self._local_memo[key] = cone.member_with_certificate(f)
-        return self._local_memo[key]
-
     def structured_member(
         self, node: str, parent_index: int, given: Optional[Configuration], f: Gamble
     ) -> Membership:
@@ -582,14 +561,16 @@ class JointModel:
         if quick is not None:
             return quick
 
-        cert = self._local_membership(node, parent_index, f)
+        cert = self.net.local_cone(node, parent_index).member_with_certificate(f)
         if cert.member:
             assembled = self._assemble_local_witness(node, parent_index, observed, cert.witness)
             if self._witness_matches(assembled, target):
                 return Membership(
                     member=True, route="local-assembly", witness=_pairs(assembled.items())
                 )
-        else:
+        elif cert.route != "cached-separator":
+            # not the coherence witness, whose product is the canonical one:
+            # the quick routes tried it, or the flipped generator refutes it
             sep = self._product_separator(node, parent_index, cert.separator)
             if sep is not None and _score(sep[1], target) < 0:
                 return Membership(member=False, route="product-separator", separator=sep[0])
@@ -656,33 +637,6 @@ class JointModel:
 
     # -- chain recursion -----------------------------------------------------
 
-    def _local_prevision(
-        self, node: str, parent_index: int, table: tuple[Fraction, ...]
-    ) -> tuple[Fraction, Pairs, tuple[Fraction, ...]]:
-        """The checked local lower prevision of a table, memoized.  A new
-        table is first tried at the slot's cached optimal bases (at most
-        _BASIS_LIMIT, most recently used first) and solved cold only when
-        none is optimal for it; the cold solve's basis then joins the
-        front.  Either answer passes the same checks, so m is the same,
-        but its certificates may differ from a cold solve's."""
-        key = (node, parent_index, table)
-        if key not in self._prevision_memo:
-            columns = self.net.local_cone(node, parent_index).columns
-            bases = self._bases.setdefault((node, parent_index), [])
-            for i, basis in enumerate(bases):
-                answer = _prevision_at_basis(basis, table, columns)
-                if answer is not None:
-                    bases.insert(0, bases.pop(i))
-                    break
-            else:
-                answer = _checked_prevision(table, columns)
-                basis = _prevision_basis(columns, answer[1], answer[2])
-                if basis is not None:
-                    bases.insert(0, basis)
-                    del bases[_BASIS_LIMIT:]
-            self._prevision_memo[key] = answer
-        return self._prevision_memo[key]
-
     def _chain_certificates(
         self, table: Sequence[Fraction]
     ) -> Optional[tuple[Fraction, dict[int, Fraction], list[Fraction]]]:
@@ -716,7 +670,7 @@ class JointModel:
                 local.setdefault((p_at[j], n_at[j]), [None] * width)[v_at[j]] = v
             lowered: dict[tuple[int, int], Fraction] = {}
             for (p_idx, nnd_idx), row in local.items():
-                m, pairs, mass = self._local_prevision(s, p_idx, tuple(row))
+                m, pairs, mass = self.net.local_cone(s, p_idx).lower_prevision(row)
                 lowered[(p_idx, nnd_idx)] = m
                 kernels[(s, p_idx, nnd_idx)] = mass
                 for k, c in pairs:
@@ -773,7 +727,7 @@ class JointModel:
         if f.is_zero:
             raise ZeroGambleError("the zero gamble has no desirability status")
         p_idx = self.net.parent_space(node).index_of(parent_config)
-        local = self._local_membership(node, p_idx, f).member
+        local = self.net.local_cone(node, p_idx).member_with_certificate(f).member
         joint = self.structured_member(node, p_idx, given, f).member
         return IrrelevanceCheck(
             node=node,

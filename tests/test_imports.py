@@ -40,6 +40,37 @@ def test_an_unused_import_is_reported():
     assert unused_imports("import sys\n__all__ = ['sys']\n") == []
 
 
+WARM_START = {"PrevisionBasis", "_prevision_basis", "_prevision_at_basis"}
+
+
+def names_in(source: str) -> set[str]:
+    """Every name, attribute and imported name the source mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in ("lp.py", "cone.py")], ids=lambda p: p.name
+)
+def test_warm_start_bases_stay_in_lp_and_cone(path):
+    # a local cone owns the optimal bases of its prevision LPs; lp builds
+    # them, and no other module reaches for them
+    assert names_in(path.read_text()) & WARM_START == set()
+
+
+def test_a_warm_start_reference_is_reported():
+    assert names_in("from .lp import PrevisionBasis\nlp._prevision_at_basis(b)\n") == {
+        "PrevisionBasis", "lp", "_prevision_at_basis", "b"
+    }
+
+
 def unreferenced_helpers(sources: list[str]) -> list[str]:
     """The `_`-prefixed functions and methods (dunders excepted) defined in
     `sources` that no ast.Name or ast.Attribute references outside their

@@ -17,6 +17,7 @@ from credalcones.lp import (
     _int_vector,
     _prevision_at_basis,
     _prevision_basis,
+    _primitive,
     _score,
     conic_membership,
     contains_zero as lp_contains_zero,
@@ -660,6 +661,20 @@ def sample_chain(rng, n, k):
     return CredalNet(Dag(names, list(zip(names, names[1:]))), variables, assessments)
 
 
+def local_cones(net):
+    return [net.local_cone(s, p) for s in net.dag.nodes for p in range(net.parent_space(s).size)]
+
+
+def same_net(net):
+    """A new network with net's graph, variables and assessments: the same
+    answers, and local cones of its own."""
+    assessments = {
+        s: [net.assessments[(s, p)] for p in range(net.parent_space(s).size)]
+        for s in net.dag.nodes
+    }
+    return CredalNet(net.dag, net.variables.values(), assessments)
+
+
 def chain_gambles(rng, net, count):
     """Alternately a gamble on one node and one on the whole joint space."""
     for i in range(count):
@@ -819,7 +834,7 @@ def test_fork_recursion_is_only_a_lower_bound_and_the_joint_lp_answers(monkeypat
         raise AssertionError("the chain recursion ran on a fork")
 
     monkeypatch.setattr("credalcones.net._checked_prevision", spy)
-    monkeypatch.setattr(type(joint), "_local_prevision", local_lp)
+    monkeypatch.setattr(AssessmentCone, "lower_prevision", local_lp)
     assert net.dag.path() is None
     assert joint.lower_prevision(f) == exact
     assert calls == [len(columns)]
@@ -909,23 +924,22 @@ def test_a_corrupted_cached_basis_raises_or_leaves_the_answer_to_a_cold_solve(mo
         cold.append(target)
         return _checked_prevision(target, columns)
 
-    monkeypatch.setattr("credalcones.net._checked_prevision", spy)
+    monkeypatch.setattr("credalcones.cone._checked_prevision", spy)
     outcomes = set()
     for _ in range(40):
         net = sample_chain(rng, 3, 2)
-        joint = net.build_joint()
         s = net.dag.path()[-1]
         cone = net.local_cone(s, 0)
         table = dense_table(rng, 2)
-        joint._local_prevision(s, 0, table)
-        (basis,) = joint._bases[(s, 0)]
+        cone.lower_prevision(table)
+        (basis,) = cone._bases
         inverse = [list(r) for r in basis.inverse]
         inverse[rng.randrange(2)][rng.randrange(2)] -= 1
-        joint._bases[(s, 0)] = [replace(basis, inverse=tuple(map(tuple, inverse)))]
-        joint._prevision_memo.clear()
+        cone._bases = [replace(basis, inverse=tuple(map(tuple, inverse)))]
+        cone._previsions.clear()
         cold.clear()
         try:
-            answer = joint._local_prevision(s, 0, table)
+            answer = cone.lower_prevision(table)
         except LpError:
             outcomes.add("raised")
         else:
@@ -938,7 +952,6 @@ def test_a_corrupted_cached_basis_raises_or_leaves_the_answer_to_a_cold_solve(mo
 def test_chain_local_previsions_from_cached_bases_equal_a_cold_solve(monkeypatch):
     rng = random.Random(1732)
     seen = {"reused": 0, "cold": 0, "cold past cached bases": 0}
-    joint = None
 
     def basis_spy(basis, target, columns):
         answer = _prevision_at_basis(basis, target, columns)
@@ -947,31 +960,102 @@ def test_chain_local_previsions_from_cached_bases_equal_a_cold_solve(monkeypatch
 
     def cold_spy(target, columns):
         seen["cold"] += 1
-        slot = slots[id(columns)]
-        # no cached basis of the slot was optimal for this target
-        if joint._bases.get(slot):
+        # no cached basis of the cone was optimal for this target
+        if cones[id(columns)]._bases:
             seen["cold past cached bases"] += 1
         return _checked_prevision(target, columns)
 
-    monkeypatch.setattr("credalcones.net._prevision_at_basis", basis_spy)
-    monkeypatch.setattr("credalcones.net._checked_prevision", cold_spy)
+    monkeypatch.setattr("credalcones.cone._prevision_at_basis", basis_spy)
+    monkeypatch.setattr("credalcones.cone._checked_prevision", cold_spy)
     shapes = [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 5)]
     for n, k in shapes:
-        net = sample_chain(rng, n, k)
-        slots = {
-            id(net.local_cone(s, p).columns): (s, p)
-            for s in net.dag.nodes
-            for p in range(net.parent_space(s).size)
-        }
-        for flip in (None, random_mutation(rng, net)):
+        first = sample_chain(rng, n, k)
+        for flip in (None, random_mutation(rng, first)):
+            # each model on a net of its own: on one net the flipped model
+            # would find the clean model's local previsions memoized
+            net = first if flip is None else same_net(first)
+            cones = {id(cone.columns): cone for cone in local_cones(net)}
             joint = net.build_joint(mutate_flip=flip)
             for f in chain_gambles(rng, net, 4):
                 table = f.extend(net.joint_space).table
                 joint._chain_certificates(table)
                 joint._chain_certificates(tuple(-v for v in table))
-            for (s, p_idx, table), answer in joint._prevision_memo.items():
-                assert_local_prevision(net.local_cone(s, p_idx), table, answer)
+            for cone in cones.values():
+                for (*ints, den), answer in cone._previsions.items():
+                    assert_local_prevision(cone, [F(n, den) for n in ints], answer)
     assert seen["reused"] > 1000 and seen["cold past cached bases"] > 100, seen
+
+
+def test_joint_models_sharing_a_net_answer_as_on_nets_of_their_own():
+    # local memos and bases live on the net's cones, so a clean and a
+    # flipped joint model built on one net, in either order, share them;
+    # each must answer as a model built on a net of its own
+    rng = random.Random(1616)
+    for trial in range(12):
+        if trial % 2:
+            net = sample_chain(rng, rng.randint(2, 4), rng.randint(2, 3))
+        else:
+            net = sample_credal_net(rng, max_nodes=3)
+        flip = random_mutation(rng, net)
+        checks, joint_gambles = [], []
+        for _ in range(6):
+            s = rng.choice(net.dag.nodes)
+            p_cfg = net.parent_space(s).config_at(rng.randrange(net.parent_space(s).size))
+            nnd = net.nnd_space(s)
+            given = nnd.config_at(rng.randrange(nnd.size))
+            checks.append((s, p_cfg, given, sample_gamble(rng, net.node_space(s))))
+            joint_gambles.append(sample_gamble(rng, net.joint_space))
+
+        def answers(joint):
+            out = [joint.check_irrelevance(*check) for check in checks]
+            out = [(check.local_member, check.joint_member) for check in out]
+            for f in joint_gambles[:3]:
+                out.append(joint.member_with_certificate(f).member)
+                try:
+                    out.append(joint.lower_prevision(f))
+                except LpError as err:  # a flipped model may be incoherent
+                    out.append(str(err))
+            return out
+
+        alone = {m: answers(same_net(net).build_joint(mutate_flip=m)) for m in (None, flip)}
+        assert all(local == joint for local, joint in alone[None][:len(checks)])
+        for order in ((None, flip), (flip, None)):
+            shared = same_net(net)
+            for m in order:
+                assert answers(shared.build_joint(mutate_flip=m)) == alone[m]
+
+
+def test_a_local_cached_separator_lifts_to_the_canonical_witness():
+    # a local non-member that the cone's coherence witness separates (route
+    # cached-separator) makes that witness the kernel of its product
+    # separator, which is then the canonical witness: a clean model's quick
+    # routes answer with it first, and a flipped model's flipped generator
+    # scores it negative, so the structured route never builds it
+    rng = random.Random(1717)
+    seen = {"clean": 0, "flipped": 0}
+    for _ in range(20):
+        net = sample_credal_net(rng)
+        for flip in (None, random_mutation(rng, net)):
+            joint = net.build_joint(mutate_flip=flip)
+            for s in net.dag.nodes:
+                for p_idx in range(net.parent_space(s).size):
+                    cone = net.local_cone(s, p_idx)
+                    for _ in range(4):
+                        f = sample_gamble(rng, cone.space)
+                        local = cone.member_with_certificate(f)
+                        if local.route != "cached-separator":
+                            continue
+                        lifted = joint._product_separator(s, p_idx, local.separator)
+                        if flip is None:
+                            assert lifted[0] == _primitive(joint.canonical_witness)
+                            res = joint.structured_member(s, p_idx, None, f)
+                            assert res.route == "cached-separator"
+                            assert res.separator == joint.canonical_witness
+                            seen["clean"] += 1
+                        else:
+                            assert lifted is None and joint.canonical_witness is None
+                            seen["flipped"] += 1
+    assert seen["clean"] > 50 and seen["flipped"] > 50, seen
 
 
 def test_observed_indices_match_the_uncached_computation():
