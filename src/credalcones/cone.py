@@ -23,9 +23,10 @@ certificate checked against the columns:
     witness checked by exact substitution;
   * cached-separator: a coherent cone's witness pmf scores every generator
     strictly positive, so any target it scores negative lies outside the
-    cone, and the witness (as primitive integers) separates it.  Its
-    scores on the generators are checked once per cone; an incoherent
-    cone has no such witness and never takes this route.
+    cone, and the witness as primitive integers (lp._primitive, the one
+    form of every separator) separates it.  Its scores on the generators
+    are checked once per cone; an incoherent cone has no such witness and
+    never takes this route.
 
 Coherence is decided by a strictly positive expectation functional: the
 natural extension is coherent exactly when some probability mass function
@@ -210,15 +211,15 @@ class AssessmentCone:
             if _combines(self.columns, witness, target):
                 return Membership(member=True, route="positive-span", witness=witness)
         separator = self._witness_separator
-        if separator is not None and _score(separator[1], target) < 0:
-            return Membership(member=False, route="cached-separator", separator=separator[0])
+        if separator is not None and _score(separator, target) < 0:
+            return Membership(member=False, route="cached-separator", separator=separator)
         return conic_membership(table, self.columns)
 
     @cached_property
-    def _witness_separator(self) -> Optional[tuple[tuple[Fraction, ...], list[int]]]:
-        """The coherence witness as primitive integers, both as Fractions
-        and as ints, once it is checked to score every column strictly
-        positive (LpError otherwise); None for an incoherent cone.
+    def _witness_separator(self) -> Optional[tuple[int, ...]]:
+        """The coherence witness as primitive integers, once it is checked
+        to score every column strictly positive (LpError otherwise); None
+        for an incoherent cone.
 
         Scoring every generator nonnegative, it separates every target it
         scores negative: a nonnegative combination of the generators
@@ -227,10 +228,9 @@ class AssessmentCone:
         if not report.coherent:
             return None
         y = _primitive(report.witness)
-        ints = [int(v) for v in y]
-        if not all(_score(ints, column) > 0 for column in self.columns):
+        if not all(_score(y, column) > 0 for column in self.columns):
             raise LpError("coherence witness failed verification")
-        return y, ints
+        return y
 
     # -- lower previsions -----------------------------------------------------
 

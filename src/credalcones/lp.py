@@ -9,7 +9,8 @@ witness or a separating functional), detection of a vanishing
 nonnegative combination, and the lower prevision of a vector (the
 largest constant it exceeds within the closed cone), which
 _checked_prevision returns with its verified primal combination and dual
-mass function for callers that lift them.
+mass function for callers that lift them, or raises InfinitePrevisionError
+once the ray or Farkas vector of an infinite one is verified.
 
 A prevision LP over fixed columns keeps its matrix and cost from call to
 call; only the target, its right-hand side, moves.  So an optimal basis B
@@ -29,7 +30,8 @@ wrong answer.  The checks run in exact integer arithmetic over the nonzero
 entries only (_combines, _score): a sign test scales each vector by the lcm
 of its denominators, which is positive and so keeps the sign, and an
 equality is cross-multiplied by the denominators.  They decide exactly what
-the rational substitution decides.
+the rational substitution decides.  A separator has one form from the LP to
+the caller: a tuple of coprime integers (_primitive), scored as it is.
 
 The pivot kernel works on Python ints: every tableau row is a list of
 integers over one positive row denominator, divided by their gcd after
@@ -74,6 +76,11 @@ class PivotLimitError(LpError):
     """The simplex took more than _MAX_PIVOTS pivots."""
 
 
+class InfinitePrevisionError(LpError):
+    """A lower prevision is +infinity (unbounded LP) or -infinity (infeasible),
+    raised only once the LP's ray or Farkas vector has been verified."""
+
+
 class WorkCapError(LpError):
     """An LP's tableau would have more than _MAX_CELLS cells."""
 
@@ -104,14 +111,12 @@ def _over_lcm(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Scale a rational vector to coprime integers, preserving sign; the
-    zero vector stays zero."""
+def _primitive(vec) -> tuple[int, ...]:
+    """A rational vector scaled to coprime integers, preserving sign: the
+    one form of a separator.  The zero vector stays zero."""
     ints, _ = _over_lcm(vec)
-    g = gcd(*ints)
-    if g == 0:
-        return tuple(Fraction(0) for _ in vec)
-    return tuple(Fraction(n // g) for n in ints)
+    g = gcd(*ints) or 1
+    return tuple(n // g for n in ints)
 
 
 class _Tableau:
@@ -421,13 +426,14 @@ class Membership:
     `route` names what decided it.  A member may carry `witness`: sorted
     (generator index, coefficient) pairs, every coefficient positive, whose
     combination is the target.  A non-member may carry `separator`: a
-    vector y with y.g >= 0 for every generator and y.target < 0.
+    vector y with y.g >= 0 for every generator and y.target < 0, as
+    primitive integers (_primitive).
     """
 
     member: bool
     route: str
     witness: Optional[Pairs] = None
-    separator: Optional[tuple[Fraction, ...]] = None
+    separator: Optional[tuple[int, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -488,9 +494,9 @@ def _combines(columns: Sequence[IntVector], pairs, target: IntVector) -> bool:
     return not any(total.values())
 
 
-def _separates(columns: Sequence[IntVector], target: IntVector, separator) -> bool:
-    """separator.g >= 0 for every column g and separator.target < 0."""
-    y, _ = _over_lcm(separator)
+def _separates(columns: Sequence[IntVector], target: IntVector, y: Sequence[int]) -> bool:
+    """The integer separator y scores every column g nonnegative and the
+    target negative."""
     return all(_score(y, g) >= 0 for g in columns) and _score(y, target) < 0
 
 
@@ -516,15 +522,12 @@ def conic_membership(target: Sequence[Fraction], columns: Sequence[IntVector]) -
     if not any(target):
         raise LpError("zero target is not a membership query; use contains_zero")
     goal = _int_vector(enumerate(target))
-
-    if not columns:
-        sep = _primitive([-v for v in target])
-        if not _separates(columns, goal, sep):
-            raise LpError("separator failed verification")
-        return Membership(member=False, route=EXACT_LP, separator=sep)
-
-    rows = _coordinate_rows(columns, dim)
-    status, x, y, _ = _solve_standard(rows, target, [0] * len(columns))
+    if columns:
+        rows = _coordinate_rows(columns, dim)
+        status, x, y, _ = _solve_standard(rows, target, [0] * len(columns))
+    else:
+        # no generator: the target itself is a Farkas vector
+        status, y = LpStatus.INFEASIBLE, target
     if status is LpStatus.OPTIMAL:
         witness = _pairs(enumerate(x))
         if not _combines(columns, witness, goal):
@@ -577,13 +580,25 @@ def _checked_prevision(
     dim = len(target)
     _check_columns(columns, dim)
     n = len(columns)
-    rows = [row + [1, -1] for row in _coordinate_rows(columns, dim)]
+    shifted = [*columns, *[(tuple((j, s) for j in range(dim)), 1) for s in (1, -1)]]
     cost = [0] * n + [-1, 1]
-    status, x, y, _ = _solve_standard(rows, target, cost)
+    status, x, y, ray = _solve_standard(_coordinate_rows(shifted, dim), target, cost)
     if status is LpStatus.UNBOUNDED:
-        raise LpError("unbounded lower prevision: the cone is incoherent")
+        # the ray raises m at no cost, so -1 is in the cone; and some m is feasible
+        if not (
+            ray[n] > ray[n + 1]
+            and _combines(shifted, _pairs(enumerate(ray)), _int_vector(()))
+            and (not any(target) or conic_membership(target, shifted).member)
+        ):
+            raise LpError("unbounded lower prevision failed verification")
+        raise InfinitePrevisionError("unbounded lower prevision: the cone is incoherent")
     if status is not LpStatus.OPTIMAL:
-        raise LpError("lower prevision LP is infeasible: no constant shift reaches the cone")
+        # the Farkas vector, negated, separates the target from the shifted cone
+        if not _separates(shifted, _int_vector(enumerate(target)), _primitive([-v for v in y])):
+            raise LpError("infeasible lower prevision failed verification")
+        raise InfinitePrevisionError(
+            "lower prevision LP is infeasible: no constant shift reaches the cone"
+        )
     return _verified_prevision(
         target, columns, x[n] - x[n + 1], _pairs(enumerate(x[:n])), tuple(-v for v in y)
     )

@@ -38,6 +38,11 @@ exact substitution, in integers over the nonzero entries (see lp):
     and upper previsions on a path come from the same recursion;
   * anything else falls back to one exact LP over the generator columns.
 
+A product mass function (the canonical witness, a product separator, a
+chained dual) is built as integers over one denominator (_product_mass),
+and a separator is a primitive integer tuple (lp._primitive) from where it
+is made, through the separator cache, to the answer.
+
 Because every shortcut certificate is verified before use, the fallback is
 also the safety net: if the generator list was tampered with, verification
 fails and the LP answers from the ground truth.
@@ -49,6 +54,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .cone import AssessmentCone, CoherenceReport
@@ -249,14 +255,12 @@ class CredalNet:
         return self._cones[(node, parent_index)].is_coherent().witness
 
     def generator_count(self) -> int:
-        total = 0
-        for s in self.dag.nodes:
-            locals_per_cfg = [
-                len(self.assessments[(s, p)]) + len(self.variables[s].values)
-                for p in range(self._parent_space[s].size)
-            ]
-            total += self._nnd_space[s].size * sum(locals_per_cfg)
-        return total
+        return sum(
+            self._nnd_space[s].size
+            * (len(self.assessments[(s, p)]) + len(self.variables[s].values))
+            for s in self.dag.nodes
+            for p in range(self._parent_space[s].size)
+        )
 
     def build_joint(
         self,
@@ -289,10 +293,7 @@ class JointModel:
                 raise NetworkError(f"mutation names unknown node {m_node!r}")
             if not 0 <= m_pidx < net.parent_space(m_node).size:
                 raise NetworkError("mutation parent index out of range")
-            n_local = len(net.assessments[(m_node, m_pidx)]) + len(
-                net.variables[m_node].values
-            )
-            if not 0 <= m_lidx < n_local:
+            if not 0 <= m_lidx < len(net.local_cone(m_node, m_pidx).generators):
                 raise NetworkError("mutation generator index out of range")
         self.mutate_flip = mutate_flip
 
@@ -339,12 +340,18 @@ class JointModel:
                         if s == self._leaf and k >= n_assessed:
                             self._atom_gen_at[entries[0][0]] = info.index
 
-        self.canonical_witness = self._build_canonical_witness()
-        # cached separators, each with its integer form (_over_lcm)
-        self._separators: list[tuple[tuple[Fraction, ...], list[int]]] = []
-        if self.canonical_witness is not None:
-            w = self.canonical_witness
-            self._cache_separator(w, _over_lcm(w)[0])
+        # verified separators as primitive integers, the canonical witness
+        # first when it verifies
+        self._separators: list[tuple[int, ...]] = []
+        self.canonical_witness: Optional[tuple[Fraction, ...]] = None
+        ints, den = self._product_mass(lambda s, p, _: net.local_witness(s, p))
+        # the product of the local coherence witnesses is strictly positive
+        # by construction; it is kept only if it scores every generator
+        # strictly positive, which certifies at once that no nonnegative
+        # combination of the generators vanishes
+        if all(_score(ints, info.column) > 0 for info in self.generators):
+            self.canonical_witness = tuple(Fraction(n, den) for n in ints)
+            self._cache_separator(_primitive(ints))
         self._dedup: Optional[tuple[list[IntVector], list[int]]] = None
         self._observed: dict[tuple[str, int, tuple], list[int]] = {}
 
@@ -352,37 +359,25 @@ class JointModel:
 
     def _product_mass(
         self, kernel: Callable[[str, int, int], Sequence[Fraction]]
-    ) -> list[Fraction]:
+    ) -> tuple[list[int], int]:
         """The joint mass function whose factor for node s, at a joint
         configuration with parent index p and non-parent-non-descendant
-        index n, is kernel(s, p, n) at the node's value there."""
-        maps = [
-            (s, self._parent_idx_at[s], self._nnd_idx_at[s], self._value_at[s])
-            for s in self.net.dag.nodes
-        ]
-        y = []
-        for j in range(self.space.size):
-            mass = Fraction(1)
-            for s, p_at, n_at, v_at in maps:
-                mass *= kernel(s, p_at[j], n_at[j])[v_at[j]]
-                if not mass:
-                    break
-            y.append(mass)
-        return y
-
-    def _build_canonical_witness(self) -> Optional[tuple[Fraction, ...]]:
-        """The product mass function of the local coherence witnesses.
-
-        Strictly positive by construction; kept only if it scores every
-        generator strictly positive, which certifies at once that no
-        nonnegative combination of the generators vanishes.
-        """
-        y = self._product_mass(lambda s, p, _: self.net.local_witness(s, p))
-        ints, _ = _over_lcm(y)
-        for info in self.generators:
-            if _score(ints, info.column) <= 0:
-                return None
-        return tuple(y)
+        index n, is kernel(s, p, n) at the node's value there, as integers
+        over one positive denominator: mass j is ints[j] / den.  Each
+        node's kernels are put over the lcm of all their denominators, and
+        den is the product of these lcms."""
+        ints, den = [1] * self.space.size, 1
+        for s in self.net.dag.nodes:
+            slots = list(zip(self._parent_idx_at[s], self._nnd_idx_at[s]))
+            kernels = {key: kernel(s, *key) for key in set(slots)}
+            node_den = lcm(*[v.denominator for row in kernels.values() for v in row])
+            scaled = {
+                key: [v.numerator * (node_den // v.denominator) for v in row]
+                for key, row in kernels.items()
+            }
+            ints = [a * scaled[key][v] for a, key, v in zip(ints, slots, self._value_at[s])]
+            den *= node_den
+        return ints, den
 
     # -- verified certificate helpers -------------------------------------
 
@@ -406,18 +401,15 @@ class JointModel:
         columns, owners = self._int_columns()
         return all(_score(y, columns[k]) >= 0 for k in owners)
 
-    def _cache_separator(self, y: tuple[Fraction, ...], ints: list[int]) -> tuple:
-        """Cache a verified separator y, whose integer form is `ints`;
-        returns its cache entry (y, ints)."""
-        for entry in self._separators:
-            if entry[0] == y:
-                return entry
-        entry = (y, ints)
-        self._separators.append(entry)
-        if len(self._separators) > _SEPARATOR_CACHE_LIMIT:
-            # keep the canonical witness in front, evict the oldest rest
-            del self._separators[1]
-        return entry
+    def _cache_separator(self, y: tuple[int, ...]) -> tuple[int, ...]:
+        """Cache a verified separator y (primitive integers) and return it.
+        Past _SEPARATOR_CACHE_LIMIT entries the oldest is evicted, except a
+        verified canonical witness, which stays in front."""
+        if y not in self._separators:
+            self._separators.append(y)
+            if len(self._separators) > _SEPARATOR_CACHE_LIMIT:
+                del self._separators[self.canonical_witness is not None]
+        return y
 
     # -- query routes ------------------------------------------------------
 
@@ -473,8 +465,8 @@ class JointModel:
                 return Membership(
                     member=True, route="positive-span", witness=_pairs(witness.items())
                 )
-        for y, ints in self._separators:
-            if _score(ints, target) < 0:
+        for y in self._separators:
+            if _score(y, target) < 0:
                 return Membership(member=False, route="cached-separator", separator=y)
         return None
 
@@ -503,10 +495,10 @@ class JointModel:
             if not self._witness_matches(witness, target):
                 raise LpError("LP witness failed joint verification")
             return Membership(member=True, route=EXACT_LP, witness=_pairs(witness.items()))
-        y, _ = _over_lcm(res.separator)
+        y = res.separator
         if not self._separates_all_generators(y) or _score(y, target) >= 0:
             raise LpError("LP separator failed joint verification")
-        self._cache_separator(res.separator, y)
+        self._cache_separator(y)
         return res
 
     def contains_zero(self) -> Vanishing:
@@ -572,8 +564,8 @@ class JointModel:
             # not the coherence witness, whose product is the canonical one:
             # the quick routes tried it, or the flipped generator refutes it
             sep = self._product_separator(node, parent_index, cert.separator)
-            if sep is not None and _score(sep[1], target) < 0:
-                return Membership(member=False, route="product-separator", separator=sep[0])
+            if sep is not None and _score(sep, target) < 0:
+                return Membership(member=False, route="product-separator", separator=sep)
         table = [Fraction(0)] * self.space.size
         for j, n in target[0]:
             table[j] = Fraction(n, den)
@@ -612,40 +604,38 @@ class JointModel:
         return witness
 
     def _product_separator(
-        self, node: str, parent_index: int, local_separator: Sequence[Fraction]
-    ) -> Optional[tuple]:
+        self, node: str, parent_index: int, local_separator: Sequence[int]
+    ) -> Optional[tuple[int, ...]]:
         """A mass function scoring every generator nonnegative and the
         structured target negative: the network of local witnesses with the
         node's kernel at this parent slot replaced by the (normalized)
-        local separating functional; as its separator cache entry (y,
-        integer form), or None."""
+        local separating functional; cached, as primitive integers, or
+        None."""
         total = sum(local_separator)
         if total <= 0 or any(v < 0 for v in local_separator):
             # a local separator is nonnegative (atoms are generators); a
             # tampered certificate is useless here
             return None
-        kernel = tuple(v / total for v in local_separator)
-
-        def kernels(s: str, p: int, _: int) -> Sequence[Fraction]:
-            if s == node and p == parent_index:
-                return kernel
-            return self.net.local_witness(s, p)
-
-        y = _primitive(self._product_mass(kernels))
-        ints, _ = _over_lcm(y)
-        return self._cache_separator(y, ints) if self._separates_all_generators(ints) else None
+        kernel = tuple(Fraction(v, total) for v in local_separator)
+        witness = self.net.local_witness
+        ints, _ = self._product_mass(
+            lambda s, p, _: kernel if (s, p) == (node, parent_index) else witness(s, p)
+        )
+        y = _primitive(ints)
+        return self._cache_separator(y) if self._separates_all_generators(y) else None
 
     # -- chain recursion -----------------------------------------------------
 
     def _chain_certificates(
         self, table: Sequence[Fraction]
-    ) -> Optional[tuple[Fraction, dict[int, Fraction], list[Fraction]]]:
+    ) -> Optional[tuple[Fraction, dict[int, Fraction], tuple[list[int], int]]]:
         """The lower prevision m of a joint gamble by backward recursion
         over the local models, when the graph is one directed path
         s_0 -> ... -> s_{n-1}, with its two certificates: the primal
         (generator index -> coefficient) combining to table - m, and the
-        dual mass function.  None off a path, or if either certificate
-        fails its check against every joint generator.
+        dual mass function as integers over one denominator (_product_mass).
+        None off a path, or if either certificate fails its check against
+        every joint generator.
 
         Level j replaces the current function, for each configuration u of
         s_0 .. s_{j-1}, by the local lower prevision of its table on s_j in
@@ -679,13 +669,10 @@ class JointModel:
         m = current[0]
         if not self._witness_matches(primal, _int_vector((j, v - m) for j, v in enumerate(table))):
             return None
-        mass = self._product_mass(lambda s, p, n: kernels[(s, p, n)])
-        ints, den = _over_lcm(mass)
-        if not _expects(ints, den, _int_vector(enumerate(table)), m):
+        mass, den = self._product_mass(lambda s, p, n: kernels[(s, p, n)])
+        if not _expects(mass, den, _int_vector(enumerate(table)), m):
             return None
-        if not self._separates_all_generators(ints):
-            return None
-        return m, primal, mass
+        return (m, primal, (mass, den)) if self._separates_all_generators(mass) else None
 
     def _chain_membership(self, table: Sequence[Fraction]) -> Optional[Membership]:
         """Membership of a nonzero joint gamble from its chain-recursion
@@ -696,10 +683,9 @@ class JointModel:
         chained = self._chain_certificates(table)
         if chained is None:
             return None
-        m, primal, mass = chained
+        m, primal, (mass, _) = chained
         if m < 0:
-            y = _primitive(mass)
-            self._cache_separator(y, _over_lcm(y)[0])
+            y = self._cache_separator(_primitive(mass))
             return Membership(member=False, route=CHAIN_RECURSION, separator=y)
         witness = dict(primal)
         if m:
@@ -742,7 +728,9 @@ class JointModel:
     def lower_prevision(self, f: Gamble) -> Fraction:
         """Largest m with f - m in the closure of the joint cone: by the
         chain recursion when the graph is one directed path and its
-        certificates verify, else by one exact LP."""
+        certificates verify, else by one exact LP.  A tampered model may
+        have no finite m; then lp.InfinitePrevisionError is raised, once
+        the LP's ray or Farkas vector is verified."""
         table = f.extend(self.space).table
         chained = self._chain_certificates(table)
         if chained is not None:
@@ -757,10 +745,7 @@ class JointModel:
         self, nnd: tuple[str, ...], rng: random.Random, cap: int
     ) -> list[tuple[str, ...]]:
         if len(nnd) <= 3:
-            out = []
-            for size in range(len(nnd) + 1):
-                out.extend(combinations(nnd, size))
-            return out
+            return [c for size in range(len(nnd) + 1) for c in combinations(nnd, size)]
         chosen = {(), nnd}
         while len(chosen) < min(cap, 2 ** len(nnd)):
             chosen.add(tuple(n for n in nnd if rng.random() < 0.5))
@@ -842,18 +827,15 @@ class JointModel:
                 )
             )
 
-        atoms_checked = 0
         for j in range(self.space.size):
             table = [Fraction(0)] * self.space.size
             table[j] = Fraction(1)
             res = self.member_with_certificate(Gamble(self.space, tuple(table)))
-            atoms_checked += 1
             if not res.member:
-                config = self.space.config_at(j)
                 violations.append(
                     Violation(
                         kind="atom-membership",
-                        given_values=config.values,
+                        given_values=self.space.config_at(j).values,
                         detail="full-configuration indicator is not desirable",
                     )
                 )
@@ -893,7 +875,7 @@ class JointModel:
         exhausted = max_checks is not None and next(slots, None) is not None
         return VerificationReport(
             zero_free=not zero.exists,
-            atoms_checked=atoms_checked,
+            atoms_checked=self.space.size,
             negatives_checked=negatives_checked,
             irrelevance_checked=checked,
             violations=tuple(violations),

@@ -4,7 +4,8 @@ The package holds every generator as an integer column (lp.IntVector) from
 the local cone to the LP; tests that state their generators as dense tables
 convert them here, and check certificates against them with the same exact
 integer checks the primitives run.  positivity_audit is the dense Fraction
-reference for oracle.positivity_audit.
+reference for oracle.positivity_audit, and product_mass for
+net.JointModel._product_mass.
 """
 
 import random
@@ -28,6 +29,24 @@ def is_witness(tables, target, pairs):
 def is_separator(tables, target, y):
     """y scores every table nonnegative and the target negative."""
     return _separates(int_columns(tables), _int_vector(enumerate(target)), y)
+
+
+def product_mass(joint, kernel):
+    """JointModel._product_mass by brute force, as Fractions: one Fraction
+    per node per joint configuration, each configuration decoded by its
+    values rather than the joint index maps."""
+    net = joint.net
+    mass = []
+    for config in joint.space.configurations():
+        value = dict(zip(config.nodes, config.values))
+        y = Fraction(1)
+        for s in net.dag.nodes:
+            p_space, n_space = net.parent_space(s), net.nnd_space(s)
+            p = p_space.index_of(p_space.configuration({x: value[x] for x in p_space.nodes}))
+            n = n_space.index_of(n_space.configuration({x: value[x] for x in n_space.nodes}))
+            y *= kernel(s, p, n)[net.variables[s].index_of(value[s])]
+        mass.append(y)
+    return mass
 
 
 def positivity_audit(precise, joint, rng=None, samples=50):

@@ -216,6 +216,49 @@ def test_lower_prevision_rejects_a_wrong_optimum(monkeypatch):
         lower_prevision(target, atoms)
 
 
+def test_an_infinite_prevision_needs_a_verified_ray_or_farkas_vector(monkeypatch):
+    atoms = [(F(1), F(0)), (F(0), F(1))]
+    sink = [(F(-1), F(-1))]
+    # -1 in the cone: +infinity; only -1 in the cone and f = (1, 0): -infinity
+    with pytest.raises(lp.InfinitePrevisionError, match="unbounded"):
+        lower_prevision((F(1), F(0)), atoms + sink)
+    with pytest.raises(lp.InfinitePrevisionError, match="infeasible"):
+        lower_prevision((F(1), F(0)), sink)
+    solve = lp._solve_standard
+
+    def answer(change_y=None, ray=None, status=None):
+        # tampers with the prevision LP only, the one with a cost
+        def fake(rows, rhs, cost):
+            s, x, y, r = solve(rows, rhs, cost)
+            if not any(cost):
+                return s, x, y, r
+            if change_y is not None:
+                y = change_y(y)
+            return status or s, x, y, ray if ray is not None else r
+
+        return fake
+
+    def solver_fault(target, tables):
+        with pytest.raises(LpError) as raised:
+            lower_prevision(target, tables)
+        assert type(raised.value) is LpError
+        assert "failed verification" in str(raised.value)
+
+    # a Farkas vector negated, or shifted off the zero sum of m+ and m-
+    monkeypatch.setattr(lp, "_solve_standard", answer(lambda y: [-v for v in y]))
+    solver_fault((F(1), F(0)), sink)
+    monkeypatch.setattr(lp, "_solve_standard", answer(lambda y: [y[0] + 1, y[1]]))
+    solver_fault((F(1), F(0)), sink)
+    # rays that lower m, leave the cone's combination nonzero, or go negative
+    for ray in ([0, 0, 1, 0, 1], [0, 0, 0, 1, 0], [1, 0, 1, 1, 0], [-1, 0, 1, 1, 0]):
+        monkeypatch.setattr(lp, "_solve_standard", answer(ray=[F(v) for v in ray]))
+        solver_fault((F(1), F(0)), atoms + sink)
+    # a true ray of -1 in the cone, claimed where no shift is feasible
+    ray = [F(1), F(1), F(0)]
+    monkeypatch.setattr(lp, "_solve_standard", answer(ray=ray, status=LpStatus.UNBOUNDED))
+    solver_fault((F(1), F(0)), sink)
+
+
 # -- brute-force cross-check --------------------------------------------------
 
 

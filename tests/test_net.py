@@ -2,9 +2,12 @@
 
 import random
 import re
+import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 
@@ -12,6 +15,7 @@ from credalcones.cone import AssessmentCone
 from credalcones.core import Gamble, Space, VariableSpace, indicator
 from credalcones.dag import Dag
 from credalcones.lp import (
+    InfinitePrevisionError,
     LpError,
     _checked_prevision,
     _int_vector,
@@ -23,15 +27,17 @@ from credalcones.lp import (
     contains_zero as lp_contains_zero,
 )
 from credalcones.net import (
+    _SEPARATOR_CACHE_LIMIT,
     CredalNet,
     GeneratorCapError,
     IncoherentLocalModel,
+    JointModel,
     NetworkError,
     ZeroGambleError,
     sample_credal_net,
     sample_gamble,
 )
-from dense import int_columns, is_separator, is_witness
+from dense import int_columns, is_separator, is_witness, product_mass
 
 F = Fraction
 
@@ -714,7 +720,7 @@ def test_chain_recursion_equals_the_joint_lp_and_never_falls_back(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr("credalcones.net.JointModel._dedup_columns", refuse)
                 patch.setattr("credalcones.net.conic_membership", refuse)
-                m, primal, mass = joint._chain_certificates(table)
+                m, primal, (mass, den) = joint._chain_certificates(table)
                 assert (joint.lower_prevision(f), joint.upper_prevision(f)) == (lower, upper)
                 res = joint._chain_membership(table)
                 generic = joint.member_with_certificate(f)
@@ -722,7 +728,7 @@ def test_chain_recursion_equals_the_joint_lp_and_never_falls_back(monkeypatch):
             # the lifted primal combines to f - m, the chained dual is a mass
             # function of expectation m scoring every generator nonnegative
             assert is_witness(tables, [v - m for v in table], primal.items())
-            assert sum(mass) == 1 and dot(mass, table) == m
+            assert sum(mass) == den and dot(mass, table) == m * den
             assert all(dot(mass, t) >= 0 for t in tables)
             assert res.route == "chain-recursion" and res.member == member
             assert generic.member == member
@@ -1047,10 +1053,10 @@ def test_a_local_cached_separator_lifts_to_the_canonical_witness():
                             continue
                         lifted = joint._product_separator(s, p_idx, local.separator)
                         if flip is None:
-                            assert lifted[0] == _primitive(joint.canonical_witness)
+                            assert lifted == _primitive(joint.canonical_witness)
                             res = joint.structured_member(s, p_idx, None, f)
                             assert res.route == "cached-separator"
-                            assert res.separator == joint.canonical_witness
+                            assert res.separator == _primitive(joint.canonical_witness)
                             seen["clean"] += 1
                         else:
                             assert lifted is None and joint.canonical_witness is None
@@ -1100,3 +1106,140 @@ def test_observed_indices_match_the_uncached_computation():
                 none = joint._observed_indices(s, p_idx, None)
                 assert none == [j for j in range(space.size) if joint._parent_idx_at[s][j] == p_idx]
     assert checked > 500
+
+
+def test_integer_product_mass_equals_the_fraction_product(monkeypatch):
+    # every product mass the package builds (the canonical witness, the
+    # product separators of the structured route, the chain duals) against
+    # the Fraction product of dense.py; some nodes carry kernels of
+    # different denominators in different slots, which the one
+    # denominator per node must cover
+    rng = random.Random(1818)
+    original = JointModel._product_mass
+    checked, mixed = Counter(), Counter()
+
+    def spy(joint, kernel):
+        ints, den = original(joint, kernel)
+        caller = sys._getframe(1).f_code.co_name
+        assert [F(n, den) for n in ints] == product_mass(joint, kernel), caller
+        checked[caller] += 1
+        for s in joint.net.dag.nodes:
+            slots = set(zip(joint._parent_idx_at[s], joint._nnd_idx_at[s]))
+            if len({lcm(*[F(v).denominator for v in kernel(s, *key)]) for key in slots}) > 1:
+                mixed[caller] += 1
+                break
+        return ints, den
+
+    monkeypatch.setattr(JointModel, "_product_mass", spy)
+    for trial in range(16):
+        if trial % 2:
+            net = sample_chain(rng, rng.randint(2, 4), rng.randint(2, 3))
+        else:
+            net = sample_credal_net(rng, max_nodes=3)
+        for flip in (None, random_mutation(rng, net)):
+            joint = net.build_joint(mutate_flip=flip)
+            for s in net.dag.nodes:
+                nnd = net.nnd_space(s)
+                for p_idx in range(net.parent_space(s).size):
+                    for _ in range(4):
+                        given = nnd.config_at(rng.randrange(nnd.size))
+                        joint.structured_member(
+                            s, p_idx, given, sample_gamble(rng, net.node_space(s))
+                        )
+            for f in chain_gambles(rng, net, 4):
+                joint._chain_certificates(f.extend(net.joint_space).table)
+    kinds = ("__init__", "_product_separator", "_chain_certificates")
+    assert set(checked) == set(kinds) and all(mixed[k] for k in kinds), (checked, mixed)
+
+
+def primitive_ints(y):
+    """y is the one separator form: a tuple of int (no bool, no Fraction)
+    with gcd 1."""
+    return type(y) is tuple and all(type(v) is int for v in y) and gcd(*y) == 1
+
+
+def test_every_separator_is_a_primitive_integer_tuple():
+    rng = random.Random(1919)
+    routes = Counter()
+
+    def check(where, res):
+        if not res.member and res.route != "zero-convention":
+            assert primitive_ints(res.separator), (where, res)
+            routes[where, res.route] += 1
+
+    for _ in range(40):
+        dim = rng.randint(1, 4)
+        tables = [dense_table(rng, dim) for _ in range(rng.randint(0, 4))]
+        check("lp", conic_membership(dense_table(rng, dim), int_columns(tables)))
+    canonical = 0
+    for trial in range(16):
+        if trial % 2:
+            net = sample_chain(rng, rng.randint(2, 4), rng.randint(2, 3))
+        else:
+            net = sample_credal_net(rng, max_nodes=3)
+        for flip in (None, random_mutation(rng, net)):
+            joint = net.build_joint(mutate_flip=flip)
+            for s in net.dag.nodes:
+                nnd = net.nnd_space(s)
+                for p_idx in range(net.parent_space(s).size):
+                    for _ in range(4):
+                        f = sample_gamble(rng, net.node_space(s))
+                        check("cone", net.local_cone(s, p_idx).member_with_certificate(f))
+                        given = nnd.config_at(rng.randrange(nnd.size))
+                        res = joint.structured_member(s, p_idx, given, f)
+                        check("joint", res)
+                        if joint.canonical_witness is not None and not res.member:
+                            canonical += res.separator == _primitive(joint.canonical_witness)
+            for f in chain_gambles(rng, net, 6):
+                check("joint", joint.member_with_certificate(f))
+            assert all(primitive_ints(y) for y in joint._separators)
+    assert canonical > 0
+    expected = {
+        ("lp", "exact-lp"),
+        ("cone", "cached-separator"),
+        ("cone", "exact-lp"),
+        ("joint", "cached-separator"),
+        ("joint", "product-separator"),
+        ("joint", "chain-recursion"),
+        ("joint", "exact-lp"),
+    }
+    assert expected <= set(routes), routes
+
+
+def test_separator_cache_evicts_the_oldest_entry_but_a_verified_canonical_witness():
+    # a flipped model of this net has no canonical witness, so no entry is
+    # kept: the cache holds the last _SEPARATOR_CACHE_LIMIT separators; a
+    # clean model keeps its canonical witness in front of the last ones
+    net = sample_credal_net(random.Random(1000))
+    size = net.joint_space.size
+    fakes = [(i + 2,) + (1,) * (size - 1) for i in range(40)]
+    flipped = net.build_joint(mutate_flip=(net.dag.nodes[0], 0, 0))
+    assert flipped.canonical_witness is None and flipped._separators == []
+    for y in fakes:
+        flipped._cache_separator(y)
+    assert flipped._separators == fakes[-_SEPARATOR_CACHE_LIMIT:]
+    clean = net.build_joint()
+    canonical = _primitive(clean.canonical_witness)
+    for y in fakes:
+        clean._cache_separator(y)
+    assert clean._separators == [canonical] + fakes[1 - _SEPARATOR_CACHE_LIMIT:]
+
+
+@pytest.mark.parametrize(
+    "seed, flip, message",
+    [
+        (1002, ("n0", 0, 0), "unbounded lower prevision: the cone is incoherent"),
+        (1000, ("n3", 1, 2), "lower prevision LP is infeasible"),
+    ],
+)
+def test_an_infinite_lower_prevision_raises_its_own_error(seed, flip, message):
+    # a tampered model's lower prevision of (0, 1, ...) on the flipped node
+    # is +infinity (an unbounded LP) or -infinity (an infeasible one): an
+    # LpError subclass of its own, not a solver fault
+    net = sample_credal_net(random.Random(seed))
+    space = net.node_space(flip[0])
+    f = Gamble(space, (0, 1) + (0,) * (space.size - 2))
+    joint = net.build_joint(mutate_flip=flip)
+    with pytest.raises(InfinitePrevisionError, match=re.escape(message)):
+        joint.lower_prevision(f)
+    assert issubclass(InfinitePrevisionError, LpError)

@@ -1,0 +1,105 @@
+"""Compare the CLI's stdout and exit codes with those of another source tree.
+
+    python3 tools/identity_check.py --parent PATH
+
+PATH is the root of another checkout (one with ``src/credalcones``), usually
+the parent commit.  The inputs of 104 CLI runs are written to a temporary
+directory:
+
+  * ``query`` on the 24 chain query files of perfbench seeds 1-3;
+  * ``verify --seed 3`` on the networks ``net.sample_credal_net`` draws from
+    ``random.Random(seed)`` for the seeds 1000-1039;
+  * ``verify --seed 3 --budget 60 --mutate-flip NODE:P:K`` on the same 40
+    networks, the slot drawn from the same generator after the network.
+
+They are built by this checkout's package and ``perfbench/workloads.py``,
+which is only read.  Every run is ``python -m credalcones.cli`` with the
+``src/`` of PATH, then of this checkout, on ``PYTHONPATH``.  The script
+prints how many runs gave byte-identical stdout and exit codes, then the
+command of each run that differs, and exits 1 if any exit code differs.
+Runs go WORKERS at a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CHAIN_SEEDS = (1, 2, 3)
+NET_SEEDS = range(1000, 1040)
+VERIFY_SEED = "3"
+FLIP_BUDGET = "60"
+WORKERS = 2
+
+
+def write_inputs(workdir: Path) -> list[list[str]]:
+    """The CLI arguments of every run, with their input files written under
+    workdir; file names are relative to it."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import run  # perfbench/run.py: make_inputs holds the seeding convention
+    from credalcones import cli, net
+
+    workloads = run.import_package()
+    commands = []
+    for seed in CHAIN_SEEDS:
+        units = run.make_inputs(workloads["chain"](), seed, workdir / f"chain-{seed}")
+        for unit in units:
+            paths = [str(p.relative_to(workdir)) for p in (unit.path, unit.query_path)]
+            commands.append(["query", *paths])
+    flips = []
+    for seed in NET_SEEDS:
+        rng = random.Random(seed)
+        network = net.sample_credal_net(rng)
+        path = workdir / f"net-{seed}.json"
+        path.write_text(json.dumps(cli.serialize_network(network)), encoding="utf-8")
+        node = rng.choice(network.dag.nodes)
+        p = rng.randrange(network.parent_space(node).size)
+        k = rng.randrange(len(network.local_cone(node, p).generators))
+        commands.append(["verify", path.name, "--seed", VERIFY_SEED])
+        flips.append(
+            ["verify", path.name, "--seed", VERIFY_SEED, "--budget", FLIP_BUDGET,
+             "--mutate-flip", f"{node}:{p}:{k}"]
+        )
+    return commands + flips
+
+
+def run_cli(tree: Path, args: list[str], workdir: Path) -> tuple[int, bytes]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "credalcones.cli", *args],
+        cwd=workdir, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+    )
+    return done.returncode, done.stdout
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path, help="root of the other tree")
+    args = parser.parse_args(argv)
+    parent = args.parent.resolve()
+    if not (parent / "src" / "credalcones").is_dir():
+        parser.error(f"{parent} holds no src/credalcones")
+    with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
+        workdir = Path(tmp)
+        commands = write_inputs(workdir)
+        with ThreadPoolExecutor(WORKERS) as pool:
+            before = list(pool.map(lambda c: run_cli(parent, c, workdir), commands))
+            after = list(pool.map(lambda c: run_cli(ROOT, c, workdir), commands))
+    differ = [(c, b, a) for c, b, a in zip(commands, before, after) if b != a]
+    print(f"{len(commands) - len(differ)} of {len(commands)} runs byte-identical")
+    for command, (code_b, _), (code_a, _) in differ:
+        exits = f"exit {code_b} -> {code_a}" if code_b != code_a else "stdout differs"
+        print(f"  credalcones {' '.join(command)}  ({exits})")
+    return 1 if any(b[0] != a[0] for _, b, a in differ) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
