@@ -28,12 +28,15 @@ certificate checked against the columns:
     are checked once per cone; an incoherent cone has no such witness and
     never takes this route.
 
-Coherence is decided by a strictly positive expectation functional: the
-natural extension is coherent exactly when some probability mass function
-with all-positive mass gives every generator strictly positive expectation.
-The decision is a single exact LP maximizing the worst margin.  A failure
-is certified by a vanishing nonnegative combination of the generators,
-read off the same LP's optimal row duals.
+Coherence is one exact LP, lp.contains_zero on the columns.  By Gordan's
+theorem of the alternative, either a nonzero nonnegative combination of
+the generators vanishes, and the natural extension is incoherent with
+that checked combination as certificate, or some y scores every generator
+strictly positive.  The LP's verified separator, its appended coordinate
+dropped, is such a y.  The atoms are generators, so y is strictly
+positive; normalised, it is a probability mass function with all-positive
+mass giving every generator strictly positive expectation, the coherence
+witness.
 """
 
 from __future__ import annotations
@@ -46,9 +49,7 @@ from typing import Iterable, Optional, Sequence
 from .core import Gamble, Space, indicator
 from .lp import (
     IntVector,
-    LinearSystem,
     LpError,
-    LpStatus,
     Membership,
     Pairs,
     PrevisionBasis,
@@ -63,6 +64,7 @@ from .lp import (
     _primitive,
     _score,
     conic_membership,
+    contains_zero,
 )
 
 # optimal bases kept per cone for its prevision LPs, most recently used first
@@ -71,17 +73,17 @@ _BASIS_LIMIT = 4
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    """Outcome of the coherence LP.
+    """Outcome of the coherence LP, lp.contains_zero on the generators.
 
-    margin is the optimal worst expectation over all probability mass
-    functions respecting the same floor; coherent iff margin > 0.  witness
-    is the optimizing pmf (strictly positive when coherent).  certificate,
-    present only when incoherent, is a nonzero nonnegative combination of
-    the generators summing to the zero gamble.
+    witness, present only when coherent, is a strictly positive pmf giving
+    every generator strictly positive expectation: the LP's verified
+    separator without its appended coordinate, normalised to sum 1.
+    certificate, present only when incoherent, is the LP's checked
+    vanishing combination, one nonnegative coefficient per generator, not
+    all zero, summing the generators to the zero gamble.
     """
 
     coherent: bool
-    margin: Fraction
     witness: Optional[tuple[Fraction, ...]] = None
     certificate: Optional[tuple[Fraction, ...]] = None
 
@@ -96,11 +98,11 @@ class AssessmentCone:
         if space.size < 1:
             raise ValueError("space must have at least one configuration")
         assessments = tuple(assessments)
-        # the coherence LP (see _decide_coherence) is the largest LP a cone
-        # runs, so sizing it first bounds every local LP before any atom or
-        # row is built
+        # the coherence LP (see _decide_coherence: size + 1 rows, one column
+        # per generator) is the largest LP a cone runs, so sizing it first
+        # bounds every local LP before any atom or row is built
         size, k = space.size, len(assessments)
-        _check_work(1 + size + k, 2 * (size + 1) + size + k)
+        _check_work(size + 1, size + k)
         self.space = space
         fitted = []
         for f in assessments:
@@ -134,49 +136,13 @@ class AssessmentCone:
         return self._coherence
 
     def _decide_coherence(self) -> CoherenceReport:
-        size = self.space.size
-        # variables: y_0..y_{size-1}, eps; maximize eps subject to
-        # sum(y) = 1, y_x - eps >= 0, g.y - eps >= 0 for every generator
-        lp = LinearSystem(size + 1)
-        lp.maximize([0] * size + [1])
-        lp.add_constraint([1] * size + [0], "==", 1)
-        for x in range(size):
-            row = [0] * (size + 1)
-            row[x] = 1
-            row[size] = -1
-            lp.add_constraint(row, ">=", 0)
-        for g in self.assessments:
-            lp.add_constraint(list(g.table) + [-1], ">=", 0)
-        out = lp.solve()
-        if out.status is not LpStatus.OPTIMAL:
-            raise LpError("coherence LP must have an optimum")
-        margin = out.objective
-        y = out.solution[:size]
-        if margin > 0:
-            self._verify_witness(y, margin)
-            return CoherenceReport(coherent=True, margin=margin, witness=tuple(y))
-        # The optimal row duals satisfy, with a_k = -dual[size+1+k] and
-        # b_x = -dual[1+x] (all >= 0, summing to 1),
-        #     sum_k a_k g_k + sum_x (b_x - margin) atom_x == 0;
-        # as margin <= 0, these weights are a vanishing combination.
-        dual = out.dual
-        certificate = tuple(-v for v in dual[size + 1:]) + tuple(
-            -v - margin for v in dual[1:size + 1]
-        )
-        if not any(certificate) or not _combines(
-            self.columns, tuple(enumerate(certificate)), _int_vector(())
-        ):
-            raise LpError("incoherence without a vanishing combination")
-        return CoherenceReport(
-            coherent=False, margin=margin, witness=tuple(y), certificate=certificate
-        )
-
-    def _verify_witness(self, y: Sequence[Fraction], margin: Fraction) -> None:
-        if sum(y) != 1 or any(v < margin for v in y):
-            raise LpError("coherence witness failed verification")
-        for g in self.generators:
-            if sum(a * b for a, b in zip(y, g.table)) < margin:
-                raise LpError("coherence witness failed verification")
+        res = contains_zero(self.columns, self.space.size)
+        if res.exists:
+            combination = dict(res.combination)
+            certificate = tuple(combination.get(k, Fraction(0)) for k in range(len(self.columns)))
+            return CoherenceReport(coherent=False, certificate=certificate)
+        y = res.separator[:-1]
+        return CoherenceReport(coherent=True, witness=tuple(Fraction(v, sum(y)) for v in y))
 
     # -- membership -----------------------------------------------------------
 

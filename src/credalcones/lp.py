@@ -1,8 +1,8 @@
 """Exact rational linear programming.
 
 A dense two-phase primal simplex in exact arithmetic; LinearSystem, an
-inequality-form front end whose optimum comes with its row duals (the
-coherence LP of cone reads an incoherence certificate off them); and the
+inequality-form front end whose optimum comes with its row duals (a
+public export that no module of the package solves with); and the
 three conic primitives the rest of the package is built on: membership of a
 vector in the nonnegative span of finitely many generators (with a
 witness or a separating functional), detection of a vanishing
@@ -439,11 +439,13 @@ class Membership:
 @dataclass(frozen=True)
 class Vanishing:
     """Existence of a nonzero nonnegative combination of the generators
-    summing to zero; `combination` is in the pair form of a witness."""
+    summing to zero; `combination` is in the pair form of a witness, and
+    `separator`, if none exists, the verified one of contains_zero's LP."""
 
     exists: bool
     route: str
     combination: Optional[Pairs] = None
+    separator: Optional[tuple[int, ...]] = None
 
 
 def _pairs(items) -> Pairs:
@@ -547,14 +549,17 @@ def contains_zero(columns: Sequence[IntVector], dim: int) -> Vanishing:
 
     Normalized as sum(l) = 1, which loses no generality for a cone: the
     membership of (0, ..., 0, 1) in the cone of the columns with a
-    coordinate 1 appended, whose witness is the combination.
+    coordinate 1 appended, whose witness is the combination.  Otherwise
+    its verified separator y scores every lifted column nonnegative and
+    the target negative, so y_last < 0 and the first dim entries of y
+    score every column at least -y_last > 0 (Gordan's alternative).
     """
     if not columns:
         return Vanishing(exists=False, route=EXACT_LP)
     _check_columns(columns, dim)
     lifted = [((*entries, (dim, den)), den) for entries, den in columns]
     res = conic_membership([0] * dim + [1], lifted)
-    return Vanishing(exists=res.member, route=EXACT_LP, combination=res.witness)
+    return Vanishing(res.member, EXACT_LP, res.witness, res.separator)
 
 
 def _expects(mass: Sequence[int], den: int, target: IntVector, m: Fraction) -> bool:

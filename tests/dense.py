@@ -31,6 +31,16 @@ def is_separator(tables, target, y):
     return _separates(int_columns(tables), _int_vector(enumerate(target)), y)
 
 
+def is_positive_pmf(tables, y):
+    """y is a pmf with every entry positive that gives every table a
+    positive expectation, summed as Fractions."""
+    return (
+        sum(y) == 1
+        and all(v > 0 for v in y)
+        and all(sum((a * b for a, b in zip(y, t)), Fraction(0)) > 0 for t in tables)
+    )
+
+
 def product_mass(joint, kernel):
     """JointModel._product_mass by brute force, as Fractions: one Fraction
     per node per joint configuration, each configuration decoded by its

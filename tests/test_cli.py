@@ -279,7 +279,13 @@ def test_semantic_errors_exit_2_with_certificates(tmp_path, capsys):
     report = json.loads(out)
     assert report["reason"] == "incoherent-local-model"
     assert report["node"] == "a"
-    assert report["vanishing_combination"]
+    # printed pairs: nonzero coefficients, all positive, that combine the
+    # slot's generators (the assessment, then the atoms) to the zero gamble
+    generators = [(-1, -1), (1, 0), (0, 1)]
+    weights = {i: Fraction(c) for i, c in report["vanishing_combination"]}
+    assert weights and len(weights) == len(report["vanishing_combination"])
+    assert all(c > 0 and 0 <= i < len(generators) for i, c in weights.items())
+    assert [sum(c * generators[i][x] for i, c in weights.items()) for x in range(2)] == [0, 0]
 
     missing = dict(CHAIN)
     missing["local_models"] = CHAIN["local_models"][:-1]
@@ -548,8 +554,14 @@ def test_solver_fault_exits_1_not_as_bad_input(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["member", "lower-prevision"])
 def test_work_cap_exits_2_before_any_dense_column(tmp_path, capsys, monkeypatch, kind):
+    coordinate_rows = lp._coordinate_rows
+
     def dense_rows(columns, dim):
-        raise AssertionError("a dense LP row was built")
+        # the local coherence LPs at load time have a node's 2 values plus
+        # the appended coordinate; any other dense row is the joint LP's
+        if dim != 3:
+            raise AssertionError("a dense LP row was built")
+        return coordinate_rows(columns, dim)
 
     monkeypatch.setattr(lp, "_coordinate_rows", dense_rows)
     monkeypatch.setattr(lp, "_MAX_CELLS", 8 * 9)  # 8 rows: room for no column
@@ -579,7 +591,8 @@ def test_local_work_cap_exits_2_before_any_atom_or_lp_row(tmp_path, capsys, monk
 
     monkeypatch.setattr(core, "indicator", never)
     monkeypatch.setattr(cone, "indicator", never)
-    monkeypatch.setattr(lp.LinearSystem, "add_constraint", never)
+    monkeypatch.setattr(lp, "_solve_standard", never)
+    monkeypatch.setattr(lp, "_coordinate_rows", never)
     monkeypatch.setattr(lp, "_MAX_CELLS", 100)
     values = [str(d) for d in range(6)]
     model = {"node": "x", "given": {}, "gambles": [["5", "-1", "-1", "-1", "-1", "-1"]]}
@@ -590,12 +603,12 @@ def test_local_work_cap_exits_2_before_any_atom_or_lp_row(tmp_path, capsys, monk
     )
     code, out, err = run(capsys, "validate", net)
     assert code == 2 and err == ""
-    # the coherence LP: 1 + 6 + 1 rows, 2 * (6 + 1) + 6 + 1 standard-form columns
+    # the coherence LP: 6 + 1 rows, one column per generator (1 + 6)
     assert json.loads(out) == {
         "command": "validate",
         "valid": False,
         "reason": "work-cap",
-        "cells": 8 * (21 + 8 + 1),
+        "cells": 7 * (7 + 7 + 1),
         "cap": 100,
     }
 

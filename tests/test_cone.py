@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from credalcones import lp
 from credalcones.cone import AssessmentCone
 from credalcones.core import Gamble, Space, VariableSpace
-from credalcones.lp import LpError, contains_zero
-from dense import int_columns, is_separator, is_witness
+from credalcones.lp import LpError
+from dense import int_columns, is_positive_pmf, is_separator, is_witness
 
 F = Fraction
 
@@ -26,11 +26,11 @@ def pair_space():
 
 
 def test_single_assessment_margin_and_witness():
-    # one assessed gamble (1, -1): best floor is 1/3 at pmf (2/3, 1/3)
+    # one assessed gamble (1, -1): the coherence LP's separator, normalised,
+    # is the pmf (2/3, 1/3), which gives the generators 1/3, 2/3 and 1/3
     cone = AssessmentCone(coin(), [Gamble(coin(), (1, -1))])
     report = cone.is_coherent()
     assert report.coherent
-    assert report.margin == F(1, 3)
     assert report.witness == (F(2, 3), F(1, 3))
 
 
@@ -183,19 +183,6 @@ def random_cone(rng, max_values=3, max_assessments=3):
     return AssessmentCone(sp, gambles)
 
 
-def test_coherence_equals_no_vanishing_combination():
-    # the witness route and the vanishing-combination route must agree
-    rng = random.Random(811)
-    seen = {True: 0, False: 0}
-    for _ in range(120):
-        cone = random_cone(rng)
-        coherent = cone.is_coherent().coherent
-        vanishes = contains_zero(int_columns(g.table for g in cone.generators), cone.space.size).exists
-        assert coherent == (not vanishes)
-        seen[coherent] += 1
-    assert seen[True] > 10 and seen[False] > 10
-
-
 def test_incoherence_certificate_comes_from_the_coherence_lp(monkeypatch):
     calls = []
     solve = lp._solve_standard
@@ -219,6 +206,42 @@ def test_incoherence_certificate_comes_from_the_coherence_lp(monkeypatch):
         assert all(c >= 0 for c in combo) and any(combo)
         tables = [g.table for g in cone.generators]
         assert is_witness(tables, (F(0),) * cone.space.size, enumerate(combo))
+
+
+@pytest.mark.parametrize(
+    "table, coherent",
+    [([399] + [-1] * 399, True), ([-(x % 2) for x in range(400)], False)],
+    ids=["coherent", "incoherent"],
+)
+def test_a_wide_local_model_is_decided_by_one_lp(monkeypatch, table, coherent):
+    space = Space([VariableSpace("x", tuple(f"v{x}" for x in range(400)))])
+    gamble = Gamble(space, tuple(F(v) for v in table))
+    # the coherence LP: 400 + 1 rows, 1 + 400 generator columns
+    cells = (400 + 1) * (2 * 400 + 1 + 2)
+    monkeypatch.setattr(lp, "_MAX_CELLS", cells - 1)
+    with pytest.raises(lp.WorkCapError) as err:
+        AssessmentCone(space, [gamble])
+    assert err.value.cells == cells
+    monkeypatch.setattr(lp, "_MAX_CELLS", cells)
+    cone = AssessmentCone(space, [gamble])
+    calls = []
+    solve = lp._solve_standard
+
+    def counting(rows, rhs, cost):
+        calls.append(len(rows))
+        return solve(rows, rhs, cost)
+
+    monkeypatch.setattr(lp, "_solve_standard", counting)
+    report = cone.is_coherent()
+    assert calls == [401]
+    assert report.coherent is coherent
+    tables = [g.table for g in cone.generators]
+    if coherent:
+        assert report.certificate is None and is_positive_pmf(tables, report.witness)
+    else:
+        combo = report.certificate
+        assert report.witness is None and any(combo)
+        assert is_witness(tables, (F(0),) * 400, enumerate(combo))
 
 
 def random_target(rng, cone):

@@ -65,6 +65,15 @@ def test_warm_start_bases_stay_in_lp_and_cone(path):
     assert names_in(path.read_text()) & WARM_START == set()
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in ("lp.py", "__init__.py")], ids=lambda p: p.name
+)
+def test_coherence_and_every_other_lp_avoid_the_linear_system(path):
+    # the package's LPs are lp's conic primitives and its prevision LP; the
+    # LinearSystem front end is only defined in lp and re-exported
+    assert "LinearSystem" not in names_in(path.read_text())
+
+
 def test_a_warm_start_reference_is_reported():
     assert names_in("from .lp import PrevisionBasis\nlp._prevision_at_basis(b)\n") == {
         "PrevisionBasis", "lp", "_prevision_at_basis", "b"

@@ -172,7 +172,13 @@ def test_contains_zero_detects_opposite_rays():
 
 def test_contains_zero_negative_for_pointed_cone():
     gens = [(F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
-    assert not contains_zero(int_columns(gens), 2).exists
+    res = contains_zero(int_columns(gens), 2)
+    assert not res.exists and res.combination is None
+    # the separator of (0, 0, 1) from the lifted columns; without its last
+    # entry it scores every column strictly positive
+    lifted = [g + (F(1),) for g in gens]
+    assert is_separator(lifted, (F(0), F(0), F(1)), res.separator)
+    assert all(sum(a * b for a, b in zip(res.separator, g)) > 0 for g in gens)
 
 
 def test_dimension_mismatch_rejected():
