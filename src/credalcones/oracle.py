@@ -10,10 +10,11 @@ Two deliberately different computation routes live here:
     masses over one denominator) and random combinations of them by
     linearity, without any certificate check of lp or net.
 
-  * fm_membership: conic membership decided by Gaussian elimination of the
-    equality rows followed by Fourier-Motzkin elimination of the
-    nonnegative coefficients.  No simplex, no pivoting rules; it exists to
-    disagree loudly if the LP route were ever wrong.
+  * fm_membership: conic membership decided by fraction-free Gaussian
+    substitution of the equality rows, in integers, followed by
+    Fourier-Motzkin elimination of the nonnegative coefficients.  It shares
+    only lp's integer-row helpers, no simplex and no pivoting rules; it
+    exists to disagree loudly if the LP route were ever wrong.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from math import gcd, lcm
+from typing import Mapping, Optional, Sequence
 
 from .core import Configuration, Gamble
-from .lp import _over_lcm, _primitive
+from .lp import _over_lcm
 from .net import CredalNet, JointModel
 
 FM_MAX_DIM = 8
@@ -159,17 +161,19 @@ def positivity_audit(
     ]
 
     # the expectation is linear, so a combination scores the combination
-    # of its generators' scores
+    # of its generators' scores: pick k with coefficient a / b adds
+    # (a num_k, b den_k), and the terms are summed over their lcm
     n = len(joint.generators)
     checked = 0
     for _ in range(samples):
         picks = rng.sample(range(n), rng.randint(1, min(4, n)))
-        coeffs = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in picks]
-        score = sum((lam * Fraction(*scores[k]) for k, lam in zip(picks, coeffs)), Fraction(0))
+        terms = [(rng.randint(1, 3) * scores[k][0], rng.randint(1, 2) * scores[k][1]) for k in picks]
+        common = lcm(*(d for _, d in terms))
+        score = sum(num * (common // d) for num, d in terms)
         checked += 1
         if score <= 0:
             failures.append(
-                f"combination of generators {sorted(picks)} scored {score}"
+                f"combination of generators {sorted(picks)} scored {Fraction(score, common)}"
             )
     return AuditReport(
         checked=checked,
@@ -183,16 +187,27 @@ def positivity_audit(
 # -- Fourier-Motzkin membership oracle -----------------------------------------
 
 
+def _coprime(ints) -> tuple[int, ...]:
+    """lp._primitive of an integer vector: divided by its gcd, if any.
+    Built from a list: CPython draws a tuple grown from a generator from
+    another size's free list than the one it frees it into, which then
+    fills with thousands of dead tuples."""
+    g = gcd(*ints) or 1
+    return tuple([v // g for v in ints])
+
+
 def fm_membership(
     target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
 ) -> bool:
     """Is target a nonnegative combination of the generators?
 
     Same semantics as the LP primitive (zero targets rejected alike),
-    decided by projection: the equalities are removed by exact Gaussian
-    substitution, then the remaining coefficient variables are eliminated
-    one by one, combining each lower bound with each upper bound.
-    Feasible iff no contradictory constant row survives.
+    decided by projection: the equalities are removed by Gaussian
+    substitution in integers, then the remaining coefficient variables are
+    eliminated one by one, combining each lower bound with each upper
+    bound.  Feasible iff no contradictory constant row survives.  Each row
+    is a multiple of the row that substitution in rationals would give,
+    positive for every inequality, so every decision is the rational one.
 
     Guards: at most FM_MAX_DIM dimensions and FM_MAX_GENERATORS generators;
     projection can blow up combinatorially beyond desk scale.
@@ -210,20 +225,22 @@ def fm_membership(
     if any(len(g) != dim for g in generators):
         raise ValueError("generators and target must share one dimension")
 
-    # equalities sum_k a_k l_k = c; inequalities sum_k a_k l_k >= c
-    equalities = [
-        [Fraction(generators[k][i]) for k in range(n)] + [Fraction(target[i])]
-        for i in range(dim)
+    # equalities sum_k a_k l_k = c, each read once as integers over its
+    # lcm (an entry that is not an int or a Fraction goes through
+    # Fraction); inequalities sum_k a_k l_k >= c, starting as l_k >= 0
+    columns = [
+        [v if type(v) in (int, Fraction) else Fraction(v) for v in g]
+        for g in (*generators, target)
     ]
-    inequalities: list[list[Fraction]] = []
-    for k in range(n):
-        row = [Fraction(0)] * (n + 1)
-        row[k] = Fraction(1)
-        inequalities.append(row)
+    equalities = [_coprime(_over_lcm([c[i] for c in columns])[0]) for i in range(dim)]
+    inequalities = [[int(j == k) for j in range(n + 1)] for k in range(n)]
 
-    # Gaussian substitution of one variable per equality row
+    # fraction-free substitution of one variable per equality row: the row
+    # is turned positive at its pivot, piv > 0, and every later row r with
+    # f = r[pivot] != 0 becomes piv * r - f * row over its gcd, a positive
+    # multiple of the rational r - (f / piv) * row
     eliminated: set[int] = set()
-    for eq in range(len(equalities)):
+    for eq in range(dim):
         row = equalities[eq]
         pivot = next(
             (k for k in range(n) if k not in eliminated and row[k] != 0), None
@@ -233,36 +250,27 @@ def fm_membership(
                 return False  # 0 = nonzero
             continue
         piv = row[pivot]
-        row = [v / piv for v in row]
-        equalities[eq] = row
-        for other in range(len(equalities)):
-            if other != eq and equalities[other][pivot] != 0:
-                f = equalities[other][pivot]
-                equalities[other] = [
-                    a - f * b for a, b in zip(equalities[other], row)
-                ]
-        for i in range(len(inequalities)):
-            if inequalities[i][pivot] != 0:
-                f = inequalities[i][pivot]
-                inequalities[i] = [a - f * b for a, b in zip(inequalities[i], row)]
+        if piv < 0:
+            piv, row = -piv, [-v for v in row]
+
+        def substitute(r):
+            f = r[pivot]
+            return r if f == 0 else _coprime([piv * a - f * b for a, b in zip(r, row)])
+
+        equalities[eq + 1:] = map(substitute, equalities[eq + 1:])
+        inequalities = list(map(substitute, inequalities))
         eliminated.add(pivot)
 
     free = [k for k in range(n) if k not in eliminated]
 
     # prune and normalize; constant rows must already hold
-    def sift(rows: Iterable[Sequence[Fraction]]) -> Optional[set]:
-        kept = set()
-        for r in rows:
-            if all(r[k] == 0 for k in free):
-                if r[n] > 0:
-                    return None  # 0 >= positive: contradiction
-                continue
-            kept.add(_primitive(tuple(r[k] for k in free) + (r[n],)))
-        return kept
-
-    rows = sift(inequalities)
-    if rows is None:
-        return False
+    rows = set()
+    for r in inequalities:
+        if all(r[k] == 0 for k in free):
+            if r[n] > 0:
+                return False  # 0 >= positive: contradiction
+            continue
+        rows.add(_coprime([r[k] for k in free] + [r[n]]))
     width = len(free)
 
     # Imbert's acceleration: every irredundant row of the k-th projection
@@ -296,14 +304,12 @@ def fm_membership(
                     continue
                 # p[var] * q - q[var] * p has a zero var coefficient; signs
                 # keep the >= direction because p[var] > 0 > q[var]
-                combined = tuple(
-                    p[var] * qv - q[var] * pv for pv, qv in zip(p, q)
-                )
+                combined = [p[var] * qv - q[var] * pv for pv, qv in zip(p, q)]
                 if all(combined[k] == 0 for k in range(width)):
                     if combined[width] > 0:
                         return False
                     continue
-                norm = _primitive(combined)
+                norm = _coprime(combined)
                 known = keep.get(norm)
                 if known is None or len(history) < len(known):
                     keep[norm] = history

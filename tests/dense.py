@@ -5,14 +5,22 @@ the local cone to the LP; tests that state their generators as dense tables
 convert them here, and check certificates against them with the same exact
 integer checks the primitives run.  positivity_audit is the dense Fraction
 reference for oracle.positivity_audit, and product_mass for
-net.JointModel._product_mass.
+net.JointModel._product_mass, and fm_membership the Fraction reference for
+oracle.fm_membership.
 """
 
 import random
 from fractions import Fraction
+from typing import Iterable, Optional, Sequence
 
-from credalcones.lp import _combines, _int_vector, _separates
-from credalcones.oracle import AuditReport, WitnessMismatchError
+from credalcones.lp import _combines, _int_vector, _primitive, _separates
+from credalcones.oracle import (
+    _FM_MAX_ROWS,
+    FM_MAX_DIM,
+    FM_MAX_GENERATORS,
+    AuditReport,
+    WitnessMismatchError,
+)
 
 
 def int_columns(tables):
@@ -110,3 +118,136 @@ def positivity_audit(precise, joint, rng=None, samples=50):
         total_mass_one=total == 1,
         failures=tuple(failures),
     )
+
+
+def fm_membership(
+    target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
+) -> bool:
+    """oracle.fm_membership with its substitution in Fractions, each pivot
+    row divided by its pivot.  Is target a nonnegative combination of the
+    generators?
+
+    Same semantics as the LP primitive (zero targets rejected alike),
+    decided by projection: the equalities are removed by exact Gaussian
+    substitution, then the remaining coefficient variables are eliminated
+    one by one, combining each lower bound with each upper bound.
+    Feasible iff no contradictory constant row survives.
+
+    Guards: at most FM_MAX_DIM dimensions and FM_MAX_GENERATORS generators;
+    projection can blow up combinatorially beyond desk scale.
+    """
+    dim = len(target)
+    n = len(generators)
+    if dim == 0:
+        raise ValueError("dimension must be at least 1")
+    if all(v == 0 for v in target):
+        raise ValueError("zero target is not a membership query; use contains_zero")
+    if dim > FM_MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds the FM guard ({FM_MAX_DIM})")
+    if n > FM_MAX_GENERATORS:
+        raise ValueError(f"{n} generators exceed the FM guard ({FM_MAX_GENERATORS})")
+    if any(len(g) != dim for g in generators):
+        raise ValueError("generators and target must share one dimension")
+
+    # equalities sum_k a_k l_k = c; inequalities sum_k a_k l_k >= c
+    equalities = [
+        [Fraction(generators[k][i]) for k in range(n)] + [Fraction(target[i])]
+        for i in range(dim)
+    ]
+    inequalities: list[list[Fraction]] = []
+    for k in range(n):
+        row = [Fraction(0)] * (n + 1)
+        row[k] = Fraction(1)
+        inequalities.append(row)
+
+    # Gaussian substitution of one variable per equality row
+    eliminated: set[int] = set()
+    for eq in range(len(equalities)):
+        row = equalities[eq]
+        pivot = next(
+            (k for k in range(n) if k not in eliminated and row[k] != 0), None
+        )
+        if pivot is None:
+            if row[n] != 0:
+                return False  # 0 = nonzero
+            continue
+        piv = row[pivot]
+        row = [v / piv for v in row]
+        equalities[eq] = row
+        for other in range(len(equalities)):
+            if other != eq and equalities[other][pivot] != 0:
+                f = equalities[other][pivot]
+                equalities[other] = [
+                    a - f * b for a, b in zip(equalities[other], row)
+                ]
+        for i in range(len(inequalities)):
+            if inequalities[i][pivot] != 0:
+                f = inequalities[i][pivot]
+                inequalities[i] = [a - f * b for a, b in zip(inequalities[i], row)]
+        eliminated.add(pivot)
+
+    free = [k for k in range(n) if k not in eliminated]
+
+    # prune and normalize; constant rows must already hold
+    def sift(rows: Iterable[Sequence[Fraction]]) -> Optional[set]:
+        kept = set()
+        for r in rows:
+            if all(r[k] == 0 for k in free):
+                if r[n] > 0:
+                    return None  # 0 >= positive: contradiction
+                continue
+            kept.add(_primitive(tuple(r[k] for k in free) + (r[n],)))
+        return kept
+
+    rows = sift(inequalities)
+    if rows is None:
+        return False
+    width = len(free)
+
+    # Imbert's acceleration: every irredundant row of the k-th projection
+    # is a combination of at most k + 1 rows of the starting system, so a
+    # combined row drawing on more originals than that is redundant and is
+    # dropped.  Histories are sets of starting-row indices.
+    table: dict[tuple, frozenset] = {
+        r: frozenset([i]) for i, r in enumerate(sorted(rows))
+    }
+
+    steps = 0
+    for _ in range(width):
+        live = [v for v in range(width) if any(r[v] != 0 for r in table)]
+        if not live:
+            break
+        # eliminate the variable producing the fewest combined rows
+        def cost(v):
+            pos = sum(1 for r in table if r[v] > 0)
+            neg = sum(1 for r in table if r[v] < 0)
+            return (pos * neg, v)
+
+        var = min(live, key=cost)
+        pos = [(r, h) for r, h in table.items() if r[var] > 0]
+        neg = [(r, h) for r, h in table.items() if r[var] < 0]
+        keep = {r: h for r, h in table.items() if r[var] == 0}
+        steps += 1
+        for p, hist_p in pos:
+            for q, hist_q in neg:
+                history = hist_p | hist_q
+                if len(history) > steps + 1:
+                    continue
+                # p[var] * q - q[var] * p has a zero var coefficient; signs
+                # keep the >= direction because p[var] > 0 > q[var]
+                combined = tuple(
+                    p[var] * qv - q[var] * pv for pv, qv in zip(p, q)
+                )
+                if all(combined[k] == 0 for k in range(width)):
+                    if combined[width] > 0:
+                        return False
+                    continue
+                norm = _primitive(combined)
+                known = keep.get(norm)
+                if known is None or len(history) < len(known):
+                    keep[norm] = history
+                if len(keep) > _FM_MAX_ROWS:
+                    raise RuntimeError("Fourier-Motzkin row blow-up")
+        table = keep
+
+    return all(r[width] <= 0 for r in table if all(r[k] == 0 for k in range(width)))

@@ -74,6 +74,23 @@ def test_coherence_and_every_other_lp_avoid_the_linear_system(path):
     assert "LinearSystem" not in names_in(path.read_text())
 
 
+SIMPLEX = {
+    "_Tableau",
+    "_solve_standard",
+    "conic_membership",
+    "contains_zero",
+    "_checked_prevision",
+    "LinearSystem",
+}
+
+
+def test_the_oracle_has_no_simplex_inside():
+    # fm_membership is an independent decider: it shares lp's integer-row
+    # helpers, and nothing of the simplex or of the LPs built on it
+    oracle = next(p for p in MODULES if p.name == "oracle.py")
+    assert names_in(oracle.read_text()) & SIMPLEX == set()
+
+
 def test_a_warm_start_reference_is_reported():
     assert names_in("from .lp import PrevisionBasis\nlp._prevision_at_basis(b)\n") == {
         "PrevisionBasis", "lp", "_prevision_at_basis", "b"

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from credalcones import oracle
 from credalcones.core import Gamble, Space, VariableSpace, indicator
 from credalcones.dag import Dag
 from credalcones.lp import conic_membership
+from dense import fm_membership as dense_fm_membership
 from dense import int_columns, positivity_audit as dense_positivity_audit
 from credalcones.net import CredalNet, sample_credal_net, sample_gamble
 from credalcones.oracle import (
@@ -181,6 +183,9 @@ def test_fm_hand_cases():
     assert not fm_membership((F(0), F(1)), gens)
     assert not fm_membership((F(1), F(2)), [(F(1), F(1))])
     assert fm_membership((F(2), F(0)), [(F(1), F(-1)), (F(0), F(1))])
+    # ints and anything else Fraction() takes are read as rationals
+    assert fm_membership((0.5, "1"), [(1, 2), (F(0), 1)])
+    assert not fm_membership((-1, 0), [(1, 2), (0, 1)])
 
 
 def test_fm_guards():
@@ -219,3 +224,62 @@ def test_fm_agrees_with_lp():
         else:
             agree_nonmember += 1
     assert agree_member > 20 and agree_nonmember > 20
+
+
+def random_entry(rng, denominators=(1, 2, 3, 5)):
+    """A small rational, as a plain int one time in four."""
+    if rng.random() < 0.25:
+        return rng.randint(-3, 3)
+    return F(rng.randint(-3, 3), rng.choice(denominators))
+
+
+def fm_instance(rng, kind):
+    """A (target, generators) pair of one of four kinds: random small
+    ones, ones with a zero generator and a duplicate, ones whose last
+    equality row depends on the others (consistently or not), and wide
+    ones of up to FM_MAX_DIM dimensions with few generators."""
+    dim = rng.randint(1, 4) if kind < 3 else rng.randint(5, FM_MAX_DIM)
+    n = rng.randint(0, 8) if kind < 3 else rng.randint(1, 4)
+    gens = [[random_entry(rng) for _ in range(dim)] for _ in range(n)]
+    target = [random_entry(rng, (1, 7)) for _ in range(dim)]
+    if kind == 1:
+        gens.insert(rng.randint(0, n), [F(0)] * dim)
+        gens.insert(rng.randint(0, n + 1), list(rng.choice(gens)))
+    if kind == 2 and dim >= 2:
+        # the last row is a combination of the first two, on the
+        # generators always and on the target up to an offset
+        a, b = random_entry(rng), random_entry(rng)
+        for v in gens + [target]:
+            v[-1] = a * v[0] + b * v[min(1, dim - 2)]
+        target[-1] += rng.choice((0, 0, 1, F(-1, 2)))
+    if all(v == 0 for v in target):
+        target[rng.randrange(dim)] = F(1, 3)
+    return tuple(target), [tuple(g) for g in gens]
+
+
+def test_fm_decides_as_the_fraction_reference():
+    # the integer substitution decides as the Fraction one on every kind
+    # of instance, its rows only ever scaled by positive numbers
+    rng = random.Random(20261019)
+    answers = {True: 0, False: 0}
+    negative_pivots = dependent = wide = 0
+    for i in range(3200):
+        kind = i % 4
+        target, gens = fm_instance(rng, kind)
+        expected = dense_fm_membership(target, gens)
+        assert fm_membership(target, gens) == expected, (target, gens)
+        answers[expected] += 1
+        negative_pivots += next((g[0] for g in gens if g[0] != 0), 0) < 0
+        dependent += kind == 2 and len(target) >= 2
+        wide += len(target) > 4
+    assert min(answers.values()) > 500
+    assert negative_pivots > 500 and dependent > 500 and wide > 500
+
+
+def test_fm_row_blow_up_raises(monkeypatch):
+    target = (F(1), F(1))
+    gens = [(F(1), F(0)), (F(0), F(1)), (F(-1), F(1)), (F(1), F(-1))]
+    assert fm_membership(target, gens)
+    monkeypatch.setattr(oracle, "_FM_MAX_ROWS", 0)
+    with pytest.raises(RuntimeError, match="Fourier-Motzkin row blow-up"):
+        fm_membership(target, gens)
