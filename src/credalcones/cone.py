@@ -13,7 +13,8 @@ owns all of its state, which every joint model of a network shares: the
 generators as integer columns (AssessmentCone.columns, built on first use,
 read by its LPs and checks and lifted by net), the coherence report, the
 memoized memberships and lower previsions (keyed by integer forms), and
-the optimal bases its prevision LPs warm-start from.
+the optimal bases of its prevision LP, at which each lower prevision is
+read or from which it is walked to (lower_prevision).
 
 Two quick routes settle most memberships before the LP, each with a
 certificate checked against the columns:
@@ -53,6 +54,7 @@ from .lp import (
     Membership,
     Pairs,
     PrevisionBasis,
+    _atoms_basis,
     _check_work,
     _checked_prevision,
     _combines,
@@ -60,7 +62,6 @@ from .lp import (
     _over_lcm,
     _pairs,
     _prevision_at_basis,
-    _prevision_basis,
     _primitive,
     _score,
     conic_membership,
@@ -204,22 +205,33 @@ class AssessmentCone:
         self, table: Sequence[Fraction]
     ) -> tuple[Fraction, Pairs, tuple[Fraction, ...]]:
         """lp._checked_prevision of the table, memoized by its integers over
-        their lcm, and first tried at the cached optimal bases (at most
-        _BASIS_LIMIT, most recently used first; a cold solve's joins the
-        front).  m is always a cold solve's; the certificates may differ."""
+        their lcm, read at an optimal basis of the cone's prevision LP
+        (lp._prevision_at_basis): the first cached one (at most
+        _BASIS_LIMIT, most recently used first) that is optimal for the
+        table, else the one dual pivots reach from the front basis, or
+        primal pivots from the atoms basis when none is cached; a basis
+        walked to joins the front.  Only a walk that finds the LP unbounded
+        (an incoherent cone) or infeasible leaves the table to
+        _checked_prevision, which raises InfinitePrevisionError once its
+        ray or Farkas vector is verified.  m is the LP's optimum at any
+        basis; the certificates depend on the basis."""
         ints, den = _over_lcm(table)
         key = (*ints, den)
         if key not in self._previsions:
-            for i, basis in enumerate(self._bases):
-                answer = _prevision_at_basis(basis, table, self.columns)
-                if answer is not None:
-                    self._bases.insert(0, self._bases.pop(i))
-                    break
-            else:
-                answer = _checked_prevision(table, self.columns)
-                basis = _prevision_basis(self.columns, answer[1], answer[2])
-                if basis is not None:
-                    self._bases.insert(0, basis)
-                    del self._bases[_BASIS_LIMIT:]
-            self._previsions[key] = answer
+            self._previsions[key] = self._prevision(table, (ints, den))
         return self._previsions[key]
+
+    def _prevision(self, table: Sequence[Fraction], target: tuple[list[int], int]):
+        bases = self._bases
+        for i, basis in enumerate(bases):
+            found = _prevision_at_basis(basis, target, self.columns)
+            if found is not None:
+                bases.insert(0, bases.pop(i))
+                return found[0]
+        start = bases[0] if bases else _atoms_basis(target[0], len(self.assessments))
+        found = _prevision_at_basis(start, target, self.columns, walk=True)
+        if found is None:
+            return _checked_prevision(table, self.columns)
+        bases.insert(0, found[1])
+        del bases[_BASIS_LIMIT:]
+        return found[0]

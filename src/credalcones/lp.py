@@ -17,9 +17,12 @@ call; only the target, its right-hand side, moves.  So an optimal basis B
 of one solve stays dual feasible for every target, and is optimal for a
 new target t exactly when B^-1 t is nonnegative on B's generators (the
 shift is free; Chvatal, Linear Programming, 1983, ch. 10).
-_prevision_basis builds B^-1 from the verified certificates of a solve,
-and _prevision_at_basis answers such a t from it without a pivot; its
-answer passes the same checks as a cold solve's (_verified_prevision).
+_prevision_at_basis answers t at such a B without a pivot, or walks from
+it to t's optimal basis by dual simplex pivots; with no basis yet, it
+starts at _atoms_basis, which is primal feasible for every target, and
+takes primal pivots.  Both walks pivot on B^-1 itself, integer rows over
+one denominator, under Bland's rule, and no tableau is built; the answer
+passes the same checks as a tableau solve's (_verified_prevision).
 
 The primitives take a dense target and each generator as an integer
 column (IntVector), built once by cone or net; only _coordinate_rows lays
@@ -604,44 +607,46 @@ def _checked_prevision(
         raise InfinitePrevisionError(
             "lower prevision LP is infeasible: no constant shift reaches the cone"
         )
-    return _verified_prevision(
-        target, columns, x[n] - x[n + 1], _pairs(enumerate(x[:n])), tuple(-v for v in y)
-    )
+    primal = _pairs(enumerate(x[:n]))
+    mass, mass_den = _over_lcm([-v for v in y])
+    return _verified_prevision(_over_lcm(target), columns, x[n] - x[n + 1], primal, mass, mass_den)
 
 
 def _verified_prevision(
-    target: Sequence[Fraction],
+    target: tuple[Sequence[int], int],
     columns: Sequence[IntVector],
     m: Fraction,
     primal: Pairs,
-    p: tuple[Fraction, ...],
+    mass: Sequence[int],
+    mass_den: int,
 ) -> tuple[Fraction, Pairs, tuple[Fraction, ...]]:
     """(m, primal, p) once the primal combines the columns to target - m
-    and the mass function p sums to 1, gives the target the expectation m
-    and scores every column nonnegative; raises LpError otherwise.  The
-    target is checked as integers over den, target - m over den times m's
-    denominator."""
-    ints, den = _over_lcm(target)
+    and the mass function p = mass / mass_den sums to 1, gives the target
+    the expectation m and scores every column nonnegative; raises LpError
+    otherwise.  The target is dense integers over den (_over_lcm), and
+    target - m is checked over den times m's denominator."""
+    ints, den = target
     a, b = m.numerator, m.denominator
     shifted = tuple((j, n * b - a * den) for j, n in enumerate(ints) if n * b != a * den)
     if not _combines(columns, primal, (shifted, den * b)):
         raise LpError("lower prevision failed primal verification")
     goal = tuple((j, n) for j, n in enumerate(ints) if n), den
-    mass, mass_den = _over_lcm(p)
     if not _expects(mass, mass_den, goal, m) or any(_score(mass, g) < 0 for g in columns):
         raise LpError("lower prevision failed dual verification")
-    return m, primal, p
+    return m, primal, tuple(Fraction(v, mass_den) for v in mass)
 
 
 @dataclass(frozen=True)
 class PrevisionBasis:
-    """A verified optimal basis B of the prevision LP over one column list.
+    """A basis B of the prevision LP over one column list: the free shift
+    and one generator per other coordinate.
 
     `inverse` is B^-1 as integer rows over the positive `den`.  Its first
-    row belongs to the free shift m; row i + 1 belongs to the generator
-    `basic[i]`.  The first row is the dual: a mass function that sums to 1
-    and scores every column nonnegative, so B stays dual feasible whatever
-    the target (the right-hand side) is.
+    row belongs to the shift m; row i + 1 belongs to the generator
+    `basic[i]`.  The first row is the dual, a mass function that sums to
+    1; B is optimal for a target t when B^-1 t is nonnegative on the
+    generators (primal feasible) and the dual scores every column
+    nonnegative (dual feasible), which does not depend on t.
     """
 
     basic: tuple[int, ...]
@@ -649,59 +654,92 @@ class PrevisionBasis:
     den: int
 
 
-def _prevision_basis(
-    columns: Sequence[IntVector], primal: Pairs, p: Sequence[Fraction]
-) -> Optional[PrevisionBasis]:
-    """An optimal basis of the prevision LP over these columns, built from
-    the verified certificates (primal, p) of one of its solves; None if the
-    shift and the columns p scores 0 do not span the space, or if the dual
-    row does not pass its check.
-
-    The basic columns are the shift, then the primal's support, then the
-    other columns p scores 0, each kept if independent of those before it:
-    the kernel's pivots (_Tableau._pivot) on the candidate columns, whose
-    artificial columns end as B^-1, one row per basic column.
-    """
-    dim = len(p)
-    mass, _ = _over_lcm(p)
-    support = [k for k, _ in primal]
-    tight = [k for k, g in enumerate(columns) if k not in support and _score(mass, g) == 0]
-    candidates = support + tight
-    width = 1 + len(candidates)
-    rows = [[1, *row] for row in _coordinate_rows([columns[k] for k in candidates], dim)]
-    tableau = _Tableau(rows, [0] * dim, [0] * width)
-    tableau._set_objective([0] * width)
-    basis = tableau.basis
-    for c in range(width):
-        r = next((i for i in range(dim) if basis[i] >= width and tableau.rows[i][c]), None)
-        if r is not None:
-            tableau._pivot(r, c)
-    if any(b >= width for b in basis):
-        return None
-    order = sorted(range(dim), key=basis.__getitem__)
-    ints, den = _over_lcm(
-        [Fraction(a, tableau.dens[i]) for i in order for a in tableau.rows[i][width:-1]]
-    )
-    inverse = tuple(tuple(ints[i * dim:(i + 1) * dim]) for i in range(dim))
-    if sum(inverse[0]) != den or any(_score(inverse[0], g) < 0 for g in columns):
-        return None
-    return PrevisionBasis(tuple(candidates[basis[i] - 1] for i in order[1:]), inverse, den)
+def _atoms_basis(ints: Sequence[int], first_atom: int) -> PrevisionBasis:
+    """The shift and every atom (columns[first_atom + i] the indicator of
+    value i) but the one at the first minimum j of the target's integers:
+    m = t_j and atom i takes t_i - t_j >= 0, so the basis is primal
+    feasible for the target.  B^-1 has the rows e_j, then e_i - e_j, over 1
+    (Quaeghebeur, The CONEstrip algorithm, 2012: the atoms as slacks)."""
+    low = ints.index(min(ints))
+    others = [i for i in range(len(ints)) if i != low]
+    inverse = [tuple(int(c == low) for c in range(len(ints)))]
+    inverse += [tuple((c == i) - (c == low) for c in range(len(ints))) for i in others]
+    return PrevisionBasis(tuple(first_atom + i for i in others), tuple(inverse), 1)
 
 
 def _prevision_at_basis(
-    basis: PrevisionBasis, target: Sequence[Fraction], columns: Sequence[IntVector]
-) -> Optional[tuple[Fraction, Pairs, tuple[Fraction, ...]]]:
-    """What _checked_prevision returns, read off a cached optimal basis B
-    of the same columns without a pivot: None unless B^-1 target is
-    nonnegative on every basic generator, which makes B optimal for this
-    target.  Then m is the shift entry of B^-1 target, the primal is the
+    basis: PrevisionBasis,
+    target: tuple[Sequence[int], int],
+    columns: Sequence[IntVector],
+    walk: bool = False,
+) -> Optional[tuple[tuple[Fraction, Pairs, tuple[Fraction, ...]], PrevisionBasis]]:
+    """What _checked_prevision returns for the target (dense integers over
+    den), with the optimal basis it is read at, reached from `basis` by
+    simplex pivots under Bland's rule.  While B^-1 target is nonnegative
+    on the generators the pivots are primal (from the atoms basis),
+    otherwise dual: a basis whose dual row scores every column nonnegative
+    stays so when only the target moves (Chvatal, ch. 10).  Without
+    `walk`, no pivot: the answer is read only if B^-1 target is
+    nonnegative on the generators, which makes a dual feasible basis, as
+    every cached one is, optimal.  None if the walk is not allowed or not
+    possible (neither feasibility holds), or finds the LP unbounded or
+    infeasible.
+
+    At the optimum, m is the shift entry of B^-1 target, the primal is the
     generator entries and the dual is the first row of B^-1; the answer
-    passes _checked_prevision's checks or raises LpError."""
-    ints, den = _over_lcm(target)
-    x = [sum(a * t for a, t in zip(row, ints)) for row in basis.inverse]
-    if any(v < 0 for v in x[1:]):
-        return None
-    scale = basis.den * den
-    primal = _pairs((k, Fraction(v, scale)) for k, v in zip(basis.basic, x[1:]))
-    p = tuple(Fraction(a, basis.den) for a in basis.inverse[0])
-    return _verified_prevision(target, columns, Fraction(x[0], scale), primal, p)
+    passes _verified_prevision's checks or raises LpError.  A pivot on
+    (r, k) with d = B^-1 g_k is fraction free: with B^-1 = R / den and
+    D = den * den_k * d, row r becomes R_r den den_k and row i
+    D_r R_i - D_i R_r, all over den D_r, made positive and divided by the
+    gcd of every entry; walk pivots count against _MAX_PIVOTS."""
+    ints, tden = target
+    basic, inverse, den = list(basis.basic), basis.inverse, basis.den
+    pivots = 0
+    while True:
+        x = [sum(a * t for a, t in zip(row, ints)) for row in inverse]
+        feasible = all(v >= 0 for v in x[1:])
+        if not walk:
+            if feasible:
+                break
+            return None
+        scores = [_score(inverse[0], g) for g in columns]
+        entering = sorted(set(range(len(columns))).difference(basic))
+        r = k = None
+        if feasible:
+            k = next((k for k in entering if scores[k] < 0), None)
+            if k is None:
+                break
+            d = [_score(row, columns[k]) for row in inverse]
+            # the least ratio x_i / d_i over d_i > 0, ties to the lowest basic column
+            for i in sorted(range(1, len(x)), key=lambda i: basic[i - 1]):
+                if d[i] > 0 and (r is None or x[i] * d[r] < x[r] * d[i]):
+                    r = i
+        elif all(s >= 0 for s in scores):
+            r = min((i for i in range(1, len(x)) if x[i] < 0), key=lambda i: basic[i - 1])
+            alpha = [_score(inverse[r], g) for g in columns]
+            # the least ratio scores_j / -alpha_j over alpha_j < 0, ties to the lowest column
+            for j in entering:
+                if alpha[j] < 0 and (k is None or scores[j] * alpha[k] > scores[k] * alpha[j]):
+                    k = j
+            d = None if k is None else [_score(row, columns[k]) for row in inverse]
+        if r is None or k is None:
+            return None
+        pivots += 1
+        if pivots > _MAX_PIVOTS:
+            raise PivotLimitError(f"pivot limit of {_MAX_PIVOTS} exceeded")
+        sign = 1 if d[r] > 0 else -1
+        p, pivot_row = sign * d[r], [sign * den * columns[k][1] * v for v in inverse[r]]
+        inverse = [
+            pivot_row if i == r else [p * a - sign * d[i] * b for a, b in zip(row, inverse[r])]
+            for i, row in enumerate(inverse)
+        ]
+        g = gcd(den * p, *[v for row in inverse for v in row])
+        inverse = tuple(tuple(v // g for v in row) for row in inverse)
+        den = den * p // g
+        basic[r - 1] = k
+    if pivots:
+        basis = PrevisionBasis(tuple(basic), inverse, den)
+    scale = den * tden
+    primal = _pairs((k, Fraction(v, scale)) for k, v in zip(basic, x[1:]))
+    m = Fraction(x[0], scale)
+    return _verified_prevision(target, columns, m, primal, inverse[0], den), basis

@@ -13,7 +13,7 @@ generator list (assessments first, atoms last).
 
 Every generator is one integer column (lp.IntVector), built from its
 local cone's column.  All local state (witnesses, memoized memberships and
-previsions, warm-start bases) lives on the cones, so every joint model of
+previsions, optimal bases) lives on the cones, so every joint model of
 a network, flipped or not, shares it.  Queries on the joint cone are
 answered by certificates always re-verified against these columns by
 exact substitution, in integers over the nonzero entries (see lp):
@@ -30,7 +30,8 @@ exact substitution, in integers over the nonzero entries (see lp):
     chain recursion (route "chain-recursion") takes the lower prevision m
     of any other target backwards from the leaf, one small local LP per
     (node, parent value, local table), which the local cone memoizes and
-    warm-starts (AssessmentCone.lower_prevision); the local primals lift
+    reads at an optimal basis of its own, reached by simplex pivots on
+    B^-1 (AssessmentCone.lower_prevision); the local primals lift
     onto the joint generators and telescope to target - m, the local duals
     chain into a joint mass function of expectation m; the target is a
     member exactly when m >= 0 (witness: the lifted primal plus m on every

@@ -4,10 +4,10 @@
 unit's answers (member flags, prevision values, verify outcomes).  Replaying
 seeds 1 and 2 of the chain workload, seed 1 of the sweep and seed 1 of the
 mutated sweep here catches a change that moves an answer without anyone
-running the benchmark.  Which local LP answers a chain query (a cached
-basis or a cold solve) depends on the queries before it, so a second chain
-seed guards the values; the mutated seed drives flipped joint models
-through the local certificates and the positivity audit's failures.
+running the benchmark.  Which basis answers a chain query's local LP (a
+cached one, or one walked to) depends on the queries before it, so a
+second chain seed guards the values; the mutated seed drives flipped joint
+models through the local certificates and the positivity audit's failures.
 """
 
 import contextlib
@@ -44,22 +44,29 @@ def test_recorded_digests_replay(tmp_path, monkeypatch, name, seed):
 
 def test_chain_queries_reuse_local_bases(tmp_path, monkeypatch):
     # the first chain file of seed 1 (six binary nodes, seven queries) needs
-    # 102 distinct local previsions; solved cold, each is one two-row LP
+    # 102 distinct local previsions; each is read at a cached basis or
+    # walked to by pivots on B^-1, and none is a two-row tableau LP
     run = load("run")
     monkeypatch.setattr(sys, "path", list(sys.path))
     unit = run.make_inputs(run.import_package()["chain"](), 1, tmp_path)[0]
-    solve = lp._solve_standard
-    cold = []
+    solve, at_basis = lp._solve_standard, cone._prevision_at_basis
+    cold, walks = [], []
 
     def spy(rows, rhs, cost):
         if len(rows) == 2 and cost[-2:] == [-1, 1]:
             cold.append(rhs)
         return solve(rows, rhs, cost)
 
+    def walk_spy(basis, target, columns, walk=False):
+        if walk:
+            walks.append(target)
+        return at_basis(basis, target, columns, walk)
+
     monkeypatch.setattr(lp, "_solve_standard", spy)
+    monkeypatch.setattr(cone, "_prevision_at_basis", walk_spy)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["query", str(unit.path), str(unit.query_path)]) == 0
-    assert 0 < len(cold) <= 30
+    assert cold == [] and 0 < len(walks) <= 30
 
 
 def test_sweep_local_memberships_mostly_skip_the_lp(tmp_path, monkeypatch):

@@ -134,23 +134,28 @@ def test_assessed_gamble_has_nonnegative_lower_prevision():
     assert upper(cone, f) == 1
 
 
-def test_equal_tables_share_one_membership_lp_and_one_cold_prevision_lp(monkeypatch):
+def test_equal_tables_share_one_membership_lp_and_one_prevision_walk(monkeypatch):
     # the cone's memos are keyed by integer forms, not by Gamble objects
     sp = coin()
     cone = AssessmentCone(sp, [Gamble(sp, (1, -1))])
-    memberships, previsions = [], []
-    membership_lp, prevision_lp = lp.conic_membership, lp._checked_prevision
+    memberships, walks = [], []
+    membership_lp, at_basis = lp.conic_membership, lp._prevision_at_basis
 
     def membership_spy(target, columns):
         memberships.append(target)
         return membership_lp(target, columns)
 
-    def prevision_spy(target, columns):
-        previsions.append(target)
-        return prevision_lp(target, columns)
+    def basis_spy(basis, target, columns, walk=False):
+        if walk:
+            walks.append(target)
+        return at_basis(basis, target, columns, walk)
+
+    def cold(target, columns):
+        raise AssertionError("a coherent cone solved a prevision LP on the tableau")
 
     monkeypatch.setattr("credalcones.cone.conic_membership", membership_spy)
-    monkeypatch.setattr("credalcones.cone._checked_prevision", prevision_spy)
+    monkeypatch.setattr("credalcones.cone._prevision_at_basis", basis_spy)
+    monkeypatch.setattr("credalcones.cone._checked_prevision", cold)
     # the witness (2/3, 1/3) scores (-1, 3) positive: only the LP decides it
     first, again = Gamble(sp, (F(-1), F(3))), Gamble(sp, (-2, 6)) * F(1, 2)
     assert first is not again and first.table == again.table
@@ -158,15 +163,20 @@ def test_equal_tables_share_one_membership_lp_and_one_cold_prevision_lp(monkeypa
     assert answer.route == "exact-lp" and not answer.member
     assert cone.member_with_certificate(again) == answer
     assert len(memberships) == 1
+    # the first table starts at the atoms basis {shift, atom 1}, optimal for it
     low = cone.lower_prevision(first.table)
     assert low[0] == -1
     assert cone.lower_prevision(list(again.table)) == low
-    assert len(previsions) == 1
-    # a new table is answered at the cached basis, without a cold LP
+    assert len(walks) == 1 and [b.basic for b in cone._bases] == [(2,)]
+    # a new table is answered at the cached basis, without a walk
     assert cone.lower_prevision((F(-2), F(6)))[0] == -2
-    assert len(previsions) == 1
+    assert len(walks) == 1
     # the same integers over another denominator are another question
     assert cone.lower_prevision((F(-1, 2), F(3, 2)))[0] == F(-1, 2)
+    # (3, -1) is not answered there: one dual pivot brings in the assessment,
+    # and the new basis joins the front
+    assert cone.lower_prevision((F(3), F(-1))) == (1, ((0, 2),), (F(1, 2), F(1, 2)))
+    assert len(walks) == 2 and [b.basic for b in cone._bases] == [(0,), (2,)]
     whole = cone.member_with_certificate(Gamble(sp, (1, 2)))
     half = cone.member_with_certificate(Gamble(sp, (F(1, 2), F(1))))
     assert whole.witness == ((1, 1), (2, 2)) and half.witness == ((1, F(1, 2)), (2, 1))

@@ -40,7 +40,7 @@ def test_an_unused_import_is_reported():
     assert unused_imports("import sys\n__all__ = ['sys']\n") == []
 
 
-WARM_START = {"PrevisionBasis", "_prevision_basis", "_prevision_at_basis"}
+WARM_START = {"PrevisionBasis", "_atoms_basis", "_prevision_at_basis"}
 
 
 def names_in(source: str) -> set[str]:
@@ -60,8 +60,8 @@ def names_in(source: str) -> set[str]:
     "path", [p for p in MODULES if p.name not in ("lp.py", "cone.py")], ids=lambda p: p.name
 )
 def test_warm_start_bases_stay_in_lp_and_cone(path):
-    # a local cone owns the optimal bases of its prevision LPs; lp builds
-    # them, and no other module reaches for them
+    # a local cone owns the optimal bases of its prevision LPs; lp starts
+    # and walks them, and no other module reaches for them
     assert names_in(path.read_text()) & WARM_START == set()
 
 

@@ -17,10 +17,11 @@ from credalcones.dag import Dag
 from credalcones.lp import (
     InfinitePrevisionError,
     LpError,
+    _atoms_basis,
     _checked_prevision,
     _int_vector,
+    _over_lcm,
     _prevision_at_basis,
-    _prevision_basis,
     _primitive,
     _score,
     conic_membership,
@@ -869,26 +870,37 @@ def random_local_cone(rng):
     return AssessmentCone(space, coherent_gambles(rng, space, rng.randint(0, 3)))
 
 
+def walk_from_atoms(cone, table):
+    """The answer and final basis of the walk from the cone's atoms basis."""
+    target = _over_lcm(table)
+    start = _atoms_basis(target[0], len(cone.assessments))
+    return _prevision_at_basis(start, target, cone.columns, walk=True)
+
+
 def test_local_prevision_at_a_cached_basis_equals_a_cold_solve():
+    # a basis walked to from the atoms basis answers a new table without a
+    # pivot when B^-1 table is nonnegative on its generators; otherwise
+    # dual pivots from it reach the table's optimal basis
     rng = random.Random(1729)
     answered = refused = 0
     for _ in range(60):
         cone = random_local_cone(rng)
         columns = cone.columns
         first = sample_gamble(rng, cone.space).table
-        cold = _checked_prevision(first, columns)
-        basis = _prevision_basis(columns, cold[1], cold[2])
-        # the atoms are generators, so an optimal basis always exists
-        assert basis is not None
-        assert _prevision_at_basis(basis, first, columns)[0] == cold[0]
+        answer, basis = walk_from_atoms(cone, first)
+        # the atoms are generators, so the walk always ends at an optimum
+        assert answer[0] == _checked_prevision(first, columns)[0]
+        assert _prevision_at_basis(basis, _over_lcm(first), columns) == (answer, basis)
         for _ in range(8):
             table = sample_gamble(rng, cone.space).table
-            answer = _prevision_at_basis(basis, table, columns)
-            if answer is None:
+            found = _prevision_at_basis(basis, _over_lcm(table), columns)
+            if found is None:
                 refused += 1
+                found = _prevision_at_basis(basis, _over_lcm(table), columns, walk=True)
             else:
                 answered += 1
-                assert_local_prevision(cone, table, answer)
+                assert found[1] is basis
+            assert_local_prevision(cone, table, found[0])
     assert answered > 100 and refused > 100, (answered, refused)
 
 
@@ -898,31 +910,47 @@ def dense_table(rng, size):
 
 def test_a_corrupted_basis_never_answers():
     # every entry of B^-1 meets a nonzero target entry, so changing one
-    # moves the primal or m off the certificate checks
+    # moves the primal or m off the certificate checks; a walk from the
+    # corrupted basis gives up, raises, or ends at a verified optimum
     rng = random.Random(1730)
     corrupted = 0
+    walked = Counter()
     for _ in range(30):
         cone = random_local_cone(rng)
         columns = cone.columns
         table = dense_table(rng, cone.space.size)
-        m, primal, mass = _checked_prevision(table, columns)
-        basis = _prevision_basis(columns, primal, mass)
-        assert _prevision_at_basis(basis, table, columns)[0] == m
+        target = _over_lcm(table)
+        (m, _, _), basis = walk_from_atoms(cone, table)
+        assert _prevision_at_basis(basis, target, columns)[0][0] == m
         for i, row in enumerate(basis.inverse):
             for j in range(len(row)):
                 inverse = [list(r) for r in basis.inverse]
                 inverse[i][j] += 1
                 bad = replace(basis, inverse=tuple(map(tuple, inverse)))
                 try:
-                    answer = _prevision_at_basis(bad, table, columns)
+                    answer = _prevision_at_basis(bad, target, columns)
                 except LpError:
                     answer = None
                 assert answer is None
                 corrupted += 1
+                other = dense_table(rng, cone.space.size)
+                try:
+                    found = _prevision_at_basis(bad, _over_lcm(other), columns, walk=True)
+                except LpError:
+                    walked["raised"] += 1
+                    continue
+                if found is None:
+                    walked["gave up"] += 1
+                else:
+                    assert_local_prevision(cone, other, found[0])
+                    walked["answered"] += 1
     assert corrupted > 200
+    assert set(walked) == {"raised", "gave up", "answered"}, walked
 
 
 def test_a_corrupted_cached_basis_raises_or_leaves_the_answer_to_a_cold_solve(monkeypatch):
+    # a corrupted front basis either fails the answer's checks (LpError),
+    # or gives its table up to the tableau, or walks to a verified optimum
     rng = random.Random(1731)
     cold = []
 
@@ -931,45 +959,97 @@ def test_a_corrupted_cached_basis_raises_or_leaves_the_answer_to_a_cold_solve(mo
         return _checked_prevision(target, columns)
 
     monkeypatch.setattr("credalcones.cone._checked_prevision", spy)
-    outcomes = set()
-    for _ in range(40):
+    outcomes = Counter()
+    for _ in range(60):
         net = sample_chain(rng, 3, 2)
         s = net.dag.path()[-1]
         cone = net.local_cone(s, 0)
-        table = dense_table(rng, 2)
-        cone.lower_prevision(table)
+        first = dense_table(rng, 2)
+        cone.lower_prevision(first)
         (basis,) = cone._bases
+        assert cold == []
         inverse = [list(r) for r in basis.inverse]
         inverse[rng.randrange(2)][rng.randrange(2)] -= 1
         cone._bases = [replace(basis, inverse=tuple(map(tuple, inverse)))]
-        cone._previsions.clear()
-        cold.clear()
+        table = first
+        while table == first:  # a new question, not the memoized one
+            table = dense_table(rng, 2)
         try:
             answer = cone.lower_prevision(table)
         except LpError:
-            outcomes.add("raised")
+            outcomes["raised"] += 1
         else:
-            assert cold == [table]
+            outcomes["cold" if cold == [table] else "walked"] += 1
             assert_local_prevision(cone, table, answer)
-            outcomes.add("cold")
-    assert outcomes == {"raised", "cold"}
+        cold.clear()
+    assert {"raised", "cold"} <= set(outcomes), outcomes
+
+
+def test_the_prevision_walk_equals_a_cold_solve(monkeypatch):
+    # random local cones on 2-6 values with 0-5 assessments, some of them
+    # repeated or scaled, asked tables that tie at their minimum as well as
+    # random ones: the cone's answer (a cached basis or a walk) has the cold
+    # solve's m and verified certificates, and only an unbounded walk (an
+    # incoherent cone) reaches the tableau, to raise as the cold solve does
+    rng = random.Random(1733)
+    cold = []
+
+    def spy(target, columns):
+        cold.append(target)
+        return _checked_prevision(target, columns)
+
+    monkeypatch.setattr("credalcones.cone._checked_prevision", spy)
+    seen = Counter()
+    for _ in range(300):
+        k = rng.randint(2, 6)
+        space = Space([VariableSpace("a", tuple(f"v{i}" for i in range(k)))])
+        gambles = [sample_gamble(rng, space) for _ in range(rng.randint(0, 5))]
+        if gambles and rng.random() < 0.5:
+            g = rng.choice(gambles)
+            gambles.insert(rng.randrange(len(gambles) + 1), rng.choice([g, g * F(3, 2)]))
+        cone = AssessmentCone(space, gambles[:5])
+        for _ in range(6):
+            table = list(sample_gamble(rng, space).table)
+            if rng.random() < 0.5:
+                low = min(table)
+                for j in rng.sample(range(k), rng.randint(2, k)):
+                    table[j] = low
+            try:
+                expected = _checked_prevision(table, cone.columns)
+            except InfinitePrevisionError as err:
+                cold.clear()
+                with pytest.raises(InfinitePrevisionError) as raised:
+                    cone.lower_prevision(table)
+                assert str(raised.value) == str(err) and cold == [table]
+                seen["infinite"] += 1
+                continue
+            cold.clear()
+            answer = cone.lower_prevision(table)
+            assert cold == [] and answer[0] == expected[0]
+            assert_local_prevision(cone, table, answer)
+            seen["coherent" if cone.is_coherent() else "incoherent, finite"] += 1
+    assert min(seen.values()) > 30, seen
 
 
 def test_chain_local_previsions_from_cached_bases_equal_a_cold_solve(monkeypatch):
     rng = random.Random(1732)
-    seen = {"reused": 0, "cold": 0, "cold past cached bases": 0}
+    seen = Counter()
 
-    def basis_spy(basis, target, columns):
-        answer = _prevision_at_basis(basis, target, columns)
-        seen["reused"] += answer is not None
-        return answer
+    def basis_spy(basis, target, columns, walk=False):
+        found = _prevision_at_basis(basis, target, columns, walk)
+        if not walk:
+            seen["reused"] += found is not None
+        elif basis in cones[id(columns)]._bases:
+            # no cached basis was optimal: dual pivots from the front one,
+            # at least one per generator that entered
+            seen["dual walks"] += 1
+            seen["dual pivots"] += len(set(found[1].basic) - set(basis.basic))
+        else:
+            seen["atoms walks"] += 1
+        return found
 
     def cold_spy(target, columns):
-        seen["cold"] += 1
-        # no cached basis of the cone was optimal for this target
-        if cones[id(columns)]._bases:
-            seen["cold past cached bases"] += 1
-        return _checked_prevision(target, columns)
+        raise AssertionError("a coherent local cone solved a prevision LP on the tableau")
 
     monkeypatch.setattr("credalcones.cone._prevision_at_basis", basis_spy)
     monkeypatch.setattr("credalcones.cone._checked_prevision", cold_spy)
@@ -989,7 +1069,8 @@ def test_chain_local_previsions_from_cached_bases_equal_a_cold_solve(monkeypatch
             for cone in cones.values():
                 for (*ints, den), answer in cone._previsions.items():
                     assert_local_prevision(cone, [F(n, den) for n in ints], answer)
-    assert seen["reused"] > 1000 and seen["cold past cached bases"] > 100, seen
+    assert seen["reused"] > 1000 and seen["dual walks"] > 100, seen
+    assert seen["dual pivots"] >= seen["dual walks"], seen
 
 
 def test_joint_models_sharing_a_net_answer_as_on_nets_of_their_own():

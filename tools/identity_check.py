@@ -16,8 +16,11 @@ They are built by this checkout's package and ``perfbench/workloads.py``,
 which is only read.  Every run is ``python -m credalcones.cli`` with the
 ``src/`` of PATH, then of this checkout, on ``PYTHONPATH``.  The script
 prints how many runs gave byte-identical stdout and exit codes, then the
-command of each run that differs, and exits 1 if any exit code differs.
-Runs go WORKERS at a time.
+command of each run that differs.  A ``query`` run whose exit codes agree
+is marked "certificates only" when its reports are equal once every
+answer's CERTIFICATES are dropped, and "answers differ" when a member
+flag, a value or anything else moved.  The script exits 1 if any exit code
+or any query answer differs.  Runs go WORKERS at a time.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ NET_SEEDS = range(1000, 1040)
 VERIFY_SEED = "3"
 FLIP_BUDGET = "60"
 WORKERS = 2
+# the parts of a query answer that may move while the answer stays
+CERTIFICATES = ("route", "witness", "separator", "vanishing_combination")
 
 
 def write_inputs(workdir: Path) -> list[list[str]]:
@@ -80,6 +85,31 @@ def run_cli(tree: Path, args: list[str], workdir: Path) -> tuple[int, bytes]:
     return done.returncode, done.stdout
 
 
+def answers(stdout: bytes):
+    """A query report with the certificates of every answer dropped; None
+    if stdout is not a query report."""
+    try:
+        report = json.loads(stdout)
+        for query in report["queries"]:
+            for key in CERTIFICATES:
+                query["result"].pop(key, None)
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return None
+    return report
+
+
+def describe(command: list[str], before: tuple[int, bytes], after: tuple[int, bytes]) -> str:
+    """How a run's (exit code, stdout) moved from before to after."""
+    if before[0] != after[0]:
+        return f"exit {before[0]} -> {after[0]}"
+    if command[0] != "query":
+        return "stdout differs"
+    report = answers(before[1])
+    if report is not None and report == answers(after[1]):
+        return "certificates only"
+    return "answers differ"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path, help="root of the other tree")
@@ -93,12 +123,12 @@ def main(argv=None) -> int:
         with ThreadPoolExecutor(WORKERS) as pool:
             before = list(pool.map(lambda c: run_cli(parent, c, workdir), commands))
             after = list(pool.map(lambda c: run_cli(ROOT, c, workdir), commands))
-    differ = [(c, b, a) for c, b, a in zip(commands, before, after) if b != a]
+    differ = [(c, describe(c, b, a)) for c, b, a in zip(commands, before, after) if b != a]
     print(f"{len(commands) - len(differ)} of {len(commands)} runs byte-identical")
-    for command, (code_b, _), (code_a, _) in differ:
-        exits = f"exit {code_b} -> {code_a}" if code_b != code_a else "stdout differs"
-        print(f"  credalcones {' '.join(command)}  ({exits})")
-    return 1 if any(b[0] != a[0] for _, b, a in differ) else 0
+    for command, note in differ:
+        print(f"  credalcones {' '.join(command)}  ({note})")
+    moved = [note for _, note in differ if note.startswith("exit") or note == "answers differ"]
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
