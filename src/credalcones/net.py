@@ -54,7 +54,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -526,8 +526,8 @@ class JointModel:
     def structured_member(
         self, node: str, parent_index: int, given: Optional[Configuration], f: Gamble
     ) -> Membership:
-        """The structured route of member_with_certificate and
-        check_irrelevance: membership of indicator(parent configuration,
+        """The structured route of member_with_certificate, check_irrelevance
+        and the sweep: membership of indicator(parent configuration,
         given) * f in the joint cone, where f is a nonzero gamble on `node`,
         the parent configuration is the one at `parent_index`, and the
         observation `given` (None for nothing) is of non-parent-non-
@@ -754,9 +754,12 @@ class JointModel:
 
     def _irrelevance_slots(
         self, rng: random.Random, gambles_per_slot: int, subset_cap: int
-    ) -> Iterator[tuple[str, Configuration, Configuration, Gamble]]:
-        """Every irrelevance check of the sweep, in sweep order; subsets and
-        gambles are drawn from rng only when the sweep reaches them."""
+    ) -> Iterator[tuple[str, int, Gamble, list[Configuration]]]:
+        """Every slot gamble of the sweep, in sweep order, as (node, parent
+        index, gamble, observations): one irrelevance check per observation,
+        all sharing one local side, which does not depend on the
+        observation.  A node's subsets are drawn from rng at its start, and
+        each random gamble only when the sweep reaches it."""
         net = self.net
         for s in net.dag.nodes:
             nnd = net.nnd_space(s).nodes
@@ -767,15 +770,12 @@ class JointModel:
                 for irrelevant in subsets
                 for given in Space(net.variables[n] for n in irrelevant).configurations()
             ]
-            p_space = net.parent_space(s)
             node_space = net.node_space(s)
-            for p_idx in range(p_space.size):
-                p_cfg = p_space.config_at(p_idx)
+            for p_idx in range(net.parent_space(s).size):
                 local_gens = net.local_cone(s, p_idx).generators
                 draws = (sample_gamble(rng, node_space) for _ in range(gambles_per_slot))
                 for f in chain(local_gens, [-g for g in local_gens], draws):
-                    for given in observations:
-                        yield s, p_cfg, given, f
+                    yield s, p_idx, f, observations
 
     def _negatives(self, rng: random.Random, draws: int) -> Iterator[tuple[Fraction, ...]]:
         """Negated atoms, then `draws` random nonpositive tables, each drawn when reached."""
@@ -807,15 +807,26 @@ class JointModel:
         joint desirability coincide across nodes, parent configurations,
         subsets of non-parent-non-descendants and their configurations, for
         the local generators, their negations, and sampled gambles.
-        Violations name the exact slot.
+        Violations name the exact slot.  Local desirability is decided once
+        per slot gamble and compared with the joint answer (structured_member)
+        of each observation; the checks and their order are those of
+        check_irrelevance on every (node, parent, observation, gamble).
 
-        max_checks caps the number of irrelevance checks (a deterministic
-        budget); a sweep with checks left beyond it is reported as
+        max_checks caps the number of irrelevance checks, one per
+        observation (a deterministic budget that may stop inside a slot
+        gamble); a sweep with checks left beyond it is reported as
         budget_exhausted.  The negatives are outside the budget: there are
         size + gambles_per_slot of them, linear in the joint size, the
         canonical witness of an untampered model rejects each without an
         LP, and counting them would change negatives_checked in every
-        budgeted report."""
+        budgeted report.  The counts must be nonnegative integers
+        (ValueError naming the argument, before any work)."""
+        counts = {"gambles_per_slot": gambles_per_slot, "subset_cap": subset_cap}
+        if max_checks is not None:
+            counts["max_checks"] = max_checks
+        for name, n in counts.items():
+            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, not {n!r}")
         rng = rng if rng is not None else random.Random(0)
         violations: list[Violation] = []
 
@@ -854,26 +865,33 @@ class JointModel:
                     )
                 )
 
-        slots = self._irrelevance_slots(rng, gambles_per_slot, subset_cap)
-        checked = 0
-        for s, p_cfg, given, f in islice(slots, max_checks):
-            check = self.check_irrelevance(s, p_cfg, given, f)
-            checked += 1
-            if not check.agree:
-                violations.append(
-                    Violation(
-                        kind="irrelevance-mismatch",
-                        node=s,
-                        parent_values=p_cfg.values,
-                        irrelevant=given.nodes,
-                        given_values=given.values,
-                        gamble=f.table,
-                        local_member=check.local_member,
-                        joint_member=check.joint_member,
+        checked, exhausted = 0, False
+        for s, p_idx, f, observations in self._irrelevance_slots(
+            rng, gambles_per_slot, subset_cap
+        ):
+            # the budget counts observations, so it may stop inside a gamble
+            if max_checks is not None and checked + len(observations) > max_checks:
+                observations, exhausted = observations[: max_checks - checked], True
+            if observations:
+                local = self.net.local_cone(s, p_idx).member_with_certificate(f).member
+            for given in observations:
+                joint = self.structured_member(s, p_idx, given, f).member
+                checked += 1
+                if joint != local:
+                    violations.append(
+                        Violation(
+                            kind="irrelevance-mismatch",
+                            node=s,
+                            parent_values=self.net.parent_space(s).config_at(p_idx).values,
+                            irrelevant=given.nodes,
+                            given_values=given.values,
+                            gamble=f.table,
+                            local_member=local,
+                            joint_member=joint,
+                        )
                     )
-                )
-        # the budget ran out only if a check beyond it existed
-        exhausted = max_checks is not None and next(slots, None) is not None
+            if exhausted:
+                break
         return VerificationReport(
             zero_free=not zero.exists,
             atoms_checked=self.space.size,

@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, islice
 from math import gcd, lcm
 
 import pytest
@@ -34,6 +34,7 @@ from credalcones.net import (
     IncoherentLocalModel,
     JointModel,
     NetworkError,
+    Violation,
     ZeroGambleError,
     sample_credal_net,
     sample_gamble,
@@ -516,6 +517,121 @@ def test_budget_bounds_the_sweep_draws(monkeypatch):
     )
     assert report.irrelevance_checked == 1 and report.budget_exhausted
     assert draws == []
+
+
+def _reference_sweep(joint, seed, gambles_per_slot, max_checks):
+    """verify_requirements' report, and the rng's next random() after it,
+    with one check_irrelevance per flattened (node, parent configuration,
+    observation, gamble) in sweep order and the budget taken by islice."""
+    head = joint.verify_requirements(random.Random(seed), gambles_per_slot, max_checks=0)
+    rng = random.Random(seed)
+    for _ in joint._negatives(rng, gambles_per_slot):
+        pass
+    net = joint.net
+    checks = (
+        (s, net.parent_space(s).config_at(p_idx), given, f)
+        for s, p_idx, f, observations in joint._irrelevance_slots(rng, gambles_per_slot, 8)
+        for given in observations
+    )
+    violations = [v for v in head.violations if v.kind != "irrelevance-mismatch"]
+    checked = 0
+    for s, p_cfg, given, f in islice(checks, max_checks):
+        check = joint.check_irrelevance(s, p_cfg, given, f)
+        checked += 1
+        if not check.agree:
+            violations.append(
+                Violation(
+                    kind="irrelevance-mismatch",
+                    node=s,
+                    parent_values=p_cfg.values,
+                    irrelevant=given.nodes,
+                    given_values=given.values,
+                    gamble=f.table,
+                    local_member=check.local_member,
+                    joint_member=check.joint_member,
+                )
+            )
+    exhausted = max_checks is not None and next(checks, None) is not None
+    report = replace(
+        head,
+        irrelevance_checked=checked,
+        violations=tuple(violations),
+        budget_exhausted=exhausted,
+    )
+    return report, rng.random()
+
+
+def _opposed_slots_net():
+    """b's two parent configurations assess opposite gambles, so a gamble
+    that is desirable given a0 is not given a1; c has no edge."""
+    a, b, c = binary("a"), binary("b"), binary("c")
+    g = Gamble(Space([b]), (1, -1))
+    dag = Dag(["a", "b", "c"], [("a", "b")])
+    return CredalNet(dag, [a, b, c], {"b": [[g], [-g]]})
+
+
+# a flipped model answers most checks by the joint LP, so its networks are
+# those whose sweeps are short
+@pytest.mark.parametrize(
+    "flipped, seeds", [(False, range(7)), (True, (0, 1, 2, 3, 4, 7, 9))], ids=["clean", "flipped"]
+)
+def test_grouped_sweep_matches_one_check_per_observation(flipped, seeds):
+    # every budget from none at all to one past the whole sweep, so some
+    # stop inside a slot gamble's observations and some between two
+    sampled = [sample_credal_net(random.Random(s), max_nodes=3) for s in seeds]
+    nets = [_opposed_slots_net(), *sampled]
+    inside = mismatches = 0
+    for seed, net in enumerate(nets):
+        flip = None
+        if flipped:
+            rng = random.Random(seed)
+            node = rng.choice(net.dag.nodes)
+            p = rng.randrange(net.parent_space(node).size)
+            flip = (node, p, rng.randrange(len(net.local_cone(node, p).generators)))
+        joint = net.build_joint(mutate_flip=flip)
+        full, _ = _reference_sweep(joint, seed, 2, None)
+        total = full.irrelevance_checked
+        mismatches += sum(v.kind == "irrelevance-mismatch" for v in full.violations)
+        for budget in [None, *range(total + 2)]:
+            rng = random.Random(seed)
+            report = joint.verify_requirements(rng, gambles_per_slot=2, max_checks=budget)
+            assert (report, rng.random()) == _reference_sweep(joint, seed, 2, budget)
+        # with at most 3 nodes every subset is swept, whatever the rng
+        sizes = [len(obs) for *_, obs in joint._irrelevance_slots(random.Random(seed), 2, 8)]
+        inside += len(set(range(total)) - set(accumulate(sizes, initial=0)))
+    assert inside > 0
+    assert (mismatches > 0) == flipped
+
+
+def test_sweep_decides_each_slot_gamble_locally_once(monkeypatch):
+    # three unconnected binary nodes: each gamble of a slot is checked
+    # under 9 observations of the other two nodes
+    net = CredalNet(Dag("abc"), [binary(n) for n in "abc"])
+    joint = net.build_joint()
+    calls = []
+    member = AssessmentCone.member_with_certificate
+
+    def counted(cone, f):
+        calls.append(f)
+        return member(cone, f)
+
+    monkeypatch.setattr(AssessmentCone, "member_with_certificate", counted)
+    report = joint.verify_requirements(random.Random(2), gambles_per_slot=2)
+    assert report.ok
+    assert len(calls) < report.irrelevance_checked
+
+
+@pytest.mark.parametrize("name", ["gambles_per_slot", "subset_cap", "max_checks"])
+@pytest.mark.parametrize("value", [-1, 1.5, "3", True])
+def test_verify_requirements_rejects_bad_counts_before_any_work(monkeypatch, name, value):
+    joint = chain_net(assess_a=True).build_joint()
+
+    def no_work():
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(joint, "contains_zero", no_work)
+    with pytest.raises(ValueError, match=name):
+        joint.verify_requirements(random.Random(1), **{name: value})
 
 
 def test_mutated_joint_is_detected():

@@ -9,6 +9,9 @@ directory:
   * ``query`` on the 24 chain query files of perfbench seeds 1-3;
   * ``verify --seed 3`` on the networks ``net.sample_credal_net`` draws from
     ``random.Random(seed)`` for the seeds 1000-1039;
+  * ``verify --seed 3 --budget 45`` on the same 40 networks: 15 of these
+    sweeps stop inside the observations of one slot gamble, 10 stop
+    between two slot gambles and 15 end within the budget;
   * ``verify --seed 3 --budget 60 --mutate-flip NODE:P:K`` on the same 40
     networks, the slot drawn from the same generator after the network.
 
@@ -39,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CHAIN_SEEDS = (1, 2, 3)
 NET_SEEDS = range(1000, 1040)
 VERIFY_SEED = "3"
+CLEAN_BUDGET = "45"
 FLIP_BUDGET = "60"
 WORKERS = 2
 # the parts of a query answer that may move while the answer stays
@@ -59,7 +63,7 @@ def write_inputs(workdir: Path) -> list[list[str]]:
         for unit in units:
             paths = [str(p.relative_to(workdir)) for p in (unit.path, unit.query_path)]
             commands.append(["query", *paths])
-    flips = []
+    budgeted, flips = [], []
     for seed in NET_SEEDS:
         rng = random.Random(seed)
         network = net.sample_credal_net(rng)
@@ -69,11 +73,12 @@ def write_inputs(workdir: Path) -> list[list[str]]:
         p = rng.randrange(network.parent_space(node).size)
         k = rng.randrange(len(network.local_cone(node, p).generators))
         commands.append(["verify", path.name, "--seed", VERIFY_SEED])
+        budgeted.append(["verify", path.name, "--seed", VERIFY_SEED, "--budget", CLEAN_BUDGET])
         flips.append(
             ["verify", path.name, "--seed", VERIFY_SEED, "--budget", FLIP_BUDGET,
              "--mutate-flip", f"{node}:{p}:{k}"]
         )
-    return commands + flips
+    return commands + budgeted + flips
 
 
 def run_cli(tree: Path, args: list[str], workdir: Path) -> tuple[int, bytes]:
