@@ -12,9 +12,11 @@ and this generator order is fixed, so reports are reproducible.  A cone
 owns all of its state, which every joint model of a network shares: the
 generators as integer columns (AssessmentCone.columns, built on first use,
 read by its LPs and checks and lifted by net), the coherence report, the
-memoized memberships and lower previsions (keyed by integer forms), and
-the optimal bases of its prevision LP, at which each lower prevision is
-read or from which it is walked to (lower_prevision).
+memoized memberships (keyed by the target's integer form) and lower
+previsions (keyed by the table's integer row in lowest terms, so that a
+hit costs one gcd and no Fraction), and the optimal bases of its
+prevision LP, at which each lower prevision is read or from which it is
+walked to (lower_prevision).
 
 Two quick routes settle most memberships before the LP, each with a
 certificate checked against the columns:
@@ -45,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .core import Gamble, Space, indicator
@@ -59,7 +62,6 @@ from .lp import (
     _checked_prevision,
     _combines,
     _int_vector,
-    _over_lcm,
     _pairs,
     _prevision_at_basis,
     _primitive,
@@ -202,36 +204,45 @@ class AssessmentCone:
     # -- lower previsions -----------------------------------------------------
 
     def lower_prevision(
-        self, table: Sequence[Fraction]
+        self, ints: Sequence[int], den: int = 1
     ) -> tuple[Fraction, Pairs, tuple[Fraction, ...]]:
-        """lp._checked_prevision of the table, memoized by its integers over
-        their lcm, read at an optimal basis of the cone's prevision LP
-        (lp._prevision_at_basis): the first cached one (at most
-        _BASIS_LIMIT, most recently used first) that is optimal for the
-        table, else the one dual pivots reach from the front basis, or
-        primal pivots from the atoms basis when none is cached; a basis
-        walked to joins the front.  Only a walk that finds the LP unbounded
-        (an incoherent cone) or infeasible leaves the table to
-        _checked_prevision, which raises InfinitePrevisionError once its
-        ray or Farkas vector is verified.  m is the LP's optimum at any
-        basis; the certificates depend on the basis."""
-        ints, den = _over_lcm(table)
-        key = (*ints, den)
-        if key not in self._previsions:
-            self._previsions[key] = self._prevision(table, (ints, den))
-        return self._previsions[key]
+        """lp._checked_prevision of the table ints / den, one integer per
+        value of the space (ValueError otherwise, before the memo or a
+        basis is read), memoized by the table in lowest terms: the row and
+        den divided by gcd(den, *ints), which is the row over the least
+        common denominator of its entries.  It is read at an optimal basis
+        of the cone's prevision LP (lp._prevision_at_basis): the first
+        cached one (at most _BASIS_LIMIT, most recently used first) that is
+        optimal for the table, else the one dual pivots reach from the
+        front basis, or primal pivots from the atoms basis when none is
+        cached; a basis walked to joins the front.  Only a walk that finds
+        the LP unbounded (an incoherent cone) or infeasible leaves the
+        table, as Fractions, to _checked_prevision, which raises
+        InfinitePrevisionError once its ray or Farkas vector is verified.
+        m is the LP's optimum at any basis; the certificates depend on the
+        basis."""
+        if len(ints) != self.space.size:
+            raise ValueError(
+                f"a table of {len(ints)} entries on a space of {self.space.size} values"
+            )
+        g = gcd(den, *ints)
+        key = (*ints, den) if g == 1 else (*[n // g for n in ints], den // g)
+        found = self._previsions.get(key)
+        if found is None:
+            found = self._previsions[key] = self._prevision(key[:-1], key[-1])
+        return found
 
-    def _prevision(self, table: Sequence[Fraction], target: tuple[list[int], int]):
-        bases = self._bases
+    def _prevision(self, ints: Sequence[int], den: int):
+        bases, target = self._bases, (ints, den)
         for i, basis in enumerate(bases):
             found = _prevision_at_basis(basis, target, self.columns)
             if found is not None:
                 bases.insert(0, bases.pop(i))
                 return found[0]
-        start = bases[0] if bases else _atoms_basis(target[0], len(self.assessments))
+        start = bases[0] if bases else _atoms_basis(ints, len(self.assessments))
         found = _prevision_at_basis(start, target, self.columns, walk=True)
         if found is None:
-            return _checked_prevision(table, self.columns)
+            return _checked_prevision([Fraction(n, den) for n in ints], self.columns)
         bases.insert(0, found[1])
         del bases[_BASIS_LIMIT:]
         return found[0]

@@ -621,19 +621,29 @@ def _verified_prevision(
     mass_den: int,
 ) -> tuple[Fraction, Pairs, tuple[Fraction, ...]]:
     """(m, primal, p) once the primal combines the columns to target - m
-    and the mass function p = mass / mass_den sums to 1, gives the target
-    the expectation m and scores every column nonnegative; raises LpError
-    otherwise.  The target is dense integers over den (_over_lcm), and
-    target - m is checked over den times m's denominator."""
-    ints, den = target
-    a, b = m.numerator, m.denominator
-    shifted = tuple((j, n * b - a * den) for j, n in enumerate(ints) if n * b != a * den)
-    if not _combines(columns, primal, (shifted, den * b)):
+    and the mass function p = mass / mass_den, one mass per coordinate of
+    the target, sums to 1, gives the target the expectation m and scores
+    every column nonnegative; raises LpError otherwise.  The target is
+    dense integers over den (_over_lcm)."""
+    if not _combines(columns, primal, _shifted(target, m)):
         raise LpError("lower prevision failed primal verification")
+    ints, den = target
     goal = tuple((j, n) for j, n in enumerate(ints) if n), den
-    if not _expects(mass, mass_den, goal, m) or any(_score(mass, g) < 0 for g in columns):
+    if (
+        len(mass) != len(ints)
+        or not _expects(mass, mass_den, goal, m)
+        or any(_score(mass, g) < 0 for g in columns)
+    ):
         raise LpError("lower prevision failed dual verification")
     return m, primal, tuple(Fraction(v, mass_den) for v in mass)
+
+
+def _shifted(target: tuple[Sequence[int], int], m: Fraction) -> IntVector:
+    """target - m as an IntVector, for a target of dense integers over den:
+    over den times m's denominator, without a Fraction per entry."""
+    ints, den = target
+    a, b = m.numerator, m.denominator
+    return tuple((j, n * b - a * den) for j, n in enumerate(ints) if n * b != a * den), den * b
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,12 @@ exact substitution, in integers over the nonzero entries (see lp):
     separating functional lifts exactly to the joint space;
   * when the graph is one directed path (a single node counts), the
     chain recursion (route "chain-recursion") takes the lower prevision m
-    of any other target backwards from the leaf, one small local LP per
-    (node, parent value, local table), which the local cone memoizes and
-    reads at an optimal basis of its own, reached by simplex pivots on
-    B^-1 (AssessmentCone.lower_prevision); the local primals lift
+    of any other target backwards from the leaf, each level's function
+    held on the path prefix it still depends on as integers over one
+    denominator (_levels), one small local LP per (node, parent value,
+    local table), which the local cone memoizes by the table in lowest
+    terms and reads at an optimal basis of its own, reached by simplex
+    pivots on B^-1 (AssessmentCone.lower_prevision); the local primals lift
     onto the joint generators and telescope to target - m, the local duals
     chain into a joint mass function of expectation m; the target is a
     member exactly when m >= 0 (witness: the lifted primal plus m on every
@@ -54,6 +56,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -77,6 +80,7 @@ from .lp import (
     _pairs,
     _primitive,
     _score,
+    _shifted,
     conic_membership,
     contains_zero as _lp_contains_zero,
 )
@@ -453,10 +457,11 @@ class JointModel:
         target = f.extend(self.space)
         if observed:
             target = indicator(given, self.space) * target
-        quick = self._quick_routes(_int_vector(enumerate(target.table)))
+        target = _int_vector(enumerate(target.table))
+        quick = self._quick_routes(target)
         if quick is not None:
             return quick
-        return self._exact_membership(target.table)
+        return self._exact_membership(target)
 
     def _quick_routes(self, target: IntVector) -> Optional[Membership]:
         entries, den = target
@@ -480,16 +485,19 @@ class JointModel:
         _check_work(self.space.size, len(owners))
         return [columns[k] for k in owners], owners
 
-    def _exact_membership(self, table: Sequence[Fraction]) -> Membership:
-        """The tail of every membership route: the chain recursion when the
-        graph is one directed path, else, or when one of its certificates
-        fails, one exact LP over the joint generators."""
-        chained = self._chain_membership(table)
-        return chained if chained is not None else self._lp_membership(table)
+    def _exact_membership(self, target: IntVector) -> Membership:
+        """The tail of every membership route, for a target in integer
+        form: the chain recursion when the graph is one directed path,
+        else, or when one of its certificates fails, one exact LP over the
+        joint generators."""
+        chained = self._chain_membership(target)
+        return chained if chained is not None else self._lp_membership(target)
 
-    def _lp_membership(self, table: Sequence[Fraction]) -> Membership:
-        target = _int_vector(enumerate(table))
+    def _lp_membership(self, target: IntVector) -> Membership:
         columns, owners = self._dedup_columns()
+        table = [Fraction(0)] * self.space.size
+        for j, n in target[0]:
+            table[j] = Fraction(n, target[1])
         res = conic_membership(table, columns)
         if res.member:
             witness = {owners[k]: c for k, c in res.witness}
@@ -545,8 +553,21 @@ class JointModel:
         chain recursion (on a path) and then the exact LP.
         """
         f = f.extend(self.net.node_space(node))
+        return self._structured_member(node, parent_index, given, f, _over_lcm(f.table))
+
+    def _structured_member(
+        self,
+        node: str,
+        parent_index: int,
+        given: Optional[Configuration],
+        f: Gamble,
+        form: tuple[list[int], int],
+    ) -> Membership:
+        """structured_member of f, a gamble on the node's space, with its
+        integer form (lp._over_lcm of its table) at hand: the sweep builds
+        it once per slot gamble, for all its observations."""
         observed = self._observed_indices(node, parent_index, given)
-        ints, den = _over_lcm(f.table)
+        ints, den = form
         v_at = self._value_at[node]
         target = tuple((j, ints[v_at[j]]) for j in observed if ints[v_at[j]]), den
 
@@ -567,10 +588,7 @@ class JointModel:
             sep = self._product_separator(node, parent_index, cert.separator)
             if sep is not None and _score(sep, target) < 0:
                 return Membership(member=False, route="product-separator", separator=sep)
-        table = [Fraction(0)] * self.space.size
-        for j, n in target[0]:
-            table[j] = Fraction(n, den)
-        return self._exact_membership(table)
+        return self._exact_membership(target)
 
     def _observed_indices(
         self, node: str, parent_index: int, given: Optional[Configuration]
@@ -627,61 +645,98 @@ class JointModel:
 
     # -- chain recursion -----------------------------------------------------
 
-    def _chain_certificates(
-        self, table: Sequence[Fraction]
-    ) -> Optional[tuple[Fraction, dict[int, Fraction], tuple[list[int], int]]]:
-        """The lower prevision m of a joint gamble by backward recursion
-        over the local models, when the graph is one directed path
-        s_0 -> ... -> s_{n-1}, with its two certificates: the primal
-        (generator index -> coefficient) combining to table - m, and the
-        dual mass function as integers over one denominator (_product_mass).
-        None off a path, or if either certificate fails its check against
-        every joint generator.
-
-        Level j replaces the current function, for each configuration u of
-        s_0 .. s_{j-1}, by the local lower prevision of its table on s_j in
-        the slot of u's value of s_{j-1}; u fixes both the parent and the
-        non-parent-non-descendant configuration of s_j, so the local primal
-        lifts onto the joint generators of that one slot, and the lifted
-        terms telescope to table - m.  The local optimal duals, chained as
-        conditional mass functions, make a joint mass function with
-        expectation m that scores every generator nonnegative.
-        """
+    @cached_property
+    def _levels(
+        self,
+    ) -> Optional[list[tuple[str, list[tuple[int, int, AssessmentCone, int, tuple[int, ...]]]]]]:
+        """The chain recursion's levels, leaf first, when the graph is one
+        directed path s_0 -> ... -> s_{n-1}, else None; built on the first
+        chain query.  Level i is s_i with its slots, the configurations of
+        s_0 .. s_{i-1}, in order of first occurrence over the joint index:
+        (parent index, non-parent-non-descendant index, local cone, the
+        slot's first joint generator, positions), where positions[v] is
+        the place of (slot, v) in level i + 1's function: its slot number
+        of s_{i+1}, at the leaf its joint index."""
         order = self.net.dag.path()
         if order is None:
             return None
-        current = list(table)
-        primal: dict[int, Fraction] = {}
-        kernels: dict[tuple[str, int, int], tuple[Fraction, ...]] = {}
+        cone, levels = self.net.local_cone, []
+        below = range(self.space.size)
         for s in reversed(order):
             p_at, n_at, v_at = self._parent_idx_at[s], self._nnd_idx_at[s], self._value_at[s]
             width = len(self.net.variables[s].values)
-            local: dict[tuple[int, int], list[Fraction]] = {}
-            for j, v in enumerate(current):
-                local.setdefault((p_at[j], n_at[j]), [None] * width)[v_at[j]] = v
-            lowered: dict[tuple[int, int], Fraction] = {}
-            for (p_idx, nnd_idx), row in local.items():
-                m, pairs, mass = self.net.local_cone(s, p_idx).lower_prevision(row)
-                lowered[(p_idx, nnd_idx)] = m
+            number: dict[tuple[int, int], int] = {}
+            rows: list[list[int]] = []
+            at = []
+            for j, position in enumerate(below):
+                u = number.setdefault((p_at[j], n_at[j]), len(rows))
+                if u == len(rows):
+                    rows.append([0] * width)
+                rows[u][v_at[j]] = position
+                at.append(u)
+            slots = [
+                (p, n, cone(s, p), self._slot[(s, p, n, 0)], tuple(row))
+                for (p, n), row in zip(number, rows)
+            ]
+            levels.append((s, slots))
+            below = at
+        return levels
+
+    def _chain_certificates(
+        self, target: IntVector
+    ) -> Optional[tuple[Fraction, dict[int, Fraction], tuple[list[int], int]]]:
+        """The lower prevision m of a joint target in integer form, by
+        backward recursion over the local models on a path (_levels), with
+        its primal (generator index -> coefficient, combining to target -
+        m) and its dual mass function (integers over one denominator,
+        _product_mass); None off a path or if a certificate fails a joint
+        check.
+
+        Level i's function is held on the configurations of s_0 .. s_{i-1}
+        only, as integers over one denominator: each slot's entry is the
+        local lower prevision (AssessmentCone.lower_prevision) of its row,
+        read from level i + 1 at the slot's positions.  A slot fixes s_i's
+        parent and non-parent-non-descendant configuration, so the local
+        primal lifts onto that slot's joint generators and the lifted terms
+        telescope to target - m; the local duals, chained, make a joint mass
+        function of expectation m.  Every answer passes all three joint
+        checks: the primal against target - m (built from the dense
+        integers, lp._shifted), the expectation, and the dual against every
+        distinct generator column.
+        """
+        if self._levels is None:
+            return None
+        entries, den = target
+        current = [0] * self.space.size
+        for j, n in entries:
+            current[j] = n
+        table = current, den
+        primal: dict[int, Fraction] = {}
+        kernels: dict[tuple[str, int, int], tuple[Fraction, ...]] = {}
+        for s, slots in self._levels:
+            lowered = []
+            for p_idx, nnd_idx, cone, first, positions in slots:
+                m, pairs, mass = cone.lower_prevision([current[q] for q in positions], den)
+                lowered.append(m)
                 kernels[(s, p_idx, nnd_idx)] = mass
                 for k, c in pairs:
-                    primal[self._slot[(s, p_idx, nnd_idx, k)]] = c
-            current = [lowered[(p_at[j], n_at[j])] for j in range(len(current))]
-        m = current[0]
-        if not self._witness_matches(primal, _int_vector((j, v - m) for j, v in enumerate(table))):
+                    primal[first + k] = c
+            current, den = _over_lcm(lowered)
+        m = lowered[0]  # the root's one slot
+        if not self._witness_matches(primal, _shifted(table, m)):
             return None
-        mass, den = self._product_mass(lambda s, p, n: kernels[(s, p, n)])
-        if not _expects(mass, den, _int_vector(enumerate(table)), m):
+        mass, mass_den = self._product_mass(lambda s, p, n: kernels[(s, p, n)])
+        if not _expects(mass, mass_den, target, m):
             return None
-        return (m, primal, (mass, den)) if self._separates_all_generators(mass) else None
+        return (m, primal, (mass, mass_den)) if self._separates_all_generators(mass) else None
 
-    def _chain_membership(self, table: Sequence[Fraction]) -> Optional[Membership]:
-        """Membership of a nonzero joint gamble from its chain-recursion
-        lower prevision m: a member exactly when m >= 0, with the lifted
-        primal plus m on every leaf atom as witness; otherwise the dual
-        mass function separates it.  None when the recursion does not
-        apply or a certificate fails its check."""
-        chained = self._chain_certificates(table)
+    def _chain_membership(self, target: IntVector) -> Optional[Membership]:
+        """Membership of a nonzero joint gamble, in integer form, from its
+        chain-recursion lower prevision m: a member exactly when m >= 0,
+        with the lifted primal plus m on every leaf atom as witness;
+        otherwise the dual mass function separates it.  None when the
+        recursion does not apply or a certificate fails its check."""
+        chained = self._chain_certificates(target)
         if chained is None:
             return None
         m, primal, (mass, _) = chained
@@ -693,7 +748,7 @@ class JointModel:
             for j in range(self.space.size):
                 k = self._atom_gen_at[j]
                 witness[k] = witness.get(k, Fraction(0)) + m
-        if not self._witness_matches(witness, _int_vector(enumerate(table))):
+        if not self._witness_matches(witness, target):
             return None
         return Membership(member=True, route=CHAIN_RECURSION, witness=_pairs(witness.items()))
 
@@ -733,14 +788,14 @@ class JointModel:
         have no finite m; then lp.InfinitePrevisionError is raised, once
         the LP's ray or Farkas vector is verified."""
         table = f.extend(self.space).table
-        chained = self._chain_certificates(table)
+        chained = self._chain_certificates(_int_vector(enumerate(table)))
         if chained is not None:
             return chained[0]
         columns, _ = self._dedup_columns()
         return _checked_prevision(table, columns)[0]
 
     def upper_prevision(self, f: Gamble) -> Fraction:
-        return -self.lower_prevision(-f.extend(self.space))
+        return -self.lower_prevision(-f)
 
     def _subsets_for_sweep(
         self, nnd: tuple[str, ...], rng: random.Random, cap: int
@@ -808,8 +863,9 @@ class JointModel:
         subsets of non-parent-non-descendants and their configurations, for
         the local generators, their negations, and sampled gambles.
         Violations name the exact slot.  Local desirability is decided once
-        per slot gamble and compared with the joint answer (structured_member)
-        of each observation; the checks and their order are those of
+        per slot gamble, whose integer form is also built once, and
+        compared with the joint answer (structured_member) of each
+        observation; the checks and their order are those of
         check_irrelevance on every (node, parent, observation, gamble).
 
         max_checks caps the number of irrelevance checks, one per
@@ -874,8 +930,10 @@ class JointModel:
                 observations, exhausted = observations[: max_checks - checked], True
             if observations:
                 local = self.net.local_cone(s, p_idx).member_with_certificate(f).member
+                f = f.extend(self.net.node_space(s))
+                form = _over_lcm(f.table)
             for given in observations:
-                joint = self.structured_member(s, p_idx, given, f).member
+                joint = self._structured_member(s, p_idx, given, f, form).member
                 checked += 1
                 if joint != local:
                     violations.append(

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from credalcones import lp
 from credalcones.cone import AssessmentCone
 from credalcones.core import Gamble, Space, VariableSpace
-from credalcones.lp import LpError
+from credalcones.lp import LpError, _over_lcm
 from dense import int_columns, is_positive_pmf, is_separator, is_witness
 
 F = Fraction
@@ -164,22 +164,72 @@ def test_equal_tables_share_one_membership_lp_and_one_prevision_walk(monkeypatch
     assert cone.member_with_certificate(again) == answer
     assert len(memberships) == 1
     # the first table starts at the atoms basis {shift, atom 1}, optimal for it
-    low = cone.lower_prevision(first.table)
+    low = cone.lower_prevision(*_over_lcm(first.table))
     assert low[0] == -1
-    assert cone.lower_prevision(list(again.table)) == low
+    assert cone.lower_prevision(*_over_lcm(again.table)) == low
     assert len(walks) == 1 and [b.basic for b in cone._bases] == [(2,)]
     # a new table is answered at the cached basis, without a walk
-    assert cone.lower_prevision((F(-2), F(6)))[0] == -2
+    assert cone.lower_prevision((-2, 6))[0] == -2
     assert len(walks) == 1
     # the same integers over another denominator are another question
-    assert cone.lower_prevision((F(-1, 2), F(3, 2)))[0] == F(-1, 2)
+    assert cone.lower_prevision((-1, 3), 2)[0] == F(-1, 2)
     # (3, -1) is not answered there: one dual pivot brings in the assessment,
     # and the new basis joins the front
-    assert cone.lower_prevision((F(3), F(-1))) == (1, ((0, 2),), (F(1, 2), F(1, 2)))
+    assert cone.lower_prevision((3, -1)) == (1, ((0, 2),), (F(1, 2), F(1, 2)))
     assert len(walks) == 2 and [b.basic for b in cone._bases] == [(0,), (2,)]
     whole = cone.member_with_certificate(Gamble(sp, (1, 2)))
     half = cone.member_with_certificate(Gamble(sp, (F(1, 2), F(1))))
     assert whole.witness == ((1, 1), (2, 2)) and half.witness == ((1, F(1, 2)), (2, 1))
+
+
+def test_a_row_with_a_common_factor_shares_one_prevision_entry_and_one_walk(monkeypatch):
+    # the memo key is the row in lowest terms: (2, 4) over 2 and (1, 2)
+    # over 1 are one table, asked and walked to once
+    sp = coin()
+    cone = AssessmentCone(sp, [Gamble(sp, (1, -1))])
+    at_basis, calls = lp._prevision_at_basis, []
+
+    def basis_spy(basis, target, columns, walk=False):
+        calls.append((target, walk))
+        return at_basis(basis, target, columns, walk)
+
+    monkeypatch.setattr("credalcones.cone._prevision_at_basis", basis_spy)
+    first = cone.lower_prevision((2, 4), 2)
+    assert cone.lower_prevision((1, 2)) is first
+    assert cone.lower_prevision((6, 12), 6) is first
+    assert list(cone._previsions) == [(1, 2, 1)] and calls == [(((1, 2), 1), True)]
+    assert first == (1, ((2, 1),), (1, 0))
+
+
+def test_a_table_of_the_wrong_length_is_refused_before_the_memo_and_the_bases():
+    # a 4-entry table once walked an atoms basis of dimension 4 and cached
+    # it; the right-length table after it then read m = 0 with the dual
+    # (0, 0, 0, 1), all its mass on a coordinate the cone does not have
+    sp = Space([VariableSpace("a", ("v0", "v1", "v2"))])
+    cone = AssessmentCone(sp, [Gamble(sp, (1, -1, 0))])
+    for table in ((1, 2, 3, -5), (1, 2)):
+        with pytest.raises(ValueError, match=f"a table of {len(table)} entries on a space of 3"):
+            cone.lower_prevision(table)
+    assert cone._previsions == {} and cone._bases == []
+    m, primal, mass = cone.lower_prevision((1, 2, 3))
+    tables = [g.table for g in cone.generators]
+    assert m == 1 and mass == (1, 0, 0)
+    assert is_witness(tables, (0, 1, 2), primal)
+    assert all(sum(p * v for p, v in zip(mass, t)) >= 0 for t in tables)
+
+
+def test_a_dual_with_a_coordinate_the_target_lacks_fails_verification():
+    # (0, 0, 0, 1) sums to 1, gives (1, 2, 3) the expectation 0 and scores
+    # every 3-entry column 0: only its length gives it away
+    sp = Space([VariableSpace("a", ("v0", "v1", "v2"))])
+    cone = AssessmentCone(sp, [Gamble(sp, (1, -1, 0))])
+    target, atoms = ((1, 2, 3), 1), ((1, F(1)), (2, F(2)), (3, F(3)))
+    with pytest.raises(LpError, match="dual verification"):
+        lp._verified_prevision(target, cone.columns, F(0), atoms, (0, 0, 0, 1), 1)
+    # the right-length dual of m = 1, with the primal of (0, 1, 2), passes
+    shifted = ((2, F(1)), (3, F(2)))
+    m, _, mass = lp._verified_prevision(target, cone.columns, F(1), shifted, (1, 0, 0), 1)
+    assert m == 1 and mass == (1, 0, 0)
 
 
 def random_cone(rng, max_values=3, max_assessments=3):

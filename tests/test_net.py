@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, combinations, islice
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -771,13 +771,19 @@ def coherent_gambles(rng, space, want):
 def sample_chain(rng, n, k):
     """A chain of n k-valued nodes with 0-2 assessments per slot; the node
     names are shuffled so that the path order is not the sorted order."""
-    names = [f"x{i}" for i in range(n)]
+    return sample_mixed_chain(rng, [k] * n)
+
+
+def sample_mixed_chain(rng, widths):
+    """A chain whose i-th node along the path has widths[i] values, drawn
+    as sample_chain draws its nodes."""
+    names = [f"x{i}" for i in range(len(widths))]
     rng.shuffle(names)
-    variables = [VariableSpace(x, tuple(f"v{d}" for d in range(k))) for x in names]
+    variables = [VariableSpace(x, tuple(f"v{d}" for d in range(k))) for x, k in zip(names, widths)]
     assessments = {
         x: [
             coherent_gambles(rng, Space([var]), rng.randint(0, 2))
-            for _ in range(1 if i == 0 else k)
+            for _ in range(1 if i == 0 else widths[i - 1])
         ]
         for i, (x, var) in enumerate(zip(names, variables))
     }
@@ -822,9 +828,12 @@ def test_dag_path_order():
 
 def test_chain_recursion_equals_the_joint_lp_and_never_falls_back(monkeypatch):
     rng = random.Random(2017)
-    shapes = [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 5)]
-    for n, k in shapes:
-        net = sample_chain(rng, n, k)
+    shapes = [(2,) * n for n in range(1, 7)] + [(3,) * n for n in range(1, 5)]
+    # nodes of 2, 3 and 4 values on one path come last, so that the
+    # uniform chains keep their draws
+    shapes += [(2, 3, 4), (4, 3, 2), (3, 2, 4, 2), (2, 4, 2, 3)]
+    for widths in shapes:
+        net = sample_mixed_chain(rng, widths)
         joint = net.build_joint()
         columns, _ = joint._dedup_columns()
         tables = generator_tables(joint)
@@ -837,9 +846,9 @@ def test_chain_recursion_equals_the_joint_lp_and_never_falls_back(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr("credalcones.net.JointModel._dedup_columns", refuse)
                 patch.setattr("credalcones.net.conic_membership", refuse)
-                m, primal, (mass, den) = joint._chain_certificates(table)
+                m, primal, (mass, den) = joint._chain_certificates(_int_vector(enumerate(table)))
                 assert (joint.lower_prevision(f), joint.upper_prevision(f)) == (lower, upper)
-                res = joint._chain_membership(table)
+                res = joint._chain_membership(_int_vector(enumerate(table)))
                 generic = joint.member_with_certificate(f)
             assert m == lower
             # the lifted primal combines to f - m, the chained dual is a mass
@@ -860,8 +869,9 @@ def test_chain_recursion_on_mutated_chains_answers_as_the_lp():
     picks = random.Random(4243)  # structured queries; rng's draws stay as they were
     verified = []
     tails = set()
-    for n, k in [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]:
-        net = sample_chain(rng, n, k)
+    shapes = [(2,), (2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 3), (3, 3, 3)]
+    for widths in shapes + [(2, 3, 4), (3, 2, 4, 2), (4, 3, 2)]:
+        net = sample_mixed_chain(rng, widths)
         s = rng.choice(net.dag.nodes)
         p_idx = rng.randrange(net.parent_space(s).size)
         k_idx = rng.randrange(len(net.local_cone(s, p_idx).generators))
@@ -870,7 +880,7 @@ def test_chain_recursion_on_mutated_chains_answers_as_the_lp():
         tables = generator_tables(joint)
         for f in chain_gambles(rng, net, 4):
             table = f.extend(net.joint_space).table
-            verified.append(joint._chain_certificates(table) is not None)
+            verified.append(joint._chain_certificates(_int_vector(enumerate(table))) is not None)
             try:
                 lower = lp_lower_prevision(table, columns)
             except LpError as err:
@@ -908,6 +918,39 @@ def test_chain_recursion_on_mutated_chains_answers_as_the_lp():
     # a structured query whose local lifts fail can still be answered by
     # the chain recursion, before the joint LP
     assert "chain-recursion" in tails, tails
+
+
+def test_chain_levels_hold_each_function_on_its_path_prefix():
+    # level i lists the slots of s_i, the configurations of s_0 .. s_{i-1};
+    # each slot's positions are where its row sits one level down, the
+    # joint indices at the leaf, so one recursion reads every cell once
+    rng = random.Random(2020)
+    cases = [((2,) * 6, 64 + 32 + 16 + 8 + 4 + 2), ((2, 3, 4), 24 + 6 + 2), ((4, 2, 3, 2), 48 + 24 + 8 + 4)]
+    for widths, cells in cases:
+        net = sample_mixed_chain(rng, widths)
+        joint = net.build_joint()
+        assert "_levels" not in vars(joint)  # built on the first chain query
+        levels = joint._levels
+        order = net.dag.path()
+        assert [s for s, _ in levels] == list(reversed(order))
+        assert sum(len(pos) for _, slots in levels for *_, pos in slots) == cells
+        below = joint.space.size
+        for i, (s, slots) in zip(reversed(range(len(order))), levels):
+            assert len(slots) == prod(widths[:i])
+            positions = [q for *_, pos in slots for q in pos]
+            assert all(len(pos) == widths[i] for *_, pos in slots)
+            assert sorted(positions) == list(range(below))
+            for p, n, cone, first, pos in slots:
+                assert cone is net.local_cone(s, p)
+                assert first == joint._slot[(s, p, n, 0)]
+                if i == len(order) - 1:  # the leaf: (slot, v) is the joint configuration
+                    for v, j in enumerate(pos):
+                        at = joint._parent_idx_at[s][j], joint._nnd_idx_at[s][j], joint._value_at[s][j]
+                        assert at == (p, n, v)
+            below = len(slots)
+        assert below == 1  # the root's one slot
+    fork = CredalNet(Dag("abc", [("a", "b"), ("a", "c")]), [binary(x) for x in "abc"])
+    assert fork.build_joint()._levels is None
 
 
 def test_fork_recursion_is_only_a_lower_bound_and_the_joint_lp_answers(monkeypatch):
@@ -1081,7 +1124,7 @@ def test_a_corrupted_cached_basis_raises_or_leaves_the_answer_to_a_cold_solve(mo
         s = net.dag.path()[-1]
         cone = net.local_cone(s, 0)
         first = dense_table(rng, 2)
-        cone.lower_prevision(first)
+        cone.lower_prevision(*_over_lcm(first))
         (basis,) = cone._bases
         assert cold == []
         inverse = [list(r) for r in basis.inverse]
@@ -1091,11 +1134,11 @@ def test_a_corrupted_cached_basis_raises_or_leaves_the_answer_to_a_cold_solve(mo
         while table == first:  # a new question, not the memoized one
             table = dense_table(rng, 2)
         try:
-            answer = cone.lower_prevision(table)
+            answer = cone.lower_prevision(*_over_lcm(table))
         except LpError:
             outcomes["raised"] += 1
         else:
-            outcomes["cold" if cold == [table] else "walked"] += 1
+            outcomes["cold" if cold == [list(table)] else "walked"] += 1
             assert_local_prevision(cone, table, answer)
         cold.clear()
     assert {"raised", "cold"} <= set(outcomes), outcomes
@@ -1135,12 +1178,12 @@ def test_the_prevision_walk_equals_a_cold_solve(monkeypatch):
             except InfinitePrevisionError as err:
                 cold.clear()
                 with pytest.raises(InfinitePrevisionError) as raised:
-                    cone.lower_prevision(table)
+                    cone.lower_prevision(*_over_lcm(table))
                 assert str(raised.value) == str(err) and cold == [table]
                 seen["infinite"] += 1
                 continue
             cold.clear()
-            answer = cone.lower_prevision(table)
+            answer = cone.lower_prevision(*_over_lcm(table))
             assert cold == [] and answer[0] == expected[0]
             assert_local_prevision(cone, table, answer)
             seen["coherent" if cone.is_coherent() else "incoherent, finite"] += 1
@@ -1180,8 +1223,8 @@ def test_chain_local_previsions_from_cached_bases_equal_a_cold_solve(monkeypatch
             joint = net.build_joint(mutate_flip=flip)
             for f in chain_gambles(rng, net, 4):
                 table = f.extend(net.joint_space).table
-                joint._chain_certificates(table)
-                joint._chain_certificates(tuple(-v for v in table))
+                joint._chain_certificates(_int_vector(enumerate(table)))
+                joint._chain_certificates(_int_vector((j, -v) for j, v in enumerate(table)))
             for cone in cones.values():
                 for (*ints, den), answer in cone._previsions.items():
                     assert_local_prevision(cone, [F(n, den) for n in ints], answer)
@@ -1344,7 +1387,7 @@ def test_integer_product_mass_equals_the_fraction_product(monkeypatch):
                             s, p_idx, given, sample_gamble(rng, net.node_space(s))
                         )
             for f in chain_gambles(rng, net, 4):
-                joint._chain_certificates(f.extend(net.joint_space).table)
+                joint._chain_certificates(_int_vector(enumerate(f.extend(net.joint_space).table)))
     kinds = ("__init__", "_product_separator", "_chain_certificates")
     assert set(checked) == set(kinds) and all(mixed[k] for k in kinds), (checked, mixed)
 

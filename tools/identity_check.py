@@ -3,10 +3,14 @@
     python3 tools/identity_check.py --parent PATH
 
 PATH is the root of another checkout (one with ``src/credalcones``), usually
-the parent commit.  The inputs of 104 CLI runs are written to a temporary
+the parent commit.  The inputs of 152 CLI runs are written to a temporary
 directory:
 
   * ``query`` on the 24 chain query files of perfbench seeds 1-3;
+  * ``query`` on 8 mixed-width chains (``mixed_chain``, seeds 1-8): 3-6
+    nodes of 2-4 values each, at most 144 joint configurations, names
+    shuffled, each asked the lower and upper prevision and the membership
+    of a gamble on one node and of a gamble on all of them;
   * ``verify --seed 3`` on the networks ``net.sample_credal_net`` draws from
     ``random.Random(seed)`` for the seeds 1000-1039;
   * ``verify --seed 3 --budget 45`` on the same 40 networks: 15 of these
@@ -36,10 +40,13 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from math import prod
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CHAIN_SEEDS = (1, 2, 3)
+MIXED_SEEDS = range(1, 9)
+MIXED_MAX_SIZE = 144
 NET_SEEDS = range(1000, 1040)
 VERIFY_SEED = "3"
 CLEAN_BUDGET = "45"
@@ -47,6 +54,50 @@ FLIP_BUDGET = "60"
 WORKERS = 2
 # the parts of a query answer that may move while the answer stays
 CERTIFICATES = ("route", "witness", "separator", "vanishing_combination")
+
+
+def mixed_chain(rng: random.Random):
+    """A path of 3-6 nodes of 2-4 values each with at most MIXED_MAX_SIZE
+    joint configurations, the node names shuffled against the path order,
+    and 0-2 assessments per slot, each kept only if the slot stays
+    coherent."""
+    from credalcones import cone, core, dag, net
+
+    while True:
+        widths = [rng.randint(2, 4) for _ in range(rng.randint(3, 6))]
+        if prod(widths) <= MIXED_MAX_SIZE:
+            break
+    names = [f"m{i}" for i in range(len(widths))]
+    rng.shuffle(names)
+    variables = [
+        core.VariableSpace(x, tuple(f"v{d}" for d in range(k))) for x, k in zip(names, widths)
+    ]
+    assessments = {}
+    for i, var in enumerate(variables):
+        space = core.Space([var])
+        assessments[var.node] = []
+        for _ in range(1 if i == 0 else widths[i - 1]):
+            chosen = []
+            for _ in range(rng.randint(0, 2)):
+                candidate = chosen + [net.sample_gamble(rng, space)]
+                if cone.AssessmentCone(space, candidate).is_coherent():
+                    chosen = candidate
+            assessments[var.node].append(chosen)
+    return net.CredalNet(dag.Dag(names, list(zip(names, names[1:]))), variables, assessments)
+
+
+def mixed_queries(rng: random.Random, chain) -> list[dict]:
+    """Lower and upper previsions and membership of a gamble on one node,
+    then of a gamble on every node."""
+    from credalcones import core, net
+
+    queries = []
+    for scope in ([rng.choice(chain.dag.nodes)], list(chain.dag.nodes)):
+        space = core.Space(chain.variables[n] for n in scope)
+        gamble = {"scope": scope, "table": [str(v) for v in net.sample_gamble(rng, space).table]}
+        for kind in ("lower-prevision", "upper-prevision", "member"):
+            queries.append({"kind": kind, "gamble": gamble})
+    return queries
 
 
 def write_inputs(workdir: Path) -> list[list[str]]:
@@ -63,6 +114,13 @@ def write_inputs(workdir: Path) -> list[list[str]]:
         for unit in units:
             paths = [str(p.relative_to(workdir)) for p in (unit.path, unit.query_path)]
             commands.append(["query", *paths])
+    for seed in MIXED_SEEDS:
+        rng = random.Random(seed)
+        chain = mixed_chain(rng)
+        paths = [workdir / f"mixed-{seed}.json", workdir / f"mixed-{seed}-queries.json"]
+        paths[0].write_text(json.dumps(cli.serialize_network(chain)), encoding="utf-8")
+        paths[1].write_text(json.dumps(mixed_queries(rng, chain)), encoding="utf-8")
+        commands.append(["query", *(p.name for p in paths)])
     budgeted, flips = [], []
     for seed in NET_SEEDS:
         rng = random.Random(seed)
