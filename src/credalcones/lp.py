@@ -627,15 +627,28 @@ def _verified_prevision(
     dense integers over den (_over_lcm)."""
     if not _combines(columns, primal, _shifted(target, m)):
         raise LpError("lower prevision failed primal verification")
-    ints, den = target
-    goal = tuple((j, n) for j, n in enumerate(ints) if n), den
-    if (
-        len(mass) != len(ints)
-        or not _expects(mass, mass_den, goal, m)
-        or any(_score(mass, g) < 0 for g in columns)
-    ):
+    if not _dual_certifies(target, columns, m, mass, mass_den):
         raise LpError("lower prevision failed dual verification")
     return m, primal, tuple(Fraction(v, mass_den) for v in mass)
+
+
+def _dual_certifies(
+    target: tuple[Sequence[int], int],
+    columns: Sequence[IntVector],
+    m: Fraction,
+    mass: Sequence[int],
+    mass_den: int,
+) -> bool:
+    """The mass function mass / mass_den, one mass per coordinate of the
+    target (dense integers over den), sums to 1, gives the target the
+    expectation m and scores every column nonnegative."""
+    ints, den = target
+    goal = tuple((j, n) for j, n in enumerate(ints) if n), den
+    return (
+        len(mass) == len(ints)
+        and _expects(mass, mass_den, goal, m)
+        and all(_score(mass, g) >= 0 for g in columns)
+    )
 
 
 def _shifted(target: tuple[Sequence[int], int], m: Fraction) -> IntVector:

@@ -15,8 +15,9 @@ Every generator is one integer column (lp.IntVector), built from its
 local cone's column.  All local state (witnesses, memoized memberships and
 previsions, optimal bases) lives on the cones, so every joint model of
 a network, flipped or not, shares it.  Queries on the joint cone are
-answered by certificates always re-verified against these columns by
-exact substitution, in integers over the nonzero entries (see lp):
+answered by certificates always re-verified by exact substitution, in
+integers over the nonzero entries (see lp), against these columns or, for
+a chain prevision, against the local columns they are lifted from:
 
   * nonnegative nonzero targets are combined from full-configuration atom
     generators contributed by a leaf node;
@@ -35,14 +36,19 @@ exact substitution, in integers over the nonzero entries (see lp):
     terms and reads at an optimal basis of its own, reached by simplex
     pivots on B^-1 (AssessmentCone.lower_prevision); the local primals lift
     onto the joint generators and telescope to target - m, the local duals
-    chain into a joint mass function of expectation m; the target is a
-    member exactly when m >= 0 (witness: the lifted primal plus m on every
-    leaf atom), and otherwise that mass function separates it.  Joint lower
-    and upper previsions on a path come from the same recursion;
+    chain into a joint mass function of expectation m.  Both are checked
+    in the local spaces, each slot against the joint model's own columns
+    of that slot (a flipped slot's included), so a prevision, which prints
+    only m, does no work of the joint's size past its target; the target is
+    a member exactly when m >= 0 (witness: the lifted primal plus m on
+    every leaf atom), and otherwise the chained mass function separates
+    it, each printed certificate checked against every joint generator.
+    Joint lower and upper previsions on a path come from the same
+    recursion;
   * anything else falls back to one exact LP over the generator columns.
 
 A product mass function (the canonical witness, a product separator, a
-chained dual) is built as integers over one denominator (_product_mass),
+chain separator) is built as integers over one denominator (_product_mass),
 and a separator is a primitive integer tuple (lp._primitive) from where it
 is made, through the separator cache, to the answer.
 
@@ -74,7 +80,7 @@ from .lp import (
     _check_work,
     _checked_prevision,
     _combines,
-    _expects,
+    _dual_certifies,
     _int_vector,
     _over_lcm,
     _pairs,
@@ -314,6 +320,9 @@ class JointModel:
 
         self.generators: list[GeneratorInfo] = []
         self._slot: dict[tuple[str, int, int, int], int] = {}
+        # each slot's local columns, which its generators are lifted from:
+        # the local cone's own, or a copy with the flipped column negated
+        self._local_columns: dict[tuple[str, int], tuple[IntVector, ...]] = {}
         for s in net.dag.nodes:
             p_at = self._parent_idx_at[s]
             n_at = self._nnd_idx_at[s]
@@ -325,11 +334,15 @@ class JointModel:
                 agree.setdefault((p_at[j], n_at[j]), []).append((j, v_at[j]))
             for p_idx in range(n_parent):
                 n_assessed = len(net.assessments[(s, p_idx)])
-                # each local column by value, negated at the flipped slot
-                local_cols = [
-                    ({v: -n if mutate_flip == (s, p_idx, k) else n for v, n in entries}, den)
-                    for k, (entries, den) in enumerate(net.local_cone(s, p_idx).columns)
-                ]
+                columns = net.local_cone(s, p_idx).columns
+                if mutate_flip is not None and mutate_flip[:2] == (s, p_idx):
+                    k = mutate_flip[2]
+                    entries, den = columns[k]
+                    flipped = tuple((v, -n) for v, n in entries), den
+                    columns = (*columns[:k], flipped, *columns[k + 1:])
+                self._local_columns[(s, p_idx)] = columns
+                # each local column by value
+                local_cols = [(dict(entries), den) for entries, den in columns]
                 for nnd_idx in range(n_nnd):
                     cells = agree[(p_idx, nnd_idx)]
                     for k, (by_value, den) in enumerate(local_cols):
@@ -369,20 +382,32 @@ class JointModel:
         configuration with parent index p and non-parent-non-descendant
         index n, is kernel(s, p, n) at the node's value there, as integers
         over one positive denominator: mass j is ints[j] / den.  Each
-        node's kernels are put over the lcm of all their denominators, and
-        den is the product of these lcms."""
+        node's kernels, one per slot (_mass_slots), are put over the lcm of
+        all their denominators, and den is the product of these lcms."""
         ints, den = [1] * self.space.size, 1
-        for s in self.net.dag.nodes:
-            slots = list(zip(self._parent_idx_at[s], self._nnd_idx_at[s]))
-            kernels = {key: kernel(s, *key) for key in set(slots)}
-            node_den = lcm(*[v.denominator for row in kernels.values() for v in row])
-            scaled = {
-                key: [v.numerator * (node_den // v.denominator) for v in row]
-                for key, row in kernels.items()
-            }
-            ints = [a * scaled[key][v] for a, key, v in zip(ints, slots, self._value_at[s])]
+        for s, keys, at in self._mass_slots:
+            kernels = [kernel(s, p, n) for p, n in keys]
+            node_den = lcm(*[v.denominator for row in kernels for v in row])
+            scaled = [[v.numerator * (node_den // v.denominator) for v in row] for row in kernels]
+            ints = [a * scaled[u][v] for a, u, v in zip(ints, at, self._value_at[s])]
             den *= node_den
         return ints, den
+
+    @cached_property
+    def _mass_slots(self) -> list[tuple[str, list[tuple[int, int]], list[int]]]:
+        """For each node s, in node order: its distinct (parent index,
+        non-parent-non-descendant index) slots in order of first
+        occurrence over the joint index, and the slot number at each joint
+        index; _product_mass asks each slot's kernel once."""
+        out = []
+        for s in self.net.dag.nodes:
+            number: dict[tuple[int, int], int] = {}
+            at = [
+                number.setdefault(key, len(number))
+                for key in zip(self._parent_idx_at[s], self._nnd_idx_at[s])
+            ]
+            out.append((s, list(number), at))
+        return out
 
     # -- verified certificate helpers -------------------------------------
 
@@ -682,27 +707,45 @@ class JointModel:
             below = at
         return levels
 
-    def _chain_certificates(
-        self, target: IntVector
-    ) -> Optional[tuple[Fraction, dict[int, Fraction], tuple[list[int], int]]]:
+    def _chain_certificates(self, target: IntVector) -> Optional[
+        tuple[Fraction, dict[int, Fraction], dict[tuple[str, int, int], tuple[Fraction, ...]]]
+    ]:
         """The lower prevision m of a joint target in integer form, by
         backward recursion over the local models on a path (_levels), with
         its primal (generator index -> coefficient, combining to target -
-        m) and its dual mass function (integers over one denominator,
-        _product_mass); None off a path or if a certificate fails a joint
-        check.
+        m) and the local duals it chains, the kernels (node, parent index,
+        non-parent-non-descendant index) -> mass function on the node's
+        values; None off a path or if a slot's certificate fails its check.
 
         Level i's function is held on the configurations of s_0 .. s_{i-1}
         only, as integers over one denominator: each slot's entry is the
-        local lower prevision (AssessmentCone.lower_prevision) of its row,
-        read from level i + 1 at the slot's positions.  A slot fixes s_i's
-        parent and non-parent-non-descendant configuration, so the local
-        primal lifts onto that slot's joint generators and the lifted terms
-        telescope to target - m; the local duals, chained, make a joint mass
-        function of expectation m.  Every answer passes all three joint
-        checks: the primal against target - m (built from the dense
-        integers, lp._shifted), the expectation, and the dual against every
-        distinct generator column.
+        local lower prevision m_slot (AssessmentCone.lower_prevision) of its
+        row, read from level i + 1 at the slot's positions.  A slot fixes
+        s_i's parent index p and non-parent-non-descendant index n, which
+        on a path fix every node above s_i, and its generators are
+        I(p, n) * g for the slot's local columns g (_local_columns).  Each
+        slot is checked against those columns, over the node's values only:
+        the local primal combines them to row - m_slot, and the kernel is
+        nonnegative, sums to 1, gives the row the expectation m_slot and
+        scores every column nonnegative.  A clean slot's columns are its
+        cone's own, on which the cone checked this very certificate before
+        it was memoized, so only a flipped slot is checked here.  Once
+        every slot passes, both joint certificates hold without a joint
+        check:
+
+          * primal: each local primal, lifted onto its slot's generators,
+            combines them to I(p, n) * (row - m_slot); summed over the
+            slots of one level this is level i + 1's function minus level
+            i's, so the lifted terms telescope to target - m;
+          * dual: the chained mass (_product_mass of the kernels) sums to 1
+            and gives the target the expectation m, level by level.  The
+            nodes below s_i sum out to 1, so it scores I(p, n) * g as
+            mass(p, n), the product of the kernels above s_i, times the
+            kernel's score of g.  Both factors are >= 0, so the chained
+            mass scores every generator nonnegative.
+
+        A prevision prints only m; _chain_membership builds and checks the
+        certificate it prints.
         """
         if self._levels is None:
             return None
@@ -710,38 +753,43 @@ class JointModel:
         current = [0] * self.space.size
         for j, n in entries:
             current[j] = n
-        table = current, den
         primal: dict[int, Fraction] = {}
         kernels: dict[tuple[str, int, int], tuple[Fraction, ...]] = {}
         for s, slots in self._levels:
             lowered = []
             for p_idx, nnd_idx, cone, first, positions in slots:
-                m, pairs, mass = cone.lower_prevision([current[q] for q in positions], den)
+                row = [current[q] for q in positions]
+                m, pairs, mass = cone.lower_prevision(row, den)
+                columns = self._local_columns[(s, p_idx)]
+                if columns is not cone.columns and not _slot_certifies(
+                    columns, (row, den), m, pairs, mass
+                ):
+                    return None
                 lowered.append(m)
                 kernels[(s, p_idx, nnd_idx)] = mass
                 for k, c in pairs:
                     primal[first + k] = c
             current, den = _over_lcm(lowered)
-        m = lowered[0]  # the root's one slot
-        if not self._witness_matches(primal, _shifted(table, m)):
-            return None
-        mass, mass_den = self._product_mass(lambda s, p, n: kernels[(s, p, n)])
-        if not _expects(mass, mass_den, target, m):
-            return None
-        return (m, primal, (mass, mass_den)) if self._separates_all_generators(mass) else None
+        return lowered[0], primal, kernels  # the root's one slot
 
     def _chain_membership(self, target: IntVector) -> Optional[Membership]:
         """Membership of a nonzero joint gamble, in integer form, from its
         chain-recursion lower prevision m: a member exactly when m >= 0,
         with the lifted primal plus m on every leaf atom as witness;
-        otherwise the dual mass function separates it.  None when the
-        recursion does not apply or a certificate fails its check."""
+        otherwise the chained mass function of the kernels separates it.
+        The certificate is printed, so it is checked against every joint
+        generator.  None when the recursion does not apply or a
+        certificate fails its check."""
         chained = self._chain_certificates(target)
         if chained is None:
             return None
-        m, primal, (mass, _) = chained
+        m, primal, kernels = chained
         if m < 0:
-            y = self._cache_separator(_primitive(mass))
+            mass, _ = self._product_mass(lambda s, p, n: kernels[(s, p, n)])
+            y = _primitive(mass)
+            if not self._separates_all_generators(y) or _score(y, target) >= 0:
+                return None
+            self._cache_separator(y)
             return Membership(member=False, route=CHAIN_RECURSION, separator=y)
         witness = dict(primal)
         if m:
@@ -786,13 +834,18 @@ class JointModel:
         chain recursion when the graph is one directed path and its
         certificates verify, else by one exact LP.  A tampered model may
         have no finite m; then lp.InfinitePrevisionError is raised, once
-        the LP's ray or Farkas vector is verified."""
-        table = f.extend(self.space).table
-        chained = self._chain_certificates(_int_vector(enumerate(table)))
+        the LP's ray or Farkas vector is verified.  The chain recursion
+        reads f in integer form, built from f's own table and the joint
+        index map of its scope; only the LP lays f out on the joint space
+        as Fractions."""
+        ints, den = _over_lcm(f.table)
+        at = self.space.index_map(f.space)
+        target = tuple((j, ints[u]) for j, u in enumerate(at) if ints[u]), den
+        chained = self._chain_certificates(target)
         if chained is not None:
             return chained[0]
         columns, _ = self._dedup_columns()
-        return _checked_prevision(table, columns)[0]
+        return _checked_prevision(f.extend(self.space).table, columns)[0]
 
     def upper_prevision(self, f: Gamble) -> Fraction:
         return -self.lower_prevision(-f)
@@ -958,6 +1011,25 @@ class JointModel:
             violations=tuple(violations),
             budget_exhausted=exhausted,
         )
+
+
+def _slot_certifies(
+    columns: Sequence[IntVector],
+    row: tuple[list[int], int],
+    m: Fraction,
+    primal: Pairs,
+    kernel: Sequence[Fraction],
+) -> bool:
+    """A local prevision's certificates hold on these columns: the primal
+    combines them to row - m, and the kernel is a nonnegative mass
+    function that sums to 1, gives the row (dense integers over den) the
+    expectation m and scores every column nonnegative."""
+    ints, den = _over_lcm(kernel)
+    return (
+        min(ints) >= 0
+        and _combines(columns, primal, _shifted(row, m))
+        and _dual_certifies(row, columns, m, ints, den)
+    )
 
 
 # -- samplers -------------------------------------------------------------

@@ -19,6 +19,7 @@ from credalcones.lp import (
     LpError,
     _atoms_basis,
     _checked_prevision,
+    _combines,
     _int_vector,
     _over_lcm,
     _prevision_at_basis,
@@ -846,7 +847,7 @@ def test_chain_recursion_equals_the_joint_lp_and_never_falls_back(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr("credalcones.net.JointModel._dedup_columns", refuse)
                 patch.setattr("credalcones.net.conic_membership", refuse)
-                m, primal, (mass, den) = joint._chain_certificates(_int_vector(enumerate(table)))
+                m, primal, kernels = joint._chain_certificates(_int_vector(enumerate(table)))
                 assert (joint.lower_prevision(f), joint.upper_prevision(f)) == (lower, upper)
                 res = joint._chain_membership(_int_vector(enumerate(table)))
                 generic = joint.member_with_certificate(f)
@@ -854,6 +855,7 @@ def test_chain_recursion_equals_the_joint_lp_and_never_falls_back(monkeypatch):
             # the lifted primal combines to f - m, the chained dual is a mass
             # function of expectation m scoring every generator nonnegative
             assert is_witness(tables, [v - m for v in table], primal.items())
+            mass, den = joint._product_mass(lambda s, p, n: kernels[(s, p, n)])
             assert sum(mass) == den and dot(mass, table) == m * den
             assert all(dot(mass, t) >= 0 for t in tables)
             assert res.route == "chain-recursion" and res.member == member
@@ -918,6 +920,110 @@ def test_chain_recursion_on_mutated_chains_answers_as_the_lp():
     # a structured query whose local lifts fail can still be answered by
     # the chain recursion, before the joint LP
     assert "chain-recursion" in tails, tails
+
+
+def joint_checks(joint, table, m, primal, kernels):
+    """The joint checks of a chain answer, kept as the reference for the
+    local ones: the lifted primal combines the generators to table - m,
+    and the chained mass (dense.product_mass of the kernels) sums to 1,
+    gives the table the expectation m and scores every generator
+    nonnegative."""
+    columns = [info.column for info in joint.generators]
+    shifted = _int_vector((j, v - m) for j, v in enumerate(table))
+    mass, den = _over_lcm(product_mass(joint, lambda s, p, n: kernels[(s, p, n)]))
+    return (
+        _combines(columns, tuple(primal.items()), shifted)
+        and sum(mass) == den
+        and sum(y * v for y, v in zip(mass, table)) == m * den
+        and all(_score(mass, column) >= 0 for column in columns)
+    )
+
+
+CHECKED_SHAPES = (
+    [(2,) * n for n in range(1, 7)]
+    + [(3,) * n for n in range(1, 5)]
+    + [(2, 3, 4), (4, 3, 2), (3, 2, 4, 2), (2, 4, 2, 3)]
+)
+
+
+def test_local_chain_checks_accept_only_what_the_joint_checks_accept():
+    # the same certificates, from the recursion on the reference cones, are
+    # checked by a clean and a flipped model in the local spaces and by
+    # the joint checks: a local accept implies a joint accept, and a clean
+    # model accepts every answer; a flipped model may refuse an answer the
+    # joint checks accept (its kernel scores the flipped column negative at
+    # a slot of chained mass 0), which the joint LP then answers
+    rng = random.Random(2121)
+    seen = Counter()
+    for widths in CHECKED_SHAPES:
+        for _ in range(8):
+            net = sample_mixed_chain(rng, widths)
+            clean = net.build_joint()
+            flipped = net.build_joint(mutate_flip=random_mutation(rng, net))
+            for f in chain_gambles(rng, net, 4):
+                for g in (f, -f):
+                    table = g.extend(net.joint_space).table
+                    target = _int_vector(enumerate(table))
+                    chained = clean._chain_certificates(target)
+                    assert chained is not None and joint_checks(clean, table, *chained)
+                    local = flipped._chain_certificates(target)
+                    assert local is None or local == chained
+                    joint = joint_checks(flipped, table, *chained)
+                    assert joint or local is None
+                    seen[("clean", True, True)] += 1
+                    seen[("flipped", local is not None, joint)] += 1
+    assert seen[("flipped", True, True)] and seen[("flipped", False, False)], seen
+
+
+def test_a_chain_prevision_does_no_joint_size_work(monkeypatch):
+    rng = random.Random(2122)
+    cases = []
+    for widths in CHECKED_SHAPES:
+        net = sample_mixed_chain(rng, widths)
+        joint = net.build_joint()
+        columns, _ = joint._dedup_columns()
+        for f in chain_gambles(rng, net, 4):
+            table = f.extend(net.joint_space).table
+            lower = lp_lower_prevision(table, columns)
+            upper = -lp_lower_prevision([-v for v in table], columns)
+            cases.append((joint, f, lower, upper))
+
+    def joint_size(*args):
+        raise AssertionError("a chain prevision did joint-size work")
+
+    for name in ("_separates_all_generators", "_witness_matches", "_product_mass", "_int_columns"):
+        monkeypatch.setattr(JointModel, name, joint_size)
+    for joint, f, lower, upper in cases:
+        assert (joint.lower_prevision(f), joint.upper_prevision(f)) == (lower, upper)
+
+
+def test_a_flipped_slot_whose_local_certificate_survives_answers_as_the_joint_lp(monkeypatch):
+    # the flipped generator takes coefficient 0 in the local primal and
+    # score 0 under the kernel, so the slot passes its check on the
+    # flipped columns, and the chain value is the flipped model's joint LP
+    # value
+    rng = random.Random(2123)
+    for _ in range(100):
+        net = sample_mixed_chain(rng, rng.choice(CHECKED_SHAPES))
+        s, p_idx, k = flip = random_mutation(rng, net)
+        joint = net.build_joint(mutate_flip=flip)
+        f = sample_gamble(rng, net.node_space(rng.choice(net.dag.nodes)))
+        chained = joint._chain_certificates(_int_vector(enumerate(f.extend(net.joint_space).table)))
+        if chained is not None:
+            break
+    else:
+        pytest.fail("no flipped chain answer survived its local checks")
+    m, primal, kernels = chained
+    entries, den = net.local_cone(s, p_idx).columns[k]
+    slots = [n for t, p, n in kernels if (t, p) == (s, p_idx)]
+    assert slots
+    for n in slots:
+        assert joint._slot[(s, p_idx, n, k)] not in primal
+        assert sum(kernels[(s, p_idx, n)][v] * c for v, c in entries) == 0
+    columns, _ = joint._dedup_columns()
+    lower = lp_lower_prevision(f.extend(net.joint_space).table, columns)
+    monkeypatch.setattr(JointModel, "_dedup_columns", refuse)
+    assert joint.lower_prevision(f) == m == lower
 
 
 def test_chain_levels_hold_each_function_on_its_path_prefix():
@@ -1350,7 +1456,8 @@ def test_observed_indices_match_the_uncached_computation():
 
 def test_integer_product_mass_equals_the_fraction_product(monkeypatch):
     # every product mass the package builds (the canonical witness, the
-    # product separators of the structured route, the chain duals) against
+    # product separators of the structured route, the chain separators of
+    # non-members) against
     # the Fraction product of dense.py; some nodes carry kernels of
     # different denominators in different slots, which the one
     # denominator per node must cover
@@ -1387,8 +1494,8 @@ def test_integer_product_mass_equals_the_fraction_product(monkeypatch):
                             s, p_idx, given, sample_gamble(rng, net.node_space(s))
                         )
             for f in chain_gambles(rng, net, 4):
-                joint._chain_certificates(_int_vector(enumerate(f.extend(net.joint_space).table)))
-    kinds = ("__init__", "_product_separator", "_chain_certificates")
+                joint._chain_membership(_int_vector(enumerate(f.extend(net.joint_space).table)))
+    kinds = ("__init__", "_product_separator", "_chain_membership")
     assert set(checked) == set(kinds) and all(mixed[k] for k in kinds), (checked, mixed)
 
 
