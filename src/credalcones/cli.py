@@ -86,13 +86,18 @@ def _load_json(path: str) -> Any:
         raise ParseError(f"cannot parse {path}: {err}") from err
 
 
-def _rational(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ParseError(f"{where}: expected an exact rational, got {value!r}")
-    try:
-        return as_rational(value)
-    except (ValueError, TypeError, ZeroDivisionError) as err:
-        raise ParseError(f"{where}: {err}") from err
+def _rationals(table: list, where: str) -> tuple[Fraction, ...]:
+    """The entries as exact rationals; entry k that is not one is named
+    where[k], a label built only then."""
+    row = []
+    for k, value in enumerate(table):
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ParseError(f"{where}[{k}]: expected an exact rational, got {value!r}")
+        try:
+            row.append(as_rational(value))
+        except (ValueError, TypeError, ZeroDivisionError) as err:
+            raise ParseError(f"{where}[{k}]: {err}") from err
+    return tuple(row)
 
 
 def _require(data: Any, key: str, kind: type, where: str) -> Any:
@@ -192,7 +197,7 @@ def load_network(path: str) -> CredalNet:
                 raise ParseError(
                     f"{where}: gambles[{t}] must be a table of {node_space.size} rationals"
                 )
-            row = tuple(_rational(v, f"{where}: gambles[{t}][{k}]") for k, v in enumerate(table))
+            row = _rationals(table, f"{where}: gambles[{t}]")
             if all(v == 0 for v in row):
                 raise SemanticError(
                     f"local model for {node_id!r} assesses the zero gamble",
@@ -280,7 +285,7 @@ def parse_joint_gamble(net: CredalNet, data: Any, where: str) -> Gamble:
             f"{where}: table needs {space.size} entries for scope {sorted(scope)}, "
             f"got {len(table)}"
         )
-    row = tuple(_rational(v, f"{where}: table[{k}]") for k, v in enumerate(table))
+    row = _rationals(table, f"{where}: table")
     return Gamble(space, row)
 
 
@@ -331,7 +336,7 @@ def _node_query_fields(net: CredalNet, query: Any, where: str):
         raise ParseError(
             f"{where}: gamble must have {node_space.size} entries (values of {node!r})"
         )
-    row = tuple(_rational(v, f"{where}: gamble[{k}]") for k, v in enumerate(table))
+    row = _rationals(table, f"{where}: gamble")
     if all(v == 0 for v in row):
         raise SemanticError(
             f"{where}: the zero gamble has no desirability status",
@@ -610,7 +615,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=_count,
         default=None,
-        help="maximum number of irrelevance checks (deterministic budget)",
+        help=(
+            "maximum number of irrelevance checks, one per observation of a slot "
+            "gamble (deterministic); the atoms and the joint size + "
+            "--gambles-per-slot nonpositive gambles are checked outside it"
+        ),
     )
     p.add_argument(
         "--mutate-flip",

@@ -16,7 +16,8 @@ memoized memberships (keyed by the target's integer form) and lower
 previsions (keyed by the table's integer row in lowest terms, so that a
 hit costs one gcd and no Fraction), and the optimal bases of its
 prevision LP, at which each lower prevision is read or from which it is
-walked to (lower_prevision).
+walked to (lower_prevision), with the record of which bases it has
+checked against its columns.
 
 Two quick routes settle most memberships before the LP, each with a
 certificate checked against the columns:
@@ -57,6 +58,7 @@ from .lp import (
     Membership,
     Pairs,
     PrevisionBasis,
+    _answer_at,
     _atoms_basis,
     _check_work,
     _checked_prevision,
@@ -120,6 +122,8 @@ class AssessmentCone:
         self._members: dict[IntVector, Membership] = {}
         self._previsions: dict[tuple[int, ...], tuple] = {}
         self._bases: list[PrevisionBasis] = []
+        # the dual of every basis certified against self.columns, by value
+        self._certified: dict[PrevisionBasis, tuple[Fraction, ...]] = {}
 
     @cached_property
     def columns(self) -> tuple[IntVector, ...]:
@@ -220,7 +224,14 @@ class AssessmentCone:
         table, as Fractions, to _checked_prevision, which raises
         InfinitePrevisionError once its ray or Farkas vector is verified.
         m is the LP's optimum at any basis; the certificates depend on the
-        basis."""
+        basis.
+
+        The cone checks each basis once against its own columns
+        (lp._certified_mass, run by lp._prevision_at_basis before the
+        basis first answers) and keeps its dual in _certified, keyed by
+        the basis value; a basis found there answers with no check of its
+        own (lp._answer_at).  Any other value in _bases, one replaced in
+        place, say, is checked before it could answer."""
         if len(ints) != self.space.size:
             raise ValueError(
                 f"a table of {len(ints)} entries on a space of {self.space.size} values"
@@ -233,16 +244,27 @@ class AssessmentCone:
         return found
 
     def _prevision(self, ints: Sequence[int], den: int):
-        bases, target = self._bases, (ints, den)
+        bases, certified, target = self._bases, self._certified, (ints, den)
         for i, basis in enumerate(bases):
-            found = _prevision_at_basis(basis, target, self.columns)
-            if found is not None:
+            mass = certified.get(basis)
+            if mass is not None:
+                answer = _answer_at(basis, mass, target)
+            else:
+                found = _prevision_at_basis(basis, target, self.columns)
+                answer = None if found is None else found[0]
+                if answer is not None:
+                    certified[basis] = answer[2]
+            if answer is not None:
                 bases.insert(0, bases.pop(i))
-                return found[0]
+                return answer
         start = bases[0] if bases else _atoms_basis(ints, len(self.assessments))
         found = _prevision_at_basis(start, target, self.columns, walk=True)
         if found is None:
             return _checked_prevision([Fraction(n, den) for n in ints], self.columns)
-        bases.insert(0, found[1])
+        answer, basis = found
+        certified[basis] = answer[2]
+        bases.insert(0, basis)
+        for evicted in bases[_BASIS_LIMIT:]:
+            certified.pop(evicted, None)
         del bases[_BASIS_LIMIT:]
-        return found[0]
+        return answer

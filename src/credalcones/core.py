@@ -12,6 +12,7 @@ extensions, indicators and the joint model project configurations with it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -36,8 +37,27 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        return _parse_rational(value.strip())
     raise TypeError(f"not a rational: {value!r} (floats are not accepted)")
+
+
+def _parse_rational(text: str) -> Fraction:
+    """Fraction(text), without its regular expression for the plain forms
+    n and n/d (ASCII digits, n optionally negative, d nonzero) shorter
+    than the length from which int() checks the int-string digit limit;
+    every other text, and its error, is Fraction's own."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if (
+        text.isascii()
+        and len(text) < sys.int_info.str_digits_check_threshold
+        and digits.isdigit()
+        and (den.isdigit() or not slash)
+    ):
+        d = int(den) if slash else 1
+        if d:
+            return Fraction(int(num), d)
+    return Fraction(text)
 
 
 @dataclass(frozen=True)

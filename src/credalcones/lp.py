@@ -21,15 +21,21 @@ _prevision_at_basis answers t at such a B without a pivot, or walks from
 it to t's optimal basis by dual simplex pivots; with no basis yet, it
 starts at _atoms_basis, which is primal feasible for every target, and
 takes primal pivots.  Both walks pivot on B^-1 itself, integer rows over
-one denominator, under Bland's rule, and no tableau is built; the answer
-passes the same checks as a tableau solve's (_verified_prevision).
+one denominator, under Bland's rule, and no tableau is built.  At a fixed
+B both certificates are functions of B: the dual is the first row of
+B^-1 and the primal is B^-1 t.  So a basis is checked once
+(_certified_mass: B^-1 B = den I, and a dual that scores every column
+nonnegative), and every answer read at it needs no check beyond primal
+feasibility (_answer_at); a tableau solve's answer is checked on its own
+(_verified_prevision).
 
 The primitives take a dense target and each generator as an integer
 column (IntVector), built once by cone or net; only _coordinate_rows lays
 the columns out densely, for the tableau.  Every answer returned by this
-module is re-checked by exact substitution against those columns before it
-leaves; an unverifiable certificate is a solver bug and raises, never a
-wrong answer.  The checks run in exact integer arithmetic over the nonzero
+module is checked by exact substitution against those columns before it
+leaves, on its own or, when read at a prevision basis, by that basis's
+one check; an unverifiable certificate is a solver bug and raises, never
+a wrong answer.  The checks run in exact integer arithmetic over the nonzero
 entries only (_combines, _score): a sign test scales each vector by the lcm
 of its denominators, which is positive and so keeps the sign, and an
 equality is cross-multiplied by the denominators.  They decide exactly what
@@ -669,12 +675,61 @@ class PrevisionBasis:
     `basic[i]`.  The first row is the dual, a mass function that sums to
     1; B is optimal for a target t when B^-1 t is nonnegative on the
     generators (primal feasible) and the dual scores every column
-    nonnegative (dual feasible), which does not depend on t.
+    nonnegative (dual feasible), which does not depend on t.  A value
+    carries no trust of its own: _certified_mass checks it against a
+    column list, and only its owner (AssessmentCone) records that.
     """
 
     basic: tuple[int, ...]
     inverse: tuple[tuple[int, ...], ...]
     den: int
+
+
+def _certified_mass(basis: PrevisionBasis, columns: Sequence[IntVector]) -> tuple[Fraction, ...]:
+    """The basis's dual, the first row of B^-1 as Fractions, once exact
+    integer substitution shows that B^-1 B = den I over the shift column
+    (all ones) and the basic generators, and that the first row is
+    nonnegative and scores every column nonnegative; raises LpError
+    otherwise.  Neither check reads a target, so a basis is certified
+    once for every answer read at it (_answer_at)."""
+    inverse, den, size = basis.inverse, basis.den, len(basis.inverse)
+    shift = tuple((j, 1) for j in range(size)), 1
+    if not (
+        den > 0
+        and len(basis.basic) == size - 1
+        and all(len(row) == size for row in inverse)
+        and all(0 <= k < len(columns) for k in basis.basic)
+    ):
+        raise LpError("prevision basis failed verification")
+    for c, g in enumerate([shift, *[columns[k] for k in basis.basic]]):
+        if any(_score(row, g) != (den * g[1] if i == c else 0) for i, row in enumerate(inverse)):
+            raise LpError("prevision basis failed verification")
+    mass = inverse[0]
+    if min(mass) < 0 or any(_score(mass, g) < 0 for g in columns):
+        raise LpError("prevision basis failed dual verification")
+    return tuple(Fraction(v, den) for v in mass)
+
+
+def _answer_at(
+    basis: PrevisionBasis, mass: tuple[Fraction, ...], target: tuple[Sequence[int], int]
+) -> Optional[tuple[Fraction, Pairs, tuple[Fraction, ...]]]:
+    """What _checked_prevision returns for the target (dense integers over
+    tden), read at a basis whose dual `mass` _certified_mass returned for
+    the columns; None unless x = B^-1 target is nonnegative on the
+    generators.  m = x[0] / (den tden), the primal is the generator
+    entries of x and the dual is `mass`, certified with no further check
+    (see _prevision_at_basis).  A target of another dimension than B's
+    raises LpError."""
+    ints, tden = target
+    inverse = basis.inverse
+    if len(ints) != len(inverse):
+        raise LpError("a target of another dimension than its basis")
+    x = [sum(a * t for a, t in zip(row, ints)) for row in inverse]
+    if any(v < 0 for v in x[1:]):
+        return None
+    scale = basis.den * tden
+    primal = _pairs((k, Fraction(v, scale)) for k, v in zip(basis.basic, x[1:]))
+    return Fraction(x[0], scale), primal, mass
 
 
 def _atoms_basis(ints: Sequence[int], first_atom: int) -> PrevisionBasis:
@@ -697,7 +752,7 @@ def _prevision_at_basis(
     walk: bool = False,
 ) -> Optional[tuple[tuple[Fraction, Pairs, tuple[Fraction, ...]], PrevisionBasis]]:
     """What _checked_prevision returns for the target (dense integers over
-    den), with the optimal basis it is read at, reached from `basis` by
+    tden), with the optimal basis it is read at, reached from `basis` by
     simplex pivots under Bland's rule.  While B^-1 target is nonnegative
     on the generators the pivots are primal (from the atoms basis),
     otherwise dual: a basis whose dual row scores every column nonnegative
@@ -708,14 +763,24 @@ def _prevision_at_basis(
     possible (neither feasibility holds), or finds the LP unbounded or
     infeasible.
 
-    At the optimum, m is the shift entry of B^-1 target, the primal is the
-    generator entries and the dual is the first row of B^-1; the answer
-    passes _verified_prevision's checks or raises LpError.  A pivot on
-    (r, k) with d = B^-1 g_k is fraction free: with B^-1 = R / den and
-    D = den * den_k * d, row r becomes R_r den den_k and row i
-    D_r R_i - D_i R_r, all over den D_r, made positive and divided by the
-    gcd of every entry; walk pivots count against _MAX_PIVOTS."""
-    ints, tden = target
+    The basis it ends at answers only once _certified_mass has checked it
+    against the columns (a basis that fails raises LpError, never
+    answers), and the answer is read as at any checked basis
+    (_answer_at): with x = B^-1 target, m = x[0] / (den tden), the primal
+    is the generator entries of x and the dual the first row of B^-1.
+    Both certificates then hold with no check of their own.  B is square,
+    so B^-1 B = I gives B x = target: the primal combines the columns to
+    target - m.  The dual sums to 1, because its product with the shift
+    column is den; it gives the target the expectation m, by the
+    definition of x[0]; and it scores every column nonnegative, because
+    the basis check tested exactly that.
+
+    A pivot on (r, k) with d = B^-1 g_k is fraction free: with
+    B^-1 = R / den and D = den * den_k * d, row r becomes R_r den den_k
+    and row i D_r R_i - D_i R_r, all over den D_r, made positive and
+    divided by the gcd of every entry; walk pivots count against
+    _MAX_PIVOTS."""
+    ints = target[0]
     basic, inverse, den = list(basis.basic), basis.inverse, basis.den
     pivots = 0
     while True:
@@ -762,7 +827,4 @@ def _prevision_at_basis(
         basic[r - 1] = k
     if pivots:
         basis = PrevisionBasis(tuple(basic), inverse, den)
-    scale = den * tden
-    primal = _pairs((k, Fraction(v, scale)) for k, v in zip(basic, x[1:]))
-    m = Fraction(x[0], scale)
-    return _verified_prevision(target, columns, m, primal, inverse[0], den), basis
+    return _answer_at(basis, _certified_mass(basis, columns), target), basis

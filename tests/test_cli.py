@@ -211,6 +211,20 @@ def test_mutated_network_fails_verification_naming_the_slot(tmp_path, capsys):
     assert report["positivity_audit"]["failures"]
 
 
+def test_the_budget_help_says_what_the_budget_counts(capsys, monkeypatch):
+    # the budget caps the irrelevance checks, one per observation; the
+    # atoms and the nonpositive gambles are checked whatever it says (a
+    # wide terminal, so that no line is wrapped inside a hyphenated option)
+    monkeypatch.setenv("COLUMNS", "1000")
+    with pytest.raises(SystemExit) as done:
+        main(["verify", "--help"])
+    assert done.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "maximum number of irrelevance checks, one per observation" in text
+    assert "the atoms and the joint size + --gambles-per-slot nonpositive gambles" in text
+    assert "are checked outside it" in text
+
+
 def test_parse_errors_exit_3(tmp_path, capsys):
     broken = write(tmp_path, "broken.json", "{\"variables\": [")
     assert run(capsys, "validate", broken)[0] == 3

@@ -1,5 +1,6 @@
 """Spaces, configurations, gambles: exact arithmetic and scope rules."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,38 @@ def test_floats_are_rejected():
 def test_rational_string_round_trip():
     for text in ["3/4", "-7/2", "0", "12"]:
         assert str(as_rational(text)) == text
+
+
+def parsed(parse, text):
+    """What parse(text) returns, or the type and message of what it raises."""
+    try:
+        value = parse(text)
+    except (ValueError, ZeroDivisionError) as err:
+        return type(err), str(err)
+    return type(value), value
+
+
+def test_a_rational_string_parses_as_fraction_parses_it():
+    # the plain forms n and n/d skip Fraction's regular expression; every
+    # text, plain or not, gives Fraction(text.strip())'s value or error
+    edge = [
+        "+3", " 4 ", "-0", "00", "1_000", "1.5", "1e3", "\u0663", "3/\u0664", "3/0",
+        "3/00", "3/-2", "0x1", "", "-", "--3", "/2", "1/", "1/2/3", "-0/5", "6/4",
+        "\t-5/3\n", "\u00b2", "1" * 5000, "1" * 5000 + "/" + "3" * 6000, "9" * 700,
+        "1/" + "7" * 700,
+    ]
+    rng = random.Random(24)
+    alphabet = "0123456789-/+ ._e"
+    corpus = [
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6))) for _ in range(2000)
+    ]
+    corpus += [f"{rng.randint(-10**12, 10**12)}/{rng.randint(0, 10**12)}" for _ in range(500)]
+    kinds = set()
+    for text in edge + corpus:
+        expected = parsed(lambda t: Fraction(t.strip()), text)
+        assert parsed(as_rational, text) == expected, text
+        kinds.add(expected[0])
+    assert kinds == {Fraction, ValueError, ZeroDivisionError}
 
 
 def test_evaluation_through_a_larger_configuration():

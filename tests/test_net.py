@@ -11,12 +11,14 @@ from math import gcd, lcm, prod
 
 import pytest
 
+from credalcones import lp
 from credalcones.cone import AssessmentCone
 from credalcones.core import Gamble, Space, VariableSpace, indicator
 from credalcones.dag import Dag
 from credalcones.lp import (
     InfinitePrevisionError,
     LpError,
+    _answer_at,
     _atoms_basis,
     _checked_prevision,
     _combines,
@@ -1174,9 +1176,10 @@ def dense_table(rng, size):
 
 
 def test_a_corrupted_basis_never_answers():
-    # every entry of B^-1 meets a nonzero target entry, so changing one
-    # moves the primal or m off the certificate checks; a walk from the
-    # corrupted basis gives up, raises, or ends at a verified optimum
+    # changing any entry of B^-1 breaks B^-1 B = den I, so the basis check
+    # refuses it: a read at the corrupted basis hands the table on or
+    # raises, and a walk from it gives up or raises at the basis it ends
+    # at, whose inverse carries the corruption; neither ever answers
     rng = random.Random(1730)
     corrupted = 0
     walked = Counter()
@@ -1207,15 +1210,15 @@ def test_a_corrupted_basis_never_answers():
                 if found is None:
                     walked["gave up"] += 1
                 else:
-                    assert_local_prevision(cone, other, found[0])
                     walked["answered"] += 1
     assert corrupted > 200
-    assert set(walked) == {"raised", "gave up", "answered"}, walked
+    assert walked["answered"] == 0 and walked["raised"] and walked["gave up"], walked
 
 
 def test_a_corrupted_cached_basis_raises_or_leaves_the_answer_to_a_cold_solve(monkeypatch):
-    # a corrupted front basis either fails the answer's checks (LpError),
-    # or gives its table up to the tableau, or walks to a verified optimum
+    # a corrupted front basis either fails the basis check (LpError), at
+    # itself or at the end of the walk from it, or gives its table up to
+    # the tableau
     rng = random.Random(1731)
     cold = []
 
@@ -1248,6 +1251,80 @@ def test_a_corrupted_cached_basis_raises_or_leaves_the_answer_to_a_cold_solve(mo
             assert_local_prevision(cone, table, answer)
         cold.clear()
     assert {"raised", "cold"} <= set(outcomes), outcomes
+
+
+def test_a_certified_basis_answers_without_a_fresh_check(monkeypatch):
+    # a cone certifies each basis it walks to once, against its own
+    # columns; every later read at that basis runs no per-answer check
+    # (no _combines, _dual_certifies or _verified_prevision), and a basis
+    # the cone did not certify, a corrupted copy put in its place, is
+    # checked before it could answer and never gives a wrong value
+    rng = random.Random(1734)
+    seen, certified = Counter(), Counter()
+    certify = lp._certified_mass
+
+    def counted(name, check):
+        def spy(*args):
+            seen[name] += 1
+            return check(*args)
+
+        return spy
+
+    def certify_spy(basis, columns):
+        certified[basis] += 1
+        return certify(basis, columns)
+
+    def walk_spy(basis, target, columns, walk=False):
+        found = _prevision_at_basis(basis, target, columns, walk)
+        seen["walked"] += walk and found is not None
+        return found
+
+    def read_spy(basis, mass, target):
+        answer = _answer_at(basis, mass, target)
+        seen["read at a certified basis"] += answer is not None
+        return answer
+
+    cones = [random_local_cone(rng) for _ in range(40)]
+    cones += [c for n, k in ((4, 2), (3, 3)) for c in local_cones(sample_chain(rng, n, k))]
+    checks = ("_combines", "_dual_certifies", "_verified_prevision")
+    for name in checks:
+        monkeypatch.setattr(f"credalcones.lp.{name}", counted(name, getattr(lp, name)))
+    monkeypatch.setattr("credalcones.lp._certified_mass", certify_spy)
+    monkeypatch.setattr("credalcones.cone._answer_at", read_spy)
+    monkeypatch.setattr("credalcones.cone._prevision_at_basis", walk_spy)
+    for cone in cones:
+        for _ in range(12):
+            table = sample_gamble(rng, cone.space).table
+            answer = cone.lower_prevision(*_over_lcm(table))
+            assert all(seen[name] == 0 for name in checks), seen
+            assert_local_prevision(cone, table, answer)
+            for name in checks:
+                del seen[name]
+    # one certification per basis walked to, none per read at a cached one
+    # (the rest of the questions are memo hits)
+    assert sum(certified.values()) == seen["walked"] < seen["read at a certified basis"] / 2, seen
+
+    monkeypatch.undo()
+    monkeypatch.setattr("credalcones.lp._certified_mass", certify_spy)
+    for cone in cones[:40]:
+        basis = cone._bases[0]
+        inverse = [list(row) for row in basis.inverse]
+        inverse[rng.randrange(len(inverse))][rng.randrange(len(inverse))] += rng.choice([-1, 1])
+        bad = replace(basis, inverse=tuple(map(tuple, inverse)))
+        cone._bases = [bad]
+        cone._previsions.clear()
+        table = dense_table(rng, cone.space.size)
+        try:
+            answer = cone.lower_prevision(*_over_lcm(table))
+        except LpError:
+            seen["raised"] += 1
+            continue
+        # only a cold solve may answer: the read at the bad basis handed the
+        # table on and the walk from it gave up before any basis check
+        assert certified[bad] == 0 and cone._bases == [bad]
+        assert_local_prevision(cone, table, answer)
+        seen["cold"] += 1
+    assert seen["raised"] > 20 and seen["cold"], seen
 
 
 def test_the_prevision_walk_equals_a_cold_solve(monkeypatch):
@@ -1313,10 +1390,17 @@ def test_chain_local_previsions_from_cached_bases_equal_a_cold_solve(monkeypatch
             seen["atoms walks"] += 1
         return found
 
+    def certified_spy(basis, mass, target):
+        # a read at a basis the cone has already certified
+        answer = _answer_at(basis, mass, target)
+        seen["reused"] += answer is not None
+        return answer
+
     def cold_spy(target, columns):
         raise AssertionError("a coherent local cone solved a prevision LP on the tableau")
 
     monkeypatch.setattr("credalcones.cone._prevision_at_basis", basis_spy)
+    monkeypatch.setattr("credalcones.cone._answer_at", certified_spy)
     monkeypatch.setattr("credalcones.cone._checked_prevision", cold_spy)
     shapes = [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 5)]
     for n, k in shapes:

@@ -1,9 +1,9 @@
-"""Compare the CLI's stdout and exit codes with those of another source tree.
+"""Compare the CLI's stdout, stderr and exit codes with another source tree's.
 
     python3 tools/identity_check.py --parent PATH
 
 PATH is the root of another checkout (one with ``src/credalcones``), usually
-the parent commit.  The inputs of 152 CLI runs are written to a temporary
+the parent commit.  The inputs of 164 CLI runs are written to a temporary
 directory:
 
   * ``query`` on the 24 chain query files of perfbench seeds 1-3;
@@ -11,6 +11,12 @@ directory:
     nodes of 2-4 values each, at most 144 joint configurations, names
     shuffled, each asked the lower and upper prevision and the membership
     of a gamble on one node and of a gamble on all of them;
+  * ``query`` on the mixed chain of seed 1 with gamble entries written in
+    every literal form the parser accepts (LITERALS: JSON integers,
+    ``n`` and ``n/d``, and what only ``fractions.Fraction``'s own parser
+    reads, such as ``+3``, ``1_000``, ``1.5``, ``1E3``, surrounding
+    whitespace, Unicode digits and a 700-digit integer), in one run, and
+    in each of REFUSED, one run each, which exits 3;
   * ``verify --seed 3`` on the networks ``net.sample_credal_net`` draws from
     ``random.Random(seed)`` for the seeds 1000-1039;
   * ``verify --seed 3 --budget 45`` on the same 40 networks: 15 of these
@@ -22,12 +28,13 @@ directory:
 They are built by this checkout's package and ``perfbench/workloads.py``,
 which is only read.  Every run is ``python -m credalcones.cli`` with the
 ``src/`` of PATH, then of this checkout, on ``PYTHONPATH``.  The script
-prints how many runs gave byte-identical stdout and exit codes, then the
-command of each run that differs.  A ``query`` run whose exit codes agree
-is marked "certificates only" when its reports are equal once every
-answer's CERTIFICATES are dropped, and "answers differ" when a member
-flag, a value or anything else moved.  The script exits 1 if any exit code
-or any query answer differs.  Runs go WORKERS at a time.
+prints how many runs gave byte-identical stdout, stderr and exit codes,
+then the command of each run that differs.  A ``query`` run whose exit
+codes and stderr agree is marked "certificates only" when its reports are
+equal once every answer's CERTIFICATES are dropped, and "answers differ"
+when a member flag, a value or anything else moved.  The script exits 1
+if any exit code, any query answer or any stderr (a parse error's
+message) differs.  Runs go WORKERS at a time.
 """
 
 from __future__ import annotations
@@ -54,6 +61,12 @@ FLIP_BUDGET = "60"
 WORKERS = 2
 # the parts of a query answer that may move while the answer stays
 CERTIFICATES = ("route", "witness", "separator", "vanishing_combination")
+# gamble entries the parser accepts, and ones it refuses (exit 3)
+LITERALS = (
+    3, "-3/2", "7", "\u0663", -2, " 4 ", "6/4", "+3", "-0", "1_000", "\t-5/3\n", "1.5",
+    "00", "-2.5e-1", "0/5", "1E3", "3/\u0664", "12345678901234567890/7", "9" * 700,
+)
+REFUSED = ("3/0", "3/00", "3/-2", "0x1", "", "1/2/3", "--3", "1" * 5000, 1.5, True, None)
 
 
 def mixed_chain(rng: random.Random):
@@ -100,6 +113,31 @@ def mixed_queries(rng: random.Random, chain) -> list[dict]:
     return queries
 
 
+def literal_runs(workdir: Path, chain, network: str) -> list[list[str]]:
+    """Query files on the chain (written to the file `network`): one whose
+    gamble entries cycle through LITERALS, each form at every position of
+    the root's table and then over all nodes, and one per form of
+    REFUSED; the CLI arguments of their runs."""
+    root = chain.dag.path()[0]
+    width = len(chain.variables[root].values)
+    size = prod(len(chain.variables[n].values) for n in chain.dag.nodes)
+    cycled = [LITERALS[j % len(LITERALS)] for j in range(len(LITERALS) + size)]
+    queries = [
+        {"kind": kind, "gamble": {"scope": [root], "table": cycled[i : i + width]}}
+        for i in range(len(LITERALS))
+        for kind in ("lower-prevision", "member")
+    ]
+    every_node = {"scope": list(chain.dag.nodes), "table": cycled[:size]}
+    queries.append({"kind": "upper-prevision", "gamble": every_node})
+    files = {"literals.json": queries}
+    for k, literal in enumerate(REFUSED):
+        gamble = {"scope": [root], "table": [literal] + ["1"] * (width - 1)}
+        files[f"refused-{k}.json"] = [{"kind": "lower-prevision", "gamble": gamble}]
+    for name, content in files.items():
+        (workdir / name).write_text(json.dumps(content), encoding="utf-8")
+    return [["query", network, name] for name in files]
+
+
 def write_inputs(workdir: Path) -> list[list[str]]:
     """The CLI arguments of every run, with their input files written under
     workdir; file names are relative to it."""
@@ -121,6 +159,8 @@ def write_inputs(workdir: Path) -> list[list[str]]:
         paths[0].write_text(json.dumps(cli.serialize_network(chain)), encoding="utf-8")
         paths[1].write_text(json.dumps(mixed_queries(rng, chain)), encoding="utf-8")
         commands.append(["query", *(p.name for p in paths)])
+        if seed == MIXED_SEEDS[0]:
+            commands += literal_runs(workdir, chain, paths[0].name)
     budgeted, flips = [], []
     for seed in NET_SEEDS:
         rng = random.Random(seed)
@@ -139,13 +179,13 @@ def write_inputs(workdir: Path) -> list[list[str]]:
     return commands + budgeted + flips
 
 
-def run_cli(tree: Path, args: list[str], workdir: Path) -> tuple[int, bytes]:
+def run_cli(tree: Path, args: list[str], workdir: Path) -> tuple[int, bytes, bytes]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
         [sys.executable, "-m", "credalcones.cli", *args],
-        cwd=workdir, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        cwd=workdir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
-    return done.returncode, done.stdout
+    return done.returncode, done.stdout, done.stderr
 
 
 def answers(stdout: bytes):
@@ -161,10 +201,12 @@ def answers(stdout: bytes):
     return report
 
 
-def describe(command: list[str], before: tuple[int, bytes], after: tuple[int, bytes]) -> str:
-    """How a run's (exit code, stdout) moved from before to after."""
+def describe(command: list[str], before: tuple, after: tuple) -> str:
+    """How a run's (exit code, stdout, stderr) moved from before to after."""
     if before[0] != after[0]:
         return f"exit {before[0]} -> {after[0]}"
+    if before[2] != after[2]:
+        return "stderr differs"
     if command[0] != "query":
         return "stdout differs"
     report = answers(before[1])
@@ -190,7 +232,10 @@ def main(argv=None) -> int:
     print(f"{len(commands) - len(differ)} of {len(commands)} runs byte-identical")
     for command, note in differ:
         print(f"  credalcones {' '.join(command)}  ({note})")
-    moved = [note for _, note in differ if note.startswith("exit") or note == "answers differ"]
+    moved = [
+        note for _, note in differ
+        if note.startswith("exit") or note in ("answers differ", "stderr differs")
+    ]
     return 1 if moved else 0
 
 
