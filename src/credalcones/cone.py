@@ -16,8 +16,8 @@ memoized memberships (keyed by the target's integer form) and lower
 previsions (keyed by the table's integer row in lowest terms, so that a
 hit costs one gcd and no Fraction), and the optimal bases of its
 prevision LP, at which each lower prevision is read or from which it is
-walked to (lower_prevision), with the record of which bases it has
-checked against its columns.
+walked to (lower_prevision), each checked against its columns before it
+joins them.
 
 Two quick routes settle most memberships before the LP, each with a
 certificate checked against the columns:
@@ -72,7 +72,7 @@ from .lp import (
     contains_zero,
 )
 
-# optimal bases kept per cone for its prevision LPs, most recently used first
+# optimal bases kept per cone for its prevision LPs
 _BASIS_LIMIT = 4
 
 
@@ -121,9 +121,9 @@ class AssessmentCone:
         self._coherence: Optional[CoherenceReport] = None
         self._members: dict[IntVector, Membership] = {}
         self._previsions: dict[tuple[int, ...], tuple] = {}
-        self._bases: list[PrevisionBasis] = []
-        # the dual of every basis certified against self.columns, by value
-        self._certified: dict[PrevisionBasis, tuple[Fraction, ...]] = {}
+        # each basis certified against self.columns, with its dual, least
+        # recently used first
+        self._bases: dict[PrevisionBasis, tuple[Fraction, ...]] = {}
 
     @cached_property
     def columns(self) -> tuple[IntVector, ...]:
@@ -211,31 +211,33 @@ class AssessmentCone:
         self, ints: Sequence[int], den: int = 1
     ) -> tuple[Fraction, Pairs, tuple[Fraction, ...]]:
         """lp._checked_prevision of the table ints / den, one integer per
-        value of the space (ValueError otherwise, before the memo or a
-        basis is read), memoized by the table in lowest terms: the row and
-        den divided by gcd(den, *ints), which is the row over the least
-        common denominator of its entries.  It is read at an optimal basis
-        of the cone's prevision LP (lp._prevision_at_basis): the first
-        cached one (at most _BASIS_LIMIT, most recently used first) that is
-        optimal for the table, else the one dual pivots reach from the
-        front basis, or primal pivots from the atoms basis when none is
-        cached; a basis walked to joins the front.  Only a walk that finds
-        the LP unbounded (an incoherent cone) or infeasible leaves the
-        table, as Fractions, to _checked_prevision, which raises
-        InfinitePrevisionError once its ray or Farkas vector is verified.
-        m is the LP's optimum at any basis; the certificates depend on the
-        basis.
+        value of the space over a positive den (ValueError otherwise,
+        before the memo or a basis is read), memoized by the table in
+        lowest terms: the row and den divided by gcd(den, *ints), which is
+        the row over the least common denominator of its entries.  It is
+        read at an optimal basis of the cone's prevision LP: the most
+        recently used of its cached bases (at most _BASIS_LIMIT) at which
+        it is primal feasible (lp._answer_at), else the one that
+        lp._prevision_at_basis walks to by dual pivots from the most recent
+        basis, or by primal pivots from the atoms basis when none is
+        cached.  Only a walk that finds the LP unbounded (an incoherent
+        cone) or infeasible leaves the table, as Fractions, to
+        _checked_prevision, which raises InfinitePrevisionError once its
+        ray or Farkas vector is verified.  m is the LP's optimum at any
+        basis; the certificates depend on the basis.
 
-        The cone checks each basis once against its own columns
-        (lp._certified_mass, run by lp._prevision_at_basis before the
-        basis first answers) and keeps its dual in _certified, keyed by
-        the basis value; a basis found there answers with no check of its
-        own (lp._answer_at).  Any other value in _bases, one replaced in
-        place, say, is checked before it could answer."""
+        The cache is the cone's record of trust: a basis joins it, as the
+        most recently used, only once lp._prevision_at_basis has checked it
+        against the cone's own columns (lp._certified_mass) and answered at
+        it, and it is kept with the dual that check returned, so a read at
+        a cached basis needs no check of its own.  Past _BASIS_LIMIT the
+        least recently used basis leaves."""
         if len(ints) != self.space.size:
             raise ValueError(
                 f"a table of {len(ints)} entries on a space of {self.space.size} values"
             )
+        if den <= 0:
+            raise ValueError(f"a table over the denominator {den}, which is not positive")
         g = gcd(den, *ints)
         key = (*ints, den) if g == 1 else (*[n // g for n in ints], den // g)
         found = self._previsions.get(key)
@@ -244,27 +246,18 @@ class AssessmentCone:
         return found
 
     def _prevision(self, ints: Sequence[int], den: int):
-        bases, certified, target = self._bases, self._certified, (ints, den)
-        for i, basis in enumerate(bases):
-            mass = certified.get(basis)
-            if mass is not None:
-                answer = _answer_at(basis, mass, target)
-            else:
-                found = _prevision_at_basis(basis, target, self.columns)
-                answer = None if found is None else found[0]
-                if answer is not None:
-                    certified[basis] = answer[2]
+        bases, target = self._bases, (ints, den)
+        for basis, mass in reversed(bases.items()):
+            answer = _answer_at(basis, mass, target)
             if answer is not None:
-                bases.insert(0, bases.pop(i))
+                bases[basis] = bases.pop(basis)
                 return answer
-        start = bases[0] if bases else _atoms_basis(ints, len(self.assessments))
-        found = _prevision_at_basis(start, target, self.columns, walk=True)
+        start = next(reversed(bases)) if bases else _atoms_basis(ints, len(self.assessments))
+        found = _prevision_at_basis(start, target, self.columns)
         if found is None:
             return _checked_prevision([Fraction(n, den) for n in ints], self.columns)
         answer, basis = found
-        certified[basis] = answer[2]
-        bases.insert(0, basis)
-        for evicted in bases[_BASIS_LIMIT:]:
-            certified.pop(evicted, None)
-        del bases[_BASIS_LIMIT:]
+        bases[basis] = answer[2]
+        if len(bases) > _BASIS_LIMIT:
+            del bases[next(iter(bases))]
         return answer

@@ -17,17 +17,17 @@ call; only the target, its right-hand side, moves.  So an optimal basis B
 of one solve stays dual feasible for every target, and is optimal for a
 new target t exactly when B^-1 t is nonnegative on B's generators (the
 shift is free; Chvatal, Linear Programming, 1983, ch. 10).
-_prevision_at_basis answers t at such a B without a pivot, or walks from
-it to t's optimal basis by dual simplex pivots; with no basis yet, it
-starts at _atoms_basis, which is primal feasible for every target, and
-takes primal pivots.  Both walks pivot on B^-1 itself, integer rows over
-one denominator, under Bland's rule, and no tableau is built.  At a fixed
-B both certificates are functions of B: the dual is the first row of
-B^-1 and the primal is B^-1 t.  So a basis is checked once
+_prevision_at_basis walks from such a B to t's optimal basis by dual
+simplex pivots; with no basis yet, it starts at _atoms_basis, which is
+primal feasible for every target, and takes primal pivots.  Both walks
+pivot on B^-1 itself, integer rows over one denominator, under Bland's
+rule, and no tableau is built.  At a fixed B both certificates are
+functions of B: the dual is the first row of B^-1 and the primal is
+B^-1 t.  So the basis a walk ends at is checked once before it answers
 (_certified_mass: B^-1 B = den I, and a dual that scores every column
 nonnegative), and every answer read at it needs no check beyond primal
-feasibility (_answer_at); a tableau solve's answer is checked on its own
-(_verified_prevision).
+feasibility (_answer_at).  Every other prevision answer, a tableau
+solve's, is checked on its own by _prevision_fault.
 
 The primitives take a dense target and each generator as an integer
 column (IntVector), built once by cone or net; only _coordinate_rows lays
@@ -571,12 +571,6 @@ def contains_zero(columns: Sequence[IntVector], dim: int) -> Vanishing:
     return Vanishing(res.member, EXACT_LP, res.witness, res.separator)
 
 
-def _expects(mass: Sequence[int], den: int, target: IntVector, m: Fraction) -> bool:
-    """The mass function mass / den sums to 1 and gives the target the
-    expectation m, both cross-multiplied to integers."""
-    return sum(mass) == den and _score(mass, target) * m.denominator == m.numerator * den * target[1]
-
-
 def _checked_prevision(
     target: Sequence[Fraction], columns: Sequence[IntVector]
 ) -> tuple[Fraction, Pairs, tuple[Fraction, ...]]:
@@ -615,54 +609,41 @@ def _checked_prevision(
         )
     primal = _pairs(enumerate(x[:n]))
     mass, mass_den = _over_lcm([-v for v in y])
-    return _verified_prevision(_over_lcm(target), columns, x[n] - x[n + 1], primal, mass, mass_den)
+    m = x[n] - x[n + 1]
+    fault = _prevision_fault(columns, _over_lcm(target), m, primal, mass, mass_den)
+    if fault is not None:
+        raise LpError(f"lower prevision failed {fault} verification")
+    return m, primal, tuple(Fraction(v, mass_den) for v in mass)
 
 
-def _verified_prevision(
-    target: tuple[Sequence[int], int],
+def _prevision_fault(
     columns: Sequence[IntVector],
+    target: tuple[Sequence[int], int],
     m: Fraction,
     primal: Pairs,
     mass: Sequence[int],
     mass_den: int,
-) -> tuple[Fraction, Pairs, tuple[Fraction, ...]]:
-    """(m, primal, p) once the primal combines the columns to target - m
-    and the mass function p = mass / mass_den, one mass per coordinate of
-    the target, sums to 1, gives the target the expectation m and scores
-    every column nonnegative; raises LpError otherwise.  The target is
-    dense integers over den (_over_lcm)."""
-    if not _combines(columns, primal, _shifted(target, m)):
-        raise LpError("lower prevision failed primal verification")
-    if not _dual_certifies(target, columns, m, mass, mass_den):
-        raise LpError("lower prevision failed dual verification")
-    return m, primal, tuple(Fraction(v, mass_den) for v in mass)
-
-
-def _dual_certifies(
-    target: tuple[Sequence[int], int],
-    columns: Sequence[IntVector],
-    m: Fraction,
-    mass: Sequence[int],
-    mass_den: int,
-) -> bool:
-    """The mass function mass / mass_den, one mass per coordinate of the
-    target (dense integers over den), sums to 1, gives the target the
-    expectation m and scores every column nonnegative."""
-    ints, den = target
-    goal = tuple((j, n) for j, n in enumerate(ints) if n), den
-    return (
-        len(mass) == len(ints)
-        and _expects(mass, mass_den, goal, m)
-        and all(_score(mass, g) >= 0 for g in columns)
-    )
-
-
-def _shifted(target: tuple[Sequence[int], int], m: Fraction) -> IntVector:
-    """target - m as an IntVector, for a target of dense integers over den:
-    over den times m's denominator, without a Fraction per entry."""
+) -> Optional[str]:
+    """None when both certificates of the lower prevision m of the target
+    (dense integers over den, _over_lcm) hold on the columns.  Otherwise
+    "primal" unless the primal combines them to target - m, built over den
+    times m's denominator without a Fraction per entry, and then "dual"
+    unless the mass function mass / mass_den has one mass per coordinate
+    of the target, sums to 1, gives the target the expectation m and
+    scores every column nonnegative."""
     ints, den = target
     a, b = m.numerator, m.denominator
-    return tuple((j, n * b - a * den) for j, n in enumerate(ints) if n * b != a * den), den * b
+    shifted = tuple((j, n * b - a * den) for j, n in enumerate(ints) if n * b != a * den)
+    if not _combines(columns, primal, (shifted, den * b)):
+        return "primal"
+    if not (
+        len(mass) == len(ints)
+        and sum(mass) == mass_den
+        and sum(p * n for p, n in zip(mass, ints)) * b == a * mass_den * den
+        and all(_score(mass, g) >= 0 for g in columns)
+    ):
+        return "dual"
+    return None
 
 
 @dataclass(frozen=True)
@@ -677,7 +658,8 @@ class PrevisionBasis:
     generators (primal feasible) and the dual scores every column
     nonnegative (dual feasible), which does not depend on t.  A value
     carries no trust of its own: _certified_mass checks it against a
-    column list, and only its owner (AssessmentCone) records that.
+    column list, and its owner (AssessmentCone) keeps only bases so
+    checked against its own columns, each with its dual.
     """
 
     basic: tuple[int, ...]
@@ -749,19 +731,15 @@ def _prevision_at_basis(
     basis: PrevisionBasis,
     target: tuple[Sequence[int], int],
     columns: Sequence[IntVector],
-    walk: bool = False,
 ) -> Optional[tuple[tuple[Fraction, Pairs, tuple[Fraction, ...]], PrevisionBasis]]:
     """What _checked_prevision returns for the target (dense integers over
     tden), with the optimal basis it is read at, reached from `basis` by
     simplex pivots under Bland's rule.  While B^-1 target is nonnegative
     on the generators the pivots are primal (from the atoms basis),
     otherwise dual: a basis whose dual row scores every column nonnegative
-    stays so when only the target moves (Chvatal, ch. 10).  Without
-    `walk`, no pivot: the answer is read only if B^-1 target is
-    nonnegative on the generators, which makes a dual feasible basis, as
-    every cached one is, optimal.  None if the walk is not allowed or not
-    possible (neither feasibility holds), or finds the LP unbounded or
-    infeasible.
+    stays so when only the target moves (Chvatal, ch. 10).  None if the
+    walk is not possible (neither feasibility holds), or finds the LP
+    unbounded or infeasible.
 
     The basis it ends at answers only once _certified_mass has checked it
     against the columns (a basis that fails raises LpError, never
@@ -786,10 +764,6 @@ def _prevision_at_basis(
     while True:
         x = [sum(a * t for a, t in zip(row, ints)) for row in inverse]
         feasible = all(v >= 0 for v in x[1:])
-        if not walk:
-            if feasible:
-                break
-            return None
         scores = [_score(inverse[0], g) for g in columns]
         entering = sorted(set(range(len(columns))).difference(basic))
         r = k = None

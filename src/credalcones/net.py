@@ -68,7 +68,7 @@ from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .cone import AssessmentCone, CoherenceReport
-from .core import Configuration, Gamble, Space, VariableSpace, indicator
+from .core import Configuration, Gamble, Space, VariableSpace
 from .dag import Dag
 from .lp import (
     EXACT_LP,
@@ -80,13 +80,12 @@ from .lp import (
     _check_work,
     _checked_prevision,
     _combines,
-    _dual_certifies,
     _int_vector,
     _over_lcm,
     _pairs,
+    _prevision_fault,
     _primitive,
     _score,
-    _shifted,
     conic_membership,
     contains_zero as _lp_contains_zero,
 )
@@ -479,14 +478,26 @@ class JointModel:
                 p_space = net.parent_space(s)
                 p_cfg = p_space.configuration({n: given.value_of(n) for n in parents})
                 return self.structured_member(s, p_space.index_of(p_cfg), given, f)
-        target = f.extend(self.space)
-        if observed:
-            target = indicator(given, self.space) * target
-        target = _int_vector(enumerate(target.table))
+        target = self._target(f, given)
         quick = self._quick_routes(target)
         if quick is not None:
             return quick
         return self._exact_membership(target)
+
+    def _target(self, f: Gamble, given: Optional[Configuration] = None) -> IntVector:
+        """f on the joint space, zero off the joint configurations that
+        agree with `given` (all of them for None), in integer form
+        (lp.IntVector), built from f's own table and the joint index maps
+        of its scope and of the observation, with no dense joint gamble.
+        The observation shares no node with f's scope, so every entry of
+        f is kept somewhere and the denominator is that of f's table."""
+        ints, den = _over_lcm(f.table)
+        at = self.space.index_map(f.space)
+        joint = range(self.space.size)
+        if given is not None:
+            observed, wanted = self.space.index_map(given.space), given.space.index_of(given)
+            joint = [j for j in joint if observed[j] == wanted]
+        return tuple((j, ints[at[j]]) for j in joint if ints[at[j]]), den
 
     def _quick_routes(self, target: IntVector) -> Optional[Membership]:
         entries, den = target
@@ -725,13 +736,15 @@ class JointModel:
         on a path fix every node above s_i, and its generators are
         I(p, n) * g for the slot's local columns g (_local_columns).  Each
         slot is checked against those columns, over the node's values only:
-        the local primal combines them to row - m_slot, and the kernel is
-        nonnegative, sums to 1, gives the row the expectation m_slot and
-        scores every column nonnegative.  A clean slot's columns are its
-        cone's own, on which the cone checked this very certificate before
-        it was memoized, so only a flipped slot is checked here.  Once
-        every slot passes, both joint certificates hold without a joint
-        check:
+        the kernel is nonnegative, which the chaining below needs and a
+        tableau dual need not be, and lp._prevision_fault finds no fault
+        (the local primal combines them to row - m_slot; the kernel sums to
+        1, gives the row the expectation m_slot and scores every column
+        nonnegative).  A clean slot's columns are its cone's own, at whose
+        certified basis, or by whose tableau check, this very certificate
+        was read before it was memoized, so only a flipped slot is checked
+        here.  Once every slot passes, both joint certificates hold without
+        a joint check:
 
           * primal: each local primal, lifted onto its slot's generators,
             combines them to I(p, n) * (row - m_slot); summed over the
@@ -761,10 +774,12 @@ class JointModel:
                 row = [current[q] for q in positions]
                 m, pairs, mass = cone.lower_prevision(row, den)
                 columns = self._local_columns[(s, p_idx)]
-                if columns is not cone.columns and not _slot_certifies(
-                    columns, (row, den), m, pairs, mass
-                ):
-                    return None
+                if columns is not cone.columns:
+                    kernel, kernel_den = _over_lcm(mass)
+                    if min(kernel) < 0 or _prevision_fault(
+                        columns, (row, den), m, pairs, kernel, kernel_den
+                    ):
+                        return None
                 lowered.append(m)
                 kernels[(s, p_idx, nnd_idx)] = mass
                 for k, c in pairs:
@@ -835,13 +850,9 @@ class JointModel:
         certificates verify, else by one exact LP.  A tampered model may
         have no finite m; then lp.InfinitePrevisionError is raised, once
         the LP's ray or Farkas vector is verified.  The chain recursion
-        reads f in integer form, built from f's own table and the joint
-        index map of its scope; only the LP lays f out on the joint space
-        as Fractions."""
-        ints, den = _over_lcm(f.table)
-        at = self.space.index_map(f.space)
-        target = tuple((j, ints[u]) for j, u in enumerate(at) if ints[u]), den
-        chained = self._chain_certificates(target)
+        reads f in integer form (_target); only the LP lays f out on the
+        joint space as Fractions."""
+        chained = self._chain_certificates(self._target(f))
         if chained is not None:
             return chained[0]
         columns, _ = self._dedup_columns()
@@ -1011,25 +1022,6 @@ class JointModel:
             violations=tuple(violations),
             budget_exhausted=exhausted,
         )
-
-
-def _slot_certifies(
-    columns: Sequence[IntVector],
-    row: tuple[list[int], int],
-    m: Fraction,
-    primal: Pairs,
-    kernel: Sequence[Fraction],
-) -> bool:
-    """A local prevision's certificates hold on these columns: the primal
-    combines them to row - m, and the kernel is a nonnegative mass
-    function that sums to 1, gives the row (dense integers over den) the
-    expectation m and scores every column nonnegative."""
-    ints, den = _over_lcm(kernel)
-    return (
-        min(ints) >= 0
-        and _combines(columns, primal, _shifted(row, m))
-        and _dual_certifies(row, columns, m, ints, den)
-    )
 
 
 # -- samplers -------------------------------------------------------------

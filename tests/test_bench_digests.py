@@ -57,10 +57,9 @@ def test_chain_queries_reuse_local_bases(tmp_path, monkeypatch):
             cold.append(rhs)
         return solve(rows, rhs, cost)
 
-    def walk_spy(basis, target, columns, walk=False):
-        if walk:
-            walks.append(target)
-        return at_basis(basis, target, columns, walk)
+    def walk_spy(basis, target, columns):
+        walks.append(target)
+        return at_basis(basis, target, columns)
 
     monkeypatch.setattr(lp, "_solve_standard", spy)
     monkeypatch.setattr(cone, "_prevision_at_basis", walk_spy)

@@ -145,10 +145,9 @@ def test_equal_tables_share_one_membership_lp_and_one_prevision_walk(monkeypatch
         memberships.append(target)
         return membership_lp(target, columns)
 
-    def basis_spy(basis, target, columns, walk=False):
-        if walk:
-            walks.append(target)
-        return at_basis(basis, target, columns, walk)
+    def basis_spy(basis, target, columns):
+        walks.append(target)
+        return at_basis(basis, target, columns)
 
     def cold(target, columns):
         raise AssertionError("a coherent cone solved a prevision LP on the tableau")
@@ -167,7 +166,7 @@ def test_equal_tables_share_one_membership_lp_and_one_prevision_walk(monkeypatch
     low = cone.lower_prevision(*_over_lcm(first.table))
     assert low[0] == -1
     assert cone.lower_prevision(*_over_lcm(again.table)) == low
-    assert len(walks) == 1 and [b.basic for b in cone._bases] == [(2,)]
+    assert len(walks) == 1 and [b.basic for b in reversed(cone._bases)] == [(2,)]
     # a new table is answered at the cached basis, without a walk
     assert cone.lower_prevision((-2, 6))[0] == -2
     assert len(walks) == 1
@@ -176,7 +175,7 @@ def test_equal_tables_share_one_membership_lp_and_one_prevision_walk(monkeypatch
     # (3, -1) is not answered there: one dual pivot brings in the assessment,
     # and the new basis joins the front
     assert cone.lower_prevision((3, -1)) == (1, ((0, 2),), (F(1, 2), F(1, 2)))
-    assert len(walks) == 2 and [b.basic for b in cone._bases] == [(0,), (2,)]
+    assert len(walks) == 2 and [b.basic for b in reversed(cone._bases)] == [(0,), (2,)]
     whole = cone.member_with_certificate(Gamble(sp, (1, 2)))
     half = cone.member_with_certificate(Gamble(sp, (F(1, 2), F(1))))
     assert whole.witness == ((1, 1), (2, 2)) and half.witness == ((1, F(1, 2)), (2, 1))
@@ -189,15 +188,15 @@ def test_a_row_with_a_common_factor_shares_one_prevision_entry_and_one_walk(monk
     cone = AssessmentCone(sp, [Gamble(sp, (1, -1))])
     at_basis, calls = lp._prevision_at_basis, []
 
-    def basis_spy(basis, target, columns, walk=False):
-        calls.append((target, walk))
-        return at_basis(basis, target, columns, walk)
+    def basis_spy(basis, target, columns):
+        calls.append(target)
+        return at_basis(basis, target, columns)
 
     monkeypatch.setattr("credalcones.cone._prevision_at_basis", basis_spy)
     first = cone.lower_prevision((2, 4), 2)
     assert cone.lower_prevision((1, 2)) is first
     assert cone.lower_prevision((6, 12), 6) is first
-    assert list(cone._previsions) == [(1, 2, 1)] and calls == [(((1, 2), 1), True)]
+    assert list(cone._previsions) == [(1, 2, 1)] and calls == [((1, 2), 1)]
     assert first == (1, ((2, 1),), (1, 0))
 
 
@@ -210,7 +209,13 @@ def test_a_table_of_the_wrong_length_is_refused_before_the_memo_and_the_bases():
     for table in ((1, 2, 3, -5), (1, 2)):
         with pytest.raises(ValueError, match=f"a table of {len(table)} entries on a space of 3"):
             cone.lower_prevision(table)
-    assert cone._previsions == {} and cone._bases == []
+    # a nonpositive denominator: over -1 the table once read the upper
+    # prevision of its negation, with a primal of negative coefficients,
+    # and over 0 it raised ZeroDivisionError from inside Fraction
+    for den in (-1, 0):
+        with pytest.raises(ValueError, match=f"a table over the denominator {den}"):
+            cone.lower_prevision((1, 2, 3), den)
+    assert cone._previsions == {} and cone._bases == {}
     m, primal, mass = cone.lower_prevision((1, 2, 3))
     tables = [g.table for g in cone.generators]
     assert m == 1 and mass == (1, 0, 0)
@@ -224,12 +229,10 @@ def test_a_dual_with_a_coordinate_the_target_lacks_fails_verification():
     sp = Space([VariableSpace("a", ("v0", "v1", "v2"))])
     cone = AssessmentCone(sp, [Gamble(sp, (1, -1, 0))])
     target, atoms = ((1, 2, 3), 1), ((1, F(1)), (2, F(2)), (3, F(3)))
-    with pytest.raises(LpError, match="dual verification"):
-        lp._verified_prevision(target, cone.columns, F(0), atoms, (0, 0, 0, 1), 1)
+    assert lp._prevision_fault(cone.columns, target, F(0), atoms, (0, 0, 0, 1), 1) == "dual"
     # the right-length dual of m = 1, with the primal of (0, 1, 2), passes
     shifted = ((2, F(1)), (3, F(2)))
-    m, _, mass = lp._verified_prevision(target, cone.columns, F(1), shifted, (1, 0, 0), 1)
-    assert m == 1 and mass == (1, 0, 0)
+    assert lp._prevision_fault(cone.columns, target, F(1), shifted, (1, 0, 0), 1) is None
 
 
 def random_cone(rng, max_values=3, max_assessments=3):

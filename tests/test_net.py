@@ -12,7 +12,7 @@ from math import gcd, lcm, prod
 import pytest
 
 from credalcones import lp
-from credalcones.cone import AssessmentCone
+from credalcones.cone import _BASIS_LIMIT, AssessmentCone
 from credalcones.core import Gamble, Space, VariableSpace, indicator
 from credalcones.dag import Dag
 from credalcones.lp import (
@@ -20,6 +20,7 @@ from credalcones.lp import (
     LpError,
     _answer_at,
     _atoms_basis,
+    _certified_mass,
     _checked_prevision,
     _combines,
     _int_vector,
@@ -298,6 +299,27 @@ def test_structured_member_agrees_with_raw_lp():
             assert res.member == direct.member
 
 
+def test_a_joint_target_equals_its_dense_build():
+    # _target builds f, times the indicator of an observation, in integer
+    # form from f's own table and the index maps; it must equal the dense
+    # product indicator(given) * f on the joint space, made integer
+    rng = random.Random(1011)
+    for _ in range(30):
+        net = sample_credal_net(rng, max_nodes=4, max_values=3)
+        joint = net.build_joint()
+        nodes = net.dag.nodes
+        for _ in range(5):
+            scope = [n for n in nodes if rng.random() < 0.5] or [rng.choice(nodes)]
+            observed = [n for n in nodes if n not in scope and rng.random() < 0.5]
+            f = sample_gamble(rng, Space(net.variables[n] for n in scope))
+            o_space = Space(net.variables[n] for n in observed)
+            given = o_space.config_at(rng.randrange(o_space.size))
+            dense = f.extend(net.joint_space)
+            assert joint._target(f) == _int_vector(enumerate(dense.table))
+            product = indicator(given, net.joint_space) * dense
+            assert joint._target(f, given) == _int_vector(enumerate(product.table))
+
+
 def random_mutation(rng, net):
     """A random (node, parent index, local generator index) to flip."""
     s = rng.choice(net.dag.nodes)
@@ -353,11 +375,16 @@ def test_untampered_sweep_builds_no_indicator(monkeypatch):
         ]
 
     reports = sweeps()
+    joint_spaces = {net.joint_space for net in nets}
+    extend = Gamble.extend
 
-    def no_indicator(*args):
-        raise AssertionError("indicator built during an untampered sweep")
+    # no gamble of a smaller scope is laid out densely on the joint space
+    def no_dense_joint(f, target):
+        if target in joint_spaces and target != f.space:
+            raise AssertionError("a dense joint gamble built during an untampered sweep")
+        return extend(f, target)
 
-    monkeypatch.setattr("credalcones.net.indicator", no_indicator)
+    monkeypatch.setattr(Gamble, "extend", no_dense_joint)
     assert sweeps() == reports
     assert all(report.ok for report in reports)
 
@@ -383,13 +410,18 @@ def test_condition_on_empty_configuration_is_identity(monkeypatch):
     empty = Space([]).configuration({})
     rng = random.Random(14)
     gambles = [sample_gamble(rng, net.joint_space) for _ in range(6)]
+    gambles += [sample_gamble(rng, net.node_space("b")) for _ in range(3)]
     expected = [joint.member_with_certificate(f).member for f in gambles]
+    post_init = Gamble.__post_init__
 
-    # observing nothing multiplies by no indicator at all
-    def no_indicator(*args):
-        raise AssertionError("indicator built for an empty observation")
+    # observing nothing builds no indicator and no other joint gamble: the
+    # target is made in integer form from f's own table
+    def no_joint_gamble(g):
+        post_init(g)
+        if g.space == net.joint_space:
+            raise AssertionError("a joint gamble built for an empty observation")
 
-    monkeypatch.setattr("credalcones.net.indicator", no_indicator)
+    monkeypatch.setattr(Gamble, "__post_init__", no_joint_gamble)
     for f, member in zip(gambles, expected):
         assert joint.member_with_certificate(f, given=empty).member == member
 
@@ -999,6 +1031,26 @@ def test_a_chain_prevision_does_no_joint_size_work(monkeypatch):
         assert (joint.lower_prevision(f), joint.upper_prevision(f)) == (lower, upper)
 
 
+def test_a_tableau_prevision_keeps_a_dual_with_a_negative_mass():
+    # flipping the atom b0 under a0 puts -I(a0, b0) among the joint
+    # generators, and the joint LP's optimal dual then has a negative
+    # mass; both certificates still hold (a prevision's dual need only sum
+    # to 1, give f the expectation m and score every generator
+    # nonnegative), so the answer stands.  Only the chain's kernels must be
+    # nonnegative, which _chain_certificates tests on its own, outside
+    # lp._prevision_fault
+    a, b = binary("a"), binary("b")
+    sp_b = Space([b])
+    assessed = [[Gamble(sp_b, (3, 2))], [Gamble(sp_b, (1, 0)), Gamble(sp_b, (2, F(-3, 2)))]]
+    net = CredalNet(Dag(["a", "b"], [("a", "b")]), [a, b], {"b": assessed})
+    joint = net.build_joint(mutate_flip=("b", 0, 1))
+    f = Gamble(net.joint_space, (1, -3, 0, -2))
+    columns, _ = joint._dedup_columns()
+    m, _, mass = _checked_prevision(f.table, columns)
+    assert m == -11 and mass == (-2, 3, 0, 0)
+    assert joint.lower_prevision(f) == -11
+
+
 def test_a_flipped_slot_whose_local_certificate_survives_answers_as_the_joint_lp(monkeypatch):
     # the flipped generator takes coefficient 0 in the local primal and
     # score 0 under the kernel, so the slot passes its check on the
@@ -1141,7 +1193,7 @@ def walk_from_atoms(cone, table):
     """The answer and final basis of the walk from the cone's atoms basis."""
     target = _over_lcm(table)
     start = _atoms_basis(target[0], len(cone.assessments))
-    return _prevision_at_basis(start, target, cone.columns, walk=True)
+    return _prevision_at_basis(start, target, cone.columns)
 
 
 def test_local_prevision_at_a_cached_basis_equals_a_cold_solve():
@@ -1158,16 +1210,19 @@ def test_local_prevision_at_a_cached_basis_equals_a_cold_solve():
         # the atoms are generators, so the walk always ends at an optimum
         assert answer[0] == _checked_prevision(first, columns)[0]
         assert _prevision_at_basis(basis, _over_lcm(first), columns) == (answer, basis)
+        mass = _certified_mass(basis, columns)
         for _ in range(8):
             table = sample_gamble(rng, cone.space).table
-            found = _prevision_at_basis(basis, _over_lcm(table), columns)
+            found = _answer_at(basis, mass, _over_lcm(table))
             if found is None:
                 refused += 1
-                found = _prevision_at_basis(basis, _over_lcm(table), columns, walk=True)
+                found = _prevision_at_basis(basis, _over_lcm(table), columns)[0]
             else:
                 answered += 1
-                assert found[1] is basis
-            assert_local_prevision(cone, table, found[0])
+                # the walk from an optimal basis takes no pivot
+                walked = _prevision_at_basis(basis, _over_lcm(table), columns)
+                assert walked[1] is basis and walked[0] == found
+            assert_local_prevision(cone, table, found)
     assert answered > 100 and refused > 100, (answered, refused)
 
 
@@ -1177,9 +1232,8 @@ def dense_table(rng, size):
 
 def test_a_corrupted_basis_never_answers():
     # changing any entry of B^-1 breaks B^-1 B = den I, so the basis check
-    # refuses it: a read at the corrupted basis hands the table on or
-    # raises, and a walk from it gives up or raises at the basis it ends
-    # at, whose inverse carries the corruption; neither ever answers
+    # refuses it, and a walk from it gives up or raises at the basis it
+    # ends at, whose inverse carries the corruption; it never answers
     rng = random.Random(1730)
     corrupted = 0
     walked = Counter()
@@ -1195,15 +1249,12 @@ def test_a_corrupted_basis_never_answers():
                 inverse = [list(r) for r in basis.inverse]
                 inverse[i][j] += 1
                 bad = replace(basis, inverse=tuple(map(tuple, inverse)))
-                try:
-                    answer = _prevision_at_basis(bad, target, columns)
-                except LpError:
-                    answer = None
-                assert answer is None
+                with pytest.raises(LpError):
+                    _certified_mass(bad, columns)
                 corrupted += 1
                 other = dense_table(rng, cone.space.size)
                 try:
-                    found = _prevision_at_basis(bad, _over_lcm(other), columns, walk=True)
+                    found = _prevision_at_basis(bad, _over_lcm(other), columns)
                 except LpError:
                     walked["raised"] += 1
                     continue
@@ -1215,50 +1266,10 @@ def test_a_corrupted_basis_never_answers():
     assert walked["answered"] == 0 and walked["raised"] and walked["gave up"], walked
 
 
-def test_a_corrupted_cached_basis_raises_or_leaves_the_answer_to_a_cold_solve(monkeypatch):
-    # a corrupted front basis either fails the basis check (LpError), at
-    # itself or at the end of the walk from it, or gives its table up to
-    # the tableau
-    rng = random.Random(1731)
-    cold = []
-
-    def spy(target, columns):
-        cold.append(target)
-        return _checked_prevision(target, columns)
-
-    monkeypatch.setattr("credalcones.cone._checked_prevision", spy)
-    outcomes = Counter()
-    for _ in range(60):
-        net = sample_chain(rng, 3, 2)
-        s = net.dag.path()[-1]
-        cone = net.local_cone(s, 0)
-        first = dense_table(rng, 2)
-        cone.lower_prevision(*_over_lcm(first))
-        (basis,) = cone._bases
-        assert cold == []
-        inverse = [list(r) for r in basis.inverse]
-        inverse[rng.randrange(2)][rng.randrange(2)] -= 1
-        cone._bases = [replace(basis, inverse=tuple(map(tuple, inverse)))]
-        table = first
-        while table == first:  # a new question, not the memoized one
-            table = dense_table(rng, 2)
-        try:
-            answer = cone.lower_prevision(*_over_lcm(table))
-        except LpError:
-            outcomes["raised"] += 1
-        else:
-            outcomes["cold" if cold == [list(table)] else "walked"] += 1
-            assert_local_prevision(cone, table, answer)
-        cold.clear()
-    assert {"raised", "cold"} <= set(outcomes), outcomes
-
-
 def test_a_certified_basis_answers_without_a_fresh_check(monkeypatch):
     # a cone certifies each basis it walks to once, against its own
     # columns; every later read at that basis runs no per-answer check
-    # (no _combines, _dual_certifies or _verified_prevision), and a basis
-    # the cone did not certify, a corrupted copy put in its place, is
-    # checked before it could answer and never gives a wrong value
+    # (no _combines or _prevision_fault)
     rng = random.Random(1734)
     seen, certified = Counter(), Counter()
     certify = lp._certified_mass
@@ -1274,9 +1285,9 @@ def test_a_certified_basis_answers_without_a_fresh_check(monkeypatch):
         certified[basis] += 1
         return certify(basis, columns)
 
-    def walk_spy(basis, target, columns, walk=False):
-        found = _prevision_at_basis(basis, target, columns, walk)
-        seen["walked"] += walk and found is not None
+    def walk_spy(basis, target, columns):
+        found = _prevision_at_basis(basis, target, columns)
+        seen["walked"] += found is not None
         return found
 
     def read_spy(basis, mass, target):
@@ -1286,7 +1297,7 @@ def test_a_certified_basis_answers_without_a_fresh_check(monkeypatch):
 
     cones = [random_local_cone(rng) for _ in range(40)]
     cones += [c for n, k in ((4, 2), (3, 3)) for c in local_cones(sample_chain(rng, n, k))]
-    checks = ("_combines", "_dual_certifies", "_verified_prevision")
+    checks = ("_combines", "_prevision_fault")
     for name in checks:
         monkeypatch.setattr(f"credalcones.lp.{name}", counted(name, getattr(lp, name)))
     monkeypatch.setattr("credalcones.lp._certified_mass", certify_spy)
@@ -1304,27 +1315,41 @@ def test_a_certified_basis_answers_without_a_fresh_check(monkeypatch):
     # (the rest of the questions are memo hits)
     assert sum(certified.values()) == seen["walked"] < seen["read at a certified basis"] / 2, seen
 
-    monkeypatch.undo()
+
+
+def test_the_basis_cache_holds_only_certified_bases(monkeypatch):
+    # a cone's cache of bases is its record of trust: after seeded
+    # questions, every cached basis passes the basis check against the
+    # cone's own columns and is stored with exactly the dual that check
+    # returns, the cache holds at most _BASIS_LIMIT bases, and each basis
+    # that joined it was certified exactly once, on joining
+    rng = random.Random(1735)
+    certify, calls, joined, left = lp._certified_mass, [], Counter(), 0
+
+    def certify_spy(basis, columns):
+        calls.append(basis)
+        return certify(basis, columns)
+
+    cones = [random_local_cone(rng) for _ in range(40)]
+    cones += [c for n, k in ((4, 2), (3, 3)) for c in local_cones(sample_chain(rng, n, k))]
     monkeypatch.setattr("credalcones.lp._certified_mass", certify_spy)
-    for cone in cones[:40]:
-        basis = cone._bases[0]
-        inverse = [list(row) for row in basis.inverse]
-        inverse[rng.randrange(len(inverse))][rng.randrange(len(inverse))] += rng.choice([-1, 1])
-        bad = replace(basis, inverse=tuple(map(tuple, inverse)))
-        cone._bases = [bad]
-        cone._previsions.clear()
-        table = dense_table(rng, cone.space.size)
-        try:
-            answer = cone.lower_prevision(*_over_lcm(table))
-        except LpError:
-            seen["raised"] += 1
-            continue
-        # only a cold solve may answer: the read at the bad basis handed the
-        # table on and the walk from it gave up before any basis check
-        assert certified[bad] == 0 and cone._bases == [bad]
-        assert_local_prevision(cone, table, answer)
-        seen["cold"] += 1
-    assert seen["raised"] > 20 and seen["cold"], seen
+    for cone in cones:
+        for _ in range(12):
+            before = set(cone._bases)
+            calls.clear()
+            cone.lower_prevision(*_over_lcm(sample_gamble(rng, cone.space).table))
+            new = [basis for basis in cone._bases if basis not in before]
+            assert calls == new and len(cone._bases) <= _BASIS_LIMIT
+            joined[len(new)] += 1
+            left += len(before.difference(cone._bases))
+    monkeypatch.undo()
+    for cone in cones:
+        for basis, mass in cone._bases.items():
+            assert certify(basis, cone.columns) == mass
+    # both kinds of question occur, ones a basis joined at and the rest,
+    # and some full caches let their least recently used basis go
+    assert joined[1] > 100 and joined[0] > 100 and set(joined) == {0, 1}, joined
+    assert left > 0
 
 
 def test_the_prevision_walk_equals_a_cold_solve(monkeypatch):
@@ -1377,11 +1402,9 @@ def test_chain_local_previsions_from_cached_bases_equal_a_cold_solve(monkeypatch
     rng = random.Random(1732)
     seen = Counter()
 
-    def basis_spy(basis, target, columns, walk=False):
-        found = _prevision_at_basis(basis, target, columns, walk)
-        if not walk:
-            seen["reused"] += found is not None
-        elif basis in cones[id(columns)]._bases:
+    def basis_spy(basis, target, columns):
+        found = _prevision_at_basis(basis, target, columns)
+        if basis in cones[id(columns)]._bases:
             # no cached basis was optimal: dual pivots from the front one,
             # at least one per generator that entered
             seen["dual walks"] += 1

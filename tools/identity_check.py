@@ -3,7 +3,7 @@
     python3 tools/identity_check.py --parent PATH
 
 PATH is the root of another checkout (one with ``src/credalcones``), usually
-the parent commit.  The inputs of 164 CLI runs are written to a temporary
+the parent commit.  The inputs of 172 CLI runs are written to a temporary
 directory:
 
   * ``query`` on the 24 chain query files of perfbench seeds 1-3;
@@ -23,7 +23,11 @@ directory:
     sweeps stop inside the observations of one slot gamble, 10 stop
     between two slot gambles and 15 end within the budget;
   * ``verify --seed 3 --budget 60 --mutate-flip NODE:P:K`` on the same 40
-    networks, the slot drawn from the same generator after the network.
+    networks, the slot drawn from the same generator after the network;
+  * the same on the 8 mixed chains, the slot drawn from the chain's
+    generator after its queries: there the chain recursion checks a
+    flipped slot's local certificate on its own, far more often than on
+    the 40 networks.
 
 They are built by this checkout's package and ``perfbench/workloads.py``,
 which is only read.  Every run is ``python -m credalcones.cli`` with the
@@ -138,6 +142,16 @@ def literal_runs(workdir: Path, chain, network: str) -> list[list[str]]:
     return [["query", network, name] for name in files]
 
 
+def flip_run(rng: random.Random, network, path: Path) -> list[str]:
+    """The budgeted ``verify --mutate-flip`` run on the network written to
+    path, its slot drawn from rng."""
+    node = rng.choice(network.dag.nodes)
+    p = rng.randrange(network.parent_space(node).size)
+    k = rng.randrange(len(network.local_cone(node, p).generators))
+    return ["verify", path.name, "--seed", VERIFY_SEED, "--budget", FLIP_BUDGET,
+            "--mutate-flip", f"{node}:{p}:{k}"]
+
+
 def write_inputs(workdir: Path) -> list[list[str]]:
     """The CLI arguments of every run, with their input files written under
     workdir; file names are relative to it."""
@@ -146,7 +160,7 @@ def write_inputs(workdir: Path) -> list[list[str]]:
     from credalcones import cli, net
 
     workloads = run.import_package()
-    commands = []
+    commands, flips = [], []
     for seed in CHAIN_SEEDS:
         units = run.make_inputs(workloads["chain"](), seed, workdir / f"chain-{seed}")
         for unit in units:
@@ -161,21 +175,17 @@ def write_inputs(workdir: Path) -> list[list[str]]:
         commands.append(["query", *(p.name for p in paths)])
         if seed == MIXED_SEEDS[0]:
             commands += literal_runs(workdir, chain, paths[0].name)
-    budgeted, flips = [], []
+        flips.append(flip_run(rng, chain, paths[0]))
+    budgeted = []
     for seed in NET_SEEDS:
         rng = random.Random(seed)
         network = net.sample_credal_net(rng)
         path = workdir / f"net-{seed}.json"
         path.write_text(json.dumps(cli.serialize_network(network)), encoding="utf-8")
-        node = rng.choice(network.dag.nodes)
-        p = rng.randrange(network.parent_space(node).size)
-        k = rng.randrange(len(network.local_cone(node, p).generators))
+        flip = flip_run(rng, network, path)
         commands.append(["verify", path.name, "--seed", VERIFY_SEED])
         budgeted.append(["verify", path.name, "--seed", VERIFY_SEED, "--budget", CLEAN_BUDGET])
-        flips.append(
-            ["verify", path.name, "--seed", VERIFY_SEED, "--budget", FLIP_BUDGET,
-             "--mutate-flip", f"{node}:{p}:{k}"]
-        )
+        flips.append(flip)
     return commands + budgeted + flips
 
 
