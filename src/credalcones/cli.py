@@ -506,8 +506,8 @@ def cmd_query(args) -> int:
 
 def cmd_verify(args) -> int:
     net = load_network(args.network)
-    mutation = args.mutate_flip or None
-    mutate = _parse_mutation(mutation) if mutation else None
+    mutation = args.mutate_flip
+    mutate = _parse_mutation(mutation) if mutation is not None else None
     try:
         joint = net.build_joint(cap=args.cap, mutate_flip=mutate)
     except GeneratorCapError:

@@ -4,10 +4,11 @@ A network attaches to every node s and every configuration of its parents a
 local cone of desirable gambles on the node's values.  The global model is
 the cone on the joint space spanned by all products
 
-    indicator(parent config and non-parent-non-descendant config) * gamble,
+    indicator(configuration of the non-descendants of s) * gamble,
 
-one per local generator per configuration pair, enumerated in a fixed
-order: nodes sorted, parent configurations lexicographic, then
+one per local generator per slot of s, its non-descendant configuration,
+numbered by that configuration's index (_slots).  They are enumerated in a
+fixed order: nodes sorted, parent configurations lexicographic, then
 non-parent-non-descendant configurations lexicographic, then the local
 generator list (assessments first, atoms last).
 
@@ -295,7 +296,6 @@ class JointModel:
     def __init__(self, net: CredalNet, mutate_flip: Optional[tuple[str, int, int]] = None):
         self.net = net
         self.space = net.joint_space
-        size = self.space.size
 
         if mutate_flip is not None:
             m_node, m_pidx, m_lidx = mutate_flip
@@ -307,32 +307,31 @@ class JointModel:
                 raise NetworkError("mutation generator index out of range")
         self.mutate_flip = mutate_flip
 
-        # value/parent/nnd configuration index of every joint configuration
-        nodes = net.dag.nodes
-        self._value_at = {s: self.space.index_map(net.node_space(s)) for s in nodes}
-        self._parent_idx_at = {s: self.space.index_map(net.parent_space(s)) for s in nodes}
-        self._nnd_idx_at = {s: self.space.index_map(net.nnd_space(s)) for s in nodes}
+        # by node: the value and the slot (non-descendant configuration)
+        # index of every joint configuration, and by slot (parent index,
+        # non-parent-non-descendant index, the slot's first generator)
+        self._value_at: dict[str, list[int]] = {}
+        self._slot_at: dict[str, list[int]] = {}
+        self._slots: dict[str, list[tuple[int, int, int]]] = {}
 
         leaves = net.dag.leaves()
         self._leaf = leaves[0]
         self._atom_gen_at: dict[int, int] = {}
 
         self.generators: list[GeneratorInfo] = []
-        self._slot: dict[tuple[str, int, int, int], int] = {}
         # each slot's local columns, which its generators are lifted from:
         # the local cone's own, or a copy with the flipped column negated
         self._local_columns: dict[tuple[str, int], tuple[IntVector, ...]] = {}
         for s in net.dag.nodes:
-            p_at = self._parent_idx_at[s]
-            n_at = self._nnd_idx_at[s]
-            v_at = self._value_at[s]
-            n_parent = net.parent_space(s).size
-            n_nnd = net.nnd_space(s).size
-            agree: dict[tuple[int, int], list[tuple[int, int]]] = {}
-            for j in range(size):
-                agree.setdefault((p_at[j], n_at[j]), []).append((j, v_at[j]))
-            for p_idx in range(n_parent):
-                n_assessed = len(net.assessments[(s, p_idx)])
+            nd = net.parent_space(s).union(net.nnd_space(s))
+            v_at = self._value_at[s] = self.space.index_map(net.node_space(s))
+            slot_at = self._slot_at[s] = self.space.index_map(nd)
+            cells: list[list[tuple[int, int]]] = [[] for _ in range(nd.size)]
+            for j, w in enumerate(slot_at):
+                cells[w].append((j, v_at[j]))
+            # each parent index's local columns by value
+            local_cols = []
+            for p_idx in range(net.parent_space(s).size):
                 columns = net.local_cone(s, p_idx).columns
                 if mutate_flip is not None and mutate_flip[:2] == (s, p_idx):
                     k = mutate_flip[2]
@@ -340,22 +339,26 @@ class JointModel:
                     flipped = tuple((v, -n) for v, n in entries), den
                     columns = (*columns[:k], flipped, *columns[k + 1:])
                 self._local_columns[(s, p_idx)] = columns
-                # each local column by value
-                local_cols = [(dict(entries), den) for entries, den in columns]
-                for nnd_idx in range(n_nnd):
-                    cells = agree[(p_idx, nnd_idx)]
-                    for k, (by_value, den) in enumerate(local_cols):
-                        entries = tuple((j, by_value[v]) for j, v in cells if v in by_value)
-                        info = GeneratorInfo(
-                            index=len(self.generators),
-                            node=s,
-                            parent_index=p_idx,
-                            column=(entries, den),
-                        )
-                        self.generators.append(info)
-                        self._slot[(s, p_idx, nnd_idx, k)] = info.index
-                        if s == self._leaf and k >= n_assessed:
-                            self._atom_gen_at[entries[0][0]] = info.index
+                local_cols.append([(dict(entries), den) for entries, den in columns])
+            keys = list(zip(nd.index_map(net.parent_space(s)), nd.index_map(net.nnd_space(s))))
+            first = [0] * nd.size
+            # generators by parent index, then nnd index, then local generator
+            for w in sorted(range(nd.size), key=keys.__getitem__):
+                p_idx = keys[w][0]
+                n_assessed = len(net.assessments[(s, p_idx)])
+                first[w] = len(self.generators)
+                for k, (by_value, den) in enumerate(local_cols[p_idx]):
+                    entries = tuple((j, by_value[v]) for j, v in cells[w] if v in by_value)
+                    info = GeneratorInfo(
+                        index=len(self.generators),
+                        node=s,
+                        parent_index=p_idx,
+                        column=(entries, den),
+                    )
+                    self.generators.append(info)
+                    if s == self._leaf and k >= n_assessed:
+                        self._atom_gen_at[entries[0][0]] = info.index
+            self._slots[s] = [(p, n, g) for (p, n), g in zip(keys, first)]
 
         # verified separators as primitive integers, the canonical witness
         # first when it verifies
@@ -381,32 +384,17 @@ class JointModel:
         configuration with parent index p and non-parent-non-descendant
         index n, is kernel(s, p, n) at the node's value there, as integers
         over one positive denominator: mass j is ints[j] / den.  Each
-        node's kernels, one per slot (_mass_slots), are put over the lcm of
-        all their denominators, and den is the product of these lcms."""
+        node's kernels, one per slot in slot order (_slots), are put over
+        the lcm of all their denominators, and den is the product of these
+        lcms."""
         ints, den = [1] * self.space.size, 1
-        for s, keys, at in self._mass_slots:
-            kernels = [kernel(s, p, n) for p, n in keys]
+        for s in self.net.dag.nodes:
+            kernels = [kernel(s, p, n) for p, n, _ in self._slots[s]]
             node_den = lcm(*[v.denominator for row in kernels for v in row])
             scaled = [[v.numerator * (node_den // v.denominator) for v in row] for row in kernels]
-            ints = [a * scaled[u][v] for a, u, v in zip(ints, at, self._value_at[s])]
+            ints = [a * scaled[w][v] for a, w, v in zip(ints, self._slot_at[s], self._value_at[s])]
             den *= node_den
         return ints, den
-
-    @cached_property
-    def _mass_slots(self) -> list[tuple[str, list[tuple[int, int]], list[int]]]:
-        """For each node s, in node order: its distinct (parent index,
-        non-parent-non-descendant index) slots in order of first
-        occurrence over the joint index, and the slot number at each joint
-        index; _product_mass asks each slot's kernel once."""
-        out = []
-        for s in self.net.dag.nodes:
-            number: dict[tuple[int, int], int] = {}
-            at = [
-                number.setdefault(key, len(number))
-                for key in zip(self._parent_idx_at[s], self._nnd_idx_at[s])
-            ]
-            out.append((s, list(number), at))
-        return out
 
     # -- verified certificate helpers -------------------------------------
 
@@ -488,11 +476,14 @@ class JointModel:
         """f on the joint space, zero off the joint configurations that
         agree with `given` (all of them for None), in integer form
         (lp.IntVector), built from f's own table and the joint index maps
-        of its scope and of the observation, with no dense joint gamble.
-        The observation shares no node with f's scope, so every entry of
-        f is kept somewhere and the denominator is that of f's table."""
+        of its scope (the node's own for a gamble on one node of the
+        network) and of the observation, with no dense joint gamble.  The
+        observation shares no node with f's scope, so every entry of f is
+        kept somewhere and the denominator is that of f's table."""
         ints, den = _over_lcm(f.table)
-        at = self.space.index_map(f.space)
+        node = f.space.nodes[0] if len(f.space) == 1 else None
+        own = node in self._value_at and f.space == self.net.node_space(node)
+        at = self._value_at[node] if own else self.space.index_map(f.space)
         joint = range(self.space.size)
         if given is not None:
             observed, wanted = self.space.index_map(given.space), given.space.index_of(given)
@@ -613,7 +604,7 @@ class JointModel:
 
         cert = self.net.local_cone(node, parent_index).member_with_certificate(f)
         if cert.member:
-            assembled = self._assemble_local_witness(node, parent_index, observed, cert.witness)
+            assembled = self._assemble_local_witness(node, observed, cert.witness)
             if self._witness_matches(assembled, target):
                 return Membership(
                     member=True, route="local-assembly", witness=_pairs(assembled.items())
@@ -638,24 +629,25 @@ class JointModel:
             fixed = [
                 (self._value_at[n], self.net.variables[n].index_of(v)) for n, v in pairs
             ]
+            slots = self._slots[node]
             self._observed[key] = [
                 j
-                for j, p in enumerate(self._parent_idx_at[node])
-                if p == parent_index and all(at[j] == k for at, k in fixed)
+                for j, w in enumerate(self._slot_at[node])
+                if slots[w][0] == parent_index and all(at[j] == k for at, k in fixed)
             ]
         return self._observed[key]
 
     def _assemble_local_witness(
-        self, node: str, parent_index: int, observed: Sequence[int], local_witness: Pairs
+        self, node: str, observed: Sequence[int], local_witness: Pairs
     ) -> dict[int, Fraction]:
-        """Replicate a local cone witness over every non-parent-non-
-        descendant configuration compatible with the observation, whose
-        joint configuration indices are `observed`."""
-        nnd_at = self._nnd_idx_at[node]
+        """Replicate a local cone witness over every slot of the node holding
+        one of the joint configurations `observed` (all of one parent index):
+        local generator k of slot w is joint generator _slots[node][w][2] + k."""
+        slots, slot_at = self._slots[node], self._slot_at[node]
         witness: dict[int, Fraction] = {}
-        for nnd_idx in {nnd_at[j] for j in observed}:
+        for w in {slot_at[j] for j in observed}:
             for k, coeff in local_witness:
-                witness[self._slot[(node, parent_index, nnd_idx, k)]] = coeff
+                witness[slots[w][2] + k] = coeff
         return witness
 
     def _product_separator(
@@ -688,34 +680,28 @@ class JointModel:
         """The chain recursion's levels, leaf first, when the graph is one
         directed path s_0 -> ... -> s_{n-1}, else None; built on the first
         chain query.  Level i is s_i with its slots, the configurations of
-        s_0 .. s_{i-1}, in order of first occurrence over the joint index:
-        (parent index, non-parent-non-descendant index, local cone, the
-        slot's first joint generator, positions), where positions[v] is
-        the place of (slot, v) in level i + 1's function: its slot number
-        of s_{i+1}, at the leaf its joint index."""
+        its non-descendants s_0 .. s_{i-1}, in slot order (_slots): (parent
+        index, non-parent-non-descendant index, local cone, the slot's
+        first joint generator, positions), where positions[v] is the place
+        of (slot, v) in level i + 1's function: its slot of s_{i+1}, at the
+        leaf its joint index."""
         order = self.net.dag.path()
         if order is None:
             return None
         cone, levels = self.net.local_cone, []
-        below = range(self.space.size)
+        below: Sequence[int] = range(self.space.size)
         for s in reversed(order):
-            p_at, n_at, v_at = self._parent_idx_at[s], self._nnd_idx_at[s], self._value_at[s]
+            slot_at, v_at = self._slot_at[s], self._value_at[s]
             width = len(self.net.variables[s].values)
-            number: dict[tuple[int, int], int] = {}
-            rows: list[list[int]] = []
-            at = []
+            rows = [[0] * width for _ in self._slots[s]]
             for j, position in enumerate(below):
-                u = number.setdefault((p_at[j], n_at[j]), len(rows))
-                if u == len(rows):
-                    rows.append([0] * width)
-                rows[u][v_at[j]] = position
-                at.append(u)
+                rows[slot_at[j]][v_at[j]] = position
             slots = [
-                (p, n, cone(s, p), self._slot[(s, p, n, 0)], tuple(row))
-                for (p, n), row in zip(number, rows)
+                (p, n, cone(s, p), first, tuple(row))
+                for (p, n, first), row in zip(self._slots[s], rows)
             ]
             levels.append((s, slots))
-            below = at
+            below = slot_at
         return levels
 
     def _chain_certificates(self, target: IntVector) -> Optional[

@@ -265,6 +265,7 @@ def test_parse_errors_exit_3(tmp_path, capsys):
     assert run(capsys, "query", net, unknown_kind)[0] == 3
 
     assert run(capsys, "verify", net, "--mutate-flip", "nocolon")[0] == 3
+    assert run(capsys, "verify", net, "--mutate-flip", "")[0] == 3
 
 
 def test_semantic_errors_exit_2_with_certificates(tmp_path, capsys):

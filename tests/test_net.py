@@ -13,7 +13,7 @@ import pytest
 
 from credalcones import lp
 from credalcones.cone import _BASIS_LIMIT, AssessmentCone
-from credalcones.core import Gamble, Space, VariableSpace, indicator
+from credalcones.core import Gamble, ScopeError, Space, VariableSpace, indicator
 from credalcones.dag import Dag
 from credalcones.lp import (
     InfinitePrevisionError,
@@ -318,6 +318,15 @@ def test_a_joint_target_equals_its_dense_build():
             assert joint._target(f) == _int_vector(enumerate(dense.table))
             product = indicator(given, net.joint_space) * dense
             assert joint._target(f, given) == _int_vector(enumerate(product.table))
+    # a gamble on one node reads that node's own map only when its variable
+    # is the network's; a same-named variable with other values is refused
+    net = CredalNet(Dag(["a", "b"], [("a", "b")]), [binary("a"), binary("b")])
+    joint = net.build_joint()
+    for other in (("a0", "a2"), ("a1", "a0"), ("a0", "a1", "a2")):
+        f = Gamble(Space([VariableSpace("a", other)]), tuple(range(1, len(other) + 1)))
+        for ask in (joint._target, joint.lower_prevision):
+            with pytest.raises(ScopeError):
+                ask(f)
 
 
 def random_mutation(rng, net):
@@ -848,6 +857,14 @@ def chain_gambles(rng, net, count):
             yield sample_gamble(rng, net.node_space(rng.choice(net.dag.nodes)))
 
 
+def slot_generator(joint, s, p_idx, n, k):
+    """The joint generator of local generator k in slot (p_idx, n) of node
+    s, read off the generator list: the generators of (s, p_idx) come
+    non-parent-non-descendant index by index, one per local generator."""
+    own = [info.index for info in joint.generators if (info.node, info.parent_index) == (s, p_idx)]
+    return own[n * len(joint.net.local_cone(s, p_idx).generators) + k]
+
+
 def refuse(*args):
     raise AssertionError("the chain recursion fell back to the joint LP")
 
@@ -1072,12 +1089,41 @@ def test_a_flipped_slot_whose_local_certificate_survives_answers_as_the_joint_lp
     slots = [n for t, p, n in kernels if (t, p) == (s, p_idx)]
     assert slots
     for n in slots:
-        assert joint._slot[(s, p_idx, n, k)] not in primal
+        assert slot_generator(joint, s, p_idx, n, k) not in primal
         assert sum(kernels[(s, p_idx, n)][v] * c for v, c in entries) == 0
     columns, _ = joint._dedup_columns()
     lower = lp_lower_prevision(f.extend(net.joint_space).table, columns)
     monkeypatch.setattr(JointModel, "_dedup_columns", refuse)
     assert joint.lower_prevision(f) == m == lower
+
+
+def test_slot_order_is_the_first_occurrence_order_over_the_joint_index():
+    # a node's slot index is its non-descendant configuration; the
+    # non-descendant space is sorted by name, as the joint space is, so
+    # slot order is the order in which (parent index, non-parent-non-
+    # descendant index) first occurs over the joint index, the order in
+    # which product masses ask their kernels and chain levels list their
+    # slots: certificates depend on it
+    rng = random.Random(2626)
+    nets = [sample_credal_net(rng) for _ in range(30)]
+    nets += [sample_mixed_chain(rng, rng.choice(CHECKED_SHAPES)) for _ in range(10)]
+    checked = 0
+    for net in nets:
+        for flip in (None, random_mutation(rng, net)):
+            joint = net.build_joint(mutate_flip=flip)
+            for s in net.dag.nodes:
+                spaces = net.parent_space(s), net.nnd_space(s)
+                number: dict = {}
+                at = [
+                    number.setdefault(key, len(number))
+                    for key in zip(*[joint.space.index_map(sp) for sp in spaces])
+                ]
+                assert [(p, n) for p, n, _ in joint._slots[s]] == list(number)
+                assert joint._slot_at[s] == at
+                for p, n, first in joint._slots[s]:
+                    assert first == slot_generator(joint, s, p, n, 0)
+                checked += 1
+    assert checked > 100
 
 
 def test_chain_levels_hold_each_function_on_its_path_prefix():
@@ -1100,13 +1146,14 @@ def test_chain_levels_hold_each_function_on_its_path_prefix():
             positions = [q for *_, pos in slots for q in pos]
             assert all(len(pos) == widths[i] for *_, pos in slots)
             assert sorted(positions) == list(range(below))
+            spaces = net.parent_space(s), net.nnd_space(s), net.node_space(s)
+            maps = [joint.space.index_map(sp) for sp in spaces]
             for p, n, cone, first, pos in slots:
                 assert cone is net.local_cone(s, p)
-                assert first == joint._slot[(s, p, n, 0)]
+                assert first == slot_generator(joint, s, p, n, 0)
                 if i == len(order) - 1:  # the leaf: (slot, v) is the joint configuration
                     for v, j in enumerate(pos):
-                        at = joint._parent_idx_at[s][j], joint._nnd_idx_at[s][j], joint._value_at[s][j]
-                        assert at == (p, n, v)
+                        assert tuple(at[j] for at in maps) == (p, n, v)
             below = len(slots)
         assert below == 1  # the root's one slot
     fork = CredalNet(Dag("abc", [("a", "b"), ("a", "c")]), [binary(x) for x in "abc"])
@@ -1536,6 +1583,7 @@ def test_observed_indices_match_the_uncached_computation():
         space = net.joint_space
         for s in net.dag.nodes:
             nnd = net.nnd_space(s).nodes
+            p_at = space.index_map(net.parent_space(s))
             for p_idx in range(net.parent_space(s).size):
                 parent = net.parent_space(s).config_at(p_idx)
                 for k in range(len(nnd) + 1):
@@ -1557,7 +1605,7 @@ def test_observed_indices_match_the_uncached_computation():
                                 assert joint._observed_indices(s, p_idx, observed) is cached
                                 checked += 1
                 none = joint._observed_indices(s, p_idx, None)
-                assert none == [j for j in range(space.size) if joint._parent_idx_at[s][j] == p_idx]
+                assert none == [j for j in range(space.size) if p_at[j] == p_idx]
     assert checked > 500
 
 
@@ -1578,7 +1626,8 @@ def test_integer_product_mass_equals_the_fraction_product(monkeypatch):
         assert [F(n, den) for n in ints] == product_mass(joint, kernel), caller
         checked[caller] += 1
         for s in joint.net.dag.nodes:
-            slots = set(zip(joint._parent_idx_at[s], joint._nnd_idx_at[s]))
+            spaces = joint.net.parent_space(s), joint.net.nnd_space(s)
+            slots = set(zip(*[joint.space.index_map(sp) for sp in spaces]))
             if len({lcm(*[F(v).denominator for v in kernel(s, *key)]) for key in slots}) > 1:
                 mixed[caller] += 1
                 break
