@@ -247,10 +247,11 @@ class AssessmentCone:
 
     def _prevision(self, ints: Sequence[int], den: int):
         bases, target = self._bases, (ints, den)
-        for basis, mass in reversed(bases.items()):
+        for age, (basis, mass) in enumerate(reversed(bases.items())):
             answer = _answer_at(basis, mass, target)
             if answer is not None:
-                bases[basis] = bases.pop(basis)
+                if age:
+                    bases[basis] = bases.pop(basis)
                 return answer
         start = next(reversed(bases)) if bases else _atoms_basis(ints, len(self.assessments))
         found = _prevision_at_basis(start, target, self.columns)

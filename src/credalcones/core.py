@@ -163,13 +163,21 @@ class Space:
 
     def index_map(self, sub: "Space") -> list[int]:
         """By configuration index here, the index of its restriction to `sub`."""
+        if sub == self:
+            return list(range(self.size))
         if not self.contains_space(sub):
             raise ScopeError(f"scope {self} does not contain {sub}")
         stride_of = dict(zip(sub._nodes, sub._strides))
+        # from the last (fastest) variable out: a variable of stride s and
+        # d values repeats the map of the variables after it d times, the
+        # copy of digit v shifted by v s
         out = [0]
-        for var in self._variables:
+        for var in reversed(self._variables):
             stride = stride_of.get(var.node, 0)
-            out = [k + d * stride for k in out for d in range(len(var))]
+            if stride:
+                out = [k + step for step in range(0, len(var) * stride, stride) for k in out]
+            else:
+                out = out * len(var)
         return out
 
     def config_at(self, index: int) -> "Configuration":

@@ -56,6 +56,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .core import RationalLike, as_rational
@@ -484,7 +485,7 @@ def _check_columns(columns: Sequence[IntVector], dim: int) -> None:
 def _score(y: Sequence[int], vec: IntVector) -> int:
     """y . vec times vec's (positive) denominator, over vec's nonzero
     entries; y is a list of integers."""
-    return sum(y[j] * n for j, n in vec[0])
+    return sum([y[j] * n for j, n in vec[0]])
 
 
 def _combines(columns: Sequence[IntVector], pairs, target: IntVector) -> bool:
@@ -675,15 +676,18 @@ def _certified_mass(basis: PrevisionBasis, columns: Sequence[IntVector]) -> tupl
     otherwise.  Neither check reads a target, so a basis is certified
     once for every answer read at it (_answer_at)."""
     inverse, den, size = basis.inverse, basis.den, len(basis.inverse)
-    shift = tuple((j, 1) for j in range(size)), 1
     if not (
         den > 0
         and len(basis.basic) == size - 1
         and all(len(row) == size for row in inverse)
         and all(0 <= k < len(columns) for k in basis.basic)
+        # the shift column is all ones: each row's product with it is its sum
+        and sum(inverse[0]) == den
+        and not any(sum(row) for row in inverse[1:])
     ):
         raise LpError("prevision basis failed verification")
-    for c, g in enumerate([shift, *[columns[k] for k in basis.basic]]):
+    for c, k in enumerate(basis.basic, 1):
+        g = columns[k]
         if any(_score(row, g) != (den * g[1] if i == c else 0) for i, row in enumerate(inverse)):
             raise LpError("prevision basis failed verification")
     mass = inverse[0]
@@ -706,12 +710,12 @@ def _answer_at(
     inverse = basis.inverse
     if len(ints) != len(inverse):
         raise LpError("a target of another dimension than its basis")
-    x = [sum(a * t for a, t in zip(row, ints)) for row in inverse]
-    if any(v < 0 for v in x[1:]):
+    x = [sum(map(mul, row, ints)) for row in inverse[1:]]
+    if x and min(x) < 0:
         return None
     scale = basis.den * tden
-    primal = _pairs((k, Fraction(v, scale)) for k, v in zip(basis.basic, x[1:]))
-    return Fraction(x[0], scale), primal, mass
+    primal = _pairs((k, Fraction(v, scale)) for k, v in zip(basis.basic, x) if v)
+    return Fraction(sum(map(mul, inverse[0], ints)), scale), primal, mass
 
 
 def _atoms_basis(ints: Sequence[int], first_atom: int) -> PrevisionBasis:
@@ -753,6 +757,12 @@ def _prevision_at_basis(
     definition of x[0]; and it scores every column nonnegative, because
     the basis check tested exactly that.
 
+    Each pivot builds the entering candidates, the nonbasic columns, once.
+    A primal pivot scores them only up to the first that the dual scores
+    negative, which is the column Bland's rule enters; a dual pivot scores
+    every column, to test dual feasibility.  Every score is an integer dot
+    product over the column's nonzero entries (_score).
+
     A pivot on (r, k) with d = B^-1 g_k is fraction free: with
     B^-1 = R / den and D = den * den_k * d, row r becomes R_r den den_k
     and row i D_r R_i - D_i R_r, all over den D_r, made positive and
@@ -762,21 +772,27 @@ def _prevision_at_basis(
     basic, inverse, den = list(basis.basic), basis.inverse, basis.den
     pivots = 0
     while True:
-        x = [sum(a * t for a, t in zip(row, ints)) for row in inverse]
-        feasible = all(v >= 0 for v in x[1:])
-        scores = [_score(inverse[0], g) for g in columns]
-        entering = sorted(set(range(len(columns))).difference(basic))
+        x = [sum(map(mul, row, ints)) for row in inverse]
+        dual, in_basis = inverse[0], set(basic)
+        entering = [k for k in range(len(columns)) if k not in in_basis]
         r = k = None
-        if feasible:
-            k = next((k for k in entering if scores[k] < 0), None)
+        if min(x[1:], default=0) >= 0:
+            k = next((k for k in entering if _score(dual, columns[k]) < 0), None)
             if k is None:
                 break
             d = [_score(row, columns[k]) for row in inverse]
             # the least ratio x_i / d_i over d_i > 0, ties to the lowest basic column
-            for i in sorted(range(1, len(x)), key=lambda i: basic[i - 1]):
-                if d[i] > 0 and (r is None or x[i] * d[r] < x[r] * d[i]):
+            for i in range(1, len(x)):
+                if d[i] > 0:
+                    if r is not None:
+                        lhs, rhs = x[i] * d[r], x[r] * d[i]
+                        if lhs > rhs or (lhs == rhs and basic[i - 1] >= basic[r - 1]):
+                            continue
                     r = i
-        elif all(s >= 0 for s in scores):
+        else:
+            scores = [_score(dual, g) for g in columns]
+            if min(scores, default=0) < 0:
+                return None
             r = min((i for i in range(1, len(x)) if x[i] < 0), key=lambda i: basic[i - 1])
             alpha = [_score(inverse[r], g) for g in columns]
             # the least ratio scores_j / -alpha_j over alpha_j < 0, ties to the lowest column
@@ -790,10 +806,10 @@ def _prevision_at_basis(
         if pivots > _MAX_PIVOTS:
             raise PivotLimitError(f"pivot limit of {_MAX_PIVOTS} exceeded")
         sign = 1 if d[r] > 0 else -1
-        p, pivot_row = sign * d[r], [sign * den * columns[k][1] * v for v in inverse[r]]
+        p, old, scale = sign * d[r], inverse[r], sign * den * columns[k][1]
         inverse = [
-            pivot_row if i == r else [p * a - sign * d[i] * b for a, b in zip(row, inverse[r])]
-            for i, row in enumerate(inverse)
+            [scale * v for v in old] if i == r else [p * a - f * b for a, b in zip(row, old)]
+            for i, (row, f) in enumerate(zip(inverse, [sign * v for v in d]))
         ]
         g = gcd(den * p, *[v for row in inverse for v in row])
         inverse = tuple(tuple(v // g for v in row) for row in inverse)

@@ -30,17 +30,18 @@ a chain prevision, against the local columns they are lifted from:
     separating functional lifts exactly to the joint space;
   * when the graph is one directed path (a single node counts), the
     chain recursion (route "chain-recursion") takes the lower prevision m
-    of any other target backwards from the leaf, each level's function
-    held on the path prefix it still depends on as integers over one
-    denominator (_levels), one small local LP per (node, parent value,
-    local table), which the local cone memoizes by the table in lowest
-    terms and reads at an optimal basis of its own, reached by simplex
-    pivots on B^-1 (AssessmentCone.lower_prevision); the local primals lift
-    onto the joint generators and telescope to target - m, the local duals
-    chain into a joint mass function of expectation m.  Both are checked
-    in the local spaces, each slot against the joint model's own columns
-    of that slot (a flipped slot's included), so a prevision, which prints
-    only m, does no work of the joint's size past its target; the target is
+    of any other target backwards from the deepest node of its scope,
+    each level's function held only on the scope it still depends on as
+    integers over one denominator (_levels), one small local LP per
+    (node, parent value, local table), which the local cone memoizes by
+    the table in lowest terms and reads at an optimal basis of its own,
+    reached by simplex pivots on B^-1 (AssessmentCone.lower_prevision);
+    the local primals lift onto the joint generators and telescope to
+    target - m, the local duals chain into a joint mass function of
+    expectation m.  Both are checked in the local spaces, a clean slot's
+    by its cone and a flipped slot's against the joint model's own
+    columns of that slot, so a prevision, which reads only m from the
+    gamble's own table, does no work of the joint's size; the target is
     a member exactly when m >= 0 (witness: the lifted primal plus m on
     every leaf atom), and otherwise the chained mass function separates
     it, each printed certificate checked against every joint generator.
@@ -63,13 +64,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, combinations
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .cone import AssessmentCone, CoherenceReport
-from .core import Configuration, Gamble, Space, VariableSpace
+from .core import Configuration, Gamble, ScopeError, Space, VariableSpace
 from .dag import Dag
 from .lp import (
     EXACT_LP,
@@ -98,6 +98,9 @@ _GAMBLE_MAGNITUDE = 3
 _GAMBLE_DENOMINATOR = 2
 
 _SEPARATOR_CACHE_LIMIT = 32
+# chain recursion levels kept per joint model, one per scope, each up to
+# twice the joint's size
+_LEVELS_CACHE_LIMIT = 16
 
 CHAIN_RECURSION = "chain-recursion"
 
@@ -374,6 +377,9 @@ class JointModel:
             self._cache_separator(_primitive(ints))
         self._dedup: Optional[tuple[list[IntVector], list[int]]] = None
         self._observed: dict[tuple[str, int, tuple], list[int]] = {}
+        # the chain recursion's levels by the scope they start from, oldest
+        # first (_levels)
+        self._plans: dict[Space, list] = {}
 
     # -- product mass functions --------------------------------------------
 
@@ -470,7 +476,8 @@ class JointModel:
         quick = self._quick_routes(target)
         if quick is not None:
             return quick
-        return self._exact_membership(target)
+        scope = f.space.union(given.space) if given is not None else f.space
+        return self._exact_membership(target, scope)
 
     def _target(self, f: Gamble, given: Optional[Configuration] = None) -> IntVector:
         """f on the joint space, zero off the joint configurations that
@@ -512,12 +519,15 @@ class JointModel:
         _check_work(self.space.size, len(owners))
         return [columns[k] for k in owners], owners
 
-    def _exact_membership(self, target: IntVector) -> Membership:
+    def _exact_membership(
+        self, target: IntVector, scope: Optional[Space] = None
+    ) -> Membership:
         """The tail of every membership route, for a target in integer
-        form: the chain recursion when the graph is one directed path,
+        form that depends only on the nodes of `scope` (all of them by
+        default): the chain recursion when the graph is one directed path,
         else, or when one of its certificates fails, one exact LP over the
         joint generators."""
-        chained = self._chain_membership(target)
+        chained = self._chain_membership(target, scope)
         return chained if chained is not None else self._lp_membership(target)
 
     def _lp_membership(self, target: IntVector) -> Membership:
@@ -673,69 +683,126 @@ class JointModel:
 
     # -- chain recursion -----------------------------------------------------
 
-    @cached_property
     def _levels(
-        self,
-    ) -> Optional[list[tuple[str, list[tuple[int, int, AssessmentCone, int, tuple[int, ...]]]]]]:
-        """The chain recursion's levels, leaf first, when the graph is one
-        directed path s_0 -> ... -> s_{n-1}, else None; built on the first
-        chain query.  Level i is s_i with its slots, the configurations of
-        its non-descendants s_0 .. s_{i-1}, in slot order (_slots): (parent
-        index, non-parent-non-descendant index, local cone, the slot's
-        first joint generator, positions), where positions[v] is the place
-        of (slot, v) in level i + 1's function: its slot of s_{i+1}, at the
-        leaf its joint index."""
+        self, scope: Space
+    ) -> Optional[list[tuple[str, Space, list[tuple[int, AssessmentCone, tuple[int, ...]]]]]]:
+        """The chain recursion's levels for a function on `scope` (a space
+        of the network's variables), deepest first, when the graph is one
+        directed path s_0 -> ... -> s_{n-1}, else None; built once per
+        scope.  A level is (s_i, the space of the scope it leaves, rows):
+        the nodes of the scope S it reads (scope itself at the first level
+        read) but s_i, and the parent s_{i-1}, the root's the empty space.
+        Row r, one per configuration of the scope left, is (parent index,
+        local cone, positions): positions[v] is the place of (r, v) in the
+        function read.
+
+        The first level read is the deepest node of the scope, or of the
+        flipped slot (mutate_flip) if that is deeper: every level below it
+        reads a function that does not depend on its node, so its rows are
+        constant and are skipped.  Past _LEVELS_CACHE_LIMIT scopes the
+        levels built first leave."""
+        if scope in self._plans:
+            return self._plans[scope]
         order = self.net.dag.path()
         if order is None:
             return None
-        cone, levels = self.net.local_cone, []
-        below: Sequence[int] = range(self.space.size)
-        for s in reversed(order):
-            slot_at, v_at = self._slot_at[s], self._value_at[s]
-            width = len(self.net.variables[s].values)
-            rows = [[0] * width for _ in self._slots[s]]
-            for j, position in enumerate(below):
-                rows[slot_at[j]][v_at[j]] = position
-            slots = [
-                (p, n, cone(s, p), first, tuple(row))
-                for (p, n, first), row in zip(self._slots[s], rows)
-            ]
-            levels.append((s, slots))
-            below = slot_at
+        net, var = self.net, self.net.variables
+        depth = {s: i for i, s in enumerate(order)}
+        deepest = max([depth[s] for s in scope.nodes], default=-1)
+        if self.mutate_flip is not None:
+            deepest = max(deepest, depth[self.mutate_flip[0]])
+        levels, held, read = [], set(scope.nodes), scope
+        for i in range(deepest, -1, -1):
+            s = order[i]
+            held = (held - {s}) | set(order[i - 1:i])
+            left = Space(var[n] for n in held)
+            spanned = held | {s}
+            whole = read if spanned == set(read.nodes) else Space(var[n] for n in spanned)
+            rows = [[0] * len(var[s].values) for _ in range(left.size)]
+            for r, v, q in zip(
+                whole.index_map(left), whole.index_map(net.node_space(s)), whole.index_map(read)
+            ):
+                rows[r][v] = q
+            parents = net.parent_space(s)
+            cones = [net.local_cone(s, p) for p in range(parents.size)]
+            at = left.index_map(parents)
+            levels.append((s, left, [(p, cones[p], tuple(row)) for p, row in zip(at, rows)]))
+            read = left
+        self._plans[scope] = levels
+        if len(self._plans) > _LEVELS_CACHE_LIMIT:
+            del self._plans[next(iter(self._plans))]
         return levels
 
-    def _chain_certificates(self, target: IntVector) -> Optional[
+    def _chain_recursion(
+        self, scope: Space, ints: Sequence[int], den: int
+    ) -> Optional[tuple[Fraction, list[list[tuple[Fraction, Pairs, tuple[Fraction, ...]]]]]]:
+        """The lower prevision m of the function ints / den on `scope`, by
+        backward recursion over the local models on a path (_levels), with
+        the local answer (AssessmentCone.lower_prevision: m, primal, dual)
+        of every row of every level read; None off a path or if a flipped
+        slot's answer fails its check.
+
+        A row's entry in the function a level leaves is the local lower
+        prevision of the row, read at its positions in the function below,
+        and each level's entries are put over one denominator.  Every slot
+        of s_i at parent index p has the local columns of (s_i, p)
+        (_local_columns).  A clean slot's are its cone's own, at whose
+        certified basis, or by whose tableau check, this very answer was
+        read before it was memoized; a flipped slot's answer is checked
+        here, over the node's values only: its dual is nonnegative, which
+        the chaining needs and a tableau dual need not be, and
+        lp._prevision_fault finds no fault.  The levels below the first
+        read are skipped: their rows are constant c, whose lower prevision
+        is c."""
+        levels = self._levels(scope)
+        if levels is None:
+            return None
+        flipped = self.mutate_flip[:2] if self.mutate_flip is not None else None
+        answers = []
+        for s, _, rows in levels:
+            found = []
+            for p, cone, positions in rows:
+                row = [ints[q] for q in positions]
+                answer = cone.lower_prevision(row, den)
+                if (s, p) == flipped:
+                    m, pairs, mass = answer
+                    kernel, kernel_den = _over_lcm(mass)
+                    if min(kernel) < 0 or _prevision_fault(
+                        self._local_columns[flipped], (row, den), m, pairs, kernel, kernel_den
+                    ):
+                        return None
+                found.append(answer)
+            answers.append(found)
+            ints, den = _over_lcm([answer[0] for answer in found])
+        return Fraction(ints[0], den), answers
+
+    def _chain_certificates(self, target: IntVector, scope: Optional[Space] = None) -> Optional[
         tuple[Fraction, dict[int, Fraction], dict[tuple[str, int, int], tuple[Fraction, ...]]]
     ]:
-        """The lower prevision m of a joint target in integer form, by
-        backward recursion over the local models on a path (_levels), with
-        its primal (generator index -> coefficient, combining to target -
-        m) and the local duals it chains, the kernels (node, parent index,
-        non-parent-non-descendant index) -> mass function on the node's
-        values; None off a path or if a slot's certificate fails its check.
+        """The lower prevision m of a joint target in integer form that
+        depends only on the nodes of `scope` (all of them by default), by
+        the chain recursion (_chain_recursion) on the target's function on
+        that scope, with its primal (generator index -> coefficient,
+        combining to target - m) and the local duals it chains, the
+        kernels (node, parent index, non-parent-non-descendant index) ->
+        mass function on the node's values; None when the recursion is.
 
-        Level i's function is held on the configurations of s_0 .. s_{i-1}
-        only, as integers over one denominator: each slot's entry is the
-        local lower prevision m_slot (AssessmentCone.lower_prevision) of its
-        row, read from level i + 1 at the slot's positions.  A slot fixes
-        s_i's parent index p and non-parent-non-descendant index n, which
-        on a path fix every node above s_i, and its generators are
-        I(p, n) * g for the slot's local columns g (_local_columns).  Each
-        slot is checked against those columns, over the node's values only:
-        the kernel is nonnegative, which the chaining below needs and a
-        tableau dual need not be, and lp._prevision_fault finds no fault
-        (the local primal combines them to row - m_slot; the kernel sums to
-        1, gives the row the expectation m_slot and scores every column
-        nonnegative).  A clean slot's columns are its cone's own, at whose
-        certified basis, or by whose tableau check, this very certificate
-        was read before it was memoized, so only a flipped slot is checked
-        here.  Once every slot passes, both joint certificates hold without
-        a joint check:
+        Each slot of a level read, a configuration (p, n) of s_0 .. s_{i-1}
+        whose generators are I(p, n) * g for the slot's local columns g,
+        takes the answer of the row it restricts to: its kernel is the
+        row's local dual and its local primal is lifted onto its
+        generators.  A slot of a skipped level takes the empty primal and
+        its cone's coherence witness as kernel, which the coherence LP
+        checked when the cone was built: it sums to 1, gives the constant
+        row its value and scores every local column positively.  Every
+        answer was checked on the slot's own columns (_chain_recursion),
+        so both joint certificates hold without a joint check:
 
           * primal: each local primal, lifted onto its slot's generators,
-            combines them to I(p, n) * (row - m_slot); summed over the
-            slots of one level this is level i + 1's function minus level
-            i's, so the lifted terms telescope to target - m;
+            combines them to I(p, n) * (row - m_row); summed over the
+            slots of one level this is the function read minus the one
+            left, a skipped level adds nothing, so the lifted terms
+            telescope to target - m;
           * dual: the chained mass (_product_mass of the kernels) sums to 1
             and gives the target the expectation m, level by level.  The
             nodes below s_i sum out to 1, so it scores I(p, n) * g as
@@ -743,45 +810,57 @@ class JointModel:
             kernel's score of g.  Both factors are >= 0, so the chained
             mass scores every generator nonnegative.
 
-        A prevision prints only m; _chain_membership builds and checks the
-        certificate it prints.
-        """
-        if self._levels is None:
+        A prevision reads only m (_chain_recursion); _chain_membership
+        prints these certificates and checks them against every joint
+        generator.  Which local basis answers a row depends on the rows
+        read before, and a one-node target skips its tail levels, so its
+        separator may differ from the one the recursion on the whole joint
+        space finds."""
+        scope = scope if scope is not None else self.space
+        levels = self._levels(scope)
+        if levels is None:
             return None
         entries, den = target
-        current = [0] * self.space.size
+        ints = [0] * scope.size
+        at = self.space.index_map(scope)
         for j, n in entries:
-            current[j] = n
-        primal: dict[int, Fraction] = {}
-        kernels: dict[tuple[str, int, int], tuple[Fraction, ...]] = {}
-        for s, slots in self._levels:
-            lowered = []
-            for p_idx, nnd_idx, cone, first, positions in slots:
-                row = [current[q] for q in positions]
-                m, pairs, mass = cone.lower_prevision(row, den)
-                columns = self._local_columns[(s, p_idx)]
-                if columns is not cone.columns:
-                    kernel, kernel_den = _over_lcm(mass)
-                    if min(kernel) < 0 or _prevision_fault(
-                        columns, (row, den), m, pairs, kernel, kernel_den
-                    ):
-                        return None
-                lowered.append(m)
-                kernels[(s, p_idx, nnd_idx)] = mass
+            ints[at[j]] = n
+        chained = self._chain_recursion(scope, ints, den)
+        if chained is None:
+            return None
+        m, answers = chained
+        read = {s: (left, found) for (s, left, _), found in zip(levels, answers)}
+        net, primal, kernels = self.net, {}, {}
+        for s in net.dag.nodes:
+            slots = self._slots[s]
+            if s not in read:
+                for p, n, _ in slots:
+                    kernels[(s, p, n)] = net.local_witness(s, p)
+                continue
+            left, found = read[s]
+            # a slot's configuration of the nodes above s, restricted to left
+            if left.size == len(slots):
+                rows: Sequence[int] = range(left.size)
+            else:
+                rows = net.parent_space(s).union(net.nnd_space(s)).index_map(left)
+            for (p, n, first), r in zip(slots, rows):
+                _, pairs, kernels[(s, p, n)] = found[r]
                 for k, c in pairs:
                     primal[first + k] = c
-            current, den = _over_lcm(lowered)
-        return lowered[0], primal, kernels  # the root's one slot
+        return m, primal, kernels
 
-    def _chain_membership(self, target: IntVector) -> Optional[Membership]:
-        """Membership of a nonzero joint gamble, in integer form, from its
-        chain-recursion lower prevision m: a member exactly when m >= 0,
-        with the lifted primal plus m on every leaf atom as witness;
+    def _chain_membership(
+        self, target: IntVector, scope: Optional[Space] = None
+    ) -> Optional[Membership]:
+        """Membership of a nonzero joint gamble, in integer form, that
+        depends only on the nodes of `scope` (all of them by default), from
+        its chain-recursion lower prevision m: a member exactly when m >=
+        0, with the lifted primal plus m on every leaf atom as witness;
         otherwise the chained mass function of the kernels separates it.
         The certificate is printed, so it is checked against every joint
         generator.  None when the recursion does not apply or a
         certificate fails its check."""
-        chained = self._chain_certificates(target)
+        chained = self._chain_certificates(target, scope)
         if chained is None:
             return None
         m, primal, kernels = chained
@@ -836,9 +915,12 @@ class JointModel:
         certificates verify, else by one exact LP.  A tampered model may
         have no finite m; then lp.InfinitePrevisionError is raised, once
         the LP's ray or Farkas vector is verified.  The chain recursion
-        reads f in integer form (_target); only the LP lays f out on the
-        joint space as Fractions."""
-        chained = self._chain_certificates(self._target(f))
+        reads f's own table in integer form, on f's scope; only the LP lays
+        f out on the joint space.  A scope variable that is not the
+        network's raises ScopeError."""
+        if not self.space.contains_space(f.space):
+            raise ScopeError(f"scope {self.space} does not contain {f.space}")
+        chained = self._chain_recursion(f.space, *_over_lcm(f.table))
         if chained is not None:
             return chained[0]
         columns, _ = self._dedup_columns()

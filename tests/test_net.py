@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, combinations, islice
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 import pytest
 
@@ -1046,6 +1046,103 @@ def test_a_chain_prevision_does_no_joint_size_work(monkeypatch):
         monkeypatch.setattr(JointModel, name, joint_size)
     for joint, f, lower, upper in cases:
         assert (joint.lower_prevision(f), joint.upper_prevision(f)) == (lower, upper)
+    monkeypatch.undo()
+
+    # a one-node prevision on s_k of a 10-node binary chain reads one row
+    # per parent value at each level from s_k up, at most 2k + 1 local
+    # previsions, and touches no joint-size map
+    net = sample_chain(rng, 10, 2)
+    order = net.dag.path()
+    joint = net.build_joint()
+    gambles = [sample_gamble(rng, net.node_space(s)) for s in order]
+    # the recursion over the whole joint space, as the reference
+    expected = [joint._chain_certificates(joint._target(f))[0] for f in gambles]
+    reads = []
+    read, index_map = AssessmentCone.lower_prevision, Space.index_map
+
+    def counted(cone, ints, den=1):
+        reads.append(ints)
+        return read(cone, ints, den)
+
+    def small_only(space, sub):
+        if space == joint.space:
+            raise AssertionError("a one-node prevision built a joint index map")
+        return index_map(space, sub)
+
+    class Untouchable(dict):
+        def __getitem__(self, key):
+            raise AssertionError("a one-node prevision read a joint-size map")
+
+    monkeypatch.setattr(AssessmentCone, "lower_prevision", counted)
+    monkeypatch.setattr(Space, "index_map", small_only)
+    monkeypatch.setattr(JointModel, "_target", joint_size)
+    for name in ("_value_at", "_slot_at"):
+        monkeypatch.setattr(joint, name, Untouchable())
+    for k, (f, m) in enumerate(zip(gambles, expected)):
+        reads.clear()
+        assert joint.lower_prevision(f) == m
+        assert 0 < len(reads) <= 2 * k + 1
+
+
+def scoped_gambles(rng, net):
+    """A gamble on one node, one on two nodes and one on every node."""
+    nodes = net.dag.nodes
+    for scope in ([rng.choice(nodes)], rng.sample(nodes, min(2, len(nodes))), nodes):
+        yield sample_gamble(rng, Space(net.variables[x] for x in scope))
+
+
+def test_scoped_chain_previsions_equal_the_joint_lp():
+    # the recursion on a gamble's own scope, with the tail levels below it
+    # skipped, gives the joint LP's value; a flipped model, its flip inside
+    # the gamble's scope, outside it above its deepest node or in the tail
+    # below it, gives the LP's value of the flipped model or falls back to
+    # that LP, never another value
+    rng = random.Random(2124)
+    seen = Counter()
+    for widths in CHECKED_SHAPES:
+        net = sample_mixed_chain(rng, widths)
+        order = net.dag.path()
+        clean = net.build_joint()
+        columns, _ = clean._dedup_columns()
+        for f in scoped_gambles(rng, net):
+            table = f.extend(net.joint_space).table
+            lower = lp_lower_prevision(table, columns)
+            assert clean.lower_prevision(f) == lower
+            assert clean._chain_recursion(f.space, *_over_lcm(f.table))[0] == lower
+            # a membership on the same scope chains the coherence witness of
+            # each skipped level into its separator, checked on every generator
+            for g in (f, -f):
+                g_table = g.extend(net.joint_space).table
+                res = clean._chain_membership(_int_vector(enumerate(g_table)), g.space)
+                assert res.member == (lp_lower_prevision(g_table, columns) >= 0)
+                seen[("membership", res.member)] += 1
+            deepest = max(order.index(x) for x in f.space.nodes)
+            places = {
+                "inside": list(f.space.nodes),
+                "above": [x for x in order[:deepest] if x not in f.space.nodes],
+                "tail": list(order[deepest + 1 :]),
+            }
+            for where, nodes in places.items():
+                if not nodes:
+                    continue
+                s = rng.choice(nodes)
+                p_idx = rng.randrange(net.parent_space(s).size)
+                flip = s, p_idx, rng.randrange(len(net.local_cone(s, p_idx).generators))
+                flipped = net.build_joint(mutate_flip=flip)
+                chained = flipped._chain_recursion(f.space, *_over_lcm(f.table))
+                try:
+                    expected = lp_lower_prevision(table, flipped._dedup_columns()[0])
+                except LpError:
+                    # a flipped atom can leave the tampered cone incoherent
+                    assert chained is None
+                    seen[(where, "incoherent")] += 1
+                    continue
+                assert chained is None or chained[0] == expected
+                assert flipped.lower_prevision(f) == expected
+                seen[(where, "fell back" if chained is None else "chained")] += 1
+    for where in ("inside", "above", "tail"):
+        assert seen[(where, "chained")] and seen[(where, "fell back")], seen
+    assert seen[("membership", True)] and seen[("membership", False)], seen
 
 
 def test_a_tableau_prevision_keeps_a_dual_with_a_negative_mass():
@@ -1126,38 +1223,60 @@ def test_slot_order_is_the_first_occurrence_order_over_the_joint_index():
     assert checked > 100
 
 
-def test_chain_levels_hold_each_function_on_its_path_prefix():
-    # level i lists the slots of s_i, the configurations of s_0 .. s_{i-1};
-    # each slot's positions are where its row sits one level down, the
-    # joint indices at the leaf, so one recursion reads every cell once
+def chain_cells(levels):
+    """The number of cells one recursion over these levels reads."""
+    return sum(len(pos) for _, _, rows in levels for *_, pos in rows)
+
+
+def test_chain_levels_hold_each_function_on_its_scope():
+    # a level of s_i leaves the function on (S - {s_i}) | {s_{i-1}} for the
+    # scope S it reads, one row per configuration of the scope left; each
+    # row's positions are where its entries sit in the function read, so a
+    # recursion over the whole joint space reads every cell of every level
+    # once, and one on a smaller scope starts at the scope's deepest node
     rng = random.Random(2020)
     cases = [((2,) * 6, 64 + 32 + 16 + 8 + 4 + 2), ((2, 3, 4), 24 + 6 + 2), ((4, 2, 3, 2), 48 + 24 + 8 + 4)]
     for widths, cells in cases:
         net = sample_mixed_chain(rng, widths)
-        joint = net.build_joint()
-        assert "_levels" not in vars(joint)  # built on the first chain query
-        levels = joint._levels
         order = net.dag.path()
-        assert [s for s, _ in levels] == list(reversed(order))
-        assert sum(len(pos) for _, slots in levels for *_, pos in slots) == cells
-        below = joint.space.size
-        for i, (s, slots) in zip(reversed(range(len(order))), levels):
-            assert len(slots) == prod(widths[:i])
-            positions = [q for *_, pos in slots for q in pos]
-            assert all(len(pos) == widths[i] for *_, pos in slots)
-            assert sorted(positions) == list(range(below))
-            spaces = net.parent_space(s), net.nnd_space(s), net.node_space(s)
-            maps = [joint.space.index_map(sp) for sp in spaces]
-            for p, n, cone, first, pos in slots:
-                assert cone is net.local_cone(s, p)
-                assert first == slot_generator(joint, s, p, n, 0)
-                if i == len(order) - 1:  # the leaf: (slot, v) is the joint configuration
-                    for v, j in enumerate(pos):
-                        assert tuple(at[j] for at in maps) == (p, n, v)
-            below = len(slots)
-        assert below == 1  # the root's one slot
+        joint = net.build_joint()
+        assert joint._plans == {}  # built on the first chain query
+        assert chain_cells(joint._levels(net.joint_space)) == cells
+        scopes = [net.joint_space, net.node_space(order[0]), net.node_space(order[-1])]
+        scopes += [Space(net.variables[x] for x in rng.sample(order, 2)) for _ in range(3)]
+        for scope in scopes:
+            levels = joint._levels(scope)
+            assert joint._levels(scope) is levels
+            deepest = max(order.index(x) for x in scope.nodes)
+            assert [s for s, _, _ in levels] == list(reversed(order[: deepest + 1]))
+            read, held = scope, set(scope.nodes)
+            for s, left, rows in levels:
+                i = order.index(s)
+                held = (held - {s}) | set(order[i - 1 : i])
+                assert set(left.nodes) == held and len(rows) == left.size
+                for r, (p, cone, positions) in enumerate(rows):
+                    above = left.config_at(r)
+                    assert p == net.parent_space(s).index_of(above.restrict(order[i - 1 : i]))
+                    assert cone is net.local_cone(s, p)
+                    assert len(positions) == widths[i]
+                    for v, q in enumerate(positions):
+                        here = above.as_dict() | {s: net.variables[s].values[v]}
+                        assert read.config_at(q).as_dict() == {x: here[x] for x in read.nodes}
+                read = left
+            assert read.size == 1  # the root leaves the empty scope
+    # a one-node scope reads one row per parent value at each level
+    net = sample_chain(rng, 10, 2)
+    order = net.dag.path()
+    joint = net.build_joint()
+    for k, s in enumerate(order):
+        levels = joint._levels(net.node_space(s))
+        assert [len(rows) for _, _, rows in levels] == [2] * k + [1]
+        assert chain_cells(levels) == 2 * (2 * k + 1)
+    # a flipped slot's level is read even below the scope
+    flipped = net.build_joint(mutate_flip=(order[7], 1, 0))
+    assert [s for s, _, _ in flipped._levels(net.node_space(order[2]))] == list(reversed(order[:8]))
     fork = CredalNet(Dag("abc", [("a", "b"), ("a", "c")]), [binary(x) for x in "abc"])
-    assert fork.build_joint()._levels is None
+    assert fork.build_joint()._levels(fork.joint_space) is None
 
 
 def test_fork_recursion_is_only_a_lower_bound_and_the_joint_lp_answers(monkeypatch):

@@ -1,5 +1,5 @@
-"""Chain scale: joint build time, warm one-node lower previsions and peak RSS
-on seeded chains.
+"""Chain scale: joint build time, warm lower previsions and peak RSS on
+seeded chains.
 
     python3 tools/chain_scale.py [--root PATH] [--repeat R]
 
@@ -11,10 +11,14 @@ A case times, in process CPU seconds:
 
   * ``build_s``: ``CredalNet.build_joint``;
   * ``first_leaf_s``: one lower prevision of a gamble on the leaf, the first
-    chain query, which also builds the joint model's level tables;
+    chain query, which also builds the joint model's levels for the leaf's
+    scope;
   * ``leaf_s`` and ``root_s``: R warm one-node lower previsions each, of
     fresh gambles on the leaf and on the root, drawn from
-    ``random.Random(SEED + 1)`` after the first query's gamble.
+    ``random.Random(SEED + 1)`` after the first query's gamble;
+  * ``pair_s``: R warm lower previsions of fresh gambles on the root and
+    the leaf together, drawn after those: a scope that spans the path,
+    whose levels the first of them builds.
 
 The values of every timed prevision are printed too, so two trees can be
 compared answer by answer.  PATH is the root of the checkout whose
@@ -43,12 +47,14 @@ NAMES = {2: "binary", 3: "ternary"}
 def run_case(root: Path, n: int, k: int, repeat: int) -> dict:
     """One case in this process; see the module docstring."""
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
+    from credalcones.core import Space
     from credalcones.net import sample_gamble
     from test_net import sample_chain
 
     net = sample_chain(random.Random(SEED), n, k)
     order = net.dag.path()
     leaf, top = net.node_space(order[-1]), net.node_space(order[0])
+    pair = Space(net.variables[x] for x in (order[0], order[-1]))
     rng = random.Random(SEED + 1)
 
     def timed(f):
@@ -62,6 +68,7 @@ def run_case(root: Path, n: int, k: int, repeat: int) -> dict:
     first_leaf_s, _ = timed(sample_gamble(rng, leaf))
     leaf_runs = [timed(sample_gamble(rng, leaf)) for _ in range(repeat)]
     root_runs = [timed(sample_gamble(rng, top)) for _ in range(repeat)]
+    pair_runs = [timed(sample_gamble(rng, pair)) for _ in range(repeat)]
     return {
         "chain": f"{NAMES[k]} n={n}",
         "configurations": net.joint_space.size,
@@ -70,8 +77,10 @@ def run_case(root: Path, n: int, k: int, repeat: int) -> dict:
         "first_leaf_s": first_leaf_s,
         "leaf_s": [t for t, _ in leaf_runs],
         "root_s": [t for t, _ in root_runs],
+        "pair_s": [t for t, _ in pair_runs],
         "leaf_values": [str(v) for _, v in leaf_runs],
         "root_values": [str(v) for _, v in root_runs],
+        "pair_values": [str(v) for _, v in pair_runs],
         # ru_maxrss is in kilobytes on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
