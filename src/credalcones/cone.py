@@ -11,13 +11,14 @@ that extension is the finitely generated cone spanned by
 and this generator order is fixed, so reports are reproducible.  A cone
 owns all of its state, which every joint model of a network shares: the
 generators as integer columns (AssessmentCone.columns, built on first use,
-read by its LPs and checks and lifted by net), the coherence report, the
-memoized memberships (keyed by the target's integer form) and lower
-previsions (keyed by the table's integer row in lowest terms, so that a
-hit costs one gcd and no Fraction), and the optimal bases of its
-prevision LP, at which each lower prevision is read or from which it is
-walked to (lower_prevision), each checked against its columns before it
-joins them.
+an atom as its one entry, read by its LPs and checks and lifted by net;
+no dense atom is built unless AssessmentCone.generators is read), the
+coherence report, the memoized memberships (keyed by the target's integer
+form) and lower previsions (keyed by the table's integer row in lowest
+terms, so that a hit costs one gcd and no Fraction), and the optimal
+bases of its prevision LP, at which each lower prevision is read or from
+which it is walked to (lower_prevision), each checked against its columns
+before it joins them.
 
 Two quick routes settle most memberships before the LP, each with a
 certificate checked against the columns:
@@ -40,7 +41,8 @@ strictly positive.  The LP's verified separator, its appended coordinate
 dropped, is such a y.  The atoms are generators, so y is strictly
 positive; normalised, it is a probability mass function with all-positive
 mass giving every generator strictly positive expectation, the coherence
-witness.
+witness.  The LP reads the columns as integers and returns y as primitive
+integers: only the witness and the certificate are built as Fractions.
 """
 
 from __future__ import annotations
@@ -116,8 +118,6 @@ class AssessmentCone:
                 raise ValueError("assessed gambles must be nonzero")
             fitted.append(f)
         self.assessments: tuple[Gamble, ...] = tuple(fitted)
-        atoms = tuple(indicator(space.config_at(i), space) for i in range(space.size))
-        self.generators: tuple[Gamble, ...] = self.assessments + atoms
         self._coherence: Optional[CoherenceReport] = None
         self._members: dict[IntVector, Membership] = {}
         self._previsions: dict[tuple[int, ...], tuple] = {}
@@ -128,8 +128,18 @@ class AssessmentCone:
     @cached_property
     def columns(self) -> tuple[IntVector, ...]:
         """The generators as integer columns (lp.IntVector), which its LPs
-        and certificate checks read; built on first use."""
-        return tuple(_int_vector(enumerate(g.table)) for g in self.generators)
+        and certificate checks read; built on first use, an atom as its one
+        entry."""
+        atoms = [(((v, 1),), 1) for v in range(self.space.size)]
+        return (*[_int_vector(enumerate(g.table)) for g in self.assessments], *atoms)
+
+    @cached_property
+    def generators(self) -> tuple[Gamble, ...]:
+        """The generators as Gambles, the atoms as dense indicators, built
+        only for a caller that reads Gambles: the cone reads columns."""
+        space = self.space
+        atoms = [indicator(space.config_at(i), space) for i in range(space.size)]
+        return (*self.assessments, *atoms)
 
     def __repr__(self) -> str:
         return f"AssessmentCone({self.space!r}, {len(self.assessments)} assessments)"
@@ -149,7 +159,8 @@ class AssessmentCone:
             certificate = tuple(combination.get(k, Fraction(0)) for k in range(len(self.columns)))
             return CoherenceReport(coherent=False, certificate=certificate)
         y = res.separator[:-1]
-        return CoherenceReport(coherent=True, witness=tuple(Fraction(v, sum(y)) for v in y))
+        total = sum(y)
+        return CoherenceReport(coherent=True, witness=tuple(Fraction(v, total) for v in y))
 
     # -- membership -----------------------------------------------------------
 
@@ -173,10 +184,10 @@ class AssessmentCone:
             return Membership(member=False, route="zero-convention")
         target = _int_vector(enumerate(f.table))
         if target not in self._members:
-            self._members[target] = self._membership(f.table, target)
+            self._members[target] = self._membership(target)
         return self._members[target]
 
-    def _membership(self, table: Sequence[Fraction], target: IntVector) -> Membership:
+    def _membership(self, target: IntVector) -> Membership:
         entries, den = target
         if all(n > 0 for _, n in entries):
             first_atom = len(self.assessments)
@@ -186,7 +197,10 @@ class AssessmentCone:
         separator = self._witness_separator
         if separator is not None and _score(separator, target) < 0:
             return Membership(member=False, route="cached-separator", separator=separator)
-        return conic_membership(table, self.columns)
+        ints = [0] * self.space.size
+        for j, n in entries:
+            ints[j] = n
+        return conic_membership((ints, den), self.columns)
 
     @cached_property
     def _witness_separator(self) -> Optional[tuple[int, ...]]:

@@ -167,6 +167,11 @@ class Space:
             return list(range(self.size))
         if not self.contains_space(sub):
             raise ScopeError(f"scope {self} does not contain {sub}")
+        return self.positions_in(sub)
+
+    def positions_in(self, sub: "Space") -> list[int]:
+        """By configuration index here, the index in `sub` of the one that
+        agrees with it on their shared nodes, at first values elsewhere."""
         stride_of = dict(zip(sub._nodes, sub._strides))
         # from the last (fastest) variable out: a variable of stride s and
         # d values repeats the map of the variables after it d times, the

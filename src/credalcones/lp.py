@@ -29,9 +29,10 @@ nonnegative), and every answer read at it needs no check beyond primal
 feasibility (_answer_at).  Every other prevision answer, a tableau
 solve's, is checked on its own by _prevision_fault.
 
-The primitives take a dense target and each generator as an integer
-column (IntVector), built once by cone or net; only _coordinate_rows lays
-the columns out densely, for the tableau.  Every answer returned by this
+The primitives take each generator as an integer column (IntVector),
+built once by cone or net, and conic_membership a dense target as integers
+over one denominator; only _coordinate_rows lays the columns out densely,
+as integer rows for the tableau.  Every answer returned by this
 module is checked by exact substitution against those columns before it
 leaves, on its own or, when read at a prevision basis, by that basis's
 one check; an unverifiable certificate is a solver bug and raises, never
@@ -46,8 +47,11 @@ The pivot kernel works on Python ints: every tableau row is a list of
 integers over one positive row denominator, divided by their gcd after
 each update.  Every cell equals the cell of the rational tableau, so the
 pivots, bases and certificates are exactly those of the rational simplex
-(see _Tableau).  The kernel takes any exact rationals (Fraction, int) and
-returns Fractions.
+(see _Tableau).  It reads integer rows and returns the row duals as
+integers over one denominator, which a separator or a dual mass is read
+from as they are; only the primal solution and ray, printed as witness
+pairs and values, come out as Fractions.  LinearSystem, the one holder of
+rational rows, converts them once with _over_lcm.
 """
 
 from __future__ import annotations
@@ -61,8 +65,8 @@ from typing import Optional, Sequence
 
 from .core import RationalLike, as_rational
 
-# the number type of kernel results, reported as the arithmetic backend by
-# perfbench/run.py
+# the number type of the kernel's primal results, reported as the
+# arithmetic backend by perfbench/run.py
 _Q = Fraction
 
 # After this many consecutive pivots without objective progress the solver
@@ -132,6 +136,10 @@ def _primitive(vec) -> tuple[int, ...]:
 class _Tableau:
     """Simplex on min c.x s.t. A x = b, x >= 0, in exact integer arithmetic.
 
+    A comes as integer rows, each over its positive denominator, and b as
+    integers over one positive denominator (_coordinate_rows, _over_lcm);
+    row i and b_i are put over the lcm of the two.  The cost is rational.
+
     Row i of the tableau is a list of Python ints `rows[i]` over one positive
     row denominator `dens[i]`: its cell j is rows[i][j] / dens[i].  The
     reduced-cost row is stored the same way (`obj` over `obj_den`).  A pivot
@@ -161,16 +169,17 @@ class _Tableau:
         self.flip = []
         self.rows = []
         self.dens = []
-        for i in range(m):
-            ints, den = _over_lcm([*rows[i], rhs[i]])
-            flip = ints[-1] < 0
+        b, b_den = rhs
+        for i, (ints, den) in enumerate(rows):
+            common = lcm(den, b_den)
+            row = [v * (common // den) for v in ints] + [0] * m + [b[i] * (common // b_den)]
+            flip = row[-1] < 0
             if flip:
-                ints = [-v for v in ints]
+                row = [-v for v in row]
             self.flip.append(flip)
-            row = ints[:n] + [0] * m + ints[n:]
-            row[n + i] = den
+            row[n + i] = common
             self.rows.append(row)
-            self.dens.append(den)
+            self.dens.append(common)
         self.basis = [n + i for i in range(m)]
         self.obj: list[int] = []
         self.obj_den = 1
@@ -254,7 +263,8 @@ class _Tableau:
                 last, last_den = self.obj[-1], self.obj_den
 
     def solve(self):
-        """Returns (status, x, y, ray), entries Fractions.
+        """Returns (status, x, y, ray): x and ray lists of Fractions, y the
+        row duals as integers over one positive denominator, (ints, den).
 
         OPTIMAL: x primal solution, y row duals.
         INFEASIBLE: y is a Farkas vector (y.A <= 0 componentwise, y.b > 0).
@@ -269,8 +279,8 @@ class _Tableau:
         if self.obj[-1] < 0:
             # y_i = 1 - (reduced cost of artificial i)
             d = self.obj_den
-            y = [Fraction(d - self.obj[n + i], d) for i in range(m)]
-            return LpStatus.INFEASIBLE, None, self._unflip(y), None
+            y = [d - self.obj[n + i] for i in range(m)]
+            return LpStatus.INFEASIBLE, None, (self._unflip(y), d), None
         # drive lingering artificials out of the (degenerate) basis
         for i in range(m):
             if basis[i] >= n:
@@ -292,9 +302,8 @@ class _Tableau:
             if basis[i] < n:
                 x[basis[i]] = Fraction(rows[i][-1], dens[i])
         # artificials cost 0 in phase 2: y_i = -(reduced cost of artificial i)
-        d = self.obj_den
-        y = [Fraction(-self.obj[n + i], d) for i in range(m)]
-        return LpStatus.OPTIMAL, x, self._unflip(y), None
+        y = [-self.obj[n + i] for i in range(m)]
+        return LpStatus.OPTIMAL, x, (self._unflip(y), self.obj_den), None
 
     def _unflip(self, y: list) -> list:
         return [-v if f else v for v, f in zip(y, self.flip)]
@@ -407,18 +416,20 @@ class LinearSystem:
                 cost_std[2 * j] = c * self._sense
                 cost_std[2 * j + 1] = -cost_std[2 * j]
 
-        status, x_std, y_std, ray_std = _solve_standard(std_rows, std_rhs, cost_std)
+        rows = [_over_lcm(row) for row in std_rows]
+        status, x_std, y_std, ray_std = _solve_standard(rows, _over_lcm(std_rhs), cost_std)
 
         def restore(vec) -> tuple[Fraction, ...]:
             return tuple(vec[2 * j] - vec[2 * j + 1] for j in range(n))
 
-        if status is LpStatus.INFEASIBLE:
-            return LpOutcome(status=status, farkas=tuple(y_std))
         if status is LpStatus.UNBOUNDED:
             return LpOutcome(status=status, ray=restore(ray_std))
+        y = [Fraction(v, y_std[1]) for v in y_std[0]]
+        if status is LpStatus.INFEASIBLE:
+            return LpOutcome(status=status, farkas=tuple(y))
         solution = restore(x_std)
         objective = sum((c * v for c, v in zip(self._cost, solution)), Fraction(0))
-        dual = tuple(v * self._sense for v in y_std)
+        dual = tuple(v * self._sense for v in y)
         return LpOutcome(status=status, objective=objective, solution=solution, dual=dual)
 
 
@@ -512,28 +523,36 @@ def _separates(columns: Sequence[IntVector], target: IntVector, y: Sequence[int]
     return all(_score(y, g) >= 0 for g in columns) and _score(y, target) < 0
 
 
-def _coordinate_rows(columns: Sequence[IntVector], dim: int) -> list[list]:
-    """Row i holds coordinate i of every column, as a rational: the only
-    dense form of the generators, built for the tableau."""
-    rows: list[list] = [[0] * len(columns) for _ in range(dim)]
+def _coordinate_rows(columns: Sequence[IntVector], dim: int) -> list[tuple[list[int], int]]:
+    """Row i holds coordinate i of every column as integers over the lcm
+    of the denominators of the columns with an entry there: the only dense
+    form of the generators, built for the tableau.  Every cell is the
+    rational its column holds."""
+    dens = [1] * dim
+    for entries, den in columns:
+        for j, _ in entries:
+            dens[j] = lcm(dens[j], den)
+    rows = [[0] * len(columns) for _ in range(dim)]
     for k, (entries, den) in enumerate(columns):
         for j, n in entries:
-            rows[j][k] = Fraction(n, den)
-    return rows
+            rows[j][k] = n * (dens[j] // den)
+    return list(zip(rows, dens))
 
 
-def conic_membership(target: Sequence[Fraction], columns: Sequence[IntVector]) -> Membership:
+def conic_membership(target: tuple[list[int], int], columns: Sequence[IntVector]) -> Membership:
     """Decide target in { sum l_k g_k : l >= 0 }, with certificate; the
-    target is dense, the generators g_k are integer columns (IntVector).
+    target is dense integers over a positive denominator (_over_lcm), the
+    generators g_k are integer columns (IntVector).
 
     The zero target is rejected: whether the cone is pointed is a
     different question, answered by contains_zero below.
     """
-    dim = len(target)
+    ints, den = target
+    dim = len(ints)
     _check_columns(columns, dim)
-    if not any(target):
+    if not any(ints):
         raise LpError("zero target is not a membership query; use contains_zero")
-    goal = _int_vector(enumerate(target))
+    goal = tuple((j, n) for j, n in enumerate(ints) if n), den
     if columns:
         rows = _coordinate_rows(columns, dim)
         status, x, y, _ = _solve_standard(rows, target, [0] * len(columns))
@@ -546,7 +565,7 @@ def conic_membership(target: Sequence[Fraction], columns: Sequence[IntVector]) -
             raise LpError("witness failed verification")
         return Membership(member=True, route=EXACT_LP, witness=witness)
     if status is LpStatus.INFEASIBLE:
-        separator = _primitive([-v for v in y])
+        separator = _primitive([-v for v in y[0]])
         if not _separates(columns, goal, separator):
             raise LpError("separator failed verification")
         return Membership(member=False, route=EXACT_LP, separator=separator)
@@ -568,7 +587,7 @@ def contains_zero(columns: Sequence[IntVector], dim: int) -> Vanishing:
         return Vanishing(exists=False, route=EXACT_LP)
     _check_columns(columns, dim)
     lifted = [((*entries, (dim, den)), den) for entries, den in columns]
-    res = conic_membership([0] * dim + [1], lifted)
+    res = conic_membership(([0] * dim + [1], 1), lifted)
     return Vanishing(res.member, EXACT_LP, res.witness, res.separator)
 
 
@@ -591,27 +610,28 @@ def _checked_prevision(
     n = len(columns)
     shifted = [*columns, *[(tuple((j, s) for j in range(dim)), 1) for s in (1, -1)]]
     cost = [0] * n + [-1, 1]
-    status, x, y, ray = _solve_standard(_coordinate_rows(shifted, dim), target, cost)
+    form = _over_lcm(target)
+    status, x, y, ray = _solve_standard(_coordinate_rows(shifted, dim), form, cost)
     if status is LpStatus.UNBOUNDED:
         # the ray raises m at no cost, so -1 is in the cone; and some m is feasible
         if not (
             ray[n] > ray[n + 1]
             and _combines(shifted, _pairs(enumerate(ray)), _int_vector(()))
-            and (not any(target) or conic_membership(target, shifted).member)
+            and (not any(target) or conic_membership(form, shifted).member)
         ):
             raise LpError("unbounded lower prevision failed verification")
         raise InfinitePrevisionError("unbounded lower prevision: the cone is incoherent")
+    mass, mass_den = [-v for v in y[0]], y[1]
     if status is not LpStatus.OPTIMAL:
         # the Farkas vector, negated, separates the target from the shifted cone
-        if not _separates(shifted, _int_vector(enumerate(target)), _primitive([-v for v in y])):
+        if not _separates(shifted, _int_vector(enumerate(target)), _primitive(mass)):
             raise LpError("infeasible lower prevision failed verification")
         raise InfinitePrevisionError(
             "lower prevision LP is infeasible: no constant shift reaches the cone"
         )
     primal = _pairs(enumerate(x[:n]))
-    mass, mass_den = _over_lcm([-v for v in y])
     m = x[n] - x[n + 1]
-    fault = _prevision_fault(columns, _over_lcm(target), m, primal, mass, mass_den)
+    fault = _prevision_fault(columns, form, m, primal, mass, mass_den)
     if fault is not None:
         raise LpError(f"lower prevision failed {fault} verification")
     return m, primal, tuple(Fraction(v, mass_den) for v in mass)

@@ -64,6 +64,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -306,7 +307,7 @@ class JointModel:
                 raise NetworkError(f"mutation names unknown node {m_node!r}")
             if not 0 <= m_pidx < net.parent_space(m_node).size:
                 raise NetworkError("mutation parent index out of range")
-            if not 0 <= m_lidx < len(net.local_cone(m_node, m_pidx).generators):
+            if not 0 <= m_lidx < len(net.local_cone(m_node, m_pidx).columns):
                 raise NetworkError("mutation generator index out of range")
         self.mutate_flip = mutate_flip
 
@@ -315,6 +316,8 @@ class JointModel:
         # non-parent-non-descendant index, the slot's first generator)
         self._value_at: dict[str, list[int]] = {}
         self._slot_at: dict[str, list[int]] = {}
+        # by node, the space of its non-descendants, one slot per configuration
+        self._nd_space: dict[str, Space] = {}
         self._slots: dict[str, list[tuple[int, int, int]]] = {}
 
         leaves = net.dag.leaves()
@@ -326,7 +329,7 @@ class JointModel:
         # the local cone's own, or a copy with the flipped column negated
         self._local_columns: dict[tuple[str, int], tuple[IntVector, ...]] = {}
         for s in net.dag.nodes:
-            nd = net.parent_space(s).union(net.nnd_space(s))
+            nd = self._nd_space[s] = net.parent_space(s).union(net.nnd_space(s))
             v_at = self._value_at[s] = self.space.index_map(net.node_space(s))
             slot_at = self._slot_at[s] = self.space.index_map(nd)
             cells: list[list[tuple[int, int]]] = [[] for _ in range(nd.size)]
@@ -366,20 +369,29 @@ class JointModel:
         # verified separators as primitive integers, the canonical witness
         # first when it verifies
         self._separators: list[tuple[int, ...]] = []
-        self.canonical_witness: Optional[tuple[Fraction, ...]] = None
+        self._canonical: Optional[tuple[list[int], int]] = None
         ints, den = self._product_mass(lambda s, p, _: net.local_witness(s, p))
         # the product of the local coherence witnesses is strictly positive
         # by construction; it is kept only if it scores every generator
         # strictly positive, which certifies at once that no nonnegative
         # combination of the generators vanishes
         if all(_score(ints, info.column) > 0 for info in self.generators):
-            self.canonical_witness = tuple(Fraction(n, den) for n in ints)
+            self._canonical = ints, den
             self._cache_separator(_primitive(ints))
         self._dedup: Optional[tuple[list[IntVector], list[int]]] = None
         self._observed: dict[tuple[str, int, tuple], list[int]] = {}
         # the chain recursion's levels by the scope they start from, oldest
         # first (_levels)
         self._plans: dict[Space, list] = {}
+
+    @cached_property
+    def canonical_witness(self) -> Optional[tuple[Fraction, ...]]:
+        """The product of the local coherence witnesses when it scores every
+        generator strictly positive, else None; built on first read."""
+        if self._canonical is None:
+            return None
+        ints, den = self._canonical
+        return tuple(Fraction(n, den) for n in ints)
 
     # -- product mass functions --------------------------------------------
 
@@ -431,7 +443,7 @@ class JointModel:
         if y not in self._separators:
             self._separators.append(y)
             if len(self._separators) > _SEPARATOR_CACHE_LIMIT:
-                del self._separators[self.canonical_witness is not None]
+                del self._separators[self._canonical is not None]
         return y
 
     # -- query routes ------------------------------------------------------
@@ -532,10 +544,10 @@ class JointModel:
 
     def _lp_membership(self, target: IntVector) -> Membership:
         columns, owners = self._dedup_columns()
-        table = [Fraction(0)] * self.space.size
+        ints = [0] * self.space.size
         for j, n in target[0]:
-            table[j] = Fraction(n, target[1])
-        res = conic_membership(table, columns)
+            ints[j] = n
+        res = conic_membership((ints, target[1]), columns)
         if res.member:
             witness = {owners[k]: c for k, c in res.witness}
             if not self._witness_matches(witness, target):
@@ -553,7 +565,7 @@ class JointModel:
         The canonical product witness settles this without an LP whenever
         it verifies (always, for an untampered network of coherent locals).
         """
-        if self.canonical_witness is not None:
+        if self._canonical is not None:
             # every generator has strictly positive score, so a vanishing
             # combination would need all-zero coefficients
             return Vanishing(exists=False, route="canonical-witness")
@@ -715,18 +727,15 @@ class JointModel:
         for i in range(deepest, -1, -1):
             s = order[i]
             held = (held - {s}) | set(order[i - 1:i])
-            left = Space(var[n] for n in held)
-            spanned = held | {s}
-            whole = read if spanned == set(read.nodes) else Space(var[n] for n in spanned)
-            rows = [[0] * len(var[s].values) for _ in range(left.size)]
-            for r, v, q in zip(
-                whole.index_map(left), whole.index_map(net.node_space(s)), whole.index_map(read)
-            ):
-                rows[r][v] = q
-            parents = net.parent_space(s)
+            # held lies between s's parents and all the nodes above s
+            parents, above = net.parent_space(s), self._nd_space[s]
+            known = [sp for sp in (parents, above) if len(sp) == len(held)]
+            left = known[0] if known else Space(var[n] for n in held)
+            # read lies in left and s: (r, v) sits in read at r's place plus v's
+            shift = net.node_space(s).positions_in(read)
             cones = [net.local_cone(s, p) for p in range(parents.size)]
-            at = left.index_map(parents)
-            levels.append((s, left, [(p, cones[p], tuple(row)) for p, row in zip(at, rows)]))
+            at = zip(left.positions_in(parents), left.positions_in(read))
+            levels.append((s, left, [(p, cones[p], tuple([q + v for v in shift])) for p, q in at]))
             read = left
         self._plans[scope] = levels
         if len(self._plans) > _LEVELS_CACHE_LIMIT:
@@ -839,11 +848,7 @@ class JointModel:
                 continue
             left, found = read[s]
             # a slot's configuration of the nodes above s, restricted to left
-            if left.size == len(slots):
-                rows: Sequence[int] = range(left.size)
-            else:
-                rows = net.parent_space(s).union(net.nnd_space(s)).index_map(left)
-            for (p, n, first), r in zip(slots, rows):
+            for (p, n, first), r in zip(slots, self._nd_space[s].index_map(left)):
                 _, pairs, kernels[(s, p, n)] = found[r]
                 for k, c in pairs:
                     primal[first + k] = c

@@ -6,14 +6,32 @@ convert them here, and check certificates against them with the same exact
 integer checks the primitives run.  positivity_audit is the dense Fraction
 reference for oracle.positivity_audit, and product_mass for
 net.JointModel._product_mass, and fm_membership the Fraction reference for
-oracle.fm_membership.
+oracle.fm_membership.  DenseCone is the reference for the coherence and
+membership answers of cone.AssessmentCone: dense indicator atoms, and LPs
+laid out as Fraction rows for a kernel that reads rational rows and returns
+Fractions (fraction_rows, FractionTableau).
 """
 
 import random
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from credalcones.lp import _combines, _int_vector, _primitive, _separates
+from credalcones import lp
+from credalcones.cone import CoherenceReport
+from credalcones.core import indicator
+from credalcones.lp import (
+    EXACT_LP,
+    LpError,
+    LpStatus,
+    Membership,
+    _combines,
+    _int_vector,
+    _over_lcm,
+    _pairs,
+    _primitive,
+    _score,
+    _separates,
+)
 from credalcones.oracle import (
     _FM_MAX_ROWS,
     FM_MAX_DIM,
@@ -251,3 +269,130 @@ def fm_membership(
         table = keep
 
     return all(r[width] <= 0 for r in table if all(r[k] == 0 for k in range(width)))
+
+
+# -- local cones from dense atoms and Fraction rows ---------------------------
+
+
+def fraction_rows(columns, dim):
+    """Row i holds coordinate i of every integer column, as a Fraction."""
+    rows = [[0] * len(columns) for _ in range(dim)]
+    for k, (entries, den) in enumerate(columns):
+        for j, n in entries:
+            rows[j][k] = Fraction(n, den)
+    return rows
+
+
+class FractionTableau(lp._Tableau):
+    """The pivot kernel on rational rows: each row with its right-hand side
+    put over the lcm of its Fractions' denominators, and every result, the
+    duals too, returned as Fractions."""
+
+    def __init__(self, rows, rhs, cost):
+        self.m = m = len(rows)
+        self.n = n = len(cost)
+        self.cost = cost
+        self.flip, self.rows, self.dens = [], [], []
+        for i in range(m):
+            ints, den = _over_lcm([*rows[i], rhs[i]])
+            flip = ints[-1] < 0
+            if flip:
+                ints = [-v for v in ints]
+            self.flip.append(flip)
+            row = ints[:n] + [0] * m + ints[n:]
+            row[n + i] = den
+            self.rows.append(row)
+            self.dens.append(den)
+        self.basis = [n + i for i in range(m)]
+        self.obj, self.obj_den, self.pivots = [], 1, 0
+
+    def solve(self):
+        m, n = self.m, self.n
+        rows, dens, basis = self.rows, self.dens, self.basis
+        self._set_objective([0] * n + [1] * m)
+        if self._run(n + m) is not None:
+            raise LpError("phase 1 cannot be unbounded")
+        if self.obj[-1] < 0:
+            d = self.obj_den
+            y = [Fraction(d - self.obj[n + i], d) for i in range(m)]
+            return LpStatus.INFEASIBLE, None, self._unflip(y), None
+        for i in range(m):
+            if basis[i] >= n:
+                j = next((j for j in range(n) if rows[i][j]), None)
+                if j is not None:
+                    self._pivot(i, j)
+        self._set_objective(self.cost)
+        if self._run(n) is not None:
+            raise LpError("a cone LP has no cost to be unbounded in")
+        x = [Fraction(0)] * n
+        for i in range(m):
+            if basis[i] < n:
+                x[basis[i]] = Fraction(rows[i][-1], dens[i])
+        d = self.obj_den
+        y = [Fraction(-self.obj[n + i], d) for i in range(m)]
+        return LpStatus.OPTIMAL, x, self._unflip(y), None
+
+
+def dense_membership(target, columns):
+    """lp.conic_membership of a dense Fraction target, on Fraction rows."""
+    goal = _int_vector(enumerate(target))
+    if columns:
+        rows = fraction_rows(columns, len(target))
+        status, x, y, _ = FractionTableau(rows, target, [0] * len(columns)).solve()
+    else:
+        status, y = LpStatus.INFEASIBLE, target
+    if status is LpStatus.OPTIMAL:
+        witness = _pairs(enumerate(x))
+        assert _combines(columns, witness, goal)
+        return Membership(member=True, route=EXACT_LP, witness=witness)
+    separator = _primitive([-v for v in y])
+    assert _separates(columns, goal, separator)
+    return Membership(member=False, route=EXACT_LP, separator=separator)
+
+
+class DenseCone:
+    """An assessment cone with its atoms built as dense indicators: the
+    coherence LP and the membership routes of cone.AssessmentCone, each LP
+    on Fraction rows (dense_membership)."""
+
+    def __init__(self, space, assessments=()):
+        self.space = space
+        self.assessments = tuple(f.extend(space) for f in assessments)
+        atoms = tuple(indicator(space.config_at(i), space) for i in range(space.size))
+        self.generators = self.assessments + atoms
+        self.columns = int_columns(g.table for g in self.generators)
+        self.report = None
+
+    def is_coherent(self):
+        if self.report is None:
+            self.report = self._decide_coherence()
+        return self.report
+
+    def _decide_coherence(self):
+        dim = self.space.size
+        lifted = [((*entries, (dim, den)), den) for entries, den in self.columns]
+        res = dense_membership((Fraction(0),) * dim + (Fraction(1),), lifted)
+        if res.member:
+            combination = dict(res.witness)
+            certificate = tuple(combination.get(k, Fraction(0)) for k in range(len(lifted)))
+            return CoherenceReport(coherent=False, certificate=certificate)
+        y = res.separator[:-1]
+        return CoherenceReport(coherent=True, witness=tuple(Fraction(v, sum(y)) for v in y))
+
+    def member_with_certificate(self, f):
+        f = f.extend(self.space)
+        if f.is_zero:
+            return Membership(member=False, route="zero-convention")
+        target = _int_vector(enumerate(f.table))
+        entries, den = target
+        if all(n > 0 for _, n in entries):
+            first_atom = len(self.assessments)
+            witness = _pairs((first_atom + j, Fraction(n, den)) for j, n in entries)
+            if _combines(self.columns, witness, target):
+                return Membership(member=True, route="positive-span", witness=witness)
+        report = self.is_coherent()
+        if report.coherent:
+            separator = _primitive(report.witness)
+            if _score(separator, target) < 0:
+                return Membership(member=False, route="cached-separator", separator=separator)
+        return dense_membership(f.table, self.columns)

@@ -18,7 +18,7 @@ import pytest
 from credalcones import cli
 from credalcones.cone import AssessmentCone
 from credalcones.core import Gamble, Space, VariableSpace, indicator
-from credalcones.lp import conic_membership
+from credalcones.lp import _over_lcm, conic_membership
 from dense import int_columns
 from credalcones.net import DEFAULT_GENERATOR_CAP, sample_credal_net
 from credalcones.oracle import PreciseNet, fm_membership, positivity_audit
@@ -226,7 +226,7 @@ def test_primary_5_fourier_motzkin_agrees_with_simplex():
                 F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(dim)
             )
         fm = fm_membership(target, rays)
-        lp = conic_membership(target, int_columns(rays))
+        lp = conic_membership(_over_lcm(target), int_columns(rays))
         if fm != lp.member:
             mismatches.append(f"trial {trial}: fm={fm} lp={lp.member}")
         elif fm:

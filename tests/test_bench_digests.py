@@ -95,6 +95,8 @@ def test_sweep_local_memberships_mostly_skip_the_lp(tmp_path, monkeypatch):
     monkeypatch.setattr(
         cone.AssessmentCone,
         "member_with_certificate",
-        lambda self, f: cone.conic_membership(f.extend(self.space).table, self.columns),
+        lambda self, f: cone.conic_membership(
+            lp._over_lcm(f.extend(self.space).table), self.columns
+        ),
     )
     assert sweep_local_lps() > 40

@@ -641,7 +641,7 @@ def test_chain_queries_need_no_joint_lp_under_the_work_cap(tmp_path, capsys, mon
     joint = load_network(net).build_joint()
     columns, _ = joint._dedup_columns()
     table = [Fraction(v) for _ in range(2) for v in gamble["table"]]  # a varies slowest
-    expected_member = lp.conic_membership(table, columns).member
+    expected_member = lp.conic_membership(lp._over_lcm(table), columns).member
     expected_value = lp._checked_prevision(table, columns)[0]
 
     def joint_lp(self):

@@ -8,11 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from credalcones import lp
+from credalcones import cone as cone_module, core, lp
 from credalcones.cone import AssessmentCone
-from credalcones.core import Gamble, Space, VariableSpace
+from credalcones.core import Gamble, Space, VariableSpace, indicator
 from credalcones.lp import LpError, _over_lcm
-from dense import int_columns, is_positive_pmf, is_separator, is_witness
+from dense import DenseCone, int_columns, is_positive_pmf, is_separator, is_witness
 
 F = Fraction
 
@@ -307,6 +307,67 @@ def test_a_wide_local_model_is_decided_by_one_lp(monkeypatch, table, coherent):
         assert is_witness(tables, (F(0),) * 400, enumerate(combo))
 
 
+def random_local_cone(rng):
+    """1-5 values and 0-4 assessments, each drawn anew or as a repeat or the
+    negation of an earlier one."""
+    sp = Space([VariableSpace("a", tuple(f"v{i}" for i in range(rng.randint(1, 5))))])
+    gambles, count = [], rng.randint(0, 4)
+    while len(gambles) < count:
+        roll = rng.random()
+        if gambles and roll < 0.25:
+            gambles.append(rng.choice(gambles))
+        elif gambles and roll < 0.5:
+            gambles.append(-rng.choice(gambles))
+        else:
+            table = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(sp.size))
+            if any(table):
+                gambles.append(Gamble(sp, table))
+    return sp, gambles
+
+
+def test_local_cones_answer_as_with_dense_atoms_and_fraction_rows():
+    # the integer columns and rows, and the kernel's integer duals, give the
+    # coherence reports and membership answers of dense indicator atoms and
+    # a kernel on Fraction rows, certificates included
+    rng = random.Random(2828)
+    coherent, answers = Counter(), Counter()
+    for _ in range(300):
+        sp, gambles = random_local_cone(rng)
+        cone, dense = AssessmentCone(sp, gambles), DenseCone(sp, gambles)
+        report = cone.is_coherent()
+        assert report == dense.is_coherent()
+        coherent[report.coherent] += 1
+        for _ in range(6):
+            table = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(sp.size))
+            res = cone.member_with_certificate(Gamble(sp, table))
+            assert res == dense.member_with_certificate(Gamble(sp, table))
+            answers[res.route, res.member] += 1
+    assert coherent[True] > 50 and coherent[False] > 50
+    for route, member in [("positive-span", True), ("cached-separator", False)]:
+        assert answers[route, member]
+    assert answers["exact-lp", True] and answers["exact-lp", False]
+
+
+def test_a_wide_cone_lays_out_its_atoms_without_a_dense_atom(monkeypatch):
+    space = Space([VariableSpace("x", tuple(f"v{x}" for x in range(3000)))])
+    gamble = Gamble(space, tuple(F(2999) if x == 0 else F(-1) for x in range(3000)))
+    atoms = (indicator(space.config_at(i), space) for i in range(space.size))
+    dense = int_columns(g.table for g in (gamble, *atoms))
+
+    def never(*args, **kwargs):
+        raise AssertionError("a dense atom was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "indicator", never)
+        patch.setattr(cone_module, "indicator", never)
+        wide = AssessmentCone(space, [gamble])
+        assert list(wide.columns) == dense
+    # read afterwards, the generators are the assessment and the dense atoms
+    assert wide.generators[0] == gamble
+    assert all(g.space == space for g in wide.generators)
+    assert int_columns(g.table for g in wide.generators) == dense
+
+
 def random_target(rng, cone):
     size = cone.space.size
     table = (F(0),) * size
@@ -329,7 +390,7 @@ def test_local_quick_routes_agree_with_the_lp():
             routes[res.route, coherent] += 1
             if res.route == "exact-lp":
                 continue
-            assert res.member == lp.conic_membership(f.table, cone.columns).member
+            assert res.member == lp.conic_membership(_over_lcm(f.table), cone.columns).member
             if res.member:
                 assert res.route == "positive-span"
                 assert is_witness(tables, f.table, res.witness)
@@ -365,7 +426,7 @@ def test_a_tampered_coherence_witness_never_separates():
                 raised += 1
                 continue
             assert res.route in ("positive-span", "exact-lp")
-            assert res.member == lp.conic_membership(f.table, cone.columns).member
+            assert res.member == lp.conic_membership(_over_lcm(f.table), cone.columns).member
     assert raised > 30
 
 

@@ -136,14 +136,14 @@ def test_conflicting_singleton_rows_are_infeasible():
 
 def test_membership_inside_2d_cone():
     gens = [(F(1), F(0)), (F(1), F(1))]
-    res = conic_membership((F(3), F(1)), int_columns(gens))
+    res = conic_membership(lp._over_lcm((F(3), F(1))), int_columns(gens))
     assert res.member and res.route == "exact-lp"
     assert res.witness == ((0, F(2)), (1, F(1)))
 
 
 def test_membership_outside_2d_cone():
     gens = [(F(1), F(0)), (F(1), F(1))]
-    res = conic_membership((F(0), F(1)), int_columns(gens))
+    res = conic_membership(lp._over_lcm((F(0), F(1))), int_columns(gens))
     assert not res.member
     assert res.separator is not None
     assert is_separator(gens, (F(0), F(1)), res.separator)
@@ -152,11 +152,11 @@ def test_membership_outside_2d_cone():
 def test_zero_target_is_rejected():
     # pointedness is a property of the cone, not a membership question
     with pytest.raises(LpError, match="contains_zero"):
-        conic_membership((F(0), F(0)), int_columns([(F(1), F(2))]))
+        conic_membership(lp._over_lcm((F(0), F(0))), int_columns([(F(1), F(2))]))
 
 
 def test_empty_generator_list():
-    res = conic_membership((F(1), F(-2)), [])
+    res = conic_membership(lp._over_lcm((F(1), F(-2))), [])
     assert not res.member
     assert is_separator([], (F(1), F(-2)), res.separator)
     assert not contains_zero([], 2).exists
@@ -183,12 +183,13 @@ def test_contains_zero_negative_for_pointed_cone():
 
 def test_dimension_mismatch_rejected():
     # a column index outside the target's dimension
+    gens = int_columns([(F(1), F(0)), (F(0), F(0), F(1))])
     with pytest.raises(ValueError, match="one dimension"):
-        conic_membership((F(1), F(0)), int_columns([(F(1), F(0)), (F(0), F(0), F(1))]))
+        conic_membership(lp._over_lcm((F(1), F(0))), gens)
     with pytest.raises(ValueError, match="one dimension"):
         contains_zero([(((-1, 1),), 1)], 2)
     with pytest.raises(ValueError, match="at least 1"):
-        conic_membership((), [])
+        conic_membership(lp._over_lcm(()), [])
 
 
 def test_lower_prevision_is_the_largest_constant_shift():
@@ -250,10 +251,13 @@ def test_an_infinite_prevision_needs_a_verified_ray_or_farkas_vector(monkeypatch
         assert type(raised.value) is LpError
         assert "failed verification" in str(raised.value)
 
-    # a Farkas vector negated, or shifted off the zero sum of m+ and m-
-    monkeypatch.setattr(lp, "_solve_standard", answer(lambda y: [-v for v in y]))
+    # a Farkas vector (integers over a denominator) negated, or shifted off
+    # the zero sum of m+ and m-
+    monkeypatch.setattr(lp, "_solve_standard", answer(lambda y: ([-v for v in y[0]], y[1])))
     solver_fault((F(1), F(0)), sink)
-    monkeypatch.setattr(lp, "_solve_standard", answer(lambda y: [y[0] + 1, y[1]]))
+    monkeypatch.setattr(
+        lp, "_solve_standard", answer(lambda y: ([y[0][0] + y[1], y[0][1]], y[1]))
+    )
     solver_fault((F(1), F(0)), sink)
     # rays that lower m, leave the cone's combination nonzero, or go negative
     for ray in ([0, 0, 1, 0, 1], [0, 0, 0, 1, 0], [1, 0, 1, 1, 0], [-1, 0, 1, 1, 0]):
@@ -332,7 +336,7 @@ def test_membership_agrees_with_brute_force():
             tuple(F(1) for _ in range(dim))
         ]
         target = _nonzero_vector(rng, dim)
-        res = conic_membership(target, int_columns(gens))
+        res = conic_membership(lp._over_lcm(target), int_columns(gens))
         assert res.member == brute_force_member(gens, target)
         if res.member:
             assert is_witness(gens, target, res.witness)
@@ -349,10 +353,10 @@ def test_two_sided_membership_forces_a_vanishing_combination():
         n = rng.randint(2, 5)
         gens = [_nonzero_vector(rng, dim) for _ in range(n)]
         target = _nonzero_vector(rng, dim)
-        forward = conic_membership(target, int_columns(gens))
+        forward = conic_membership(lp._over_lcm(target), int_columns(gens))
         if not forward.member:
             continue
-        backward = conic_membership(tuple(-v for v in target), int_columns(gens))
+        backward = conic_membership(lp._over_lcm(tuple(-v for v in target)), int_columns(gens))
         if not backward.member:
             continue
         hits += 1
@@ -364,9 +368,9 @@ def test_solver_is_deterministic():
     rng = random.Random(7)
     gens = [tuple(F(rng.randint(-3, 3)) for _ in range(4)) for _ in range(8)]
     target = _nonzero_vector(rng, 4)
-    first = conic_membership(target, int_columns(gens))
+    first = conic_membership(lp._over_lcm(target), int_columns(gens))
     for _ in range(3):
-        again = conic_membership(target, int_columns(gens))
+        again = conic_membership(lp._over_lcm(target), int_columns(gens))
         assert again == first
 
 
@@ -402,7 +406,9 @@ def parse_matrix(rows):
 
 
 def kernel_record(rows, rhs, cost):
-    tableau = lp._Tableau(rows, rhs, cost)
+    # the pinned rational rows and right-hand side, each as integers over
+    # its lcm, which is what the kernel reads
+    tableau = lp._Tableau([lp._over_lcm(row) for row in rows], lp._over_lcm(rhs), cost)
     status, x, y, ray = tableau.solve()
 
     def text(vec):
@@ -413,7 +419,7 @@ def kernel_record(rows, rhs, cost):
         "pivots": tableau.pivots,
         "basis": list(tableau.basis),
         "x": text(x),
-        "y": text(y),
+        "y": text(None if y is None else [F(v, y[1]) for v in y[0]]),
         "ray": text(ray),
     }
 
@@ -512,9 +518,9 @@ def test_lower_prevision_rejects_a_dual_that_misses_by_one_over_den(monkeypatch)
 
     def fake(rows, rhs, cost):
         status, x, y, ray = solve(rows, rhs, cost)
-        seen.append([-v for v in y])
+        seen.append([F(-v, y[1]) for v in y[0]])
         # sums to 1, nonnegative on both atoms, expectation 2 + 1/den
-        return status, x, [F(-(den - 1), den), F(-1, den)], ray
+        return status, x, ([-(den - 1), -1], den), ray
 
     assert lower_prevision(target, atoms) == 2
     monkeypatch.setattr(lp, "_solve_standard", fake)

@@ -295,7 +295,7 @@ def test_structured_member_agrees_with_raw_lp():
             target = indicator(
                 p_cfg.combine(given), net.joint_space
             ) * f.extend(net.joint_space)
-            direct = conic_membership(target.table, columns)
+            direct = conic_membership(_over_lcm(target.table), columns)
             assert res.member == direct.member
 
 
@@ -363,7 +363,7 @@ def test_structured_target_is_the_dense_target():
             # separator caches agree and so must route and certificate
             assert without.structured_member(s, p_idx, given, f) == res
             target = indicator(p_cfg.combine(given), net.joint_space) * f.extend(net.joint_space)
-            assert res.member == conic_membership(target.table, columns).member
+            assert res.member == conic_membership(_over_lcm(target.table), columns).member
             if res.member:
                 assert is_witness(tables, target.table, res.witness)
             else:
@@ -482,13 +482,13 @@ def test_membership_given_an_observation_dispatch_and_errors():
     only_a = Space([binary("a")]).configuration({"a": "a0"})
     assert not joint.member_with_certificate(f, given=only_a).member
     target = indicator(only_a, net.joint_space) * f.extend(net.joint_space)
-    assert not conic_membership(target.table, columns).member
+    assert not conic_membership(_over_lcm(target.table), columns).member
     # gambles on several nodes take the generic route too
     bc = sample_gamble(random.Random(9), Space([binary("b"), binary("c")]))
     wide = indicator(only_a, net.joint_space) * bc.extend(net.joint_space)
     assert (
         joint.member_with_certificate(bc, given=only_a).member
-        == conic_membership(wide.table, columns).member
+        == conic_membership(_over_lcm(wide.table), columns).member
     )
     # scope overlap and zero gambles are refused
     with pytest.raises(NetworkError):
@@ -893,7 +893,7 @@ def test_chain_recursion_equals_the_joint_lp_and_never_falls_back(monkeypatch):
             table = f.extend(net.joint_space).table
             lower = lp_lower_prevision(table, columns)
             upper = -lp_lower_prevision([-v for v in table], columns)
-            member = conic_membership(table, columns).member
+            member = conic_membership(_over_lcm(table), columns).member
 
             with monkeypatch.context() as patch:
                 patch.setattr("credalcones.net.JointModel._dedup_columns", refuse)
@@ -943,7 +943,7 @@ def test_chain_recursion_on_mutated_chains_answers_as_the_lp():
             else:
                 assert joint.lower_prevision(f) == lower
             res = joint.member_with_certificate(f)
-            assert res.member == conic_membership(table, columns).member
+            assert res.member == conic_membership(_over_lcm(table), columns).member
             if res.member:
                 assert is_witness(tables, table, res.witness)
             else:
@@ -959,7 +959,7 @@ def test_chain_recursion_on_mutated_chains_answers_as_the_lp():
             f = sample_gamble(picks, net.node_space(s))
             target = indicator(p_cfg.combine(given), net.joint_space) * f.extend(net.joint_space)
             res = joint.member_with_certificate(f, given=p_cfg.combine(given))
-            assert res.member == conic_membership(target.table, columns).member
+            assert res.member == conic_membership(_over_lcm(target.table), columns).member
             if res.member:
                 assert is_witness(tables, target.table, res.witness)
             else:
@@ -1792,7 +1792,7 @@ def test_every_separator_is_a_primitive_integer_tuple():
     for _ in range(40):
         dim = rng.randint(1, 4)
         tables = [dense_table(rng, dim) for _ in range(rng.randint(0, 4))]
-        check("lp", conic_membership(dense_table(rng, dim), int_columns(tables)))
+        check("lp", conic_membership(_over_lcm(dense_table(rng, dim)), int_columns(tables)))
     canonical = 0
     for trial in range(16):
         if trial % 2:

@@ -8,7 +8,7 @@ import pytest
 from credalcones import oracle
 from credalcones.core import Gamble, Space, VariableSpace, indicator
 from credalcones.dag import Dag
-from credalcones.lp import conic_membership
+from credalcones.lp import _over_lcm, conic_membership
 from dense import fm_membership as dense_fm_membership
 from dense import int_columns, positivity_audit as dense_positivity_audit
 from credalcones.net import CredalNet, sample_credal_net, sample_gamble
@@ -216,7 +216,7 @@ def test_fm_agrees_with_lp():
         target = tuple(F(rng.randint(-3, 3)) for _ in range(dim))
         while all(v == 0 for v in target):
             target = tuple(F(rng.randint(-3, 3)) for _ in range(dim))
-        lp_says = conic_membership(target, int_columns(gens)).member
+        lp_says = conic_membership(_over_lcm(target), int_columns(gens)).member
         fm_says = fm_membership(target, gens)
         assert lp_says == fm_says
         if lp_says:

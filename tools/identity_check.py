@@ -3,7 +3,7 @@
     python3 tools/identity_check.py --parent PATH
 
 PATH is the root of another checkout (one with ``src/credalcones``), usually
-the parent commit.  The inputs of 172 CLI runs are written to a temporary
+the parent commit.  The inputs of 252 CLI runs are written to a temporary
 directory:
 
   * ``query`` on the 24 chain query files of perfbench seeds 1-3;
@@ -27,7 +27,13 @@ directory:
   * the same on the 8 mixed chains, the slot drawn from the chain's
     generator after its queries: there the chain recursion checks a
     flipped slot's local certificate on its own, far more often than on
-    the 40 networks.
+    the 40 networks;
+  * ``validate`` on the same 40 networks, and on each with one local model
+    replaced by an incoherent assessment of the node's width (the slot
+    drawn from the network's generator after the flip), taken in order
+    from the coherence sets of the local workload's seeds 1-3 that are
+    incoherent: each exits 2 and prints the coherence LP's vanishing
+    combination, the one local certificate a run prints.
 
 They are built by this checkout's package and ``perfbench/workloads.py``,
 which is only read.  Every run is ``python -m credalcones.cli`` with the
@@ -51,6 +57,7 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from math import prod
 from pathlib import Path
 
@@ -59,6 +66,7 @@ CHAIN_SEEDS = (1, 2, 3)
 MIXED_SEEDS = range(1, 9)
 MIXED_MAX_SIZE = 144
 NET_SEEDS = range(1000, 1040)
+LOCAL_SEEDS = (1, 2, 3)
 VERIFY_SEED = "3"
 CLEAN_BUDGET = "45"
 FLIP_BUDGET = "60"
@@ -152,6 +160,42 @@ def flip_run(rng: random.Random, network, path: Path) -> list[str]:
             "--mutate-flip", f"{node}:{p}:{k}"]
 
 
+def incoherent_sets(run, workdir: Path) -> list[tuple[int, list[list[str]]]]:
+    """The coherence sets of the local workload's LOCAL_SEEDS that are
+    incoherent, in order, each as (number of values, gamble rows)."""
+    from credalcones import cone, core
+
+    workload = run.import_package()["local"]()
+    found = []
+    for seed in LOCAL_SEEDS:
+        for unit in run.make_inputs(workload, seed, workdir / f"local-{seed}"):
+            for entry in json.loads(unit.path.read_text(encoding="utf-8"))["coherence"]:
+                space = core.Space([core.VariableSpace("x", tuple(range(entry["values"])))])
+                rows = [core.Gamble(space, tuple(map(Fraction, r))) for r in entry["gambles"]]
+                if not cone.AssessmentCone(space, rows).is_coherent():
+                    found.append((entry["values"], entry["gambles"]))
+    return found
+
+
+def incoherent_run(rng: random.Random, network, path: Path, sets: list) -> list[str]:
+    """The ``validate`` run on the network written to path with one local
+    model, drawn from rng among those whose node's width an incoherent set
+    of `sets` has, replaced by the first such set, which leaves `sets`."""
+    from credalcones import cli
+
+    data = cli.serialize_network(network)
+    widths = {n for n, _ in sets}
+    models = data["local_models"]
+    width_of = [len(network.variables[m["node"]].values) for m in models]
+    k = rng.choice([k for k, width in enumerate(width_of) if width in widths])
+    width = width_of[k]
+    at = next(i for i, (n, _) in enumerate(sets) if n == width)
+    models[k]["gambles"] = sets.pop(at)[1]
+    changed = path.with_name(f"{path.stem}-incoherent.json")
+    changed.write_text(json.dumps(data), encoding="utf-8")
+    return ["validate", changed.name]
+
+
 def write_inputs(workdir: Path) -> list[list[str]]:
     """The CLI arguments of every run, with their input files written under
     workdir; file names are relative to it."""
@@ -176,17 +220,18 @@ def write_inputs(workdir: Path) -> list[list[str]]:
         if seed == MIXED_SEEDS[0]:
             commands += literal_runs(workdir, chain, paths[0].name)
         flips.append(flip_run(rng, chain, paths[0]))
-    budgeted = []
+    budgeted, validated, sets = [], [], incoherent_sets(run, workdir)
     for seed in NET_SEEDS:
         rng = random.Random(seed)
         network = net.sample_credal_net(rng)
         path = workdir / f"net-{seed}.json"
         path.write_text(json.dumps(cli.serialize_network(network)), encoding="utf-8")
         flip = flip_run(rng, network, path)
+        validated += [["validate", path.name], incoherent_run(rng, network, path, sets)]
         commands.append(["verify", path.name, "--seed", VERIFY_SEED])
         budgeted.append(["verify", path.name, "--seed", VERIFY_SEED, "--budget", CLEAN_BUDGET])
         flips.append(flip)
-    return commands + budgeted + flips
+    return commands + budgeted + flips + validated
 
 
 def run_cli(tree: Path, args: list[str], workdir: Path) -> tuple[int, bytes, bytes]:
