@@ -33,7 +33,6 @@ from .lp import (
 from .net import (
     CredalNet,
     GeneratorCapError,
-    GeneratorInfo,
     IncoherentLocalModel,
     IrrelevanceCheck,
     JointModel,
@@ -63,7 +62,6 @@ __all__ = [
     "DagReport",
     "Gamble",
     "GeneratorCapError",
-    "GeneratorInfo",
     "IncoherentLocalModel",
     "IrrelevanceCheck",
     "JointModel",

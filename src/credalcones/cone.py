@@ -177,12 +177,14 @@ class AssessmentCone:
         witness scores negative, "cached-separator", with that witness as
         separator (see _witness_separator).  Both certificates are checked
         against the columns; anything else is one exact LP.  Answers are
-        memoized, keyed by the target's integer form.
+        memoized, keyed by the target's integer form, its nonzero entries
+        read from f's own (Gamble.integer_form).
         """
         f = f.extend(self.space)
         if f.is_zero:
             return Membership(member=False, route="zero-convention")
-        target = _int_vector(enumerate(f.table))
+        ints, den = f.integer_form
+        target = tuple((j, n) for j, n in enumerate(ints) if n), den
         if target not in self._members:
             self._members[target] = self._membership(target)
         return self._members[target]

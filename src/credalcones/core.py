@@ -15,6 +15,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -39,6 +41,13 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return _parse_rational(value.strip())
     raise TypeError(f"not a rational: {value!r} (floats are not accepted)")
+
+
+def _over_lcm(values) -> tuple[list[int], int]:
+    """Rationals as integers over their least common denominator:
+    values[j] == ints[j] / den."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -337,6 +346,13 @@ class Gamble:
 
     def __rmul__(self, other: RationalLike) -> "Gamble":
         return self.__mul__(other)
+
+    @cached_property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """The table as integers over their least common denominator
+        (_over_lcm), built on first read and kept on the gamble."""
+        ints, den = _over_lcm(self.table)
+        return tuple(ints), den
 
     @property
     def is_zero(self) -> bool:

@@ -63,7 +63,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .core import RationalLike, as_rational
+from .core import RationalLike, _over_lcm, as_rational
 
 # the number type of the kernel's primal results, reported as the
 # arithmetic backend by perfbench/run.py
@@ -116,13 +116,6 @@ class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-
-
-def _over_lcm(values) -> tuple[list[int], int]:
-    """Rationals as integers over their least common denominator:
-    values[j] == ints[j] / den."""
-    den = lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _primitive(vec) -> tuple[int, ...]:

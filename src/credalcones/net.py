@@ -12,10 +12,13 @@ fixed order: nodes sorted, parent configurations lexicographic, then
 non-parent-non-descendant configurations lexicographic, then the local
 generator list (assessments first, atoms last).
 
-Every generator is one integer column (lp.IntVector), built from its
-local cone's column.  All local state (witnesses, memoized memberships and
-previsions, optimal bases) lives on the cones, so every joint model of
-a network, flipped or not, shares it.  Queries on the joint cone are
+A generator is its integer column (lp.IntVector), lifted from its local
+cone's column; JointModel.generators is the list of them, and where each
+came from (node, parent index, slot) is recorded once per slot.  A
+gamble's integer form (Gamble.integer_form) is built once, on the gamble,
+and read by every route.  All local state (witnesses, memoized
+memberships and previsions, optimal bases) lives on the cones, so every
+joint model of a network, flipped or not, shares it.  Queries on the joint cone are
 answered by certificates always re-verified by exact substitution, in
 integers over the nonzero entries (see lp), against these columns or, for
 a chain prevision, against the local columns they are lifted from:
@@ -64,7 +67,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, combinations
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -129,18 +131,6 @@ class IncoherentLocalModel(NetworkError):
         self.node = node
         self.parent_config = parent_config
         self.report = report
-
-
-@dataclass(frozen=True)
-class GeneratorInfo:
-    """One joint generator, as its integer `column` (lp.IntVector: the
-    nonzero entries as (joint configuration index, integer) pairs in index
-    order, over one denominator), and where it came from."""
-
-    index: int
-    node: str
-    parent_index: int
-    column: IntVector
 
 
 @dataclass(frozen=True)
@@ -324,7 +314,9 @@ class JointModel:
         self._leaf = leaves[0]
         self._atom_gen_at: dict[int, int] = {}
 
-        self.generators: list[GeneratorInfo] = []
+        # each generator's integer column (lp.IntVector: its nonzero entries
+        # as (joint configuration index, integer) pairs over one denominator)
+        self.generators: list[IntVector] = []
         # each slot's local columns, which its generators are lifted from:
         # the local cone's own, or a copy with the flipped column negated
         self._local_columns: dict[tuple[str, int], tuple[IntVector, ...]] = {}
@@ -355,15 +347,9 @@ class JointModel:
                 first[w] = len(self.generators)
                 for k, (by_value, den) in enumerate(local_cols[p_idx]):
                     entries = tuple((j, by_value[v]) for j, v in cells[w] if v in by_value)
-                    info = GeneratorInfo(
-                        index=len(self.generators),
-                        node=s,
-                        parent_index=p_idx,
-                        column=(entries, den),
-                    )
-                    self.generators.append(info)
                     if s == self._leaf and k >= n_assessed:
-                        self._atom_gen_at[entries[0][0]] = info.index
+                        self._atom_gen_at[entries[0][0]] = len(self.generators)
+                    self.generators.append((entries, den))
             self._slots[s] = [(p, n, g) for (p, n), g in zip(keys, first)]
 
         # verified separators as primitive integers, the canonical witness
@@ -375,23 +361,14 @@ class JointModel:
         # by construction; it is kept only if it scores every generator
         # strictly positive, which certifies at once that no nonnegative
         # combination of the generators vanishes
-        if all(_score(ints, info.column) > 0 for info in self.generators):
+        if all(_score(ints, column) > 0 for column in self.generators):
             self._canonical = ints, den
             self._cache_separator(_primitive(ints))
-        self._dedup: Optional[tuple[list[IntVector], list[int]]] = None
+        self._dedup: Optional[list[int]] = None
         self._observed: dict[tuple[str, int, tuple], list[int]] = {}
         # the chain recursion's levels by the scope they start from, oldest
         # first (_levels)
         self._plans: dict[Space, list] = {}
-
-    @cached_property
-    def canonical_witness(self) -> Optional[tuple[Fraction, ...]]:
-        """The product of the local coherence witnesses when it scores every
-        generator strictly positive, else None; built on first read."""
-        if self._canonical is None:
-            return None
-        ints, den = self._canonical
-        return tuple(Fraction(n, den) for n in ints)
 
     # -- product mass functions --------------------------------------------
 
@@ -416,25 +393,24 @@ class JointModel:
 
     # -- verified certificate helpers -------------------------------------
 
-    def _int_columns(self) -> tuple[list[IntVector], list[int]]:
-        """Every generator's column, and the generator each distinct column
-        first occurs at, in order; built on first use."""
+    def _owners(self) -> list[int]:
+        """The generator each distinct column first occurs at, in order;
+        built on first use."""
         if self._dedup is None:
             first: dict[IntVector, int] = {}
-            for info in self.generators:
-                first.setdefault(info.column, info.index)
-            self._dedup = ([info.column for info in self.generators], list(first.values()))
+            for k, column in enumerate(self.generators):
+                first.setdefault(column, k)
+            self._dedup = list(first.values())
         return self._dedup
 
     def _witness_matches(self, witness: dict[int, Fraction], target: IntVector) -> bool:
-        columns, _ = self._int_columns()
-        return _combines(columns, witness.items(), target)
+        return _combines(self.generators, witness.items(), target)
 
     def _separates_all_generators(self, y: Sequence[int]) -> bool:
         """y (integers) scores every generator nonnegative; each distinct
         column is scored once."""
-        columns, owners = self._int_columns()
-        return all(_score(y, columns[k]) >= 0 for k in owners)
+        columns = self.generators
+        return all(_score(y, columns[k]) >= 0 for k in self._owners())
 
     def _cache_separator(self, y: tuple[int, ...]) -> tuple[int, ...]:
         """Cache a verified separator y (primitive integers) and return it.
@@ -499,7 +475,7 @@ class JointModel:
         network) and of the observation, with no dense joint gamble.  The
         observation shares no node with f's scope, so every entry of f is
         kept somewhere and the denominator is that of f's table."""
-        ints, den = _over_lcm(f.table)
+        ints, den = f.integer_form
         node = f.space.nodes[0] if len(f.space) == 1 else None
         own = node in self._value_at and f.space == self.net.node_space(node)
         at = self._value_at[node] if own else self.space.index_map(f.space)
@@ -527,7 +503,7 @@ class JointModel:
         the index of the generator each column stands for.  The joint LP is
         sized here, and refused with WorkCapError before anything of its
         size is built."""
-        columns, owners = self._int_columns()
+        columns, owners = self.generators, self._owners()
         _check_work(self.space.size, len(owners))
         return [columns[k] for k in owners], owners
 
@@ -583,40 +559,29 @@ class JointModel:
     def structured_member(
         self, node: str, parent_index: int, given: Optional[Configuration], f: Gamble
     ) -> Membership:
-        """The structured route of member_with_certificate, check_irrelevance
-        and the sweep: membership of indicator(parent configuration,
-        given) * f in the joint cone, where f is a nonzero gamble on `node`,
-        the parent configuration is the one at `parent_index`, and the
-        observation `given` (None for nothing) is of non-parent-non-
-        descendants, and of the parents too if the caller has them at hand.
+        """The one structured entry, which member_with_certificate,
+        check_irrelevance and the sweep (once per observation) dispatch to:
+        membership of indicator(parent configuration, given) * f in the
+        joint cone, where f is a nonzero gamble on `node`, the parent
+        configuration is the one at `parent_index`, and the observation
+        `given` (None for nothing) is of non-parent-non-descendants, and of
+        the parents too if the caller has them at hand.
 
-        The target is built in integer form (_int_vector) straight from the
-        joint index maps: the joint configurations with this parent index
-        and the observed values (found once per model for each
-        observation, _observed_indices), each carrying f's entry at the
-        node's value there.  Certificates are assembled from the local
-        cone when possible (a local witness replicates over the unobserved
+        The target is built in integer form straight from the joint index
+        maps: the joint configurations with this parent index and the
+        observed values (found once per model for each observation,
+        _observed_indices), each carrying the entry of f's integer form
+        (Gamble.integer_form, built once per gamble) at the node's value
+        there.  Certificates are assembled from the local cone when
+        possible (a local witness replicates over the unobserved
         non-parent-non-descendants; a local separating functional extends
         to a product mass function).  Both are verified against the actual
         generator list, so a tampered joint model falls through to the
         chain recursion (on a path) and then the exact LP.
         """
         f = f.extend(self.net.node_space(node))
-        return self._structured_member(node, parent_index, given, f, _over_lcm(f.table))
-
-    def _structured_member(
-        self,
-        node: str,
-        parent_index: int,
-        given: Optional[Configuration],
-        f: Gamble,
-        form: tuple[list[int], int],
-    ) -> Membership:
-        """structured_member of f, a gamble on the node's space, with its
-        integer form (lp._over_lcm of its table) at hand: the sweep builds
-        it once per slot gamble, for all its observations."""
         observed = self._observed_indices(node, parent_index, given)
-        ints, den = form
+        ints, den = f.integer_form
         v_at = self._value_at[node]
         target = tuple((j, ints[v_at[j]]) for j in observed if ints[v_at[j]]), den
 
@@ -759,10 +724,11 @@ class JointModel:
         certified basis, or by whose tableau check, this very answer was
         read before it was memoized; a flipped slot's answer is checked
         here, over the node's values only: its dual is nonnegative, which
-        the chaining needs and a tableau dual need not be, and
-        lp._prevision_fault finds no fault.  The levels below the first
-        read are skipped: their rows are constant c, whose lower prevision
-        is c."""
+        the chaining needs (every cone answer's dual is, as it was checked
+        against the cone's columns, every atom among them, so this refusal
+        is never reached), and lp._prevision_fault finds no fault.  The
+        levels below the first read are skipped: their rows are constant c,
+        whose lower prevision is c."""
         levels = self._levels(scope)
         if levels is None:
             return None
@@ -925,7 +891,7 @@ class JointModel:
         network's raises ScopeError."""
         if not self.space.contains_space(f.space):
             raise ScopeError(f"scope {self.space} does not contain {f.space}")
-        chained = self._chain_recursion(f.space, *_over_lcm(f.table))
+        chained = self._chain_recursion(f.space, *f.integer_form)
         if chained is not None:
             return chained[0]
         columns, _ = self._dedup_columns()
@@ -948,10 +914,10 @@ class JointModel:
         self, rng: random.Random, gambles_per_slot: int, subset_cap: int
     ) -> Iterator[tuple[str, int, Gamble, list[Configuration]]]:
         """Every slot gamble of the sweep, in sweep order, as (node, parent
-        index, gamble, observations): one irrelevance check per observation,
-        all sharing one local side, which does not depend on the
-        observation.  A node's subsets are drawn from rng at its start, and
-        each random gamble only when the sweep reaches it."""
+        index, gamble on the node's space, observations): one irrelevance
+        check per observation, all sharing one local side, which does not
+        depend on the observation.  A node's subsets are drawn from rng at
+        its start, and each random gamble only when the sweep reaches it."""
         net = self.net
         for s in net.dag.nodes:
             nnd = net.nnd_space(s).nodes
@@ -1000,9 +966,9 @@ class JointModel:
         subsets of non-parent-non-descendants and their configurations, for
         the local generators, their negations, and sampled gambles.
         Violations name the exact slot.  Local desirability is decided once
-        per slot gamble, whose integer form is also built once, and
-        compared with the joint answer (structured_member) of each
-        observation; the checks and their order are those of
+        per slot gamble and compared with the joint answer of each
+        observation, one structured_member call each, which all read the
+        gamble's one integer form; the checks and their order are those of
         check_irrelevance on every (node, parent, observation, gamble).
 
         max_checks caps the number of irrelevance checks, one per
@@ -1067,10 +1033,8 @@ class JointModel:
                 observations, exhausted = observations[: max_checks - checked], True
             if observations:
                 local = self.net.local_cone(s, p_idx).member_with_certificate(f).member
-                f = f.extend(self.net.node_space(s))
-                form = _over_lcm(f.table)
             for given in observations:
-                joint = self._structured_member(s, p_idx, given, f, form).member
+                joint = self.structured_member(s, p_idx, given, f).member
                 checked += 1
                 if joint != local:
                     violations.append(

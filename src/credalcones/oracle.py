@@ -150,15 +150,8 @@ def positivity_audit(
     # ints[j] / den); each generator's exact score as (numerator,
     # denominator), its column (entries, col_den) scored in integers
     ints, den = _over_lcm([precise.global_mass(c) for c in net.joint_space.configurations()])
-    scores = [
-        (sum(ints[j] * v for j, v in entries), den * col_den)
-        for entries, col_den in (gen.column for gen in joint.generators)
-    ]
-    failures = [
-        f"generator {gen.index} scored {Fraction(*score)}"
-        for gen, score in zip(joint.generators, scores)
-        if score[0] <= 0
-    ]
+    scores = [(sum(ints[j] * v for j, v in col), den * col_den) for col, col_den in joint.generators]
+    failures = [f"generator {k} scored {Fraction(*sc)}" for k, sc in enumerate(scores) if sc[0] <= 0]
 
     # the expectation is linear, so a combination scores the combination
     # of its generators' scores: pick k with coefficient a / b adds

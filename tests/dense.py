@@ -107,11 +107,10 @@ def positivity_audit(precise, joint, rng=None, samples=50):
     total = sum(masses, Fraction(0))
 
     failures = []
-    for gen in joint.generators:
-        entries, den = gen.column
+    for k, (entries, den) in enumerate(joint.generators):
         score = sum((masses[j] * v for j, v in entries), Fraction(0)) / den
         if score <= 0:
-            failures.append(f"generator {gen.index} scored {score}")
+            failures.append(f"generator {k} scored {score}")
 
     n = len(joint.generators)
     checked = 0
@@ -120,7 +119,7 @@ def positivity_audit(precise, joint, rng=None, samples=50):
         coeffs = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in picks]
         table = [Fraction(0)] * space.size
         for k, lam in zip(picks, coeffs):
-            entries, den = joint.generators[k].column
+            entries, den = joint.generators[k]
             for j, v in entries:
                 table[j] += lam * v / den
         score = sum((m * v for m, v in zip(masses, table)), Fraction(0))

@@ -403,6 +403,37 @@ def test_integer_over_the_digit_limit_exits_3(tmp_path, capsys):
     assert_parse_error(capsys, "validate", path)
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="integer literals have no digit limit",
+)
+def test_decimal_literal_over_the_digit_limit_exits_3(tmp_path, capsys):
+    # a literal whose value has a numerator or denominator of more digits
+    # than the int-string limit is refused, naming the entry, before 10 is
+    # raised to its exponent; one digit fewer is read and printed
+    limit = sys.get_int_max_str_digits()
+    vacuous = dict(SINGLE, local_models=[{"node": "a", "given": {}, "gambles": []}])
+    vacuous_path = write(tmp_path, "vacuous.json", vacuous)
+
+    def files(literal):
+        model = {"node": "a", "given": {}, "gambles": [[literal, "1"]]}
+        net = write(tmp_path, "net.json", dict(SINGLE, local_models=[model]))
+        query = {"kind": "lower-prevision", "gamble": {"scope": ["a"], "table": [literal, "1"]}}
+        return net, write(tmp_path, "q.json", query)
+
+    for literal in ("1e5000", "-1E-5000", "1e+4_301", "-1e4400", f"1e{limit}", f"-1E-{limit}"):
+        net, query = files(literal)
+        assert_parse_error(capsys, "validate", net)
+        code, out, err = run(capsys, "query", vacuous_path, query)
+        assert (code, out) == (3, "") and err.startswith(f"error: {query}[0]: table[0]: ")
+    largest = 10 ** (limit - 1)
+    for literal, value in ((f"-1e{limit - 1}", -largest), (f"-1E-{limit - 1}", Fraction(-1, largest))):
+        net, query = files(literal)
+        assert run(capsys, "validate", net)[0] == 0
+        code, out, _ = run(capsys, "query", vacuous_path, query)
+        assert code == 0 and json.loads(out)["queries"][0]["result"]["value"] == str(value)
+
+
 def test_usage_error_exits_3(tmp_path, capsys):
     net = write(tmp_path, "net.json", CHAIN)
     assert_parse_error(capsys, "verify", net, "--seed", "x")
@@ -589,7 +620,7 @@ def test_work_cap_exits_2_before_any_dense_column(tmp_path, capsys, monkeypatch,
     code, out, err = run(capsys, "query", net, query)
     assert code == 2
     report = json.loads(out)
-    distinct = len(load_network(net).build_joint()._int_columns()[1])
+    distinct = len(load_network(net).build_joint()._owners())
     assert report == {
         "command": "query",
         "valid": False,

@@ -31,11 +31,12 @@ KINDS = [
 ]
 
 # small exact rationals; now and then something the parser must refuse
-# (floats, booleans, null, division by zero, words)
+# (floats, booleans, null, division by zero, words, a value over the
+# int-string digit limit)
 ENTRIES = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-2/3", "3"]))
 # local assessments lean positive, so that most networks are coherent
 ASSESSED = st.one_of(st.integers(-1, 3), st.sampled_from(["1/2", "-1/3"]))
-BAD_ENTRIES = st.sampled_from(["1/0", "x", 0.5, True, None])
+BAD_ENTRIES = st.sampled_from(["1/0", "x", 0.5, True, None, "1e5000", "-1E-5000", "1e2000000"])
 
 JSON = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-5, 5), st.text(max_size=3)),

@@ -55,13 +55,24 @@ def dot(u, v):
 def generator_tables(joint):
     """Each joint generator as a dense table over the joint space."""
     tables = []
-    for info in joint.generators:
+    for entries, den in joint.generators:
         table = [F(0)] * joint.space.size
-        entries, den = info.column
         for j, n in entries:
             table[j] = F(n, den)
         tables.append(tuple(table))
     return tables
+
+
+def generator_origins(joint):
+    """(node, parent index) of each joint generator, from the slot table:
+    slot (p, n, first) of node s holds the local columns of (s, p) at the
+    generators first, first + 1, ..."""
+    origins = [None] * len(joint.generators)
+    for s, slots in joint._slots.items():
+        for p, _, first in slots:
+            for k in range(len(joint.net.local_cone(s, p).columns)):
+                origins[first + k] = (s, p)
+    return origins
 
 
 def lp_lower_prevision(target, columns):
@@ -105,8 +116,8 @@ def test_chain_generator_count_and_order():
     # b: two parent cfgs, two atoms each -> 4
     assert net.generator_count() == 6
     assert len(joint.generators) == 6
-    assert [g.node for g in joint.generators] == ["a", "a", "b", "b", "b", "b"]
-    assert [g.parent_index for g in joint.generators] == [0, 0, 0, 0, 1, 1]
+    assert [s for s, _ in generator_origins(joint)] == ["a", "a", "b", "b", "b", "b"]
+    assert [p for _, p in generator_origins(joint)] == [0, 0, 0, 0, 1, 1]
     # b's generators are indicator(a=...) * atom
     sp = net.joint_space
     a_space = sp.restrict(["a"])
@@ -149,8 +160,9 @@ def test_joint_integer_columns_equal_their_definition():
                             product = -product
                             flips += 1
                         expected.append((s, p_idx, _int_vector(enumerate(product.table))))
-        assert [(g.node, g.parent_index, g.column) for g in joint.generators] == expected
-        assert [g.index for g in joint.generators] == list(range(len(expected)))
+        origins = generator_origins(joint)
+        assert [(s, p, c) for (s, p), c in zip(origins, joint.generators)] == expected
+        assert len(joint.generators) == len(expected)
     assert flips >= 6
 
 
@@ -180,7 +192,7 @@ def test_canonical_witness_certifies_zero_freeness():
     for _ in range(8):
         net = sample_credal_net(rng, max_nodes=3)
         joint = net.build_joint()
-        assert joint.canonical_witness is not None
+        assert joint._canonical is not None
         report = joint.contains_zero()
         assert not report.exists
         assert report.route == "canonical-witness"
@@ -764,7 +776,7 @@ def test_a_separator_scoring_a_duplicated_column_negative_is_refused():
     sp_b = Space([b])
     net = CredalNet(Dag(["a", "b"], [("a", "b")]), [a, b], {"b": [[Gamble(sp_b, (1, 0))], []]})
     joint = net.build_joint()
-    columns, owners = joint._int_columns()
+    columns, owners = joint.generators, joint._owners()
     twin = next(k for k in range(len(columns)) if k not in owners)
     assert columns.count(columns[twin]) == 2
     # y scores that column, at (a0, b0), -1 and every other column >= 0
@@ -861,7 +873,7 @@ def slot_generator(joint, s, p_idx, n, k):
     """The joint generator of local generator k in slot (p_idx, n) of node
     s, read off the generator list: the generators of (s, p_idx) come
     non-parent-non-descendant index by index, one per local generator."""
-    own = [info.index for info in joint.generators if (info.node, info.parent_index) == (s, p_idx)]
+    own = [g for g, origin in enumerate(generator_origins(joint)) if origin == (s, p_idx)]
     return own[n * len(joint.net.local_cone(s, p_idx).generators) + k]
 
 
@@ -979,7 +991,7 @@ def joint_checks(joint, table, m, primal, kernels):
     and the chained mass (dense.product_mass of the kernels) sums to 1,
     gives the table the expectation m and scores every generator
     nonnegative."""
-    columns = [info.column for info in joint.generators]
+    columns = joint.generators
     shifted = _int_vector((j, v - m) for j, v in enumerate(table))
     mass, den = _over_lcm(product_mass(joint, lambda s, p, n: kernels[(s, p, n)]))
     return (
@@ -1042,7 +1054,7 @@ def test_a_chain_prevision_does_no_joint_size_work(monkeypatch):
     def joint_size(*args):
         raise AssertionError("a chain prevision did joint-size work")
 
-    for name in ("_separates_all_generators", "_witness_matches", "_product_mass", "_int_columns"):
+    for name in ("_separates_all_generators", "_witness_matches", "_product_mass", "_owners"):
         monkeypatch.setattr(JointModel, name, joint_size)
     for joint, f, lower, upper in cases:
         assert (joint.lower_prevision(f), joint.upper_prevision(f)) == (lower, upper)
@@ -1672,13 +1684,13 @@ def test_a_local_cached_separator_lifts_to_the_canonical_witness():
                             continue
                         lifted = joint._product_separator(s, p_idx, local.separator)
                         if flip is None:
-                            assert lifted == _primitive(joint.canonical_witness)
+                            assert lifted == _primitive(joint._canonical[0])
                             res = joint.structured_member(s, p_idx, None, f)
                             assert res.route == "cached-separator"
-                            assert res.separator == _primitive(joint.canonical_witness)
+                            assert res.separator == _primitive(joint._canonical[0])
                             seen["clean"] += 1
                         else:
-                            assert lifted is None and joint.canonical_witness is None
+                            assert lifted is None and joint._canonical is None
                             seen["flipped"] += 1
     assert seen["clean"] > 50 and seen["flipped"] > 50, seen
 
@@ -1810,8 +1822,8 @@ def test_every_separator_is_a_primitive_integer_tuple():
                         given = nnd.config_at(rng.randrange(nnd.size))
                         res = joint.structured_member(s, p_idx, given, f)
                         check("joint", res)
-                        if joint.canonical_witness is not None and not res.member:
-                            canonical += res.separator == _primitive(joint.canonical_witness)
+                        if joint._canonical is not None and not res.member:
+                            canonical += res.separator == _primitive(joint._canonical[0])
             for f in chain_gambles(rng, net, 6):
                 check("joint", joint.member_with_certificate(f))
             assert all(primitive_ints(y) for y in joint._separators)
@@ -1836,12 +1848,12 @@ def test_separator_cache_evicts_the_oldest_entry_but_a_verified_canonical_witnes
     size = net.joint_space.size
     fakes = [(i + 2,) + (1,) * (size - 1) for i in range(40)]
     flipped = net.build_joint(mutate_flip=(net.dag.nodes[0], 0, 0))
-    assert flipped.canonical_witness is None and flipped._separators == []
+    assert flipped._canonical is None and flipped._separators == []
     for y in fakes:
         flipped._cache_separator(y)
     assert flipped._separators == fakes[-_SEPARATOR_CACHE_LIMIT:]
     clean = net.build_joint()
-    canonical = _primitive(clean.canonical_witness)
+    canonical = _primitive(clean._canonical[0])
     for y in fakes:
         clean._cache_separator(y)
     assert clean._separators == [canonical] + fakes[1 - _SEPARATOR_CACHE_LIMIT:]

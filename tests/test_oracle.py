@@ -106,11 +106,11 @@ def test_witness_network_matches_canonical_witness():
         masses = tuple(
             precise.global_mass(c) for c in net.joint_space.configurations()
         )
-        assert joint.canonical_witness == masses
+        ints, mass_den = joint._canonical
+        assert tuple(F(n, mass_den) for n in ints) == masses
         # and every generator really has strictly positive expectation
-        for info in joint.generators:
+        for entries, den in joint.generators:
             table = [F(0)] * net.joint_space.size
-            entries, den = info.column
             for j, n in entries:
                 table[j] = F(n, den)
             assert precise.expectation(Gamble(net.joint_space, table)) > 0
