@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import re
 import sys
 from fractions import Fraction
 from typing import Any, Optional, Sequence
@@ -87,46 +86,15 @@ def _load_json(path: str) -> Any:
         raise ParseError(f"cannot parse {path}: {err}") from err
 
 
-# a decimal literal as fractions.Fraction reads it: sign, integer digits,
-# fraction digits, exponent; a match with a point or an "e" has one of the last two
-_DECIMAL = re.compile(
-    r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
-    r"(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?\s*"
-)
-
-
-def _decimal(sign: str, num: str, dec: str, exp: str, limit: int) -> Fraction:
-    """The value of a literal that _DECIMAL matched, read with Fraction's
-    own int() calls in its order, or ValueError when its numerator or
-    denominator in lowest terms has more than `limit` digits.  The mantissa
-    m has at most len(num) + len(dec) digits, so a shift by that many places
-    past limit is refused before any power of ten is built, and no power
-    built has more than 4 limit digits."""
-    dec = dec.replace("_", "")
-    whole, frac = int(num or "0"), int(dec or "0")
-    m = whole * 10 ** len(dec) + frac
-    shift = int(exp or "0") - len(dec)
-    if not m:
-        return Fraction(0)
-    if abs(shift) < limit + len(num) + len(dec):
-        value = Fraction(m * 10**shift) if shift >= 0 else Fraction(m, 10**-shift)
-        if max(value.numerator, value.denominator) < 10**limit:
-            return -value if sign == "-" else value
-    raise ValueError(f"a numerator or denominator of more than {limit} digits")
-
-
 def _rationals(table: list, where: str) -> tuple[Fraction, ...]:
-    """The entries as exact rationals; entry k that is not one is named
-    where[k], a label built only then.  Under the int-string digit limit a
-    decimal literal is read by _decimal."""
-    limit, row = sys.get_int_max_str_digits(), []
+    """The entries as exact rationals (core.as_rational, once each); entry
+    k that is not one is named where[k], a label built only then."""
+    row = []
     for k, value in enumerate(table):
         if isinstance(value, bool) or not isinstance(value, (int, str)):
             raise ParseError(f"{where}[{k}]: expected an exact rational, got {value!r}")
-        marked = isinstance(value, str) and ("." in value or "e" in value or "E" in value)
-        found = limit and marked and _DECIMAL.fullmatch(value)
         try:
-            row.append(_decimal(*found.groups(""), limit) if found else as_rational(value))
+            row.append(as_rational(value))
         except (ValueError, TypeError, ZeroDivisionError) as err:
             raise ParseError(f"{where}[{k}]: {err}") from err
     return tuple(row)
@@ -328,8 +296,10 @@ def _configuration(mapping: dict[str, str], space: Space, where: str) -> Configu
         raise ParseError(f"{where}: {err}") from err
 
 
-def _pairs_json(pairs) -> list:
-    return [[idx, str(coeff)] for idx, coeff in pairs]
+def _pairs_json(vector) -> list:
+    """An lp.IntVector as [index, "n/den in lowest terms"] pairs."""
+    pairs, den = vector
+    return [[k, str(Fraction(n, den))] for k, n in pairs]
 
 
 def _membership_json(res) -> dict:

@@ -42,7 +42,9 @@ dropped, is such a y.  The atoms are generators, so y is strictly
 positive; normalised, it is a probability mass function with all-positive
 mass giving every generator strictly positive expectation, the coherence
 witness.  The LP reads the columns as integers and returns y as primitive
-integers: only the witness and the certificate are built as Fractions.
+integers, kept over their sum as the cone's integer witness (witness_mass);
+only the report's witness and certificate, read outside the package, are
+Fractions.
 """
 
 from __future__ import annotations
@@ -55,10 +57,11 @@ from typing import Iterable, Optional, Sequence
 
 from .core import Gamble, Space, indicator
 from .lp import (
+    IntRow,
     IntVector,
     LpError,
     Membership,
-    Pairs,
+    Prevision,
     PrevisionBasis,
     _answer_at,
     _atoms_basis,
@@ -66,7 +69,6 @@ from .lp import (
     _checked_prevision,
     _combines,
     _int_vector,
-    _pairs,
     _prevision_at_basis,
     _primitive,
     _score,
@@ -119,11 +121,12 @@ class AssessmentCone:
             fitted.append(f)
         self.assessments: tuple[Gamble, ...] = tuple(fitted)
         self._coherence: Optional[CoherenceReport] = None
+        self._witness_mass: Optional[IntRow] = None
         self._members: dict[IntVector, Membership] = {}
         self._previsions: dict[tuple[int, ...], tuple] = {}
         # each basis certified against self.columns, with its dual, least
         # recently used first
-        self._bases: dict[PrevisionBasis, tuple[Fraction, ...]] = {}
+        self._bases: dict[PrevisionBasis, IntRow] = {}
 
     @cached_property
     def columns(self) -> tuple[IntVector, ...]:
@@ -152,14 +155,24 @@ class AssessmentCone:
             self._coherence = self._decide_coherence()
         return self._coherence
 
+    @property
+    def witness_mass(self) -> Optional[IntRow]:
+        """The coherence witness as integers over one positive denominator,
+        (y, sum(y)) for the LP's separator y, recorded when coherence is
+        decided; None for an incoherent cone."""
+        self.is_coherent()
+        return self._witness_mass
+
     def _decide_coherence(self) -> CoherenceReport:
         res = contains_zero(self.columns, self.space.size)
         if res.exists:
-            combination = dict(res.combination)
-            certificate = tuple(combination.get(k, Fraction(0)) for k in range(len(self.columns)))
+            pairs, den = res.combination
+            combo = dict(pairs)
+            certificate = tuple(Fraction(combo.get(k, 0), den) for k in range(len(self.columns)))
             return CoherenceReport(coherent=False, certificate=certificate)
         y = res.separator[:-1]
         total = sum(y)
+        self._witness_mass = y, total
         return CoherenceReport(coherent=True, witness=tuple(Fraction(v, total) for v in y))
 
     # -- membership -----------------------------------------------------------
@@ -193,7 +206,7 @@ class AssessmentCone:
         entries, den = target
         if all(n > 0 for _, n in entries):
             first_atom = len(self.assessments)
-            witness = _pairs((first_atom + j, Fraction(n, den)) for j, n in entries)
+            witness = tuple((first_atom + j, n) for j, n in entries), den
             if _combines(self.columns, witness, target):
                 return Membership(member=True, route="positive-span", witness=witness)
         separator = self._witness_separator
@@ -213,10 +226,10 @@ class AssessmentCone:
         Scoring every generator nonnegative, it separates every target it
         scores negative: a nonnegative combination of the generators
         scores nonnegative."""
-        report = self.is_coherent()
-        if not report.coherent:
+        mass = self.witness_mass
+        if mass is None:
             return None
-        y = _primitive(report.witness)
+        y = _primitive(mass[0])
         if not all(_score(y, column) > 0 for column in self.columns):
             raise LpError("coherence witness failed verification")
         return y
@@ -225,7 +238,7 @@ class AssessmentCone:
 
     def lower_prevision(
         self, ints: Sequence[int], den: int = 1
-    ) -> tuple[Fraction, Pairs, tuple[Fraction, ...]]:
+    ) -> Prevision:
         """lp._checked_prevision of the table ints / den, one integer per
         value of the space over a positive den (ValueError otherwise,
         before the memo or a basis is read), memoized by the table in

@@ -12,6 +12,7 @@ extensions, indicators and the joint model project configurations with it.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,16 +31,18 @@ def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, string ("p/q" or "n"), or Fraction to an exact Fraction.
 
     Floats are rejected: accepting them would silently contaminate exact
-    computations with binary rounding.
+    computations with binary rounding.  A string is read by
+    _parse_rational, which refuses a decimal literal over the int-string
+    digit limit before building any power of ten.
     """
+    if isinstance(value, str):
+        return _parse_rational(value.strip())
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return _parse_rational(value.strip())
     raise TypeError(f"not a rational: {value!r} (floats are not accepted)")
 
 
@@ -50,23 +53,50 @@ def _over_lcm(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+# a decimal literal as fractions.Fraction reads it: sign, integer digits,
+# fraction digits, exponent; a match with a point or an "e" has one of the last two
+_DECIMAL = re.compile(
+    r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
+    r"(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?\s*"
+)
+
+
+def _decimal(sign: str, num: str, dec: str, exp: str, limit: int) -> Fraction:
+    """The value of a literal that _DECIMAL matched, read with Fraction's
+    own int() calls in its order, or ValueError when its numerator or
+    denominator in lowest terms has more than `limit` digits.  The mantissa
+    m has at most len(num) + len(dec) digits, so a shift by that many places
+    past limit is refused before any power of ten is built, and no power
+    built has more than 4 limit digits."""
+    dec = dec.replace("_", "")
+    whole, frac = int(num or "0"), int(dec or "0")
+    m = whole * 10 ** len(dec) + frac
+    shift = int(exp or "0") - len(dec)
+    if not m:
+        return Fraction(0)
+    if abs(shift) < limit + len(num) + len(dec):
+        value = Fraction(m * 10**shift) if shift >= 0 else Fraction(m, 10**-shift)
+        if max(value.numerator, value.denominator) < 10**limit:
+            return -value if sign == "-" else value
+    raise ValueError(f"a numerator or denominator of more than {limit} digits")
+
+
 def _parse_rational(text: str) -> Fraction:
     """Fraction(text), without its regular expression for the plain forms
     n and n/d (ASCII digits, n optionally negative, d nonzero) shorter
     than the length from which int() checks the int-string digit limit;
-    every other text, and its error, is Fraction's own."""
+    a decimal literal (with a point or an exponent), while that limit is
+    set, by _decimal; every other text, and its error, is Fraction's own."""
     num, slash, den = text.partition("/")
     digits = num[1:] if num[:1] == "-" else num
-    if (
-        text.isascii()
-        and len(text) < sys.int_info.str_digits_check_threshold
-        and digits.isdigit()
-        and (den.isdigit() or not slash)
-    ):
-        d = int(den) if slash else 1
-        if d:
+    if len(text) < sys.int_info.str_digits_check_threshold and text.isascii() and digits.isdigit():
+        if not slash:
+            return Fraction(int(num))
+        if den.isdigit() and (d := int(den)):
             return Fraction(int(num), d)
-    return Fraction(text)
+    limit = sys.get_int_max_str_digits()
+    found = limit and ("." in text or "e" in text or "E" in text) and _DECIMAL.fullmatch(text)
+    return _decimal(*found.groups(""), limit) if found else Fraction(text)
 
 
 @dataclass(frozen=True)
@@ -291,7 +321,10 @@ class Gamble:
     table: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        table = tuple(as_rational(x) for x in self.table)
+        table = self.table
+        # a tuple of Fractions is kept as it is, with no second coercion
+        if type(table) is not tuple or not all(type(x) is Fraction for x in table):
+            table = tuple(as_rational(x) for x in table)
         if len(table) != self.space.size:
             raise ValueError(
                 f"table has {len(table)} entries, space has {self.space.size} configurations"

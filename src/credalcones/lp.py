@@ -40,8 +40,10 @@ a wrong answer.  The checks run in exact integer arithmetic over the nonzero
 entries only (_combines, _score): a sign test scales each vector by the lcm
 of its denominators, which is positive and so keeps the sign, and an
 equality is cross-multiplied by the denominators.  They decide exactly what
-the rational substitution decides.  A separator has one form from the LP to
-the caller: a tuple of coprime integers (_primitive), scored as it is.
+the rational substitution decides.  Every certificate is integers from the
+LP to the caller: a separator is coprime integers (_primitive), a witness
+or primal an IntVector over generator indices, a dual mass an IntRow; only
+a value, the lower prevision m, is a Fraction.
 
 The pivot kernel works on Python ints: every tableau row is a list of
 integers over one positive row denominator, divided by their gcd after
@@ -49,9 +51,9 @@ each update.  Every cell equals the cell of the rational tableau, so the
 pivots, bases and certificates are exactly those of the rational simplex
 (see _Tableau).  It reads integer rows and returns the row duals as
 integers over one denominator, which a separator or a dual mass is read
-from as they are; only the primal solution and ray, printed as witness
-pairs and values, come out as Fractions.  LinearSystem, the one holder of
-rational rows, converts them once with _over_lcm.
+from as they are; only the primal solution and ray come out as Fractions,
+each turned into an IntVector once (_int_vector).  LinearSystem, the one
+holder of rational rows, converts them once with _over_lcm.
 """
 
 from __future__ import annotations
@@ -430,15 +432,19 @@ class LinearSystem:
 
 EXACT_LP = "exact-lp"
 
-Pairs = tuple[tuple[int, Fraction], ...]
+# the nonzero entries of a rational vector (a column, target, witness or
+# primal), (index, n) sorted by index, over one positive den: n / den each
+IntVector = tuple[tuple[tuple[int, int], ...], int]
+# a dense rational row (a dual mass function, a kernel) over one positive den
+IntRow = tuple[tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
 class Membership:
     """Membership of a target in the cone spanned by a generator list.
 
-    `route` names what decided it.  A member may carry `witness`: sorted
-    (generator index, coefficient) pairs, every coefficient positive, whose
+    `route` names what decided it.  A member may carry `witness`: an
+    IntVector over generator indices, every coefficient positive, whose
     combination is the target.  A non-member may carry `separator`: a
     vector y with y.g >= 0 for every generator and y.target < 0, as
     primitive integers (_primitive).
@@ -446,28 +452,20 @@ class Membership:
 
     member: bool
     route: str
-    witness: Optional[Pairs] = None
+    witness: Optional[IntVector] = None
     separator: Optional[tuple[int, ...]] = None
 
 
 @dataclass(frozen=True)
 class Vanishing:
     """Existence of a nonzero nonnegative combination of the generators
-    summing to zero; `combination` is in the pair form of a witness, and
+    summing to zero; `combination` is in the form of a witness, and
     `separator`, if none exists, the verified one of contains_zero's LP."""
 
     exists: bool
     route: str
-    combination: Optional[Pairs] = None
+    combination: Optional[IntVector] = None
     separator: Optional[tuple[int, ...]] = None
-
-
-def _pairs(items) -> Pairs:
-    """(index, coefficient) items, sorted by index, without the zeros."""
-    return tuple(sorted((k, c) for k, c in items if c != 0))
-
-
-IntVector = tuple[tuple[tuple[int, int], ...], int]
 
 
 def _int_vector(items) -> IntVector:
@@ -492,21 +490,23 @@ def _score(y: Sequence[int], vec: IntVector) -> int:
     return sum([y[j] * n for j, n in vec[0]])
 
 
-def _combines(columns: Sequence[IntVector], pairs, target: IntVector) -> bool:
-    """Every coefficient c_k >= 0 and sum(c_k columns[k]) == target, with
-    both sides cross-multiplied to integers over one common denominator."""
-    if any(c < 0 or not 0 <= k < len(columns) for k, c in pairs):
+def _combines(columns: Sequence[IntVector], witness: IntVector, target: IntVector) -> bool:
+    """den > 0, every n_k >= 0 and sum(n_k / den columns[k]) == target, for
+    the witness ((k, n_k), ...), den: both sides cross-multiplied to integers
+    by den, the target's denominator and the lcm of the columns' ones."""
+    pairs, den = witness
+    if den <= 0 or any(n < 0 or not 0 <= k < len(columns) for k, n in pairs):
         return False
-    entries, den = target
-    common = lcm(den, *[c.denominator * columns[k][1] for k, c in pairs])
-    scale = common // den
+    entries, tden = target
+    common = lcm(*[columns[k][1] for k, _ in pairs])
+    scale = den * common
     total = {j: -n * scale for j, n in entries}
-    for k, c in pairs:
+    for k, n in pairs:
         col, col_den = columns[k]
-        s = c.numerator * (common // (c.denominator * col_den))
+        s = n * tden * (common // col_den)
         if s:
-            for j, n in col:
-                total[j] = total.get(j, 0) + s * n
+            for j, v in col:
+                total[j] = total.get(j, 0) + s * v
     return not any(total.values())
 
 
@@ -553,7 +553,7 @@ def conic_membership(target: tuple[list[int], int], columns: Sequence[IntVector]
         # no generator: the target itself is a Farkas vector
         status, y = LpStatus.INFEASIBLE, target
     if status is LpStatus.OPTIMAL:
-        witness = _pairs(enumerate(x))
+        witness = _int_vector(enumerate(x))
         if not _combines(columns, witness, goal):
             raise LpError("witness failed verification")
         return Membership(member=True, route=EXACT_LP, witness=witness)
@@ -584,15 +584,17 @@ def contains_zero(columns: Sequence[IntVector], dim: int) -> Vanishing:
     return Vanishing(res.member, EXACT_LP, res.witness, res.separator)
 
 
-def _checked_prevision(
-    target: Sequence[Fraction], columns: Sequence[IntVector]
-) -> tuple[Fraction, Pairs, tuple[Fraction, ...]]:
+# a lower prevision m with its primal combination and dual mass function
+Prevision = tuple[Fraction, IntVector, IntRow]
+
+
+def _checked_prevision(target: Sequence[Fraction], columns: Sequence[IntVector]) -> Prevision:
     """The lower prevision m of the target, with both of its certificates,
     each verified before it is returned.
 
     One LP in standard form: columns are the generators, then m+ and m-
     (m = m+ - m- is free), rows sum(l_k g_k) + m = target, minimizing -m.
-    The primal certificate is the pairs (k, l_k), every l_k >= 0, whose
+    The primal certificate is the coefficients l_k, every l_k >= 0, whose
     combination is target - m; the dual one is the mass function p, the
     negated row duals: p sums to 1, p.g >= 0 for every generator and
     p.target = m, so no larger m is feasible.  Callers that combine local
@@ -609,49 +611,50 @@ def _checked_prevision(
         # the ray raises m at no cost, so -1 is in the cone; and some m is feasible
         if not (
             ray[n] > ray[n + 1]
-            and _combines(shifted, _pairs(enumerate(ray)), _int_vector(()))
+            and _combines(shifted, _int_vector(enumerate(ray)), _int_vector(()))
             and (not any(target) or conic_membership(form, shifted).member)
         ):
             raise LpError("unbounded lower prevision failed verification")
         raise InfinitePrevisionError("unbounded lower prevision: the cone is incoherent")
-    mass, mass_den = [-v for v in y[0]], y[1]
+    mass = tuple([-v for v in y[0]]), y[1]
     if status is not LpStatus.OPTIMAL:
         # the Farkas vector, negated, separates the target from the shifted cone
-        if not _separates(shifted, _int_vector(enumerate(target)), _primitive(mass)):
+        if not _separates(shifted, _int_vector(enumerate(target)), _primitive(mass[0])):
             raise LpError("infeasible lower prevision failed verification")
         raise InfinitePrevisionError(
             "lower prevision LP is infeasible: no constant shift reaches the cone"
         )
-    primal = _pairs(enumerate(x[:n]))
+    primal = _int_vector(enumerate(x[:n]))
     m = x[n] - x[n + 1]
-    fault = _prevision_fault(columns, form, m, primal, mass, mass_den)
+    fault = _prevision_fault(columns, form, m, primal, mass)
     if fault is not None:
         raise LpError(f"lower prevision failed {fault} verification")
-    return m, primal, tuple(Fraction(v, mass_den) for v in mass)
+    return m, primal, mass
 
 
 def _prevision_fault(
     columns: Sequence[IntVector],
     target: tuple[Sequence[int], int],
     m: Fraction,
-    primal: Pairs,
-    mass: Sequence[int],
-    mass_den: int,
+    primal: IntVector,
+    dual: IntRow,
 ) -> Optional[str]:
     """None when both certificates of the lower prevision m of the target
     (dense integers over den, _over_lcm) hold on the columns.  Otherwise
     "primal" unless the primal combines them to target - m, built over den
     times m's denominator without a Fraction per entry, and then "dual"
-    unless the mass function mass / mass_den has one mass per coordinate
-    of the target, sums to 1, gives the target the expectation m and
-    scores every column nonnegative."""
+    unless the mass function mass / mass_den, over mass_den > 0, has one
+    mass per coordinate of the target, sums to 1, gives the target the
+    expectation m and scores every column nonnegative."""
     ints, den = target
+    mass, mass_den = dual
     a, b = m.numerator, m.denominator
     shifted = tuple((j, n * b - a * den) for j, n in enumerate(ints) if n * b != a * den)
     if not _combines(columns, primal, (shifted, den * b)):
         return "primal"
     if not (
-        len(mass) == len(ints)
+        mass_den > 0
+        and len(mass) == len(ints)
         and sum(mass) == mass_den
         and sum(p * n for p, n in zip(mass, ints)) * b == a * mass_den * den
         and all(_score(mass, g) >= 0 for g in columns)
@@ -681,8 +684,8 @@ class PrevisionBasis:
     den: int
 
 
-def _certified_mass(basis: PrevisionBasis, columns: Sequence[IntVector]) -> tuple[Fraction, ...]:
-    """The basis's dual, the first row of B^-1 as Fractions, once exact
+def _certified_mass(basis: PrevisionBasis, columns: Sequence[IntVector]) -> IntRow:
+    """The basis's dual, the first row of B^-1 over den, once exact
     integer substitution shows that B^-1 B = den I over the shift column
     (all ones) and the basic generators, and that the first row is
     nonnegative and scores every column nonnegative; raises LpError
@@ -706,19 +709,19 @@ def _certified_mass(basis: PrevisionBasis, columns: Sequence[IntVector]) -> tupl
     mass = inverse[0]
     if min(mass) < 0 or any(_score(mass, g) < 0 for g in columns):
         raise LpError("prevision basis failed dual verification")
-    return tuple(Fraction(v, den) for v in mass)
+    return mass, den
 
 
 def _answer_at(
-    basis: PrevisionBasis, mass: tuple[Fraction, ...], target: tuple[Sequence[int], int]
-) -> Optional[tuple[Fraction, Pairs, tuple[Fraction, ...]]]:
+    basis: PrevisionBasis, mass: IntRow, target: tuple[Sequence[int], int]
+) -> Optional[Prevision]:
     """What _checked_prevision returns for the target (dense integers over
     tden), read at a basis whose dual `mass` _certified_mass returned for
     the columns; None unless x = B^-1 target is nonnegative on the
     generators.  m = x[0] / (den tden), the primal is the generator
-    entries of x and the dual is `mass`, certified with no further check
-    (see _prevision_at_basis).  A target of another dimension than B's
-    raises LpError."""
+    entries of x over den tden and the dual is `mass`, certified with no
+    further check (see _prevision_at_basis).  A target of another
+    dimension than B's raises LpError."""
     ints, tden = target
     inverse = basis.inverse
     if len(ints) != len(inverse):
@@ -727,7 +730,7 @@ def _answer_at(
     if x and min(x) < 0:
         return None
     scale = basis.den * tden
-    primal = _pairs((k, Fraction(v, scale)) for k, v in zip(basis.basic, x) if v)
+    primal = tuple(sorted([(k, v) for k, v in zip(basis.basic, x) if v])), scale
     return Fraction(sum(map(mul, inverse[0], ints)), scale), primal, mass
 
 
@@ -748,7 +751,7 @@ def _prevision_at_basis(
     basis: PrevisionBasis,
     target: tuple[Sequence[int], int],
     columns: Sequence[IntVector],
-) -> Optional[tuple[tuple[Fraction, Pairs, tuple[Fraction, ...]], PrevisionBasis]]:
+) -> Optional[tuple[Prevision, PrevisionBasis]]:
     """What _checked_prevision returns for the target (dense integers over
     tden), with the optimal basis it is read at, reached from `basis` by
     simplex pivots under Bland's rule.  While B^-1 target is nonnegative

@@ -53,9 +53,10 @@ a chain prevision, against the local columns they are lifted from:
   * anything else falls back to one exact LP over the generator columns.
 
 A product mass function (the canonical witness, a product separator, a
-chain separator) is built as integers over one denominator (_product_mass),
-and a separator is a primitive integer tuple (lp._primitive) from where it
-is made, through the separator cache, to the answer.
+chain separator) is built as integers over one denominator (_product_mass)
+from integer kernels, a separator is a primitive integer tuple
+(lp._primitive) and a witness an lp.IntVector, each from where it is made,
+through the separator cache, to the answer.
 
 Because every shortcut certificate is verified before use, the fallback is
 also the safety net: if the generator list was tampered with, verification
@@ -76,17 +77,17 @@ from .core import Configuration, Gamble, ScopeError, Space, VariableSpace
 from .dag import Dag
 from .lp import (
     EXACT_LP,
+    IntRow,
     IntVector,
     LpError,
     Membership,
-    Pairs,
+    Prevision,
     Vanishing,
     _check_work,
     _checked_prevision,
     _combines,
     _int_vector,
     _over_lcm,
-    _pairs,
     _prevision_fault,
     _primitive,
     _score,
@@ -356,7 +357,7 @@ class JointModel:
         # first when it verifies
         self._separators: list[tuple[int, ...]] = []
         self._canonical: Optional[tuple[list[int], int]] = None
-        ints, den = self._product_mass(lambda s, p, _: net.local_witness(s, p))
+        ints, den = self._product_mass(lambda s, p, _: net.local_cone(s, p).witness_mass)
         # the product of the local coherence witnesses is strictly positive
         # by construction; it is kept only if it scores every generator
         # strictly positive, which certifies at once that no nonnegative
@@ -373,20 +374,20 @@ class JointModel:
     # -- product mass functions --------------------------------------------
 
     def _product_mass(
-        self, kernel: Callable[[str, int, int], Sequence[Fraction]]
+        self, kernel: Callable[[str, int, int], IntRow]
     ) -> tuple[list[int], int]:
         """The joint mass function whose factor for node s, at a joint
         configuration with parent index p and non-parent-non-descendant
         index n, is kernel(s, p, n) at the node's value there, as integers
         over one positive denominator: mass j is ints[j] / den.  Each
-        node's kernels, one per slot in slot order (_slots), are put over
-        the lcm of all their denominators, and den is the product of these
-        lcms."""
+        node's kernels (lp.IntRow), one per slot in slot order (_slots), are
+        put over the lcm of all their denominators, and den is the product
+        of these lcms."""
         ints, den = [1] * self.space.size, 1
         for s in self.net.dag.nodes:
             kernels = [kernel(s, p, n) for p, n, _ in self._slots[s]]
-            node_den = lcm(*[v.denominator for row in kernels for v in row])
-            scaled = [[v.numerator * (node_den // v.denominator) for v in row] for row in kernels]
+            node_den = lcm(*[d for _, d in kernels])
+            scaled = [[v * (node_den // d) for v in row] for row, d in kernels]
             ints = [a * scaled[w][v] for a, w, v in zip(ints, self._slot_at[s], self._value_at[s])]
             den *= node_den
         return ints, den
@@ -403,8 +404,8 @@ class JointModel:
             self._dedup = list(first.values())
         return self._dedup
 
-    def _witness_matches(self, witness: dict[int, Fraction], target: IntVector) -> bool:
-        return _combines(self.generators, witness.items(), target)
+    def _witness_matches(self, witness: IntVector, target: IntVector) -> bool:
+        return _combines(self.generators, witness, target)
 
     def _separates_all_generators(self, y: Sequence[int]) -> bool:
         """y (integers) scores every generator nonnegative; each distinct
@@ -488,11 +489,9 @@ class JointModel:
     def _quick_routes(self, target: IntVector) -> Optional[Membership]:
         entries, den = target
         if all(n > 0 for _, n in entries):
-            witness = {self._atom_gen_at[j]: Fraction(n, den) for j, n in entries}
+            witness = tuple(sorted([(self._atom_gen_at[j], n) for j, n in entries])), den
             if self._witness_matches(witness, target):
-                return Membership(
-                    member=True, route="positive-span", witness=_pairs(witness.items())
-                )
+                return Membership(member=True, route="positive-span", witness=witness)
         for y in self._separators:
             if _score(y, target) < 0:
                 return Membership(member=False, route="cached-separator", separator=y)
@@ -525,10 +524,12 @@ class JointModel:
             ints[j] = n
         res = conic_membership((ints, target[1]), columns)
         if res.member:
-            witness = {owners[k]: c for k, c in res.witness}
+            # owners is increasing, so the witness stays sorted
+            pairs, den = res.witness
+            witness = tuple([(owners[k], n) for k, n in pairs]), den
             if not self._witness_matches(witness, target):
                 raise LpError("LP witness failed joint verification")
-            return Membership(member=True, route=EXACT_LP, witness=_pairs(witness.items()))
+            return Membership(member=True, route=EXACT_LP, witness=witness)
         y = res.separator
         if not self._separates_all_generators(y) or _score(y, target) >= 0:
             raise LpError("LP separator failed joint verification")
@@ -549,10 +550,11 @@ class JointModel:
         res = _lp_contains_zero(columns, self.space.size)
         if not res.exists:
             return res
-        combo = {owners[k]: c for k, c in res.combination}
+        pairs, den = res.combination
+        combo = tuple([(owners[k], n) for k, n in pairs]), den
         if not self._witness_matches(combo, _int_vector(())):
             raise LpError("vanishing combination failed joint verification")
-        return Vanishing(exists=True, route=EXACT_LP, combination=_pairs(combo.items()))
+        return Vanishing(exists=True, route=EXACT_LP, combination=combo)
 
     # -- structured queries --------------------------------------------------
 
@@ -593,9 +595,7 @@ class JointModel:
         if cert.member:
             assembled = self._assemble_local_witness(node, observed, cert.witness)
             if self._witness_matches(assembled, target):
-                return Membership(
-                    member=True, route="local-assembly", witness=_pairs(assembled.items())
-                )
+                return Membership(member=True, route="local-assembly", witness=assembled)
         elif cert.route != "cached-separator":
             # not the coherence witness, whose product is the canonical one:
             # the quick routes tried it, or the flipped generator refutes it
@@ -625,17 +625,16 @@ class JointModel:
         return self._observed[key]
 
     def _assemble_local_witness(
-        self, node: str, observed: Sequence[int], local_witness: Pairs
-    ) -> dict[int, Fraction]:
+        self, node: str, observed: Sequence[int], local_witness: IntVector
+    ) -> IntVector:
         """Replicate a local cone witness over every slot of the node holding
         one of the joint configurations `observed` (all of one parent index):
-        local generator k of slot w is joint generator _slots[node][w][2] + k."""
+        local generator k of slot w is joint generator _slots[node][w][2] + k,
+        so the witness is sorted when the slots are, by first generator."""
         slots, slot_at = self._slots[node], self._slot_at[node]
-        witness: dict[int, Fraction] = {}
-        for w in {slot_at[j] for j in observed}:
-            for k, coeff in local_witness:
-                witness[slots[w][2] + k] = coeff
-        return witness
+        pairs, den = local_witness
+        firsts = sorted({slots[slot_at[j]][2] for j in observed})
+        return tuple([(first + k, n) for first in firsts for k, n in pairs]), den
 
     def _product_separator(
         self, node: str, parent_index: int, local_separator: Sequence[int]
@@ -650,10 +649,9 @@ class JointModel:
             # a local separator is nonnegative (atoms are generators); a
             # tampered certificate is useless here
             return None
-        kernel = tuple(Fraction(v, total) for v in local_separator)
-        witness = self.net.local_witness
+        kernel, cone = (local_separator, total), self.net.local_cone
         ints, _ = self._product_mass(
-            lambda s, p, _: kernel if (s, p) == (node, parent_index) else witness(s, p)
+            lambda s, p, _: kernel if (s, p) == (node, parent_index) else cone(s, p).witness_mass
         )
         y = _primitive(ints)
         return self._cache_separator(y) if self._separates_all_generators(y) else None
@@ -709,7 +707,7 @@ class JointModel:
 
     def _chain_recursion(
         self, scope: Space, ints: Sequence[int], den: int
-    ) -> Optional[tuple[Fraction, list[list[tuple[Fraction, Pairs, tuple[Fraction, ...]]]]]]:
+    ) -> Optional[tuple[Fraction, list[list[Prevision]]]]:
         """The lower prevision m of the function ints / den on `scope`, by
         backward recursion over the local models on a path (_levels), with
         the local answer (AssessmentCone.lower_prevision: m, primal, dual)
@@ -741,9 +739,8 @@ class JointModel:
                 answer = cone.lower_prevision(row, den)
                 if (s, p) == flipped:
                     m, pairs, mass = answer
-                    kernel, kernel_den = _over_lcm(mass)
-                    if min(kernel) < 0 or _prevision_fault(
-                        self._local_columns[flipped], (row, den), m, pairs, kernel, kernel_den
+                    if min(mass[0]) < 0 or _prevision_fault(
+                        self._local_columns[flipped], (row, den), m, pairs, mass
                     ):
                         return None
                 found.append(answer)
@@ -752,15 +749,16 @@ class JointModel:
         return Fraction(ints[0], den), answers
 
     def _chain_certificates(self, target: IntVector, scope: Optional[Space] = None) -> Optional[
-        tuple[Fraction, dict[int, Fraction], dict[tuple[str, int, int], tuple[Fraction, ...]]]
+        tuple[Fraction, IntVector, dict[tuple[str, int, int], IntRow]]
     ]:
         """The lower prevision m of a joint target in integer form that
         depends only on the nodes of `scope` (all of them by default), by
         the chain recursion (_chain_recursion) on the target's function on
-        that scope, with its primal (generator index -> coefficient,
-        combining to target - m) and the local duals it chains, the
-        kernels (node, parent index, non-parent-non-descendant index) ->
-        mass function on the node's values; None when the recursion is.
+        that scope, with its primal (an IntVector over generator indices,
+        over the lcm of the lifted local primals' denominators, combining
+        to target - m) and the local duals it chains, the kernels (node,
+        parent index, non-parent-non-descendant index) -> mass function on
+        the node's values (lp.IntRow); None when the recursion is.
 
         Each slot of a level read, a configuration (p, n) of s_0 .. s_{i-1}
         whose generators are I(p, n) * g for the slot's local columns g,
@@ -805,20 +803,22 @@ class JointModel:
             return None
         m, answers = chained
         read = {s: (left, found) for (s, left, _), found in zip(levels, answers)}
-        net, primal, kernels = self.net, {}, {}
+        net, lifted, kernels = self.net, [], {}
         for s in net.dag.nodes:
             slots = self._slots[s]
             if s not in read:
                 for p, n, _ in slots:
-                    kernels[(s, p, n)] = net.local_witness(s, p)
+                    kernels[(s, p, n)] = net.local_cone(s, p).witness_mass
                 continue
             left, found = read[s]
             # a slot's configuration of the nodes above s, restricted to left
             for (p, n, first), r in zip(slots, self._nd_space[s].index_map(left)):
-                _, pairs, kernels[(s, p, n)] = found[r]
-                for k, c in pairs:
-                    primal[first + k] = c
-        return m, primal, kernels
+                _, (pairs, den), kernels[(s, p, n)] = found[r]
+                if pairs:
+                    lifted.append((first, pairs, den))
+        common = lcm(*[den for _, _, den in lifted])
+        primal = [(first + k, v * (common // d)) for first, pairs, d in lifted for k, v in pairs]
+        return m, (tuple(sorted(primal)), common), kernels
 
     def _chain_membership(
         self, target: IntVector, scope: Optional[Space] = None
@@ -842,14 +842,18 @@ class JointModel:
                 return None
             self._cache_separator(y)
             return Membership(member=False, route=CHAIN_RECURSION, separator=y)
-        witness = dict(primal)
         if m:
-            for j in range(self.space.size):
-                k = self._atom_gen_at[j]
-                witness[k] = witness.get(k, Fraction(0)) + m
-        if not self._witness_matches(witness, target):
+            # m on every leaf atom, over the lcm of m's and the primal's denominators
+            pairs, den = primal
+            common = lcm(den, m.denominator)
+            scale, add = common // den, m.numerator * (common // m.denominator)
+            witness = {k: v * scale for k, v in pairs}
+            for k in self._atom_gen_at.values():
+                witness[k] = witness.get(k, 0) + add
+            primal = tuple(sorted(witness.items())), common
+        if not self._witness_matches(primal, target):
             return None
-        return Membership(member=True, route=CHAIN_RECURSION, witness=_pairs(witness.items()))
+        return Membership(member=True, route=CHAIN_RECURSION, witness=primal)
 
     # -- requirement checks ----------------------------------------------------
 

@@ -3,7 +3,8 @@
 The package holds every generator as an integer column (lp.IntVector) from
 the local cone to the LP; tests that state their generators as dense tables
 convert them here, and check certificates against them with the same exact
-integer checks the primitives run.  positivity_audit is the dense Fraction
+integer checks the primitives run, except is_witness, which sums an integer
+witness in Fractions on the dense tables.  positivity_audit is the dense Fraction
 reference for oracle.positivity_audit, and product_mass for
 net.JointModel._product_mass, and fm_membership the Fraction reference for
 oracle.fm_membership.  DenseCone is the reference for the coherence and
@@ -27,7 +28,6 @@ from credalcones.lp import (
     _combines,
     _int_vector,
     _over_lcm,
-    _pairs,
     _primitive,
     _score,
     _separates,
@@ -46,10 +46,30 @@ def int_columns(tables):
     return [_int_vector(enumerate(t)) for t in tables]
 
 
-def is_witness(tables, target, pairs):
-    """The (index, coefficient) pairs, all nonnegative, combine the tables
-    to the target."""
-    return _combines(int_columns(tables), tuple(pairs), _int_vector(enumerate(target)))
+def is_witness(tables, target, witness):
+    """The witness, an lp.IntVector ((index, n), ...), den over the tables'
+    indices, has den > 0 and every n >= 0, and combines the tables to the
+    target, summed as Fractions on the dense tables (not by lp._combines)."""
+    tables, (pairs, den) = list(tables), witness
+    if den <= 0 or any(n < 0 or not 0 <= k < len(tables) for k, n in pairs):
+        return False
+    total = [Fraction(0)] * len(target)
+    for k, n in pairs:
+        for j, v in enumerate(tables[k]):
+            total[j] += Fraction(n, den) * v
+    return total == list(target)
+
+
+def fractions(vector):
+    """An lp.IntVector's (index, coefficient) pairs, as Fractions."""
+    pairs, den = vector
+    return tuple((k, Fraction(n, den)) for k, n in pairs)
+
+
+def masses(dual):
+    """A dual mass function, an integer row over its denominator, as Fractions."""
+    row, den = dual
+    return tuple(Fraction(v, den) for v in row)
 
 
 def is_separator(tables, target, y):
@@ -70,7 +90,8 @@ def is_positive_pmf(tables, y):
 def product_mass(joint, kernel):
     """JointModel._product_mass by brute force, as Fractions: one Fraction
     per node per joint configuration, each configuration decoded by its
-    values rather than the joint index maps."""
+    values rather than the joint index maps.  A kernel is an integer row
+    over its denominator, as there."""
     net = joint.net
     mass = []
     for config in joint.space.configurations():
@@ -80,7 +101,8 @@ def product_mass(joint, kernel):
             p_space, n_space = net.parent_space(s), net.nnd_space(s)
             p = p_space.index_of(p_space.configuration({x: value[x] for x in p_space.nodes}))
             n = n_space.index_of(n_space.configuration({x: value[x] for x in n_space.nodes}))
-            y *= kernel(s, p, n)[net.variables[s].index_of(value[s])]
+            row, den = kernel(s, p, n)
+            y *= Fraction(row[net.variables[s].index_of(value[s])], den)
         mass.append(y)
     return mass
 
@@ -341,7 +363,7 @@ def dense_membership(target, columns):
     else:
         status, y = LpStatus.INFEASIBLE, target
     if status is LpStatus.OPTIMAL:
-        witness = _pairs(enumerate(x))
+        witness = _int_vector(enumerate(x))
         assert _combines(columns, witness, goal)
         return Membership(member=True, route=EXACT_LP, witness=witness)
     separator = _primitive([-v for v in y])
@@ -372,8 +394,9 @@ class DenseCone:
         lifted = [((*entries, (dim, den)), den) for entries, den in self.columns]
         res = dense_membership((Fraction(0),) * dim + (Fraction(1),), lifted)
         if res.member:
-            combination = dict(res.witness)
-            certificate = tuple(combination.get(k, Fraction(0)) for k in range(len(lifted)))
+            pairs, den = res.witness
+            combination = dict(pairs)
+            certificate = tuple(Fraction(combination.get(k, 0), den) for k in range(len(lifted)))
             return CoherenceReport(coherent=False, certificate=certificate)
         y = res.separator[:-1]
         return CoherenceReport(coherent=True, witness=tuple(Fraction(v, sum(y)) for v in y))
@@ -386,7 +409,7 @@ class DenseCone:
         entries, den = target
         if all(n > 0 for _, n in entries):
             first_atom = len(self.assessments)
-            witness = _pairs((first_atom + j, Fraction(n, den)) for j, n in entries)
+            witness = tuple((first_atom + j, n) for j, n in entries), den
             if _combines(self.columns, witness, target):
                 return Membership(member=True, route="positive-span", witness=witness)
         report = self.is_coherent()

@@ -581,7 +581,7 @@ def test_solver_fault_exits_1_not_as_bad_input(tmp_path, capsys, monkeypatch):
 
     def bad_witness(target, generators):
         calls.append(len(generators))
-        return Membership(member=True, route="exact-lp", witness=((0, Fraction(1)),))
+        return Membership(member=True, route="exact-lp", witness=(((0, 1),), 1))
 
     monkeypatch.setattr(net_module, "conic_membership", bad_witness)
     net = write(tmp_path, "net.json", COLLIDER)

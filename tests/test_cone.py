@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,15 @@ from credalcones import cone as cone_module, core, lp
 from credalcones.cone import AssessmentCone
 from credalcones.core import Gamble, Space, VariableSpace, indicator
 from credalcones.lp import LpError, _over_lcm
-from dense import DenseCone, int_columns, is_positive_pmf, is_separator, is_witness
+from dense import (
+    DenseCone,
+    fractions,
+    int_columns,
+    is_positive_pmf,
+    is_separator,
+    is_witness,
+    masses,
+)
 
 F = Fraction
 
@@ -52,7 +59,7 @@ def test_contradictory_assessment_is_incoherent():
     assert report.certificate is not None
     combo = report.certificate
     tables = [g.table for g in cone.generators]
-    assert is_witness(tables, (F(0),) * sp.size, enumerate(combo))
+    assert is_witness(tables, (F(0),) * sp.size, lp._int_vector(enumerate(combo)))
     assert any(c > 0 for c in combo)
 
 
@@ -174,11 +181,13 @@ def test_equal_tables_share_one_membership_lp_and_one_prevision_walk(monkeypatch
     assert cone.lower_prevision((-1, 3), 2)[0] == F(-1, 2)
     # (3, -1) is not answered there: one dual pivot brings in the assessment,
     # and the new basis joins the front
-    assert cone.lower_prevision((3, -1)) == (1, ((0, 2),), (F(1, 2), F(1, 2)))
+    m, primal, dual = cone.lower_prevision((3, -1))
+    assert (m, fractions(primal), masses(dual)) == (1, ((0, 2),), (F(1, 2), F(1, 2)))
     assert len(walks) == 2 and [b.basic for b in reversed(cone._bases)] == [(0,), (2,)]
     whole = cone.member_with_certificate(Gamble(sp, (1, 2)))
     half = cone.member_with_certificate(Gamble(sp, (F(1, 2), F(1))))
-    assert whole.witness == ((1, 1), (2, 2)) and half.witness == ((1, F(1, 2)), (2, 1))
+    assert fractions(whole.witness) == ((1, 1), (2, 2))
+    assert fractions(half.witness) == ((1, F(1, 2)), (2, 1))
 
 
 def test_a_row_with_a_common_factor_shares_one_prevision_entry_and_one_walk(monkeypatch):
@@ -197,7 +206,7 @@ def test_a_row_with_a_common_factor_shares_one_prevision_entry_and_one_walk(monk
     assert cone.lower_prevision((1, 2)) is first
     assert cone.lower_prevision((6, 12), 6) is first
     assert list(cone._previsions) == [(1, 2, 1)] and calls == [((1, 2), 1)]
-    assert first == (1, ((2, 1),), (1, 0))
+    assert (first[0], fractions(first[1]), masses(first[2])) == (1, ((2, 1),), (1, 0))
 
 
 def test_a_table_of_the_wrong_length_is_refused_before_the_memo_and_the_bases():
@@ -216,8 +225,8 @@ def test_a_table_of_the_wrong_length_is_refused_before_the_memo_and_the_bases():
         with pytest.raises(ValueError, match=f"a table over the denominator {den}"):
             cone.lower_prevision((1, 2, 3), den)
     assert cone._previsions == {} and cone._bases == {}
-    m, primal, mass = cone.lower_prevision((1, 2, 3))
-    tables = [g.table for g in cone.generators]
+    m, primal, dual = cone.lower_prevision((1, 2, 3))
+    tables, mass = [g.table for g in cone.generators], masses(dual)
     assert m == 1 and mass == (1, 0, 0)
     assert is_witness(tables, (0, 1, 2), primal)
     assert all(sum(p * v for p, v in zip(mass, t)) >= 0 for t in tables)
@@ -228,11 +237,11 @@ def test_a_dual_with_a_coordinate_the_target_lacks_fails_verification():
     # every 3-entry column 0: only its length gives it away
     sp = Space([VariableSpace("a", ("v0", "v1", "v2"))])
     cone = AssessmentCone(sp, [Gamble(sp, (1, -1, 0))])
-    target, atoms = ((1, 2, 3), 1), ((1, F(1)), (2, F(2)), (3, F(3)))
-    assert lp._prevision_fault(cone.columns, target, F(0), atoms, (0, 0, 0, 1), 1) == "dual"
+    target, atoms = ((1, 2, 3), 1), (((1, 1), (2, 2), (3, 3)), 1)
+    assert lp._prevision_fault(cone.columns, target, F(0), atoms, ((0, 0, 0, 1), 1)) == "dual"
     # the right-length dual of m = 1, with the primal of (0, 1, 2), passes
-    shifted = ((2, F(1)), (3, F(2)))
-    assert lp._prevision_fault(cone.columns, target, F(1), shifted, (1, 0, 0), 1) is None
+    shifted = (((2, 1), (3, 2)), 1)
+    assert lp._prevision_fault(cone.columns, target, F(1), shifted, ((1, 0, 0), 1)) is None
 
 
 def random_cone(rng, max_values=3, max_assessments=3):
@@ -268,7 +277,7 @@ def test_incoherence_certificate_comes_from_the_coherence_lp(monkeypatch):
         combo = report.certificate
         assert all(c >= 0 for c in combo) and any(combo)
         tables = [g.table for g in cone.generators]
-        assert is_witness(tables, (F(0),) * cone.space.size, enumerate(combo))
+        assert is_witness(tables, (F(0),) * cone.space.size, lp._int_vector(enumerate(combo)))
 
 
 @pytest.mark.parametrize(
@@ -304,7 +313,7 @@ def test_a_wide_local_model_is_decided_by_one_lp(monkeypatch, table, coherent):
     else:
         combo = report.certificate
         assert report.witness is None and any(combo)
-        assert is_witness(tables, (F(0),) * 400, enumerate(combo))
+        assert is_witness(tables, (F(0),) * 400, lp._int_vector(enumerate(combo)))
 
 
 def random_local_cone(rng):
@@ -414,9 +423,9 @@ def test_a_tampered_coherence_witness_never_separates():
         if not report.coherent:
             continue
         size = cone.space.size
-        bad = [F(0)] * size
-        bad[rng.randrange(size)] = F(1)  # scores the other atoms 0
-        cone._coherence = replace(report, witness=tuple(bad))
+        bad = [0] * size
+        bad[rng.randrange(size)] = 1  # scores the other atoms 0
+        cone._witness_mass = tuple(bad), 1
         tampered += 1
         for _ in range(6):
             f = random_target(rng, cone)

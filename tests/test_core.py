@@ -1,6 +1,7 @@
 """Spaces, configurations, gambles: exact arithmetic and scope rules."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -128,9 +129,20 @@ def parsed(parse, text):
     return type(value), value
 
 
+def fraction_under_the_digit_limit(text):
+    """Fraction(text.strip()), except that a value whose numerator or
+    denominator has more digits than the int-string digit limit raises
+    ValueError, as core.as_rational's does."""
+    value, limit = Fraction(text.strip()), sys.get_int_max_str_digits()
+    if limit and max(value.numerator, value.denominator) >= 10**limit:
+        raise ValueError(f"a numerator or denominator of more than {limit} digits")
+    return value
+
+
 def test_a_rational_string_parses_as_fraction_parses_it():
     # the plain forms n and n/d skip Fraction's regular expression; every
-    # text, plain or not, gives Fraction(text.strip())'s value or error
+    # text, plain or not, gives Fraction(text.strip())'s value or error,
+    # except a value of more digits than the int-string digit limit
     edge = [
         "+3", " 4 ", "-0", "00", "1_000", "1.5", "1e3", "\u0663", "3/\u0664", "3/0",
         "3/00", "3/-2", "0x1", "", "-", "--3", "/2", "1/", "1/2/3", "-0/5", "6/4",
@@ -145,10 +157,25 @@ def test_a_rational_string_parses_as_fraction_parses_it():
     corpus += [f"{rng.randint(-10**12, 10**12)}/{rng.randint(0, 10**12)}" for _ in range(500)]
     kinds = set()
     for text in edge + corpus:
-        expected = parsed(lambda t: Fraction(t.strip()), text)
+        expected = parsed(fraction_under_the_digit_limit, text)
         assert parsed(as_rational, text) == expected, text
         kinds.add(expected[0])
     assert kinds == {Fraction, ValueError, ZeroDivisionError}
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="integer literals have no digit limit",
+)
+def test_a_gamble_refuses_an_exponent_past_the_digit_limit_before_building_it():
+    # 10**2000000 would take about a second and 6.6 million bits to build;
+    # the literal is refused first, and a zero mantissa is 0 at any exponent
+    sp = Space([VariableSpace("a", ("a0", "a1"))])
+    with pytest.raises(ValueError, match="more than"):
+        Gamble(sp, ("1e2000000", "1"))
+    with pytest.raises(ValueError, match="more than"):
+        Gamble(sp, ("1e-2000000", "1"))
+    assert Gamble(sp, ("-0.0e2000000", "1")).table == (0, 1)
 
 
 def test_evaluation_through_a_larger_configuration():

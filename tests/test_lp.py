@@ -16,7 +16,7 @@ from credalcones.lp import (
     conic_membership,
     contains_zero,
 )
-from dense import int_columns, is_separator, is_witness
+from dense import fractions, int_columns, is_separator, is_witness
 
 F = Fraction
 
@@ -138,7 +138,7 @@ def test_membership_inside_2d_cone():
     gens = [(F(1), F(0)), (F(1), F(1))]
     res = conic_membership(lp._over_lcm((F(3), F(1))), int_columns(gens))
     assert res.member and res.route == "exact-lp"
-    assert res.witness == ((0, F(2)), (1, F(1)))
+    assert fractions(res.witness) == ((0, F(2)), (1, F(1)))
 
 
 def test_membership_outside_2d_cone():
@@ -166,7 +166,7 @@ def test_contains_zero_detects_opposite_rays():
     rays = [(F(1), F(-1)), (F(-1), F(1))]
     res = contains_zero(int_columns(rays), 2)
     assert res.exists and res.route == "exact-lp"
-    assert res.combination == ((0, F(1, 2)), (1, F(1, 2)))
+    assert fractions(res.combination) == ((0, F(1, 2)), (1, F(1, 2)))
     assert is_witness(rays, (F(0), F(0)), res.combination)
 
 
@@ -502,11 +502,21 @@ def test_separator_scoring_one_generator_at_minus_eps_is_rejected():
 
 
 def test_witness_missing_the_target_by_eps_is_rejected():
+    # lp._combines, the one witness check, and the dense Fraction sum agree
     gens = [(F(1), F(0)), (F(0), F(1))]
-    assert is_witness(gens, (F(2), F(3)), ((0, F(2)), (1, F(3))))
-    assert not is_witness(gens, (F(2), F(3)), ((0, F(2)), (1, F(3) - EPS)))
-    assert not is_witness(gens, (F(2), F(3)), ((0, F(2)), (1, F(3)), (1, EPS)))
-    assert not is_witness(gens, (F(2), F(3) + EPS), ((0, F(2)), (1, F(3))))
+    cases = [
+        ((F(2), F(3)), lp._int_vector(((0, F(2)), (1, F(3)))), True),
+        ((F(2), F(3)), lp._int_vector(((0, F(2)), (1, F(3) - EPS))), False),
+        ((F(2), F(3)), lp._int_vector(((0, F(2)), (1, F(3)), (1, EPS))), False),
+        ((F(2), F(3) + EPS), lp._int_vector(((0, F(2)), (1, F(3)))), False),
+        # the right rationals over a denominator that is not positive
+        ((F(2), F(3)), (((0, -2), (1, -3)), -1), False),
+        ((F(0), F(0)), ((), 0), False),
+    ]
+    for target, witness, holds in cases:
+        goal = lp._int_vector(enumerate(target))
+        assert lp._combines(int_columns(gens), witness, goal) is holds
+        assert is_witness(gens, target, witness) is holds
 
 
 def test_lower_prevision_rejects_a_dual_that_misses_by_one_over_den(monkeypatch):

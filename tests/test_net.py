@@ -43,7 +43,7 @@ from credalcones.net import (
     sample_credal_net,
     sample_gamble,
 )
-from dense import int_columns, is_separator, is_witness, product_mass
+from dense import fractions, int_columns, is_separator, is_witness, masses, product_mass
 
 F = Fraction
 
@@ -765,7 +765,7 @@ def test_product_separator_scoring_one_generator_negative_is_refused():
     assert res.route == "exact-lp"
     # -indicator(a0) is now a generator, so the target is a member
     tables = generator_tables(joint)
-    total = [sum((c * tables[k][j] for k, c in res.witness), F(0)) for j in range(4)]
+    total = [sum((c * tables[k][j] for k, c in fractions(res.witness)), F(0)) for j in range(4)]
     assert res.member and total == [F(-1), F(3), F(0), F(0)]
 
 
@@ -917,7 +917,7 @@ def test_chain_recursion_equals_the_joint_lp_and_never_falls_back(monkeypatch):
             assert m == lower
             # the lifted primal combines to f - m, the chained dual is a mass
             # function of expectation m scoring every generator nonnegative
-            assert is_witness(tables, [v - m for v in table], primal.items())
+            assert is_witness(tables, [v - m for v in table], primal)
             mass, den = joint._product_mass(lambda s, p, n: kernels[(s, p, n)])
             assert sum(mass) == den and dot(mass, table) == m * den
             assert all(dot(mass, t) >= 0 for t in tables)
@@ -995,7 +995,7 @@ def joint_checks(joint, table, m, primal, kernels):
     shifted = _int_vector((j, v - m) for j, v in enumerate(table))
     mass, den = _over_lcm(product_mass(joint, lambda s, p, n: kernels[(s, p, n)]))
     return (
-        _combines(columns, tuple(primal.items()), shifted)
+        _combines(columns, primal, shifted)
         and sum(mass) == den
         and sum(y * v for y, v in zip(mass, table)) == m * den
         and all(_score(mass, column) >= 0 for column in columns)
@@ -1173,7 +1173,7 @@ def test_a_tableau_prevision_keeps_a_dual_with_a_negative_mass():
     f = Gamble(net.joint_space, (1, -3, 0, -2))
     columns, _ = joint._dedup_columns()
     m, _, mass = _checked_prevision(f.table, columns)
-    assert m == -11 and mass == (-2, 3, 0, 0)
+    assert m == -11 and masses(mass) == (-2, 3, 0, 0)
     assert joint.lower_prevision(f) == -11
 
 
@@ -1198,8 +1198,8 @@ def test_a_flipped_slot_whose_local_certificate_survives_answers_as_the_joint_lp
     slots = [n for t, p, n in kernels if (t, p) == (s, p_idx)]
     assert slots
     for n in slots:
-        assert slot_generator(joint, s, p_idx, n, k) not in primal
-        assert sum(kernels[(s, p_idx, n)][v] * c for v, c in entries) == 0
+        assert slot_generator(joint, s, p_idx, n, k) not in dict(primal[0])
+        assert sum(kernels[(s, p_idx, n)][0][v] * c for v, c in entries) == 0
     columns, _ = joint._dedup_columns()
     lower = lp_lower_prevision(f.extend(net.joint_space).table, columns)
     monkeypatch.setattr(JointModel, "_dedup_columns", refuse)
@@ -1352,8 +1352,8 @@ def assert_local_prevision(cone, table, answer):
     finds it, with a primal that combines the generators to table - m and a
     mass function of expectation m that scores every generator
     nonnegative."""
-    m, primal, mass = answer
-    tables = [g.table for g in cone.generators]
+    m, primal, dual = answer
+    tables, mass = [g.table for g in cone.generators], masses(dual)
     assert m == lp_lower_prevision(table, cone.columns)
     assert is_witness(tables, [v - m for v in table], primal)
     assert sum(mass) == 1 and dot(mass, table) == m
@@ -1759,7 +1759,8 @@ def test_integer_product_mass_equals_the_fraction_product(monkeypatch):
         for s in joint.net.dag.nodes:
             spaces = joint.net.parent_space(s), joint.net.nnd_space(s)
             slots = set(zip(*[joint.space.index_map(sp) for sp in spaces]))
-            if len({lcm(*[F(v).denominator for v in kernel(s, *key)]) for key in slots}) > 1:
+            rows = [kernel(s, *key) for key in slots]
+            if len({lcm(*[F(v, d).denominator for v in row]) for row, d in rows}) > 1:
                 mixed[caller] += 1
                 break
         return ints, den
@@ -1877,3 +1878,65 @@ def test_an_infinite_lower_prevision_raises_its_own_error(seed, flip, message):
     with pytest.raises(InfinitePrevisionError, match=re.escape(message)):
         joint.lower_prevision(f)
     assert issubclass(InfinitePrevisionError, LpError)
+
+
+def assert_integer_witness(witness, tables, target):
+    """witness is the one witness form: integer (index, n) pairs sorted by
+    index, with no repeated index and every n > 0, over an integer den > 0,
+    combining the dense tables to the target (dense.is_witness)."""
+    pairs, den = witness
+    indices = [k for k, _ in pairs]
+    assert indices == sorted(set(indices)) and pairs
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n > 0 for _, n in pairs)
+    assert is_witness(tables, target, witness)
+
+
+def test_every_route_returns_an_integer_witness():
+    # networks and mixed chains, clean and flipped: every member answer of
+    # the joint model, by whichever route, and every vanishing combination
+    # of a flipped model, is an integer witness that holds on the dense
+    # generator tables
+    rng = random.Random(3030)
+    routes = Counter()
+    nets = [sample_credal_net(rng, max_nodes=3) for _ in range(10)]
+    nets += [sample_mixed_chain(rng, widths) for widths in ((2, 3), (3, 2, 2), (2, 2, 2))]
+    for net in nets:
+        for flip in (None, random_mutation(rng, net), random_mutation(rng, net)):
+            joint = net.build_joint(mutate_flip=flip)
+            tables, size = generator_tables(joint), net.joint_space.size
+            zero = joint.contains_zero()
+            if zero.exists:
+                routes["vanishing " + zero.route] += 1
+                assert_integer_witness(zero.combination, tables, (F(0),) * size)
+                continue
+            queries = []
+            # a nonnegative gamble, and positive combinations of generators
+            nonnegative = [F(rng.randint(0, 2), rng.randint(1, 2)) for _ in range(size)]
+            nonnegative[rng.randrange(size)] += 1
+            queries.append((Gamble(net.joint_space, nonnegative), None))
+            for _ in range(3):
+                picks = rng.sample(range(len(tables)), min(3, len(tables)))
+                combined = [F(0)] * size
+                for k in picks:
+                    lam = F(rng.randint(1, 3), rng.randint(1, 2))
+                    combined = [c + lam * v for c, v in zip(combined, tables[k])]
+                if any(combined):
+                    queries.append((Gamble(net.joint_space, combined), None))
+            # each node's assessments given each parent configuration
+            for s in net.dag.nodes:
+                p_space = net.parent_space(s)
+                for p_idx in range(p_space.size):
+                    for g in net.assessments[(s, p_idx)]:
+                        queries.append((g, p_space.config_at(p_idx)))
+            for f, given in queries:
+                res = joint.member_with_certificate(f, given=given)
+                if not res.member:
+                    continue
+                routes[res.route] += 1
+                target = f.extend(net.joint_space)
+                if given is not None:
+                    target = indicator(given, net.joint_space) * target
+                assert_integer_witness(res.witness, tables, target.table)
+    expected = ("positive-span", "local-assembly", "chain-recursion", "exact-lp", "vanishing exact-lp")
+    assert all(routes[route] for route in expected), routes

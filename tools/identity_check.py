@@ -3,7 +3,7 @@
     python3 tools/identity_check.py --parent PATH
 
 PATH is the root of another checkout (one with ``src/credalcones``), usually
-the parent commit.  The inputs of 252 CLI runs are written to a temporary
+the parent commit.  The inputs of 292 CLI runs are written to a temporary
 directory:
 
   * ``query`` on the 24 chain query files of perfbench seeds 1-3;
@@ -19,6 +19,12 @@ directory:
     in each of REFUSED, one run each, which exits 3;
   * ``verify --seed 3`` on the networks ``net.sample_credal_net`` draws from
     ``random.Random(seed)`` for the seeds 1000-1039;
+  * ``query`` on the same 40 networks (``net_queries``, drawn from a
+    generator of their own): coherence, the membership of a nonnegative
+    joint gamble (route positive-span), the ``marginal-member`` of a
+    node's first assessment at its parent values (local-assembly), and
+    the membership of a joint gamble with one negative entry (exact-lp
+    off a path), so that every witness form is printed;
   * ``verify --seed 3 --budget 45`` on the same 40 networks: 15 of these
     sweeps stop inside the observations of one slot gamble, 10 stop
     between two slot gambles and 15 end within the budget;
@@ -150,6 +156,31 @@ def literal_runs(workdir: Path, chain, network: str) -> list[list[str]]:
     return [["query", network, name] for name in files]
 
 
+def net_queries(rng: random.Random, network) -> list[dict]:
+    """Coherence, then the membership of a nonnegative joint gamble, the
+    marginal-member of the first assessment of a slot that has one (when
+    some slot has), and the membership of a joint gamble whose entries are
+    nonnegative but one."""
+    nodes, size = list(network.dag.nodes), network.joint_space.size
+    nonnegative = [Fraction(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(size)]
+    nonnegative[rng.randrange(size)] += 1
+    mixed = [Fraction(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(size)]
+    mixed[rng.randrange(size)] = Fraction(-rng.randint(1, 3), rng.randint(1, 4))
+    queries = [{"kind": "coherence"}]
+    queries.append({"kind": "member", "gamble": {"scope": nodes, "table": [str(v) for v in nonnegative]}})
+    slots = [(s, p) for (s, p), gambles in sorted(network.assessments.items()) if gambles]
+    if slots:
+        s, p = rng.choice(slots)
+        queries.append({
+            "kind": "marginal-member",
+            "node": s,
+            "parent": network.parent_space(s).config_at(p).as_dict(),
+            "gamble": [str(v) for v in network.assessments[(s, p)][0].table],
+        })
+    queries.append({"kind": "member", "gamble": {"scope": nodes, "table": [str(v) for v in mixed]}})
+    return queries
+
+
 def flip_run(rng: random.Random, network, path: Path) -> list[str]:
     """The budgeted ``verify --mutate-flip`` run on the network written to
     path, its slot drawn from rng."""
@@ -220,7 +251,7 @@ def write_inputs(workdir: Path) -> list[list[str]]:
         if seed == MIXED_SEEDS[0]:
             commands += literal_runs(workdir, chain, paths[0].name)
         flips.append(flip_run(rng, chain, paths[0]))
-    budgeted, validated, sets = [], [], incoherent_sets(run, workdir)
+    budgeted, validated, queried, sets = [], [], [], incoherent_sets(run, workdir)
     for seed in NET_SEEDS:
         rng = random.Random(seed)
         network = net.sample_credal_net(rng)
@@ -228,10 +259,15 @@ def write_inputs(workdir: Path) -> list[list[str]]:
         path.write_text(json.dumps(cli.serialize_network(network)), encoding="utf-8")
         flip = flip_run(rng, network, path)
         validated += [["validate", path.name], incoherent_run(rng, network, path, sets)]
+        queries = path.with_name(f"{path.stem}-queries.json")
+        queries.write_text(
+            json.dumps(net_queries(random.Random(f"queries-{seed}"), network)), encoding="utf-8"
+        )
+        queried.append(["query", path.name, queries.name])
         commands.append(["verify", path.name, "--seed", VERIFY_SEED])
         budgeted.append(["verify", path.name, "--seed", VERIFY_SEED, "--budget", CLEAN_BUDGET])
         flips.append(flip)
-    return commands + budgeted + flips + validated
+    return commands + budgeted + flips + validated + queried
 
 
 def run_cli(tree: Path, args: list[str], workdir: Path) -> tuple[int, bytes, bytes]:
