@@ -33,7 +33,10 @@ certificate checked against the columns:
     are checked once per cone; an incoherent cone has no such witness and
     never takes this route.
 
-Coherence is one exact LP, lp.contains_zero on the columns.  By Gordan's
+Coherence needs no LP when an assessment g has no positive entry: g plus
+-g(x) times each atom x is zero, a partial loss (Walley 1991), and that
+combination, checked against the columns, is the certificate.  Otherwise
+it is one exact LP, lp.contains_zero on the columns.  By Gordan's
 theorem of the alternative, either a nonzero nonnegative combination of
 the generators vanishes, and the natural extension is incoherent with
 that checked combination as certificate, or some y scores every generator
@@ -55,7 +58,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .core import Gamble, Space, indicator
+from .core import Gamble, Space
 from .lp import (
     IntRow,
     IntVector,
@@ -82,14 +85,15 @@ _BASIS_LIMIT = 4
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    """Outcome of the coherence LP, lp.contains_zero on the generators.
+    """Outcome of the coherence decision: its quick route or the LP,
+    lp.contains_zero on the generators.
 
     witness, present only when coherent, is a strictly positive pmf giving
     every generator strictly positive expectation: the LP's verified
     separator without its appended coordinate, normalised to sum 1.
-    certificate, present only when incoherent, is the LP's checked
-    vanishing combination, one nonnegative coefficient per generator, not
-    all zero, summing the generators to the zero gamble.
+    certificate, present only when incoherent, is the checked vanishing
+    combination of the quick route or the LP, one nonnegative coefficient
+    per generator, not all zero, summing the generators to the zero gamble.
     """
 
     coherent: bool
@@ -138,10 +142,10 @@ class AssessmentCone:
 
     @cached_property
     def generators(self) -> tuple[Gamble, ...]:
-        """The generators as Gambles, the atoms as dense indicators, built
+        """The generators as Gambles, the atoms as dense unit tables, built
         only for a caller that reads Gambles: the cone reads columns."""
-        space = self.space
-        atoms = [indicator(space.config_at(i), space) for i in range(space.size)]
+        space, size, zero, one = self.space, self.space.size, (Fraction(0),), (Fraction(1),)
+        atoms = [Gamble(space, zero * i + one + zero * (size - i - 1)) for i in range(size)]
         return (*self.assessments, *atoms)
 
     def __repr__(self) -> str:
@@ -164,16 +168,27 @@ class AssessmentCone:
         return self._witness_mass
 
     def _decide_coherence(self) -> CoherenceReport:
-        res = contains_zero(self.columns, self.space.size)
-        if res.exists:
-            pairs, den = res.combination
-            combo = dict(pairs)
-            certificate = tuple(Fraction(combo.get(k, 0), den) for k in range(len(self.columns)))
-            return CoherenceReport(coherent=False, certificate=certificate)
-        y = res.separator[:-1]
-        total = sum(y)
-        self._witness_mass = y, total
-        return CoherenceReport(coherent=True, witness=tuple(Fraction(v, total) for v in y))
+        columns, first_atom = self.columns, len(self.assessments)
+        # quick route: the first assessment g with no positive entry incurs
+        # a partial loss alone, g plus -g(x) times each atom x vanishing
+        loss = next((k for k in range(first_atom) if all(n < 0 for _, n in columns[k][0])), None)
+        if loss is not None:
+            entries, den = columns[loss]
+            combination = ((loss, den), *[(first_atom + j, -n) for j, n in entries]), den
+            if not _combines(columns, combination, ((), 1)):
+                raise LpError("vanishing combination failed verification")
+        else:
+            res = contains_zero(columns, self.space.size)
+            if not res.exists:
+                y = res.separator[:-1]
+                total = sum(y)
+                self._witness_mass = y, total
+                return CoherenceReport(coherent=True, witness=tuple(Fraction(v, total) for v in y))
+            combination = res.combination
+        pairs, den = combination
+        combo = dict(pairs)
+        certificate = tuple(Fraction(combo.get(k, 0), den) for k in range(len(columns)))
+        return CoherenceReport(coherent=False, certificate=certificate)
 
     # -- membership -----------------------------------------------------------
 

@@ -10,9 +10,9 @@ Two deliberately different computation routes live here:
     masses over one denominator) and random combinations of them by
     linearity, without any certificate check of lp or net.
 
-  * fm_membership: conic membership decided by fraction-free Gaussian
-    substitution of the equality rows, in integers, followed by
-    Fourier-Motzkin elimination of the nonnegative coefficients.  It shares
+  * fm_membership: conic membership decided by fraction-free Gauss-Jordan
+    elimination of the equality rows, in integers, followed by
+    Fourier-Motzkin elimination of the free coefficients.  It shares
     only lp's integer-row helpers, no simplex and no pivoting rules; it
     exists to disagree loudly if the LP route were ever wrong.
 """
@@ -195,12 +195,14 @@ def fm_membership(
     """Is target a nonnegative combination of the generators?
 
     Same semantics as the LP primitive (zero targets rejected alike),
-    decided by projection: the equalities are removed by Gaussian
-    substitution in integers, then the remaining coefficient variables are
-    eliminated one by one, combining each lower bound with each upper
-    bound.  Feasible iff no contradictory constant row survives.  Each row
-    is a multiple of the row that substitution in rationals would give,
-    positive for every inequality, so every decision is the rational one.
+    decided by projection: Gauss-Jordan elimination of the equalities in
+    integers writes each pivot coefficient as an affine function of the
+    free ones, whose nonnegativity, with that of the free coefficients, is
+    the system left; its variables are eliminated one by one, combining
+    each lower bound with each upper bound.  Feasible iff no contradictory
+    constant row survives.  Each row is a positive multiple of the row that
+    elimination in rationals would give, so every decision is the rational
+    one.
 
     Guards: at most FM_MAX_DIM dimensions and FM_MAX_GENERATORS generators;
     projection can blow up combinatorially beyond desk scale.
@@ -218,53 +220,46 @@ def fm_membership(
     if any(len(g) != dim for g in generators):
         raise ValueError("generators and target must share one dimension")
 
-    # equalities sum_k a_k l_k = c, each read once as integers over its
-    # lcm (an entry that is not an int or a Fraction goes through
-    # Fraction); inequalities sum_k a_k l_k >= c, starting as l_k >= 0
-    columns = [
-        [v if type(v) in (int, Fraction) else Fraction(v) for v in g]
-        for g in (*generators, target)
-    ]
-    equalities = [_coprime(_over_lcm([c[i] for c in columns])[0]) for i in range(dim)]
-    inequalities = [[int(j == k) for j in range(n + 1)] for k in range(n)]
-
-    # fraction-free substitution of one variable per equality row: the row
-    # is turned positive at its pivot, piv > 0, and every later row r with
-    # f = r[pivot] != 0 becomes piv * r - f * row over its gcd, a positive
-    # multiple of the rational r - (f / piv) * row
-    eliminated: set[int] = set()
-    for eq in range(dim):
-        row = equalities[eq]
-        pivot = next(
-            (k for k in range(n) if k not in eliminated and row[k] != 0), None
-        )
+    # equalities sum_k a_k l_k = c (an entry that is not an int or a
+    # Fraction goes through Fraction), each read once as integers over its
+    # lcm, by Gauss-Jordan elimination: the row is reduced by the pivot rows
+    # before it, p[k] * row - row[k] * p for the pivot k of p, p[k] > 0,
+    # then put over its gcd, positive at its own pivot, which is eliminated
+    # from them alike
+    pivots: dict[int, Sequence[int]] = {}
+    for values in zip(*generators, target):
+        row = _over_lcm([v if type(v) in (int, Fraction) else Fraction(v) for v in values])[0]
+        for k, p in pivots.items():
+            if row[k]:
+                e, f = p[k], row[k]
+                row = [e * a - f * b for a, b in zip(row, p)]
+        pivot = next((k for k in range(n) if row[k]), None)
         if pivot is None:
             if row[n] != 0:
                 return False  # 0 = nonzero
             continue
-        piv = row[pivot]
-        if piv < 0:
-            piv, row = -piv, [-v for v in row]
+        g = gcd(*row) if row[pivot] > 0 else -gcd(*row)
+        row = [v // g for v in row]
+        e = row[pivot]
+        for k, p in pivots.items():
+            if p[pivot]:
+                pivots[k] = _coprime([e * a - p[pivot] * b for a, b in zip(p, row)])
+        pivots[pivot] = row
 
-        def substitute(r):
-            f = r[pivot]
-            return r if f == 0 else _coprime([piv * a - f * b for a, b in zip(r, row)])
-
-        equalities[eq + 1:] = map(substitute, equalities[eq + 1:])
-        inequalities = list(map(substitute, inequalities))
-        eliminated.add(pivot)
-
-    free = [k for k in range(n) if k not in eliminated]
-
-    # prune and normalize; constant rows must already hold
-    rows = set()
-    for r in inequalities:
-        if all(r[k] == 0 for k in free):
-            if r[n] > 0:
+    # each pivot variable is now an affine function of the free ones, so
+    # the inequalities sum_k a_k l_k >= c are built once over the free
+    # variables: l_k >= 0 for each free k, and -a . l >= -c for the row
+    # a . l + piv l_piv = c of each pivot, a positive multiple of the
+    # rational row; constant rows must already hold
+    free = [k for k in range(n) if k not in pivots]
+    width = len(free)
+    rows = {tuple([int(j == k) for j in range(width + 1)]) for k in range(width)}
+    for r in pivots.values():
+        if not any(r[k] for k in free):
+            if r[n] < 0:
                 return False  # 0 >= positive: contradiction
             continue
-        rows.add(_coprime([r[k] for k in free] + [r[n]]))
-    width = len(free)
+        rows.add(_coprime([-r[k] for k in free] + [-r[n]]))
 
     # Imbert's acceleration: every irredundant row of the k-th projection
     # is a combination of at most k + 1 rows of the starting system, so a

@@ -8,9 +8,10 @@ witness in Fractions on the dense tables.  positivity_audit is the dense Fractio
 reference for oracle.positivity_audit, and product_mass for
 net.JointModel._product_mass, and fm_membership the Fraction reference for
 oracle.fm_membership.  DenseCone is the reference for the coherence and
-membership answers of cone.AssessmentCone: dense indicator atoms, and LPs
-laid out as Fraction rows for a kernel that reads rational rows and returns
-Fractions (fraction_rows, FractionTableau).
+membership answers of cone.AssessmentCone: dense indicator atoms, the
+coherence quick route on dense tables, and LPs laid out as Fraction rows
+for a kernel that reads rational rows and returns Fractions
+(fraction_rows, FractionTableau).
 """
 
 import random
@@ -55,8 +56,10 @@ def is_witness(tables, target, witness):
         return False
     total = [Fraction(0)] * len(target)
     for k, n in pairs:
+        coefficient = Fraction(n, den)
         for j, v in enumerate(tables[k]):
-            total[j] += Fraction(n, den) * v
+            if v:
+                total[j] += coefficient * v
     return total == list(target)
 
 
@@ -162,9 +165,9 @@ def positivity_audit(precise, joint, rng=None, samples=50):
 def fm_membership(
     target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
 ) -> bool:
-    """oracle.fm_membership with its substitution in Fractions, each pivot
-    row divided by its pivot.  Is target a nonnegative combination of the
-    generators?
+    """oracle.fm_membership with its elimination in Fractions, each pivot
+    row divided by its pivot, and every bound row l_k >= 0 carried through
+    every pivot.  Is target a nonnegative combination of the generators?
 
     Same semantics as the LP primitive (zero targets rejected alike),
     decided by projection: the equalities are removed by exact Gaussian
@@ -373,8 +376,8 @@ def dense_membership(target, columns):
 
 class DenseCone:
     """An assessment cone with its atoms built as dense indicators: the
-    coherence LP and the membership routes of cone.AssessmentCone, each LP
-    on Fraction rows (dense_membership)."""
+    coherence quick route and LP and the membership routes of
+    cone.AssessmentCone, each LP on Fraction rows (dense_membership)."""
 
     def __init__(self, space, assessments=()):
         self.space = space
@@ -390,7 +393,15 @@ class DenseCone:
         return self.report
 
     def _decide_coherence(self):
-        dim = self.space.size
+        # the quick route: the first assessment g <= 0 vanishes with -g(x)
+        # times each atom x
+        first_atom, dim = len(self.assessments), self.space.size
+        for k, g in enumerate(self.assessments):
+            if all(v <= 0 for v in g.table):
+                certificate = [Fraction(0)] * len(self.generators)
+                certificate[k] = Fraction(1)
+                certificate[first_atom:] = [-v for v in g.table]
+                return CoherenceReport(coherent=False, certificate=tuple(certificate))
         lifted = [((*entries, (dim, den)), den) for entries, den in self.columns]
         res = dense_membership((Fraction(0),) * dim + (Fraction(1),), lifted)
         if res.member:

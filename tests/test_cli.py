@@ -636,7 +636,7 @@ def test_local_work_cap_exits_2_before_any_atom_or_lp_row(tmp_path, capsys, monk
         raise AssertionError("an atom or a coherence LP row was built")
 
     monkeypatch.setattr(core, "indicator", never)
-    monkeypatch.setattr(cone, "indicator", never)
+    monkeypatch.setattr(cone, "Gamble", never)
     monkeypatch.setattr(lp, "_solve_standard", never)
     monkeypatch.setattr(lp, "_coordinate_rows", never)
     monkeypatch.setattr(lp, "_MAX_CELLS", 100)

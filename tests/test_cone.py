@@ -270,6 +270,10 @@ def test_incoherence_certificate_comes_from_the_coherence_lp(monkeypatch):
         cone = random_cone(rng)
         calls.clear()
         report = cone.is_coherent()
+        # a cone with an assessment g <= 0 takes the quick route, no LP
+        if any(all(v <= 0 for v in g.table) for g in cone.assessments):
+            assert calls == [] and not report.coherent
+            continue
         assert len(calls) == 1
         if report.coherent:
             continue
@@ -280,22 +284,64 @@ def test_incoherence_certificate_comes_from_the_coherence_lp(monkeypatch):
         assert is_witness(tables, (F(0),) * cone.space.size, lp._int_vector(enumerate(combo)))
 
 
+def test_a_nonpositive_assessment_is_decided_without_an_lp(monkeypatch):
+    # the first assessment g <= 0, g != 0, vanishes with -g(x) times each
+    # atom x: coefficient 1 on g, whatever else is assessed, and no LP
+    def never(*args):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(lp, "_solve_standard", never)
+    rng = random.Random(3232)
+    decided = 0
+    while decided < 40:
+        cone = random_cone(rng, max_values=4, max_assessments=4)
+        loss = next(
+            (k for k, g in enumerate(cone.assessments) if all(v <= 0 for v in g.table)), None
+        )
+        if loss is None:
+            continue
+        decided += 1
+        report = cone.is_coherent()
+        assert not report.coherent and report.witness is None
+        first_atom, g = len(cone.assessments), cone.assessments[loss]
+        assert report.certificate == tuple(
+            1 if k == loss else -g.table[k - first_atom] if k >= first_atom else 0
+            for k in range(len(cone.generators))
+        )
+        tables = [h.table for h in cone.generators]
+        combination = lp._int_vector(enumerate(report.certificate))
+        assert is_witness(tables, (F(0),) * cone.space.size, combination)
+    # a 1,500-value model under the default cap: its coherence LP would run
+    # for minutes
+    space = Space([VariableSpace("x", tuple(f"v{x}" for x in range(1500)))])
+    wide = AssessmentCone(space, [Gamble(space, tuple(F(-(x % 3)) for x in range(1500)))])
+    report = wide.is_coherent()
+    assert not report.coherent and report.certificate[0] == 1
+    combination = lp._int_vector(enumerate(report.certificate))
+    assert is_witness([g.table for g in wide.generators], (F(0),) * 1500, combination)
+
+
 @pytest.mark.parametrize(
-    "table, coherent",
-    [([399] + [-1] * 399, True), ([-(x % 2) for x in range(400)], False)],
+    "tables, coherent",
+    [
+        ([[399] + [-1] * 399], True),
+        # g and -g: incoherent with no assessment <= 0, so the LP decides
+        ([[399] + [-1] * 399, [-399] + [1] * 399], False),
+    ],
     ids=["coherent", "incoherent"],
 )
-def test_a_wide_local_model_is_decided_by_one_lp(monkeypatch, table, coherent):
+def test_a_wide_local_model_is_decided_by_one_lp(monkeypatch, tables, coherent):
     space = Space([VariableSpace("x", tuple(f"v{x}" for x in range(400)))])
-    gamble = Gamble(space, tuple(F(v) for v in table))
-    # the coherence LP: 400 + 1 rows, 1 + 400 generator columns
-    cells = (400 + 1) * (2 * 400 + 1 + 2)
+    gambles = [Gamble(space, tuple(F(v) for v in table)) for table in tables]
+    # the coherence LP: 400 + 1 rows, one column per assessment and 400
+    # atom columns
+    cells = (400 + 1) * (len(gambles) + 400 + 400 + 1 + 1)
     monkeypatch.setattr(lp, "_MAX_CELLS", cells - 1)
     with pytest.raises(lp.WorkCapError) as err:
-        AssessmentCone(space, [gamble])
+        AssessmentCone(space, gambles)
     assert err.value.cells == cells
     monkeypatch.setattr(lp, "_MAX_CELLS", cells)
-    cone = AssessmentCone(space, [gamble])
+    cone = AssessmentCone(space, gambles)
     calls = []
     solve = lp._solve_standard
 
@@ -368,10 +414,11 @@ def test_a_wide_cone_lays_out_its_atoms_without_a_dense_atom(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(core, "indicator", never)
-        patch.setattr(cone_module, "indicator", never)
+        patch.setattr(cone_module, "Gamble", never)
         wide = AssessmentCone(space, [gamble])
         assert list(wide.columns) == dense
-    # read afterwards, the generators are the assessment and the dense atoms
+    # read afterwards, the generators are the assessment and the atoms as
+    # unit tables, each the table of its indicator
     assert wide.generators[0] == gamble
     assert all(g.space == space for g in wide.generators)
     assert int_columns(g.table for g in wide.generators) == dense

@@ -1,6 +1,7 @@
 """Precise-network expectations and the Fourier-Motzkin cross-check."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -274,6 +275,78 @@ def test_fm_decides_as_the_fraction_reference():
         wide += len(target) > 4
     assert min(answers.values()) > 500
     assert negative_pivots > 500 and dependent > 500 and wide > 500
+
+
+def rank(vectors):
+    """The rank of a list of rational vectors, by Gaussian elimination in
+    Fractions."""
+    rows, found = [[F(v) for v in vec] for vec in vectors], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(found, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        for i in range(found + 1, len(rows)):
+            f = rows[i][col] / rows[found][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[found])]
+        found += 1
+    return found
+
+
+def gauss_jordan_instance(rng):
+    """A (target, generators) pair whose generators span a random subspace
+    of rank at most 1-4 in 1-6 dimensions (so that equality rows depend on
+    each other when it is below the dimension), as 0-3 more combinations
+    of a basis than its size, then a zero, a duplicate and an opposite
+    generator, each one time in three; the target a combination of the
+    generators, or one time in three off their span, so that elimination
+    ends on a row 0 = c != 0."""
+    dim = rng.randint(1, 6)
+    basis = [[random_entry(rng) for _ in range(dim)] for _ in range(rng.randint(1, min(dim, 4)))]
+
+    def combination(vectors, coefficients):
+        return [sum((c * v[i] for c, v in zip(coefficients, vectors)), F(0)) for i in range(dim)]
+
+    gens = [
+        combination(basis, [random_entry(rng) for _ in basis])
+        for _ in range(len(basis) + rng.randint(0, 3))
+    ]
+    extras = {"zero": [F(0)] * dim}
+    if gens:
+        extras["duplicate"] = list(rng.choice(gens))
+        extras["opposite"] = [-v for v in rng.choice(gens)]
+    added = [kind for kind in extras if rng.random() < 1 / 3]
+    for kind in added:
+        gens.insert(rng.randint(0, len(gens)), extras[kind])
+    target = combination(gens, [rng.choice((0, 1, 2, -1, F(1, 2))) for _ in gens])
+    if rng.random() < 1 / 3:
+        target[rng.randrange(dim)] += random_entry(rng, (1, 7))
+    if not any(target):
+        target[rng.randrange(dim)] = F(1, 3)
+    return tuple(target), [tuple(g) for g in gens], added
+
+
+def test_fm_gauss_jordan_decides_as_the_fraction_reference_in_every_corner():
+    # dependent and inconsistent equality rows, zero, duplicate and
+    # opposite generators, and 0-3 free variables (generators beyond the
+    # rank) after elimination: the integer Gauss-Jordan route decides as
+    # the Fraction substitution of every bound row
+    rng = random.Random(20261021)
+    corners, widths, answers = Counter(), Counter(), Counter()
+    for _ in range(2500):
+        target, gens, added = gauss_jordan_instance(rng)
+        expected = dense_fm_membership(target, gens)
+        assert fm_membership(target, gens) == expected, (target, gens)
+        answers[expected] += 1
+        corners.update(added)
+        r = rank(gens)
+        widths[len(gens) - r] += 1
+        corners["dependent"] += r < len(target)
+        corners["inconsistent"] += rank([*gens, target]) > r
+    assert min(answers.values()) > 400, answers
+    for corner in ("zero", "duplicate", "opposite", "dependent", "inconsistent"):
+        assert corners[corner] > 200, corners
+    assert all(widths[w] > 100 for w in range(4)), widths
 
 
 def test_fm_row_blow_up_raises(monkeypatch):

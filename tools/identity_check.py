@@ -38,8 +38,10 @@ directory:
     replaced by an incoherent assessment of the node's width (the slot
     drawn from the network's generator after the flip), taken in order
     from the coherence sets of the local workload's seeds 1-3 that are
-    incoherent: each exits 2 and prints the coherence LP's vanishing
-    combination, the one local certificate a run prints.
+    incoherent: each exits 2 and prints its vanishing combination, the
+    one local certificate a run prints (the coherence quick route's when
+    the set has an assessment with no positive entry, the LP's
+    otherwise).
 
 They are built by this checkout's package and ``perfbench/workloads.py``,
 which is only read.  Every run is ``python -m credalcones.cli`` with the
@@ -48,9 +50,11 @@ prints how many runs gave byte-identical stdout, stderr and exit codes,
 then the command of each run that differs.  A ``query`` run whose exit
 codes and stderr agree is marked "certificates only" when its reports are
 equal once every answer's CERTIFICATES are dropped, and "answers differ"
-when a member flag, a value or anything else moved.  The script exits 1
-if any exit code, any query answer or any stderr (a parse error's
-message) differs.  Runs go WORKERS at a time.
+when a member flag, a value or anything else moved; a ``validate`` run,
+"certificates only" when its reports are equal without their
+``vanishing_combination``, and "answers differ" otherwise.  The script
+exits 1 if any exit code, any query or validate answer or any stderr (a
+parse error's message) differs.  Runs go WORKERS at a time.
 """
 
 from __future__ import annotations
@@ -280,10 +284,14 @@ def run_cli(tree: Path, args: list[str], workdir: Path) -> tuple[int, bytes, byt
 
 
 def answers(stdout: bytes):
-    """A query report with the certificates of every answer dropped; None
-    if stdout is not a query report."""
+    """A query report with the certificates of every answer dropped, or a
+    validate report without its vanishing combination; None if stdout is
+    neither."""
     try:
         report = json.loads(stdout)
+        if report["command"] == "validate":
+            report.pop("vanishing_combination", None)
+            return report
         for query in report["queries"]:
             for key in CERTIFICATES:
                 query["result"].pop(key, None)
@@ -298,7 +306,7 @@ def describe(command: list[str], before: tuple, after: tuple) -> str:
         return f"exit {before[0]} -> {after[0]}"
     if before[2] != after[2]:
         return "stderr differs"
-    if command[0] != "query":
+    if command[0] not in ("query", "validate"):
         return "stdout differs"
     report = answers(before[1])
     if report is not None and report == answers(after[1]):
