@@ -111,11 +111,6 @@ class AssessmentCone:
         if space.size < 1:
             raise ValueError("space must have at least one configuration")
         assessments = tuple(assessments)
-        # the coherence LP (see _decide_coherence: size + 1 rows, one column
-        # per generator) is the largest LP a cone runs, so sizing it first
-        # bounds every local LP before any atom or row is built
-        size, k = space.size, len(assessments)
-        _check_work(size + 1, size + k)
         self.space = space
         fitted = []
         for f in assessments:
@@ -178,6 +173,10 @@ class AssessmentCone:
             if not _combines(columns, combination, ((), 1)):
                 raise LpError("vanishing combination failed verification")
         else:
+            # sized here, before any row is built: a cone the quick route
+            # decides never runs it, and its memberships and previsions
+            # are sized where they run
+            _check_work(self.space.size + 1, len(columns))
             res = contains_zero(columns, self.space.size)
             if not res.exists:
                 y = res.separator[:-1]
@@ -230,6 +229,7 @@ class AssessmentCone:
         ints = [0] * self.space.size
         for j, n in entries:
             ints[j] = n
+        _check_work(self.space.size, len(self.columns))
         return conic_membership((ints, den), self.columns)
 
     @cached_property
@@ -290,6 +290,7 @@ class AssessmentCone:
         return found
 
     def _prevision(self, ints: Sequence[int], den: int):
+        _check_work(self.space.size, len(self.columns) + 2)
         bases, target = self._bases, (ints, den)
         for age, (basis, mass) in enumerate(reversed(bases.items())):
             answer = _answer_at(basis, mass, target)

@@ -120,12 +120,12 @@ class LpStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
-def _primitive(vec) -> tuple[int, ...]:
-    """A rational vector scaled to coprime integers, preserving sign: the
-    one form of a separator.  The zero vector stays zero."""
-    ints, _ = _over_lcm(vec)
-    g = gcd(*ints) or 1
-    return tuple(n // g for n in ints)
+def _primitive(ints) -> tuple[int, ...]:
+    """An integer vector over the gcd of its entries, preserving sign: the
+    one form of a separator; zero stays zero.  Built from a list: a tuple
+    grown from a generator leaves dead tuples on CPython's free lists."""
+    g = gcd(*ints)
+    return tuple(ints) if g < 2 else tuple([n // g for n in ints])
 
 
 class _Tableau:

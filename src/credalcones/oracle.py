@@ -10,9 +10,11 @@ Two deliberately different computation routes live here:
     masses over one denominator) and random combinations of them by
     linearity, without any certificate check of lp or net.
 
-  * fm_membership: conic membership decided by fraction-free Gauss-Jordan
-    elimination of the equality rows, in integers, followed by
-    Fourier-Motzkin elimination of the free coefficients.  It shares
+  * fm_membership: conic membership decided by projection in integers:
+    each atom (a generator with one entry, positive) turns its row into
+    an inequality, fraction-free Gauss-Jordan elimination takes the other
+    rows, and Fourier-Motzkin elimination of the free coefficients, with
+    Imbert's histories as bit sets, decides the rest.  It shares
     only lp's integer-row helpers, no simplex and no pivoting rules; it
     exists to disagree loudly if the LP route were ever wrong.
 """
@@ -26,7 +28,7 @@ from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
 from .core import Configuration, Gamble
-from .lp import _over_lcm
+from .lp import _over_lcm, _primitive
 from .net import CredalNet, JointModel
 
 FM_MAX_DIM = 8
@@ -180,13 +182,15 @@ def positivity_audit(
 # -- Fourier-Motzkin membership oracle -----------------------------------------
 
 
-def _coprime(ints) -> tuple[int, ...]:
-    """lp._primitive of an integer vector: divided by its gcd, if any.
-    Built from a list: CPython draws a tuple grown from a generator from
-    another size's free list than the one it frees it into, which then
-    fills with thousands of dead tuples."""
-    g = gcd(*ints) or 1
-    return tuple([v // g for v in ints])
+def _reduced(row: list[int], pivots: Mapping[int, Sequence[int]]) -> list[int]:
+    """row with each pivot k eliminated by e * row - f * p for its row p, e =
+    p[k] > 0 and f = row[k]: a positive multiple, so an inequality keeps its sense."""
+    for k, p in pivots.items():
+        f = row[k]
+        if f:
+            e = p[k]
+            row = [e * a - f * b for a, b in zip(row, p)]
+    return row
 
 
 def fm_membership(
@@ -195,14 +199,18 @@ def fm_membership(
     """Is target a nonnegative combination of the generators?
 
     Same semantics as the LP primitive (zero targets rejected alike),
-    decided by projection: Gauss-Jordan elimination of the equalities in
-    integers writes each pivot coefficient as an affine function of the
-    free ones, whose nonnegativity, with that of the free coefficients, is
-    the system left; its variables are eliminated one by one, combining
-    each lower bound with each upper bound.  Feasible iff no contradictory
-    constant row survives.  Each row is a positive multiple of the row that
-    elimination in rationals would give, so every decision is the rational
-    one.
+    decided by projection.  A generator with one nonzero entry, positive,
+    is its row's slack, at most one per row (the atoms as slacks of
+    Quaeghebeur's CONEstrip, 2012): it occurs in no other row, so the row
+    a . l + a_s l_s = c says exactly a . l <= c, a closed-form
+    Fourier-Motzkin step that combines no rows.  The other rows go through
+    Gauss-Jordan elimination in integers, and each pivot row, like each
+    slack row once reduced by the pivot rows with a positive factor,
+    becomes an inequality over the free coefficients.  These are then
+    eliminated one by one, each lower bound combined with each upper bound
+    under Imbert's history bound (histories are bit sets); feasible iff no
+    contradictory constant row survives.  Every row is a positive multiple
+    of the rational one, so every decision is the rational one.
 
     Guards: at most FM_MAX_DIM dimensions and FM_MAX_GENERATORS generators;
     projection can blow up combinatorially beyond desk scale.
@@ -220,20 +228,36 @@ def fm_membership(
     if any(len(g) != dim for g in generators):
         raise ValueError("generators and target must share one dimension")
 
-    # equalities sum_k a_k l_k = c (an entry that is not an int or a
-    # Fraction goes through Fraction), each read once as integers over its
-    # lcm, by Gauss-Jordan elimination: the row is reduced by the pivot rows
-    # before it, p[k] * row - row[k] * p for the pivot k of p, p[k] > 0,
-    # then put over its gcd, positive at its own pivot, which is eliminated
-    # from them alike
-    pivots: dict[int, Sequence[int]] = {}
+    # the rows sum_k a_k l_k = c, each entry read once as a ratio of ints
+    # (through Fraction if it is not an int or a Fraction), over its lcm;
+    # a row's slack is its first column with one nonzero entry, positive;
+    # the other columns are pivoted on sparsest first
+    rows = []
     for values in zip(*generators, target):
-        row = _over_lcm([v if type(v) in (int, Fraction) else Fraction(v) for v in values])[0]
-        for k, p in pivots.items():
-            if row[k]:
-                e, f = p[k], row[k]
-                row = [e * a - f * b for a, b in zip(row, p)]
-        pivot = next((k for k in range(n) if row[k]), None)
+        ratios = [
+            v.as_integer_ratio() if type(v) in (int, Fraction) else Fraction(v).as_integer_ratio()
+            for v in values
+        ]
+        den = lcm(*[d for _, d in ratios])
+        rows.append([a * (den // d) for a, d in ratios])
+    slack_of: dict[int, int] = {}
+    zeros = []
+    for k, column in zip(range(n), zip(*rows)):
+        zeros.append(column.count(0))
+        top = max(column)
+        if top > 0 and zeros[k] == dim - 1:
+            slack_of.setdefault(column.index(top), k)
+    order = sorted(range(n), key=zeros.__getitem__, reverse=True)
+
+    # Gauss-Jordan elimination of the other rows: each is reduced by the
+    # pivot rows before it, then put over its gcd, positive at its own
+    # pivot, which is eliminated from them alike
+    pivots: dict[int, Sequence[int]] = {}
+    for i, row in enumerate(rows):
+        if i in slack_of:
+            continue
+        row = _reduced(row, pivots)
+        pivot = next((k for k in order if row[k]), None)
         if pivot is None:
             if row[n] != 0:
                 return False  # 0 = nonzero
@@ -243,66 +267,65 @@ def fm_membership(
         e = row[pivot]
         for k, p in pivots.items():
             if p[pivot]:
-                pivots[k] = _coprime([e * a - p[pivot] * b for a, b in zip(p, row)])
+                pivots[k] = _primitive([e * a - p[pivot] * b for a, b in zip(p, row)])
         pivots[pivot] = row
 
-    # each pivot variable is now an affine function of the free ones, so
-    # the inequalities sum_k a_k l_k >= c are built once over the free
-    # variables: l_k >= 0 for each free k, and -a . l >= -c for the row
-    # a . l + piv l_piv = c of each pivot, a positive multiple of the
-    # rational row; constant rows must already hold
-    free = [k for k in range(n) if k not in pivots]
+    # each pivot row a . l + piv l_piv = c and each reduced slack row
+    # a . l + a_s l_s = c holds over the free coefficients and says
+    # -a . l >= -c: with l_k >= 0 for each free k, the inequalities
+    # a . l >= c, each with a one-row history; constant rows must hold
+    free = [k for k in range(n) if k not in pivots and k not in slack_of.values()]
     width = len(free)
-    rows = {tuple([int(j == k) for j in range(width + 1)]) for k in range(width)}
-    for r in pivots.values():
-        if not any(r[k] for k in free):
+    table = {tuple([int(j == k) for j in range(width + 1)]): 1 << k for k in range(width)}
+    for r in [*pivots.values(), *[_reduced(rows[i], pivots) for i in slack_of]]:
+        if not any([r[k] for k in free]):
             if r[n] < 0:
                 return False  # 0 >= positive: contradiction
             continue
-        rows.add(_coprime([-r[k] for k in free] + [-r[n]]))
+        table.setdefault(_primitive([-r[k] for k in free] + [-r[n]]), 1 << len(table))
 
     # Imbert's acceleration: every irredundant row of the k-th projection
     # is a combination of at most k + 1 rows of the starting system, so a
     # combined row drawing on more originals than that is redundant and is
-    # dropped.  Histories are sets of starting-row indices.
-    table: dict[tuple, frozenset] = {
-        r: frozenset([i]) for i, r in enumerate(sorted(rows))
-    }
-
+    # dropped.  A history is a bit set of starting rows, an int.
     steps = 0
     for _ in range(width):
-        live = [v for v in range(width) if any(r[v] != 0 for r in table)]
-        if not live:
+        # eliminate the variable producing the fewest combined rows, its
+        # positive and negative entries counted in one pass over the table
+        costs = []
+        for v, column in zip(range(width), zip(*table)):
+            pos = sum(map((0).__lt__, column))
+            neg = len(column) - column.count(0) - pos
+            if pos or neg:
+                costs.append((pos * neg, v))
+        if not costs:
             break
-        # eliminate the variable producing the fewest combined rows
-        def cost(v):
-            pos = sum(1 for r in table if r[v] > 0)
-            neg = sum(1 for r in table if r[v] < 0)
-            return (pos * neg, v)
-
-        var = min(live, key=cost)
+        var = min(costs)[1]
         pos = [(r, h) for r, h in table.items() if r[var] > 0]
         neg = [(r, h) for r, h in table.items() if r[var] < 0]
         keep = {r: h for r, h in table.items() if r[var] == 0}
         steps += 1
         for p, hist_p in pos:
+            e = p[var]
             for q, hist_q in neg:
                 history = hist_p | hist_q
-                if len(history) > steps + 1:
+                size = history.bit_count()
+                if size > steps + 1:
                     continue
-                # p[var] * q - q[var] * p has a zero var coefficient; signs
-                # keep the >= direction because p[var] > 0 > q[var]
-                combined = [p[var] * qv - q[var] * pv for pv, qv in zip(p, q)]
-                if all(combined[k] == 0 for k in range(width)):
+                # e * q - f * p has a zero var coefficient; signs keep the
+                # >= direction because e = p[var] > 0 > q[var] = f
+                f = q[var]
+                combined = [e * qv - f * pv for pv, qv in zip(p, q)]
+                if not any(combined[:width]):
                     if combined[width] > 0:
                         return False
                     continue
-                norm = _coprime(combined)
+                norm = _primitive(combined)
                 known = keep.get(norm)
-                if known is None or len(history) < len(known):
+                if known is None or size < known.bit_count():
                     keep[norm] = history
                 if len(keep) > _FM_MAX_ROWS:
                     raise RuntimeError("Fourier-Motzkin row blow-up")
         table = keep
 
-    return all(r[width] <= 0 for r in table if all(r[k] == 0 for k in range(width)))
+    return all(r[width] <= 0 for r in table if not any(r[:width]))

@@ -42,6 +42,11 @@ from credalcones.oracle import (
 )
 
 
+def primitive(vec):
+    """lp._primitive of a rational vector, put over its lcm first."""
+    return _primitive(_over_lcm(vec)[0])
+
+
 def int_columns(tables):
     """Each dense table as an integer column (lp.IntVector)."""
     return [_int_vector(enumerate(t)) for t in tables]
@@ -238,7 +243,7 @@ def fm_membership(
                 if r[n] > 0:
                     return None  # 0 >= positive: contradiction
                 continue
-            kept.add(_primitive(tuple(r[k] for k in free) + (r[n],)))
+            kept.add(primitive(tuple(r[k] for k in free) + (r[n],)))
         return kept
 
     rows = sift(inequalities)
@@ -284,7 +289,7 @@ def fm_membership(
                     if combined[width] > 0:
                         return False
                     continue
-                norm = _primitive(combined)
+                norm = primitive(combined)
                 known = keep.get(norm)
                 if known is None or len(history) < len(known):
                     keep[norm] = history
@@ -369,7 +374,7 @@ def dense_membership(target, columns):
         witness = _int_vector(enumerate(x))
         assert _combines(columns, witness, goal)
         return Membership(member=True, route=EXACT_LP, witness=witness)
-    separator = _primitive([-v for v in y])
+    separator = primitive([-v for v in y])
     assert _separates(columns, goal, separator)
     return Membership(member=False, route=EXACT_LP, separator=separator)
 
@@ -425,7 +430,7 @@ class DenseCone:
                 return Membership(member=True, route="positive-span", witness=witness)
         report = self.is_coherent()
         if report.coherent:
-            separator = _primitive(report.witness)
+            separator = primitive(report.witness)
             if _score(separator, target) < 0:
                 return Membership(member=False, route="cached-separator", separator=separator)
         return dense_membership(f.table, self.columns)

@@ -659,6 +659,32 @@ def test_local_work_cap_exits_2_before_any_atom_or_lp_row(tmp_path, capsys, monk
     }
 
 
+def test_a_model_the_quick_route_decides_is_not_refused_by_the_lp_it_never_runs(tmp_path, capsys):
+    # -(x mod 3) has no positive entry, so it is incoherent with no LP; its
+    # coherence LP (3,201 rows, 20,496,003 cells) is over the default cap
+    size = 3200
+    assert (size + 1) * (size + 1 + size + size + 1 + 1) > lp._MAX_CELLS
+    model = {"node": "x", "given": {}, "gambles": [[str(-(x % 3)) for x in range(size)]]}
+    net = write(
+        tmp_path,
+        "net.json",
+        {
+            "variables": [{"id": "x", "values": [str(x) for x in range(size)]}],
+            "edges": [],
+            "local_models": [model],
+        },
+    )
+    code, out, err = run(capsys, "validate", net)
+    assert code == 2 and err == ""
+    report = json.loads(out)
+    assert report["reason"] == "incoherent-local-model" and report["node"] == "x"
+    # the assessment once, and 2 times the atom of each x = 2 mod 3 and
+    # once that of each x = 1 mod 3, sum to the zero gamble
+    weights = {i: Fraction(c) for i, c in report["vanishing_combination"]}
+    assert len(weights) == len(report["vanishing_combination"]) and all(c > 0 for c in weights.values())
+    assert weights == {0: 1, **{1 + x: x % 3 for x in range(size) if x % 3}}
+
+
 def test_chain_queries_need_no_joint_lp_under_the_work_cap(tmp_path, capsys, monkeypatch):
     # the chain recursion answers from local LPs and checks its certificates
     # on the integer generator columns: no joint LP is sized, no work cap

@@ -334,11 +334,11 @@ def test_a_wide_local_model_is_decided_by_one_lp(monkeypatch, tables, coherent):
     space = Space([VariableSpace("x", tuple(f"v{x}" for x in range(400)))])
     gambles = [Gamble(space, tuple(F(v) for v in table)) for table in tables]
     # the coherence LP: 400 + 1 rows, one column per assessment and 400
-    # atom columns
+    # atom columns, sized when it is about to run
     cells = (400 + 1) * (len(gambles) + 400 + 400 + 1 + 1)
     monkeypatch.setattr(lp, "_MAX_CELLS", cells - 1)
     with pytest.raises(lp.WorkCapError) as err:
-        AssessmentCone(space, gambles)
+        AssessmentCone(space, gambles).is_coherent()
     assert err.value.cells == cells
     monkeypatch.setattr(lp, "_MAX_CELLS", cells)
     cone = AssessmentCone(space, gambles)

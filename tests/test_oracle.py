@@ -1,6 +1,8 @@
 """Precise-network expectations and the Fourier-Motzkin cross-check."""
 
+import inspect
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -352,7 +354,109 @@ def test_fm_gauss_jordan_decides_as_the_fraction_reference_in_every_corner():
 def test_fm_row_blow_up_raises(monkeypatch):
     target = (F(1), F(1))
     gens = [(F(1), F(0)), (F(0), F(1)), (F(-1), F(1)), (F(1), F(-1))]
-    assert fm_membership(target, gens)
+    # every row a slack row (the units), and no slack row
+    cases = [gens, [(F(1), F(1)), (F(1), F(2)), (F(-1), F(1)), (F(1), F(-1)), (F(2), F(1))]]
+    assert all(fm_membership(target, gens) for gens in cases)
     monkeypatch.setattr(oracle, "_FM_MAX_ROWS", 0)
-    with pytest.raises(RuntimeError, match="Fourier-Motzkin row blow-up"):
-        fm_membership(target, gens)
+    for gens in cases:
+        with pytest.raises(RuntimeError, match="Fourier-Motzkin row blow-up"):
+            fm_membership(target, gens)
+
+
+def slack_instance(rng):
+    """A (target, generators) pair in 1-6 dimensions whose rows are slack
+    rows (a positive unit column of their own) at random: 0-6 random
+    generators, one positive unit column for each slack row and, one time
+    in three each, a second one in some slack row, a negative unit column,
+    and a zero, a duplicate and an opposite generator, in shuffled order;
+    the target's entry in a slack row is drawn nonpositive half the time."""
+    dim = rng.randint(1, 6)
+    share = rng.choice((0, 0.5, 1))
+    slacks = [i for i in range(dim) if rng.random() < share]
+
+    def unit(i, v):
+        return [F(0)] * i + [F(v)] + [F(0)] * (dim - i - 1)
+
+    gens = [[random_entry(rng) for _ in range(dim)] for _ in range(rng.randint(0, 6))]
+    gens += [unit(i, rng.choice((1, 2, F(1, 3)))) for i in slacks]
+    if slacks and rng.random() < 1 / 3:
+        gens.append(unit(rng.choice(slacks), rng.choice((1, F(5, 2)))))
+    if rng.random() < 1 / 3:
+        gens.append(unit(rng.randrange(dim), rng.choice((-1, F(-1, 2)))))
+    for extra in ("zero", "duplicate", "opposite"):
+        if gens and rng.random() < 1 / 3:
+            g = rng.choice(gens)
+            gens.append([F(0)] * dim if extra == "zero" else g[:] if extra == "duplicate" else [-v for v in g])
+    rng.shuffle(gens)
+    target = [random_entry(rng, (1, 7)) for _ in range(dim)]
+    for i in slacks:
+        if rng.random() < 0.5:
+            target[i] = rng.choice((F(0), F(-1), F(-2, 3)))
+    if not any(target):
+        target[rng.randrange(dim)] = F(1, 3)
+    return tuple(target), [tuple(g) for g in gens]
+
+
+def imbert_drops(target, gens):
+    """fm_membership's answer, and how many combined rows Imbert's history
+    bound dropped, counted by tracing the line that drops them."""
+    lines, first = inspect.getsourcelines(fm_membership)
+    at = next(first + k for k, line in enumerate(lines) if "if size > steps + 1:" in line) + 1
+    drops = 0
+
+    def trace(frame, event, arg):
+        nonlocal drops
+        if frame.f_code is fm_membership.__code__:
+            drops += event == "line" and frame.f_lineno == at
+            return trace
+        return None
+
+    sys.settrace(trace)
+    try:
+        answer = fm_membership(target, gens)
+    finally:
+        sys.settrace(None)
+    return answer, drops
+
+
+def test_fm_slack_rows_decide_as_the_fraction_reference_in_every_corner():
+    # slack rows of either sign of target entry, a second positive unit
+    # column in a slack row, negative unit columns (no slack), every or no
+    # row a slack row, zero, duplicate and opposite generators, and 0-4
+    # free coefficients left after the slack rows and elimination, with
+    # Imbert's bound dropping rows: the integer route decides as the
+    # Fraction substitution of every bound row, which has no slack rows
+    rng = random.Random(20261022)
+    corners, widths, answers = Counter(), Counter(), Counter()
+    for _ in range(2000):
+        target, gens = slack_instance(rng)
+        dim = len(target)
+        units = [(i, g[i]) for g in gens for i in range(dim) if sum(1 for v in g if v) == 1 and g[i]]
+        slack_rows = {i for i, v in units if v > 0}
+        equalities = [[g[i] for g in gens] for i in range(dim) if i not in slack_rows]
+        width = len(gens) - len(slack_rows) - (rank(equalities) if gens and equalities else 0)
+        widths[width] += 1
+        expected = dense_fm_membership(target, gens)
+        # drops are traced at widths 3 and 4 (from step 2 on, a combined
+        # row can draw on more than steps + 1 starting rows)
+        answer, drops = imbert_drops(target, gens) if width in (3, 4) else (fm_membership(target, gens), 0)
+        assert answer == expected, (target, gens)
+        answers[expected] += 1
+        corners["Imbert drops"] += drops > 0
+        corners["negative unit"] += any(v < 0 for _, v in units)
+        corners["two units in a row"] += len([i for i, v in units if v > 0]) > len(slack_rows)
+        corners["slack row, target <= 0"] += any(target[i] <= 0 for i in slack_rows)
+        corners["every row a slack row"] += len(slack_rows) == dim
+        corners["no slack row"] += not slack_rows
+        corners["zero"] += any(not any(g) for g in gens)
+        corners["duplicate"] += len(set(gens)) < len(gens)
+        corners["opposite"] += any(tuple(-v for v in g) in gens for g in gens if any(g))
+    assert min(answers.values()) > 400, answers
+    for corner in (
+        "negative unit", "two units in a row", "slack row, target <= 0",
+        "every row a slack row", "no slack row", "zero", "duplicate", "opposite",
+    ):
+        assert corners[corner] > 100, corners
+    assert all(widths[w] > 50 for w in range(5)), widths
+    assert corners["Imbert drops"] > 10, corners
+
