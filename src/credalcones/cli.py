@@ -498,7 +498,7 @@ def cmd_query(args) -> int:
         {
             "command": "query",
             "seed": args.seed,
-            "generator_count": len(joint.generators),
+            "generator_count": net.generator_count(),
             "network": _network_summary(net),
             "queries": answered,
         }
@@ -537,7 +537,7 @@ def cmd_verify(args) -> int:
             "seed": args.seed,
             "mutation": mutation,
             "ok": not failed,
-            "generator_count": len(joint.generators),
+            "generator_count": net.generator_count(),
             "sweep": _verification_json(sweep),
             "positivity_audit": _audit_json(audit),
         }

@@ -36,8 +36,6 @@ class Dag:
         for u, v in edges:
             if u not in known or v not in known:
                 raise DagError(f"edge ({u!r}, {v!r}) mentions an unknown node")
-            if u == v:
-                raise DagError(f"self-loop on {u!r}")
             seen.add((u, v))
         self.edges: tuple[tuple[str, str], ...] = tuple(sorted(seen))
         self._parents: dict[str, tuple[str, ...]] = {n: () for n in self.nodes}

@@ -31,26 +31,26 @@ a chain prevision, against the local columns they are lifted from:
   * targets of the form indicator(x) * f with f local to one node are
     settled by f's membership in the local cone, whose witness or
     separating functional lifts exactly to the joint space;
-  * when the graph is one directed path (a single node counts), the
-    chain recursion (route "chain-recursion") takes the lower prevision m
-    of any other target backwards from the deepest node of its scope,
-    each level's function held only on the scope it still depends on as
-    integers over one denominator (_levels), one small local LP per
-    (node, parent value, local table), which the local cone memoizes by
-    the table in lowest terms and reads at an optimal basis of its own,
-    reached by simplex pivots on B^-1 (AssessmentCone.lower_prevision);
-    the local primals lift onto the joint generators and telescope to
-    target - m, the local duals chain into a joint mass function of
-    expectation m.  Both are checked in the local spaces, a clean slot's
-    by its cone and a flipped slot's against the joint model's own
-    columns of that slot, so a prevision, which reads only m from the
-    gamble's own table, does no work of the joint's size; the target is
-    a member exactly when m >= 0 (witness: the lifted primal plus m on
-    every leaf atom), and otherwise the chained mass function separates
-    it, each printed certificate checked against every joint generator.
-    Joint lower and upper previsions on a path come from the same
-    recursion;
-  * anything else falls back to one exact LP over the generator columns.
+  * when the graph is one directed path (a single node counts) and the
+    model is untampered, the chain recursion (route "chain-recursion")
+    takes the lower prevision m of any other target backwards from the
+    deepest node of its scope, each level's function held only on the
+    scope it still depends on as integers over one denominator
+    (_levels), one small local LP per (node, parent value, local table),
+    which the local cone memoizes by the table in lowest terms and reads
+    at an optimal basis of its own, reached by simplex pivots on B^-1
+    (AssessmentCone.lower_prevision); the local primals lift onto the
+    joint generators and telescope to target - m, the local duals chain
+    into a joint mass function of expectation m.  Both are checked in
+    the local spaces, by each slot's cone, so a prevision, which reads
+    only m from the gamble's own table, does no work of the joint's
+    size; the target is a member exactly when m >= 0 (witness: the
+    lifted primal plus m on every leaf atom), and otherwise the chained
+    mass function separates it, each printed certificate checked against
+    every joint generator.  Joint lower and upper previsions on a path
+    come from the same recursion;
+  * anything else, a tampered model's previsions and memberships among
+    it, falls back to one exact LP over the generator columns.
 
 A product mass function (the canonical witness, a product separator, a
 chain separator) is built as integers over one denominator (_product_mass)
@@ -88,7 +88,6 @@ from .lp import (
     _combines,
     _int_vector,
     _over_lcm,
-    _prevision_fault,
     _primitive,
     _score,
     conic_membership,
@@ -285,7 +284,9 @@ class JointModel:
     mutate_flip=(node, parent_index, local_index) negates every joint
     product built from that local generator, leaving the reference local
     models untouched.  It exists so verification sweeps can prove they
-    detect a corrupted joint model; see verify_requirements.
+    detect a corrupted joint model; see verify_requirements.  Such a model
+    takes no chain route (_levels): the joint LP answers what the quick
+    and structured routes leave.
     """
 
     def __init__(self, net: CredalNet, mutate_flip: Optional[tuple[str, int, int]] = None):
@@ -318,9 +319,6 @@ class JointModel:
         # each generator's integer column (lp.IntVector: its nonzero entries
         # as (joint configuration index, integer) pairs over one denominator)
         self.generators: list[IntVector] = []
-        # each slot's local columns, which its generators are lifted from:
-        # the local cone's own, or a copy with the flipped column negated
-        self._local_columns: dict[tuple[str, int], tuple[IntVector, ...]] = {}
         for s in net.dag.nodes:
             nd = self._nd_space[s] = net.parent_space(s).union(net.nnd_space(s))
             v_at = self._value_at[s] = self.space.index_map(net.node_space(s))
@@ -328,7 +326,8 @@ class JointModel:
             cells: list[list[tuple[int, int]]] = [[] for _ in range(nd.size)]
             for j, w in enumerate(slot_at):
                 cells[w].append((j, v_at[j]))
-            # each parent index's local columns by value
+            # each parent index's local columns by value: the local cone's
+            # own, or a copy with the flipped column negated
             local_cols = []
             for p_idx in range(net.parent_space(s).size):
                 columns = net.local_cone(s, p_idx).columns
@@ -337,7 +336,6 @@ class JointModel:
                     entries, den = columns[k]
                     flipped = tuple((v, -n) for v, n in entries), den
                     columns = (*columns[:k], flipped, *columns[k + 1:])
-                self._local_columns[(s, p_idx)] = columns
                 local_cols.append([(dict(entries), den) for entries, den in columns])
             keys = list(zip(nd.index_map(net.parent_space(s)), nd.index_map(net.nnd_space(s))))
             first = [0] * nd.size
@@ -579,7 +577,7 @@ class JointModel:
         non-parent-non-descendants; a local separating functional extends
         to a product mass function).  Both are verified against the actual
         generator list, so a tampered joint model falls through to the
-        chain recursion (on a path) and then the exact LP.
+        exact LP.
         """
         f = f.extend(self.net.node_space(node))
         observed = self._observed_indices(node, parent_index, given)
@@ -660,32 +658,31 @@ class JointModel:
 
     def _levels(
         self, scope: Space
-    ) -> Optional[list[tuple[str, Space, list[tuple[int, AssessmentCone, tuple[int, ...]]]]]]:
+    ) -> Optional[list[tuple[str, Space, list[tuple[AssessmentCone, tuple[int, ...]]]]]]:
         """The chain recursion's levels for a function on `scope` (a space
         of the network's variables), deepest first, when the graph is one
-        directed path s_0 -> ... -> s_{n-1}, else None; built once per
-        scope.  A level is (s_i, the space of the scope it leaves, rows):
-        the nodes of the scope S it reads (scope itself at the first level
-        read) but s_i, and the parent s_{i-1}, the root's the empty space.
-        Row r, one per configuration of the scope left, is (parent index,
-        local cone, positions): positions[v] is the place of (r, v) in the
+        directed path s_0 -> ... -> s_{n-1} and the model is untampered,
+        else None; built once per scope.  A tampered model (mutate_flip)
+        takes the joint LP, as every model off a path does.  A level is
+        (s_i, the space of the scope it leaves, rows): the nodes of the
+        scope S it reads (scope itself at the first level read) but s_i,
+        and the parent s_{i-1}, the root's the empty space.  Row r, one per
+        configuration of the scope left, is (the local cone at its parent
+        value, positions): positions[v] is the place of (r, v) in the
         function read.
 
-        The first level read is the deepest node of the scope, or of the
-        flipped slot (mutate_flip) if that is deeper: every level below it
-        reads a function that does not depend on its node, so its rows are
-        constant and are skipped.  Past _LEVELS_CACHE_LIMIT scopes the
-        levels built first leave."""
+        The first level read is the deepest node of the scope: every level
+        below it reads a function that does not depend on its node, so its
+        rows are constant and are skipped.  Past _LEVELS_CACHE_LIMIT scopes
+        the levels built first leave."""
         if scope in self._plans:
             return self._plans[scope]
         order = self.net.dag.path()
-        if order is None:
+        if order is None or self.mutate_flip is not None:
             return None
         net, var = self.net, self.net.variables
         depth = {s: i for i, s in enumerate(order)}
         deepest = max([depth[s] for s in scope.nodes], default=-1)
-        if self.mutate_flip is not None:
-            deepest = max(deepest, depth[self.mutate_flip[0]])
         levels, held, read = [], set(scope.nodes), scope
         for i in range(deepest, -1, -1):
             s = order[i]
@@ -698,7 +695,7 @@ class JointModel:
             shift = net.node_space(s).positions_in(read)
             cones = [net.local_cone(s, p) for p in range(parents.size)]
             at = zip(left.positions_in(parents), left.positions_in(read))
-            levels.append((s, left, [(p, cones[p], tuple([q + v for v in shift])) for p, q in at]))
+            levels.append((s, left, [(cones[p], tuple([q + v for v in shift])) for p, q in at]))
             read = left
         self._plans[scope] = levels
         if len(self._plans) > _LEVELS_CACHE_LIMIT:
@@ -711,39 +708,22 @@ class JointModel:
         """The lower prevision m of the function ints / den on `scope`, by
         backward recursion over the local models on a path (_levels), with
         the local answer (AssessmentCone.lower_prevision: m, primal, dual)
-        of every row of every level read; None off a path or if a flipped
-        slot's answer fails its check.
+        of every row of every level read; None when there are no levels.
 
         A row's entry in the function a level leaves is the local lower
         prevision of the row, read at its positions in the function below,
         and each level's entries are put over one denominator.  Every slot
-        of s_i at parent index p has the local columns of (s_i, p)
-        (_local_columns).  A clean slot's are its cone's own, at whose
-        certified basis, or by whose tableau check, this very answer was
-        read before it was memoized; a flipped slot's answer is checked
-        here, over the node's values only: its dual is nonnegative, which
-        the chaining needs (every cone answer's dual is, as it was checked
-        against the cone's columns, every atom among them, so this refusal
-        is never reached), and lp._prevision_fault finds no fault.  The
-        levels below the first read are skipped: their rows are constant c,
-        whose lower prevision is c."""
+        of s_i at parent index p has the columns of the cone of (s_i, p),
+        at whose certified basis, or by whose tableau check, this very
+        answer was read before it was memoized.  The levels below the first
+        read are skipped: their rows are constant c, whose lower prevision
+        is c."""
         levels = self._levels(scope)
         if levels is None:
             return None
-        flipped = self.mutate_flip[:2] if self.mutate_flip is not None else None
         answers = []
-        for s, _, rows in levels:
-            found = []
-            for p, cone, positions in rows:
-                row = [ints[q] for q in positions]
-                answer = cone.lower_prevision(row, den)
-                if (s, p) == flipped:
-                    m, pairs, mass = answer
-                    if min(mass[0]) < 0 or _prevision_fault(
-                        self._local_columns[flipped], (row, den), m, pairs, mass
-                    ):
-                        return None
-                found.append(answer)
+        for _, _, rows in levels:
+            found = [cone.lower_prevision([ints[q] for q in pos], den) for cone, pos in rows]
             answers.append(found)
             ints, den = _over_lcm([answer[0] for answer in found])
         return Fraction(ints[0], den), answers
@@ -758,7 +738,8 @@ class JointModel:
         over the lcm of the lifted local primals' denominators, combining
         to target - m) and the local duals it chains, the kernels (node,
         parent index, non-parent-non-descendant index) -> mass function on
-        the node's values (lp.IntRow); None when the recursion is.
+        the node's values (lp.IntRow); None when there are no levels
+        (_levels): off a path, or for a tampered model.
 
         Each slot of a level read, a configuration (p, n) of s_0 .. s_{i-1}
         whose generators are I(p, n) * g for the slot's local columns g,
@@ -768,8 +749,9 @@ class JointModel:
         its cone's coherence witness as kernel, which the coherence LP
         checked when the cone was built: it sums to 1, gives the constant
         row its value and scores every local column positively.  Every
-        answer was checked on the slot's own columns (_chain_recursion),
-        so both joint certificates hold without a joint check:
+        answer was checked on its cone's columns (_chain_recursion), and
+        an untampered slot's columns are its cone's, so both joint
+        certificates hold without a joint check:
 
           * primal: each local primal, lifted onto its slot's generators,
             combines them to I(p, n) * (row - m_row); summed over the
@@ -798,10 +780,7 @@ class JointModel:
         at = self.space.index_map(scope)
         for j, n in entries:
             ints[at[j]] = n
-        chained = self._chain_recursion(scope, ints, den)
-        if chained is None:
-            return None
-        m, answers = chained
+        m, answers = self._chain_recursion(scope, ints, den)
         read = {s: (left, found) for (s, left, _), found in zip(levels, answers)}
         net, lifted, kernels = self.net, [], {}
         for s in net.dag.nodes:
@@ -886,8 +865,8 @@ class JointModel:
 
     def lower_prevision(self, f: Gamble) -> Fraction:
         """Largest m with f - m in the closure of the joint cone: by the
-        chain recursion when the graph is one directed path and its
-        certificates verify, else by one exact LP.  A tampered model may
+        chain recursion when the graph is one directed path and the model
+        is untampered, else by one exact LP.  A tampered model may
         have no finite m; then lp.InfinitePrevisionError is raised, once
         the LP's ray or Farkas vector is verified.  The chain recursion
         reads f's own table in integer form, on f's scope; only the LP lays

@@ -268,6 +268,22 @@ def test_parse_errors_exit_3(tmp_path, capsys):
     assert run(capsys, "verify", net, "--mutate-flip", "")[0] == 3
 
 
+def test_a_self_loop_exits_2_with_its_cycle(tmp_path, capsys):
+    # a self-loop is a cycle of length one: exit 2 and its certificate, as
+    # for every other cycle
+    looped = {
+        "variables": [{"id": "a", "values": ["0", "1"]}],
+        "edges": [["a", "a"]],
+        "local_models": [],
+    }
+    code, out, _ = run(capsys, "validate", write(tmp_path, "looped.json", looped))
+    assert code == 2
+    report = json.loads(out)
+    assert report["valid"] is False
+    assert report["reason"] == "cycle"
+    assert report["cycle"] == ["a", "a"]
+
+
 def test_semantic_errors_exit_2_with_certificates(tmp_path, capsys):
     cyclic = {
         "variables": [

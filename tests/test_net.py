@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, combinations, islice
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -352,7 +352,7 @@ def test_structured_target_is_the_dense_target():
     # the structured route builds its target sparsely from the joint index
     # maps; its answers must be those of the dense product
     # indicator(parent and given) * f, on tampered models too, where the
-    # route falls through to the chain recursion or the exact LP
+    # route falls through to the exact LP
     rng = random.Random(1010)
     routes = set()
     for trial in range(16):
@@ -960,7 +960,8 @@ def test_chain_recursion_on_mutated_chains_answers_as_the_lp():
                 assert is_witness(tables, table, res.witness)
             else:
                 assert is_separator(tables, table, res.separator)
-        # structured queries share the tail: the chain recursion, then the LP
+            tails.add(res.route)
+        # structured queries share the tail: the joint LP
         for s in net.dag.nodes * 3:
             p_space = net.parent_space(s)
             p_cfg = p_space.config_at(picks.randrange(p_space.size))
@@ -977,12 +978,10 @@ def test_chain_recursion_on_mutated_chains_answers_as_the_lp():
             else:
                 assert is_separator(tables, target.table, res.separator)
             tails.add(res.route)
-    # some certificates still verify against the tampered generators, and
-    # some fail and leave the answer to the joint LP
-    assert any(verified) and not all(verified)
-    # a structured query whose local lifts fail can still be answered by
-    # the chain recursion, before the joint LP
-    assert "chain-recursion" in tails, tails
+    # a tampered model takes no chain route: the joint LP answers what the
+    # quick and structured routes leave
+    assert verified and not any(verified)
+    assert "exact-lp" in tails and "chain-recursion" not in tails, tails
 
 
 def joint_checks(joint, table, m, primal, kernels):
@@ -1010,12 +1009,11 @@ CHECKED_SHAPES = (
 
 
 def test_local_chain_checks_accept_only_what_the_joint_checks_accept():
-    # the same certificates, from the recursion on the reference cones, are
-    # checked by a clean and a flipped model in the local spaces and by
-    # the joint checks: a local accept implies a joint accept, and a clean
-    # model accepts every answer; a flipped model may refuse an answer the
-    # joint checks accept (its kernel scores the flipped column negative at
-    # a slot of chained mass 0), which the joint LP then answers
+    # the certificates of the recursion on the reference cones are checked
+    # in the local spaces and by the joint checks: a clean model accepts
+    # every answer, and the joint checks accept it too; a flipped model
+    # has no chain route, so it refuses every answer, those the joint
+    # checks would accept on its generators among them
     rng = random.Random(2121)
     seen = Counter()
     for widths in CHECKED_SHAPES:
@@ -1029,13 +1027,9 @@ def test_local_chain_checks_accept_only_what_the_joint_checks_accept():
                     target = _int_vector(enumerate(table))
                     chained = clean._chain_certificates(target)
                     assert chained is not None and joint_checks(clean, table, *chained)
-                    local = flipped._chain_certificates(target)
-                    assert local is None or local == chained
-                    joint = joint_checks(flipped, table, *chained)
-                    assert joint or local is None
-                    seen[("clean", True, True)] += 1
-                    seen[("flipped", local is not None, joint)] += 1
-    assert seen[("flipped", True, True)] and seen[("flipped", False, False)], seen
+                    assert flipped._chain_certificates(target) is None
+                    seen[("flipped", joint_checks(flipped, table, *chained))] += 1
+    assert seen[("flipped", True)] and seen[("flipped", False)], seen
 
 
 def test_a_chain_prevision_does_no_joint_size_work(monkeypatch):
@@ -1107,8 +1101,8 @@ def test_scoped_chain_previsions_equal_the_joint_lp():
     # the recursion on a gamble's own scope, with the tail levels below it
     # skipped, gives the joint LP's value; a flipped model, its flip inside
     # the gamble's scope, outside it above its deepest node or in the tail
-    # below it, gives the LP's value of the flipped model or falls back to
-    # that LP, never another value
+    # below it, has no chain route and gives the LP's value of the flipped
+    # model, or raises the LP's own error when that value is infinite
     rng = random.Random(2124)
     seen = Counter()
     for widths in CHECKED_SHAPES:
@@ -1141,20 +1135,98 @@ def test_scoped_chain_previsions_equal_the_joint_lp():
                 p_idx = rng.randrange(net.parent_space(s).size)
                 flip = s, p_idx, rng.randrange(len(net.local_cone(s, p_idx).generators))
                 flipped = net.build_joint(mutate_flip=flip)
-                chained = flipped._chain_recursion(f.space, *_over_lcm(f.table))
+                assert flipped._chain_recursion(f.space, *_over_lcm(f.table)) is None
                 try:
                     expected = lp_lower_prevision(table, flipped._dedup_columns()[0])
-                except LpError:
+                except InfinitePrevisionError as err:
                     # a flipped atom can leave the tampered cone incoherent
-                    assert chained is None
-                    seen[(where, "incoherent")] += 1
+                    with pytest.raises(InfinitePrevisionError, match=re.escape(str(err))):
+                        flipped.lower_prevision(f)
+                    seen[(where, "infinite")] += 1
                     continue
-                assert chained is None or chained[0] == expected
                 assert flipped.lower_prevision(f) == expected
-                seen[(where, "fell back" if chained is None else "chained")] += 1
+                seen[(where, "joint LP")] += 1
     for where in ("inside", "above", "tail"):
-        assert seen[(where, "chained")] and seen[(where, "fell back")], seen
+        assert seen[(where, "joint LP")], seen
     assert seen[("membership", True)] and seen[("membership", False)], seen
+
+
+def flips_by_kind(net):
+    """Every (node, parent index, local generator index) of a chain, by
+    what it flips: an assessment, an atom of a node above the leaf, or an
+    atom of the leaf."""
+    leaf = net.dag.path()[-1]
+    kinds = {"assessment": [], "non-leaf atom": [], "leaf atom": []}
+    for s in net.dag.nodes:
+        for p in range(net.parent_space(s).size):
+            assessed = len(net.assessments[(s, p)])
+            for k in range(len(net.local_cone(s, p).columns)):
+                if k < assessed:
+                    kinds["assessment"].append((s, p, k))
+                else:
+                    kinds["leaf atom" if s == leaf else "non-leaf atom"].append((s, p, k))
+    return kinds
+
+
+def test_a_flipped_chain_takes_no_chain_route():
+    # a tampered chain, whatever it flips, has no chain levels: its
+    # previsions are the joint LP's on its own generators, infinite ones
+    # included, and its memberships are the LP's flags with certificates
+    # that hold on those generators, none from the chain recursion
+    rng = random.Random(2127)
+    seen = Counter()
+    # every joint LP is solved twice, by the model and as the reference,
+    # so the chains stay at 48 joint configurations or fewer
+    for widths in [w for w in CHECKED_SHAPES if prod(w) <= 48]:
+        net = sample_mixed_chain(rng, widths)
+        for kind, flips in flips_by_kind(net).items():
+            if not flips:
+                continue
+            joint = net.build_joint(mutate_flip=rng.choice(flips))
+            columns, _ = joint._dedup_columns()
+            tables = generator_tables(joint)
+            queries = []
+            for f in scoped_gambles(rng, net):
+                assert joint._levels(f.space) is None
+                table = f.extend(net.joint_space).table
+                assert joint._chain_certificates(_int_vector(enumerate(table))) is None
+                try:
+                    lower = lp_lower_prevision(table, columns)
+                except InfinitePrevisionError as err:
+                    with pytest.raises(InfinitePrevisionError, match=re.escape(str(err))):
+                        joint.lower_prevision(f)
+                    seen[(kind, "infinite")] += 1
+                else:
+                    assert joint.lower_prevision(f) == lower
+                    seen[(kind, "finite")] += 1
+                queries.append((f, None))
+            # structured memberships: a gamble on one node, given its parent
+            # value and values of some of its non-parent-non-descendants
+            for s in net.dag.nodes:
+                p_space = net.parent_space(s)
+                nnd = net.dag.non_parent_non_descendants(s)
+                i_space = Space(net.variables[x] for x in nnd if rng.random() < 0.5)
+                given = p_space.config_at(rng.randrange(p_space.size)).combine(
+                    i_space.config_at(rng.randrange(i_space.size))
+                )
+                queries.append((sample_gamble(rng, net.node_space(s)), given))
+            for f, given in queries:
+                target = f.extend(net.joint_space)
+                if given is not None:
+                    target = indicator(given, net.joint_space) * target
+                res = joint.member_with_certificate(f, given=given)
+                assert res.member == conic_membership(_over_lcm(target.table), columns).member
+                if res.member:
+                    assert is_witness(tables, target.table, res.witness)
+                else:
+                    assert is_separator(tables, target.table, res.separator)
+                assert res.route != "chain-recursion"
+                seen[res.route] += 1
+    for kind in ("assessment", "non-leaf atom", "leaf atom"):
+        assert seen[(kind, "finite")], seen
+    # a flipped atom can leave the tampered cone incoherent
+    assert seen[("non-leaf atom", "infinite")] and seen[("leaf atom", "infinite")], seen
+    assert seen["exact-lp"], seen
 
 
 def test_a_tableau_prevision_keeps_a_dual_with_a_negative_mass():
@@ -1163,8 +1235,9 @@ def test_a_tableau_prevision_keeps_a_dual_with_a_negative_mass():
     # mass; both certificates still hold (a prevision's dual need only sum
     # to 1, give f the expectation m and score every generator
     # nonnegative), so the answer stands.  Only the chain's kernels must be
-    # nonnegative, which _chain_certificates tests on its own, outside
-    # lp._prevision_fault
+    # nonnegative: each is a local cone's dual, checked against the cone's
+    # columns, its atoms among them, and a tampered model such as this one
+    # takes no chain route
     a, b = binary("a"), binary("b")
     sp_b = Space([b])
     assessed = [[Gamble(sp_b, (3, 2))], [Gamble(sp_b, (1, 0)), Gamble(sp_b, (2, F(-3, 2)))]]
@@ -1175,35 +1248,6 @@ def test_a_tableau_prevision_keeps_a_dual_with_a_negative_mass():
     m, _, mass = _checked_prevision(f.table, columns)
     assert m == -11 and masses(mass) == (-2, 3, 0, 0)
     assert joint.lower_prevision(f) == -11
-
-
-def test_a_flipped_slot_whose_local_certificate_survives_answers_as_the_joint_lp(monkeypatch):
-    # the flipped generator takes coefficient 0 in the local primal and
-    # score 0 under the kernel, so the slot passes its check on the
-    # flipped columns, and the chain value is the flipped model's joint LP
-    # value
-    rng = random.Random(2123)
-    for _ in range(100):
-        net = sample_mixed_chain(rng, rng.choice(CHECKED_SHAPES))
-        s, p_idx, k = flip = random_mutation(rng, net)
-        joint = net.build_joint(mutate_flip=flip)
-        f = sample_gamble(rng, net.node_space(rng.choice(net.dag.nodes)))
-        chained = joint._chain_certificates(_int_vector(enumerate(f.extend(net.joint_space).table)))
-        if chained is not None:
-            break
-    else:
-        pytest.fail("no flipped chain answer survived its local checks")
-    m, primal, kernels = chained
-    entries, den = net.local_cone(s, p_idx).columns[k]
-    slots = [n for t, p, n in kernels if (t, p) == (s, p_idx)]
-    assert slots
-    for n in slots:
-        assert slot_generator(joint, s, p_idx, n, k) not in dict(primal[0])
-        assert sum(kernels[(s, p_idx, n)][0][v] * c for v, c in entries) == 0
-    columns, _ = joint._dedup_columns()
-    lower = lp_lower_prevision(f.extend(net.joint_space).table, columns)
-    monkeypatch.setattr(JointModel, "_dedup_columns", refuse)
-    assert joint.lower_prevision(f) == m == lower
 
 
 def test_slot_order_is_the_first_occurrence_order_over_the_joint_index():
@@ -1266,9 +1310,9 @@ def test_chain_levels_hold_each_function_on_its_scope():
                 i = order.index(s)
                 held = (held - {s}) | set(order[i - 1 : i])
                 assert set(left.nodes) == held and len(rows) == left.size
-                for r, (p, cone, positions) in enumerate(rows):
+                for r, (cone, positions) in enumerate(rows):
                     above = left.config_at(r)
-                    assert p == net.parent_space(s).index_of(above.restrict(order[i - 1 : i]))
+                    p = net.parent_space(s).index_of(above.restrict(order[i - 1 : i]))
                     assert cone is net.local_cone(s, p)
                     assert len(positions) == widths[i]
                     for v, q in enumerate(positions):
@@ -1284,9 +1328,11 @@ def test_chain_levels_hold_each_function_on_its_scope():
         levels = joint._levels(net.node_space(s))
         assert [len(rows) for _, _, rows in levels] == [2] * k + [1]
         assert chain_cells(levels) == 2 * (2 * k + 1)
-    # a flipped slot's level is read even below the scope
+    # a flipped model has no levels, whichever scope it is asked on
     flipped = net.build_joint(mutate_flip=(order[7], 1, 0))
-    assert [s for s, _, _ in flipped._levels(net.node_space(order[2]))] == list(reversed(order[:8]))
+    for scope in (net.node_space(order[2]), net.node_space(order[7]), net.joint_space):
+        assert flipped._levels(scope) is None
+    assert flipped._plans == {}
     fork = CredalNet(Dag("abc", [("a", "b"), ("a", "c")]), [binary(x) for x in "abc"])
     assert fork.build_joint()._levels(fork.joint_space) is None
 
@@ -1605,13 +1651,12 @@ def test_chain_local_previsions_from_cached_bases_equal_a_cold_solve(monkeypatch
     monkeypatch.setattr("credalcones.cone._checked_prevision", cold_spy)
     shapes = [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 5)]
     for n, k in shapes:
-        first = sample_chain(rng, n, k)
-        for flip in (None, random_mutation(rng, first)):
-            # each model on a net of its own: on one net the flipped model
-            # would find the clean model's local previsions memoized
-            net = first if flip is None else same_net(first)
+        # two clean chains per shape, so that the floors below hold on
+        # clean draws alone
+        for _ in range(2):
+            net = sample_chain(rng, n, k)
             cones = {id(cone.columns): cone for cone in local_cones(net)}
-            joint = net.build_joint(mutate_flip=flip)
+            joint = net.build_joint()
             for f in chain_gambles(rng, net, 4):
                 table = f.extend(net.joint_space).table
                 joint._chain_certificates(_int_vector(enumerate(table)))
@@ -1619,6 +1664,12 @@ def test_chain_local_previsions_from_cached_bases_equal_a_cold_solve(monkeypatch
             for cone in cones.values():
                 for (*ints, den), answer in cone._previsions.items():
                     assert_local_prevision(cone, [F(n, den) for n in ints], answer)
+        # a flipped model, on a net of its own, takes no chain route, so it
+        # asks its cones for no local prevision
+        flipped = same_net(net).build_joint(mutate_flip=random_mutation(rng, net))
+        for f in chain_gambles(rng, net, 4):
+            assert flipped._chain_certificates(flipped._target(f)) is None
+        assert not any(cone._previsions for cone in local_cones(flipped.net))
     assert seen["reused"] > 1000 and seen["dual walks"] > 100, seen
     assert seen["dual pivots"] >= seen["dual walks"], seen
 

@@ -31,9 +31,8 @@ directory:
   * ``verify --seed 3 --budget 60 --mutate-flip NODE:P:K`` on the same 40
     networks, the slot drawn from the same generator after the network;
   * the same on the 8 mixed chains, the slot drawn from the chain's
-    generator after its queries: there the chain recursion checks a
-    flipped slot's local certificate on its own, far more often than on
-    the 40 networks;
+    generator after its queries: a flipped model takes no chain route,
+    so these runs exercise the joint LP's fallback on a path;
   * ``validate`` on the same 40 networks, and on each with one local model
     replaced by an incoherent assessment of the node's width (the slot
     drawn from the network's generator after the flip), taken in order
