@@ -20,7 +20,7 @@ bases of its prevision LP, at which each lower prevision is read or from
 which it is walked to (lower_prevision), each checked against its columns
 before it joins them.
 
-Two quick routes settle most memberships before the LP, each with a
+A membership takes the first of these routes that applies, each with a
 certificate checked against the columns:
 
   * positive-span: a target whose nonzero entries are all positive is the
@@ -31,12 +31,25 @@ certificate checked against the columns:
     cone, and the witness as primitive integers (lp._primitive, the one
     form of every separator) separates it.  Its scores on the generators
     are checked once per cone; an incoherent cone has no such witness and
-    never takes this route.
+    never takes this route;
+  * atom-mass: at a value j where no column is negative (found once per
+    cone, in one pass over the columns), the point mass e_j scores every
+    generator nonnegative, so it separates every target negative at j;
+  * exact-lp: a coherent cone reads the target's lower prevision m as the
+    chain recursion of net does (lower_prevision: the memo, the certified
+    bases and the walk); a nonzero f is desirable exactly when m >= 0
+    (Walley 1991), with the primal plus m on every atom as witness, and
+    otherwise the dual, as primitive integers, separates it.  An
+    incoherent cone, with no witness and perhaps no finite prevision,
+    runs the membership LP, lp.conic_membership.
 
 Coherence needs no LP when an assessment g has no positive entry: g plus
 -g(x) times each atom x is zero, a partial loss (Walley 1991), and that
-combination, checked against the columns, is the certificate.  Otherwise
-it is one exact LP, lp.contains_zero on the columns.  By Gordan's
+combination, checked against the columns, is the certificate.  Nor does
+a vacuous cone, with no assessment: the uniform mass, the separator the
+coherence LP would return, scores every atom strictly positive, which is
+checked before it is kept.  Otherwise it is one exact LP, lp.contains_zero
+on the columns.  By Gordan's
 theorem of the alternative, either a nonzero nonnegative combination of
 the generators vanishes, and the natural extension is incoherent with
 that checked combination as certificate, or some y scores every generator
@@ -55,11 +68,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .core import Gamble, Space
 from .lp import (
+    EXACT_LP,
     IntRow,
     IntVector,
     LpError,
@@ -75,6 +89,7 @@ from .lp import (
     _prevision_at_basis,
     _primitive,
     _score,
+    _separates,
     conic_membership,
     contains_zero,
 )
@@ -83,14 +98,31 @@ from .lp import (
 _BASIS_LIMIT = 4
 
 
+def _plus_atoms(primal: IntVector, m: Fraction, atoms: Iterable[int]) -> IntVector:
+    """The primal of a target's lower prevision m >= 0, which combines the
+    generators to target - m, plus m on every atom (generator indices
+    `atoms`, which sum to the constant 1): a witness of the target, over
+    the lcm of m's and the primal's denominators."""
+    if not m:
+        return primal
+    pairs, den = primal
+    common = lcm(den, m.denominator)
+    scale, add = common // den, m.numerator * (common // m.denominator)
+    witness = {k: v * scale for k, v in pairs}
+    for k in atoms:
+        witness[k] = witness.get(k, 0) + add
+    return tuple(sorted(witness.items())), common
+
+
 @dataclass(frozen=True)
 class CoherenceReport:
-    """Outcome of the coherence decision: its quick route or the LP,
+    """Outcome of the coherence decision: its quick routes or the LP,
     lp.contains_zero on the generators.
 
     witness, present only when coherent, is a strictly positive pmf giving
     every generator strictly positive expectation: the LP's verified
-    separator without its appended coordinate, normalised to sum 1.
+    separator without its appended coordinate, normalised to sum 1 (the
+    uniform pmf, which it equals, for a vacuous cone).
     certificate, present only when incoherent, is the checked vanishing
     combination of the quick route or the LP, one nonnegative coefficient
     per generator, not all zero, summing the generators to the zero gamble.
@@ -157,13 +189,21 @@ class AssessmentCone:
     @property
     def witness_mass(self) -> Optional[IntRow]:
         """The coherence witness as integers over one positive denominator,
-        (y, sum(y)) for the LP's separator y, recorded when coherence is
-        decided; None for an incoherent cone."""
+        (y, sum(y)) for the LP's separator y (the uniform mass, if vacuous),
+        recorded when coherence is decided; None for an incoherent cone."""
         self.is_coherent()
         return self._witness_mass
 
     def _decide_coherence(self) -> CoherenceReport:
-        columns, first_atom = self.columns, len(self.assessments)
+        columns, first_atom, size = self.columns, len(self.assessments), self.space.size
+        if not first_atom:
+            # the vacuous model: the uniform mass, which is the separator the
+            # coherence LP returns, scores every atom strictly positive
+            y = (1,) * size
+            if not all(_score(y, column) > 0 for column in columns):
+                raise LpError("uniform witness failed verification")
+            self._witness_mass = y, size
+            return CoherenceReport(coherent=True, witness=(Fraction(1, size),) * size)
         # quick route: the first assessment g with no positive entry incurs
         # a partial loss alone, g plus -g(x) times each atom x vanishing
         loss = next((k for k in range(first_atom) if all(n < 0 for _, n in columns[k][0])), None)
@@ -176,8 +216,8 @@ class AssessmentCone:
             # sized here, before any row is built: a cone the quick route
             # decides never runs it, and its memberships and previsions
             # are sized where they run
-            _check_work(self.space.size + 1, len(columns))
-            res = contains_zero(columns, self.space.size)
+            _check_work(size + 1, len(columns))
+            res = contains_zero(columns, size)
             if not res.exists:
                 y = res.separator[:-1]
                 total = sum(y)
@@ -202,10 +242,14 @@ class AssessmentCone:
         A nonzero f >= 0 is answered "positive-span", with the atoms
         weighted by f's entries as witness; an f that the coherence
         witness scores negative, "cached-separator", with that witness as
-        separator (see _witness_separator).  Both certificates are checked
-        against the columns; anything else is one exact LP.  Answers are
-        memoized, keyed by the target's integer form, its nonzero entries
-        read from f's own (Gamble.integer_form).
+        separator (see _witness_separator); an f negative at a value
+        where no column is negative, "atom-mass", with the point mass
+        there.  Anything else is "exact-lp": on a coherent cone, from
+        f's lower prevision (see the module docstring), its certificate
+        checked against the columns (LpError if it fails); on an
+        incoherent one, by lp.conic_membership.  Answers are memoized,
+        keyed by the target's integer form, its nonzero entries read from
+        f's own (Gamble.integer_form).
         """
         f = f.extend(self.space)
         if f.is_zero:
@@ -218,19 +262,41 @@ class AssessmentCone:
 
     def _membership(self, target: IntVector) -> Membership:
         entries, den = target
+        columns, first_atom, size = self.columns, len(self.assessments), self.space.size
         if all(n > 0 for _, n in entries):
-            first_atom = len(self.assessments)
             witness = tuple((first_atom + j, n) for j, n in entries), den
-            if _combines(self.columns, witness, target):
+            if _combines(columns, witness, target):
                 return Membership(member=True, route="positive-span", witness=witness)
         separator = self._witness_separator
         if separator is not None and _score(separator, target) < 0:
             return Membership(member=False, route="cached-separator", separator=separator)
-        ints = [0] * self.space.size
+        j = next((j for j, n in entries if n < 0 and j not in self._negative_at), None)
+        if j is not None:
+            atom = (0,) * j + (1,) + (0,) * (size - j - 1)
+            return Membership(member=False, route="atom-mass", separator=atom)
+        ints = [0] * size
         for j, n in entries:
             ints[j] = n
-        _check_work(self.space.size, len(self.columns))
-        return conic_membership((ints, den), self.columns)
+        if separator is None:
+            _check_work(size, len(columns))
+            return conic_membership((ints, den), columns)
+        m, primal, dual = self.lower_prevision(ints, den)
+        if m >= 0:
+            witness = _plus_atoms(primal, m, range(first_atom, len(columns)))
+            if _combines(columns, witness, target):
+                return Membership(member=True, route=EXACT_LP, witness=witness)
+        else:
+            y = _primitive(dual[0])
+            if _separates(columns, target, y):
+                return Membership(member=False, route=EXACT_LP, separator=y)
+        raise LpError("lower prevision certificate failed membership verification")
+
+    @cached_property
+    def _negative_at(self) -> set[int]:
+        """The values at which some column is negative, in one pass over the
+        columns: at any other value j the atom mass e_j scores every column
+        nonnegative, so it separates every target negative at j."""
+        return {j for entries, _ in self.columns for j, n in entries if n < 0}
 
     @cached_property
     def _witness_separator(self) -> Optional[tuple[int, ...]]:

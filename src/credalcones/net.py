@@ -72,7 +72,7 @@ from itertools import chain, combinations
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .cone import AssessmentCone, CoherenceReport
+from .cone import AssessmentCone, CoherenceReport, _plus_atoms
 from .core import Configuration, Gamble, ScopeError, Space, VariableSpace
 from .dag import Dag
 from .lp import (
@@ -595,8 +595,9 @@ class JointModel:
             if self._witness_matches(assembled, target):
                 return Membership(member=True, route="local-assembly", witness=assembled)
         elif cert.route != "cached-separator":
-            # not the coherence witness, whose product is the canonical one:
-            # the quick routes tried it, or the flipped generator refutes it
+            # an atom mass, a prevision walk's dual or the membership LP's
+            # separator, not the coherence witness, whose product is the
+            # canonical one: the quick routes tried it, or the flip refutes it
             sep = self._product_separator(node, parent_index, cert.separator)
             if sep is not None and _score(sep, target) < 0:
                 return Membership(member=False, route="product-separator", separator=sep)
@@ -821,18 +822,10 @@ class JointModel:
                 return None
             self._cache_separator(y)
             return Membership(member=False, route=CHAIN_RECURSION, separator=y)
-        if m:
-            # m on every leaf atom, over the lcm of m's and the primal's denominators
-            pairs, den = primal
-            common = lcm(den, m.denominator)
-            scale, add = common // den, m.numerator * (common // m.denominator)
-            witness = {k: v * scale for k, v in pairs}
-            for k in self._atom_gen_at.values():
-                witness[k] = witness.get(k, 0) + add
-            primal = tuple(sorted(witness.items())), common
-        if not self._witness_matches(primal, target):
+        witness = _plus_atoms(primal, m, self._atom_gen_at.values())
+        if not self._witness_matches(witness, target):
             return None
-        return Membership(member=True, route=CHAIN_RECURSION, witness=primal)
+        return Membership(member=True, route=CHAIN_RECURSION, witness=witness)
 
     # -- requirement checks ----------------------------------------------------
 

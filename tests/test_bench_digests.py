@@ -70,7 +70,8 @@ def test_chain_queries_reuse_local_bases(tmp_path, monkeypatch):
 
 def test_sweep_local_memberships_mostly_skip_the_lp(tmp_path, monkeypatch):
     # unit 6 of sweep seed 1 (18 joint configurations): its sweep asks 170
-    # distinct local memberships, and the quick routes leave 30 to the LP
+    # distinct local memberships of coherent cones, and the quick routes,
+    # the atom masses and the prevision walk leave none to the membership LP
     run = load("run")
     monkeypatch.setattr(sys, "path", list(sys.path))
     unit = run.make_inputs(run.import_package()["sweep"](), 1, tmp_path)[6]
@@ -90,7 +91,7 @@ def test_sweep_local_memberships_mostly_skip_the_lp(tmp_path, monkeypatch):
         assert report.ok
         return len(local_lps)
 
-    assert 0 < sweep_local_lps() <= 40
+    assert sweep_local_lps() == 0
     # the same sweep with every local membership left to the LP
     monkeypatch.setattr(
         cone.AssessmentCone,

@@ -701,6 +701,35 @@ def test_a_model_the_quick_route_decides_is_not_refused_by_the_lp_it_never_runs(
     assert weights == {0: 1, **{1 + x: x % 3 for x in range(size) if x % 3}}
 
 
+@pytest.mark.parametrize("size", [1500, 3200])
+def test_a_vacuous_wide_model_is_valid_with_no_lp(tmp_path, capsys, monkeypatch, size):
+    # a model with no assessment is coherent with the uniform mass; its
+    # coherence LP (size + 1 rows, size atom columns) would run for minutes
+    # at 1,500 values, and at 3,200 it is over the default cap (20,492,802
+    # cells)
+    cells = (size + 1) * (size + size + 1 + 1)
+    assert (cells > lp._MAX_CELLS) == (size == 3200)
+
+    def never(*args):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(lp, "_solve_standard", never)
+    model = {"node": "x", "given": {}, "gambles": []}
+    net = write(
+        tmp_path,
+        "net.json",
+        {
+            "variables": [{"id": "x", "values": [str(x) for x in range(size)]}],
+            "edges": [],
+            "local_models": [model],
+        },
+    )
+    code, out, err = run(capsys, "validate", net)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["valid"] is True and report["network"]["generator_count"] == size
+
+
 def test_chain_queries_need_no_joint_lp_under_the_work_cap(tmp_path, capsys, monkeypatch):
     # the chain recursion answers from local LPs and checks its certificates
     # on the integer generator columns: no joint LP is sized, no work cap

@@ -11,8 +11,10 @@ from credalcones import cone as cone_module, core, lp
 from credalcones.cone import AssessmentCone
 from credalcones.core import Gamble, Space, VariableSpace, indicator
 from credalcones.lp import LpError, _over_lcm
+from credalcones.oracle import fm_membership
 from dense import (
     DenseCone,
+    dense_membership,
     fractions,
     int_columns,
     is_positive_pmf,
@@ -142,48 +144,52 @@ def test_assessed_gamble_has_nonnegative_lower_prevision():
 
 
 def test_equal_tables_share_one_membership_lp_and_one_prevision_walk(monkeypatch):
-    # the cone's memos are keyed by integer forms, not by Gamble objects
+    # the cone's memos are keyed by integer forms, not by Gamble objects; a
+    # membership that no quick route decides reads the prevision LP, whose
+    # memo and bases the lower previsions share
     sp = coin()
     cone = AssessmentCone(sp, [Gamble(sp, (1, -1))])
-    memberships, walks = [], []
-    membership_lp, at_basis = lp.conic_membership, lp._prevision_at_basis
-
-    def membership_spy(target, columns):
-        memberships.append(target)
-        return membership_lp(target, columns)
+    walks, at_basis = [], lp._prevision_at_basis
 
     def basis_spy(basis, target, columns):
         walks.append(target)
         return at_basis(basis, target, columns)
 
-    def cold(target, columns):
-        raise AssertionError("a coherent cone solved a prevision LP on the tableau")
+    def never(*args):
+        raise AssertionError("a coherent cone solved an LP on the tableau")
 
-    monkeypatch.setattr("credalcones.cone.conic_membership", membership_spy)
+    monkeypatch.setattr("credalcones.cone.conic_membership", never)
     monkeypatch.setattr("credalcones.cone._prevision_at_basis", basis_spy)
-    monkeypatch.setattr("credalcones.cone._checked_prevision", cold)
-    # the witness (2/3, 1/3) scores (-1, 3) positive: only the LP decides it
-    first, again = Gamble(sp, (F(-1), F(3))), Gamble(sp, (-2, 6)) * F(1, 2)
+    monkeypatch.setattr("credalcones.cone._checked_prevision", never)
+    # the witness (2/3, 1/3) scores (1, -2) zero, and no atom mass separates
+    # it (the assessment is negative at 1): only the prevision walk decides it
+    first, again = Gamble(sp, (F(1), F(-2))), Gamble(sp, (2, -4)) * F(1, 2)
     assert first is not again and first.table == again.table
     answer = cone.member_with_certificate(first)
     assert answer.route == "exact-lp" and not answer.member
     assert cone.member_with_certificate(again) == answer
-    assert len(memberships) == 1
-    # the first table starts at the atoms basis {shift, atom 1}, optimal for it
-    low = cone.lower_prevision(*_over_lcm(first.table))
-    assert low[0] == -1
-    assert cone.lower_prevision(*_over_lcm(again.table)) == low
-    assert len(walks) == 1 and [b.basic for b in reversed(cone._bases)] == [(2,)]
-    # a new table is answered at the cached basis, without a walk
-    assert cone.lower_prevision((-2, 6))[0] == -2
+    tables = [g.table for g in cone.generators]
+    assert answer.separator == (1, 1) and is_separator(tables, first.table, answer.separator)
+    # the walk starts at the atoms basis {shift, atom 0} and ends at {shift,
+    # the assessment}, m = -1/2, which the lower prevision reads from the memo
+    assert len(walks) == 1 and [b.basic for b in reversed(cone._bases)] == [(0,)]
+    assert cone.lower_prevision(*_over_lcm(first.table))[0] == F(-1, 2)
     assert len(walks) == 1
-    # the same integers over another denominator are another question
+    # (-1, 3) is not answered there: dual pivots bring in atom 1, and the new
+    # basis joins the front
+    low = cone.lower_prevision((-1, 3))
+    assert low[0] == -1 and cone.lower_prevision((-2, 6), 2) == low
+    assert len(walks) == 2 and [b.basic for b in reversed(cone._bases)] == [(2,), (0,)]
+    # a new table is answered at a cached basis, without a walk
+    assert cone.lower_prevision((-2, 6))[0] == -2
     assert cone.lower_prevision((-1, 3), 2)[0] == F(-1, 2)
-    # (3, -1) is not answered there: one dual pivot brings in the assessment,
-    # and the new basis joins the front
     m, primal, dual = cone.lower_prevision((3, -1))
     assert (m, fractions(primal), masses(dual)) == (1, ((0, 2),), (F(1, 2), F(1, 2)))
     assert len(walks) == 2 and [b.basic for b in reversed(cone._bases)] == [(0,), (2,)]
+    # its membership reads that memo entry: the primal plus m on every atom
+    inside = cone.member_with_certificate(Gamble(sp, (3, -1)))
+    assert inside.route == "exact-lp" and inside.member and len(walks) == 2
+    assert fractions(inside.witness) == ((0, 2), (1, 1), (2, 1))
     whole = cone.member_with_certificate(Gamble(sp, (1, 2)))
     half = cone.member_with_certificate(Gamble(sp, (F(1, 2), F(1))))
     assert fractions(whole.witness) == ((1, 1), (2, 2))
@@ -270,9 +276,14 @@ def test_incoherence_certificate_comes_from_the_coherence_lp(monkeypatch):
         cone = random_cone(rng)
         calls.clear()
         report = cone.is_coherent()
-        # a cone with an assessment g <= 0 takes the quick route, no LP
+        # a cone with an assessment g <= 0 takes the quick route, and a
+        # vacuous one the uniform mass: no LP
         if any(all(v <= 0 for v in g.table) for g in cone.assessments):
             assert calls == [] and not report.coherent
+            continue
+        if not cone.assessments:
+            size = cone.space.size
+            assert calls == [] and report.witness == (F(1, size),) * size
             continue
         assert len(calls) == 1
         if report.coherent:
@@ -282,6 +293,24 @@ def test_incoherence_certificate_comes_from_the_coherence_lp(monkeypatch):
         assert all(c >= 0 for c in combo) and any(combo)
         tables = [g.table for g in cone.generators]
         assert is_witness(tables, (F(0),) * cone.space.size, lp._int_vector(enumerate(combo)))
+
+
+def test_a_vacuous_cone_is_coherent_with_the_uniform_mass_and_no_lp(monkeypatch):
+    # the uniform mass is the separator the coherence LP finds on the atoms
+    # alone, at every width up to 64
+    def never(*args):
+        raise AssertionError("an LP was solved")
+
+    widths = (*range(1, 65), 400)
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_solve_standard", never)
+        cones = [AssessmentCone(Space([VariableSpace("x", tuple(range(n)))])) for n in widths]
+        reports = [cone.is_coherent() for cone in cones]
+    for n, cone, report in zip(widths, cones, reports):
+        assert cone.witness_mass == ((1,) * n, n)
+        if n <= 64:
+            y = lp.contains_zero(cone.columns, n).separator[:-1]
+            assert report == cone_module.CoherenceReport(True, tuple(F(v, sum(y)) for v in y))
 
 
 def test_a_nonpositive_assessment_is_decided_without_an_lp(monkeypatch):
@@ -382,8 +411,10 @@ def random_local_cone(rng):
 
 def test_local_cones_answer_as_with_dense_atoms_and_fraction_rows():
     # the integer columns and rows, and the kernel's integer duals, give the
-    # coherence reports and membership answers of dense indicator atoms and
-    # a kernel on Fraction rows, certificates included
+    # coherence reports and member flags of dense indicator atoms and a
+    # kernel on Fraction rows; a membership certificate may differ from the
+    # dense one (the atom masses and the prevision walk have none there),
+    # and each is checked on the dense generators
     rng = random.Random(2828)
     coherent, answers = Counter(), Counter()
     for _ in range(300):
@@ -392,15 +423,59 @@ def test_local_cones_answer_as_with_dense_atoms_and_fraction_rows():
         report = cone.is_coherent()
         assert report == dense.is_coherent()
         coherent[report.coherent] += 1
+        tables = [g.table for g in dense.generators]
         for _ in range(6):
             table = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(sp.size))
             res = cone.member_with_certificate(Gamble(sp, table))
-            assert res == dense.member_with_certificate(Gamble(sp, table))
+            assert res.member == dense.member_with_certificate(Gamble(sp, table)).member
+            if res.member:
+                assert is_witness(tables, table, res.witness)
+            elif any(table):
+                assert is_separator(tables, table, res.separator)
             answers[res.route, res.member] += 1
     assert coherent[True] > 50 and coherent[False] > 50
     for route, member in [("positive-span", True), ("cached-separator", False)]:
         assert answers[route, member]
+    assert answers["atom-mass", False]
     assert answers["exact-lp", True] and answers["exact-lp", False]
+
+
+def test_a_coherent_cone_decides_every_membership_without_the_membership_lp(monkeypatch):
+    # past positive-span and the coherence witness, a coherent cone answers
+    # from an atom mass or its prevision walk, an incoherent one by the
+    # membership LP; every flag agrees with the projection oracle and the
+    # dense LP, and every certificate is checked on the dense generators
+    lps, solve = [], cone_module.conic_membership
+
+    def spy(target, columns):
+        lps.append(target)
+        return solve(target, columns)
+
+    monkeypatch.setattr(cone_module, "conic_membership", spy)
+    rng = random.Random(3535)
+    answers = Counter()
+    for _ in range(300):
+        sp, gambles = random_local_cone(rng)
+        cone, dense = AssessmentCone(sp, gambles), DenseCone(sp, gambles)
+        coherent = cone.is_coherent().coherent
+        tables = [g.table for g in dense.generators]
+        lps.clear()
+        for _ in range(6):
+            table = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(sp.size))
+            if not any(table):
+                continue
+            res = cone.member_with_certificate(Gamble(sp, table))
+            assert res.member == fm_membership(table, tables)
+            assert res.member == dense_membership(table, dense.columns).member
+            if res.member:
+                assert is_witness(tables, table, res.witness)
+            else:
+                assert is_separator(tables, table, res.separator)
+            answers[res.route, res.member, coherent] += 1
+        assert not (coherent and lps)
+    assert answers["atom-mass", False, True] and answers["atom-mass", False, False]
+    assert answers["exact-lp", True, True] and answers["exact-lp", False, True]
+    assert answers["exact-lp", True, False] and answers["exact-lp", False, False]
 
 
 def test_a_wide_cone_lays_out_its_atoms_without_a_dense_atom(monkeypatch):
@@ -433,7 +508,9 @@ def random_target(rng, cone):
 
 
 def test_local_quick_routes_agree_with_the_lp():
-    # cones on 2-4 values with 0-3 assessments, coherent or not
+    # cones on 2-4 values with 0-3 assessments, coherent or not: every route
+    # answers as the membership LP on the cone's columns, with a certificate
+    # checked on its generators
     rng = random.Random(1313)
     routes = Counter()
     for _ in range(150):
@@ -444,17 +521,15 @@ def test_local_quick_routes_agree_with_the_lp():
             f = random_target(rng, cone)
             res = cone.member_with_certificate(f)
             routes[res.route, coherent] += 1
-            if res.route == "exact-lp":
-                continue
             assert res.member == lp.conic_membership(_over_lcm(f.table), cone.columns).member
             if res.member:
-                assert res.route == "positive-span"
+                assert res.route in ("positive-span", "exact-lp")
                 assert is_witness(tables, f.table, res.witness)
             else:
-                assert res.route == "cached-separator" and coherent
+                assert res.route != "cached-separator" or coherent
                 assert is_separator(tables, f.table, res.separator)
     assert routes["cached-separator", False] == 0
-    for route in ("positive-span", "exact-lp"):
+    for route in ("positive-span", "atom-mass", "exact-lp"):
         assert routes[route, True] > 20 and routes[route, False] > 20, routes
     assert routes["cached-separator", True] > 20, routes
 

@@ -22,9 +22,11 @@ directory:
   * ``query`` on the same 40 networks (``net_queries``, drawn from a
     generator of their own): coherence, the membership of a nonnegative
     joint gamble (route positive-span), the ``marginal-member`` of a
-    node's first assessment at its parent values (local-assembly), and
+    node's first assessment at its parent values (local-assembly), a
+    structured non-member (``separated_query``, product-separator) and
     the membership of a joint gamble with one negative entry (exact-lp
-    off a path), so that every witness form is printed;
+    off a path), so that every witness form is printed, and product
+    separators lifted from a local cone's atom masses and prevision walk;
   * ``verify --seed 3 --budget 45`` on the same 40 networks: 15 of these
     sweeps stop inside the observations of one slot gamble, 10 stop
     between two slot gambles and 15 end within the budget;
@@ -162,8 +164,9 @@ def literal_runs(workdir: Path, chain, network: str) -> list[list[str]]:
 def net_queries(rng: random.Random, network) -> list[dict]:
     """Coherence, then the membership of a nonnegative joint gamble, the
     marginal-member of the first assessment of a slot that has one (when
-    some slot has), and the membership of a joint gamble whose entries are
-    nonnegative but one."""
+    some slot has), the separated query of that slot (of the first node's
+    first slot when no slot has an assessment), and the membership of a
+    joint gamble whose entries are nonnegative but one."""
     nodes, size = list(network.dag.nodes), network.joint_space.size
     nonnegative = [Fraction(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(size)]
     nonnegative[rng.randrange(size)] += 1
@@ -172,16 +175,38 @@ def net_queries(rng: random.Random, network) -> list[dict]:
     queries = [{"kind": "coherence"}]
     queries.append({"kind": "member", "gamble": {"scope": nodes, "table": [str(v) for v in nonnegative]}})
     slots = [(s, p) for (s, p), gambles in sorted(network.assessments.items()) if gambles]
+    s, p = rng.choice(slots) if slots else (nodes[0], 0)
     if slots:
-        s, p = rng.choice(slots)
         queries.append({
             "kind": "marginal-member",
             "node": s,
             "parent": network.parent_space(s).config_at(p).as_dict(),
             "gamble": [str(v) for v in network.assessments[(s, p)][0].table],
         })
+    queries.append(separated_query(network, s, p))
     queries.append({"kind": "member", "gamble": {"scope": nodes, "table": [str(v) for v in mixed]}})
     return queries
+
+
+def separated_query(network, s: str, p: int) -> dict:
+    """The marginal-member at the slot (s, p) of E_y(h) - h, for h the
+    slot's first assessment (the indicator of the node's first value when
+    it has none) and y the coherence witness of its local cone.  y scores
+    it 0, so neither y nor the joint model's canonical witness separates
+    it; the negated assessment itself is answered by the canonical
+    witness.  A local non-member is then separated by one of the cone's
+    atom masses or by the dual of its prevision walk, which the structured
+    route lifts to a product separator."""
+    gambles = network.assessments[(s, p)]
+    h = gambles[0].table if gambles else [1] + [0] * (network.node_space(s).size - 1)
+    y = network.local_cone(s, p).is_coherent().witness
+    expectation = sum(a * b for a, b in zip(y, h))
+    return {
+        "kind": "marginal-member",
+        "node": s,
+        "parent": network.parent_space(s).config_at(p).as_dict(),
+        "gamble": [str(expectation - v) for v in h],
+    }
 
 
 def flip_run(rng: random.Random, network, path: Path) -> list[str]:
